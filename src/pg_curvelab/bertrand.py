@@ -13,9 +13,18 @@ of curves is accepted as a mate pair when, over a verification grid,
   * the scalar product of the two scale-invariant tangents is constant.
 
 Mate jets are computed exactly through derivative-series arithmetic when
-the base curve carries jets of order >= 6; otherwise orders three and
-four fall back to finite differences of the exact second-derivative
-function and the mate's domain shrinks by the stencil reach.
+the base curve carries jets of order >= 6.  Mate order k needs the
+normal series to order k only, that is base orders 2..k+2 in series of
+length k+1; entry k of a series product, quotient or square root
+depends on entries <= k alone, so this gives the bits a longer series
+would.  Mate jets are served in bundles (:meth:`CurveJet.jets`, which is
+how the Frenet and equiform kernels read a point): orders first..last
+take one fetch of the base orders min(first, 2)..last+2 and one series
+of length last+1, e.g. 6 base jets for the orders 1-4 of
+:func:`equiform_data`.  When the base has order < 6 the exact bundle
+stops at order 2, orders three and four are finite differences of the
+exact second-derivative function, and the mate's domain shrinks by the
+stencil reach.
 """
 
 from __future__ import annotations
@@ -27,8 +36,14 @@ from statistics import fmean
 from typing import Callable, Sequence
 
 from .algebra import PGVector, pg_dot
-from .curves import CurveJet, JetKind, _richardson
-from .equiform import NaturalClassTag, equiform_grid, natural_class
+from .curves import _EPS, CurveJet, JetKind, _richardson
+from .equiform import (
+    NaturalClassTag,
+    _natural_class_of,
+    _spread,
+    equiform_grid,
+    natural_class,
+)
 from .errors import (
     InadmissibleCurveError,
     MateInadmissibleError,
@@ -38,15 +53,14 @@ from .errors import (
 from .frenet import LIGHTLIKE_TOL, frenet_data
 from .series import DSeries
 
-_EPS = 2.220446049250313e-16
-
 OffsetFn = Callable[[float], float]
 
 
-def _normal_series(base: CurveJet, s: float, n: int) -> tuple[DSeries, DSeries]:
-    """Length-n derivative series of the two isotropic components of the
-    scale-invariant normal rho^2 * gamma''.  Needs base jets to order n+1."""
-    jets = [base.jet(s, 2 + i) for i in range(n)]
+def _normal_series(jets: Sequence[PGVector], s: float
+                   ) -> tuple[DSeries, DSeries]:
+    """Derivative series of the two isotropic components of the
+    scale-invariant normal rho^2 * gamma'' from the base jets of orders
+    2, 3, ...: n jets give series of length n."""
     y2 = DSeries(j.x2 for j in jets)
     z2 = DSeries(j.x3 for j in jets)
     w = y2 * y2 - z2 * z2
@@ -58,6 +72,18 @@ def _normal_series(base: CurveJet, s: float, n: int) -> tuple[DSeries, DSeries]:
     eps = 1 if w[0] > 0.0 else -1
     rho2 = (eps * w).reciprocal()
     return rho2 * y2, rho2 * z2
+
+
+def _offset_jets(base: CurveJet, lam: float, s: float, first: int,
+                 last: int) -> tuple[PGVector, ...]:
+    """Exact mate jets of orders first..last: one fetch of the base
+    orders min(first, 2)..last+2 and one normal series of length last+1."""
+    low = min(first, 2)
+    jets = base.jets(s, low, last + 2)
+    ny, nz = _normal_series(jets[2 - low:], s)
+    return tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
+                 for k, j in enumerate(jets[first - low:last - low + 1],
+                                       first))
 
 
 def _probe_mate(mate: CurveJet, offset: float) -> None:
@@ -84,50 +110,47 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     lam = float(offset)
 
     if base.max_order >= 6:
-        n = base.max_order - 1          # mate orders 0 .. n - 1
+        def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+            return _offset_jets(base, lam, s, first, last)
 
-        def jet_fn(s: float, order: int) -> PGVector:
-            ny, nz = _normal_series(base, s, n)
-            j = base.jet(s, order)
-            return PGVector(j.x1, j.x2 + lam * ny[order], j.x3 + lam * nz[order])
+        domain, kind, max_order = base.domain, base.kind, base.max_order - 2
+        warnings = base.warnings
+    else:
+        # exact jets to order 2, finite differences above
+        lo, hi = base.domain
+        scale = max(1.0, abs(lo), abs(hi))
+        mid = 0.5 * (lo + hi)
+        fr = frenet_data(base, mid)
+        freq = max(1.0, abs(fr.tau), fr.kappa)
+        h = (_EPS ** (1 / 6)) * scale / freq
+        if h < 64.0 * _EPS * scale:
+            raise StepTooSmallError(
+                f"mate difference step {h} is below the round-off guard")
+        if hi - lo <= 8.0 * h:
+            raise NarrowDomainError(
+                f"domain [{lo}, {hi}] too short for the mate stencils "
+                f"(8h = {8 * h})")
 
-        mate = CurveJet(jet_fn, base.domain, base.kind,
-                        max_order=base.max_order - 2, warnings=base.warnings)
-        _probe_mate(mate, lam)
-        return mate
+        def m2(s: float) -> PGVector:
+            return _offset_jets(base, lam, s, 2, 2)[0]
 
-    # fallback: exact jets to order 2, finite differences above
-    lo, hi = base.domain
-    scale = max(1.0, abs(lo), abs(hi))
-    mid = 0.5 * (lo + hi)
-    fr = frenet_data(base, mid)
-    freq = max(1.0, abs(fr.tau), fr.kappa)
-    h = (_EPS ** (1 / 6)) * scale / freq
-    if h < 64.0 * _EPS * scale:
-        raise StepTooSmallError(
-            f"mate difference step {h} is below the round-off guard")
-    if hi - lo <= 8.0 * h:
-        raise NarrowDomainError(
-            f"domain [{lo}, {hi}] too short for the mate stencils (8h = {8 * h})")
+        def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+            exact = (_offset_jets(base, lam, s, first, min(last, 2))
+                     if first <= 2 else ())
+            return exact + tuple(_richardson(m2, s, k - 2, h)
+                                 for k in range(max(first, 3), last + 1))
 
-    def exact_jet(s: float, order: int) -> PGVector:
-        ny, nz = _normal_series(base, s, 3)
-        j = base.jet(s, order)
-        return PGVector(j.x1, j.x2 + lam * ny[order], j.x3 + lam * nz[order])
-
-    def m2(s: float) -> PGVector:
-        return exact_jet(s, 2)
+        domain, kind, max_order = ((lo + 2.0 * h, hi - 2.0 * h),
+                                   JetKind.FINITE_DIFFERENCE, 4)
+        warnings = base.warnings + (
+            f"mate jets of orders 3-4 are finite differences at step "
+            f"{h:.3e}; domain shrunk by twice the step on each side",)
 
     def jet_fn(s: float, order: int) -> PGVector:
-        if order <= 2:
-            return exact_jet(s, order)
-        return _richardson(m2, s, order - 2, h)
+        return jets_fn(s, order, order)[0]
 
-    note = (f"mate jets of orders 3-4 are finite differences at step "
-            f"{h:.3e}; domain shrunk by twice the step on each side")
-    mate = CurveJet(jet_fn, (lo + 2.0 * h, hi - 2.0 * h),
-                    JetKind.FINITE_DIFFERENCE, max_order=4,
-                    warnings=base.warnings + (note,))
+    mate = CurveJet(jet_fn, domain, kind, max_order=max_order,
+                    warnings=warnings, jets_fn=jets_fn)
     _probe_mate(mate, lam)
     return mate
 
@@ -145,7 +168,10 @@ def bertrand_nature(c: CurveJet, grid: Sequence[float]) -> BertrandNature:
     nonzero torsion they are circular helices, with zero torsion
     isotropic circles.  Everything else admits none.
     """
-    tag = natural_class(c, grid).tag
+    return _nature_of(natural_class(c, grid).tag)
+
+
+def _nature_of(tag: NaturalClassTag) -> BertrandNature:
     if tag is NaturalClassTag.CIRCULAR_HELIX:
         return BertrandNature.CIRCULAR_HELIX
     if tag is NaturalClassTag.ISOTROPIC_CIRCLE:
@@ -175,10 +201,6 @@ class BertrandPair:
     failures: tuple[str, ...]
 
 
-def _spread(vals: Sequence[float]) -> float:
-    return max(vals) - min(vals)
-
-
 def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
                          offset_fn: OffsetFn | float,
                          grid: Sequence[float],
@@ -187,7 +209,9 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
 
     ``offset_fn`` is the claimed offset, a constant or a function of the
     parameter; a non-constant claim fails verification even if the two
-    curves are geometrically a pair at some constant offset.
+    curves are geometrically a pair at some constant offset.  Each curve
+    is swept once; ``nature`` is :func:`bertrand_nature` of the base,
+    read from the same sweep.
     """
     if len(grid) < 5:
         raise ValueError("verification needs a grid of at least 5 points")
@@ -244,7 +268,7 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     return BertrandPair(
         base=base, mate=mate, offset=lam_mean,
         is_pair=not failures,
-        nature=bertrand_nature(base, grid),
+        nature=_nature_of(_natural_class_of(db).tag),
         normal_parallel_sup=par_sup,
         tangent_product_spread=prod_spread,
         curvature_flatness_sup=flat_sup,

@@ -43,21 +43,28 @@ from typing import Sequence
 
 from . import aw
 from .algebra import PGVector
-from .bertrand import bertrand_mate, bertrand_nature, verify_bertrand_pair
+from .bertrand import bertrand_mate, verify_bertrand_pair
 from .curves import CurveJet, JetKind, make_sampled_curve
 from .equiform import equiform_data, equiform_residual, natural_class
 from .errors import CurveLabError, InadmissibleCurveError
 from .frenet import frenet_data, frenet_residual
-from .zoo import ZooEntry, describe_constraints, get_example, zoo_names
+from .zoo import (
+    REFERENCE_PARAMS,
+    ZooEntry,
+    describe_constraints,
+    get_example,
+    zoo_names,
+)
 
 SCHEMA = "pg-curvelab/1"
 
-_FIGURES: dict[int, tuple[str, float, float]] = {
-    1: ("timelike_general_helix", 1.0, 2.0),
-    2: ("spacelike_general_helix", 1.0, 2.0),
-    3: ("timelike_circular_helix", 1.0, 2.0),
-    4: ("spacelike_circular_helix", 1.0, 2.0),
-    5: ("timelike_log_spiral", 1.0, 1.0),
+# figure number -> family, drawn at its reference parameters
+_FIGURES: dict[int, str] = {
+    1: "timelike_general_helix",
+    2: "spacelike_general_helix",
+    3: "timelike_circular_helix",
+    4: "spacelike_circular_helix",
+    5: "timelike_log_spiral",
 }
 _FIGURE_SAMPLES = 256
 
@@ -68,12 +75,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated description of one CLI invocation."""
+    """Validated description of one CLI invocation.
+
+    ``a`` and ``b`` left as None take the family's reference parameters
+    (``zoo.REFERENCE_PARAMS``).
+    """
 
     command: str
     curve: str | None = None
-    a: float = 1.0
-    b: float = 1.0
+    a: float | None = None
+    b: float | None = None
     input_path: str | None = None
     grid: tuple[float, float, int] | None = None
     offset: float | None = None
@@ -81,7 +92,6 @@ class RunConfig:
     tol_class: float | None = None
     tol_zero: float = 1e-9
     tol_const: float = 1e-6
-    tol_light: float = 1e-10
     out_path: str | None = None
     fmt: str = "csv"
 
@@ -91,7 +101,7 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        for name in ("tol_class", "tol_zero", "tol_const", "tol_light"):
+        for name in ("tol_class", "tol_zero", "tol_const"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
                 raise ConfigError(f"{name} must be positive, got {val}")
@@ -248,7 +258,11 @@ def _resolve(config: RunConfig) -> _Resolved:
         return _Resolved(curve=curve, label=f"sampled:{config.input_path}",
                          params={}, grid=grid, residual_h=2 * delta)
     assert config.curve is not None
-    entry = get_example(config.curve, config.a, config.b)
+    # an unknown name gets a placeholder here and is rejected by get_example
+    ref_a, ref_b = REFERENCE_PARAMS.get(config.curve, (1.0, 1.0))
+    entry = get_example(config.curve,
+                        ref_a if config.a is None else config.a,
+                        ref_b if config.b is None else config.b)
     lo, hi = entry.curve.domain
     for p in pts:
         if not lo <= p <= hi:
@@ -408,7 +422,6 @@ def _cmd_bertrand(config: RunConfig) -> int:
             "need at least 5 grid points inside the mate domain")
     pair = verify_bertrand_pair(res.curve, mate, config.offset, grid,
                                 tol=config.tol_class or 1e-8)
-    nature = bertrand_nature(res.curve, grid)
     doc = {
         "schema": SCHEMA,
         "curve": res.label,
@@ -417,7 +430,7 @@ def _cmd_bertrand(config: RunConfig) -> int:
         "offset": config.offset,
         "bertrand": {
             "is_pair": pair.is_pair,
-            "nature": nature.value,
+            "nature": pair.nature.value,
             "curvature_flatness_sup": pair.curvature_flatness_sup,
             "normal_parallel_sup": pair.normal_parallel_sup,
             "tangent_product_spread": pair.tangent_product_spread,
@@ -467,8 +480,8 @@ def _cmd_zoo_list(config: RunConfig) -> int:
 
 def _cmd_figure(config: RunConfig) -> int:
     assert config.figure_number is not None
-    name, a, b = _FIGURES[config.figure_number]
-    entry = get_example(name, a, b)
+    name = _FIGURES[config.figure_number]
+    entry = get_example(name, *REFERENCE_PARAMS[name])
     lo, hi = entry.domain
     step = (hi - lo) / (_FIGURE_SAMPLES - 1)
     rows = []
@@ -500,10 +513,12 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser, with_grid: bool) -> None:
         if with_grid:
             p.add_argument("--curve", help="catalogue curve name")
-            p.add_argument("--a", type=float, default=1.0,
-                           help="first curve parameter (default 1)")
-            p.add_argument("--b", type=float, default=1.0,
-                           help="second curve parameter (default 1)")
+            p.add_argument("--a", type=float,
+                           help="first curve parameter (default: the "
+                                "family's reference value)")
+            p.add_argument("--b", type=float,
+                           help="second curve parameter (default: the "
+                                "family's reference value)")
             p.add_argument("--input", dest="input_path",
                            help="CSV file with s,x,y,z position samples on "
                                 "a uniform lattice")
@@ -595,8 +610,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = RunConfig(
         command=args.command,
         curve=getattr(args, "curve", None),
-        a=getattr(args, "a", 1.0),
-        b=getattr(args, "b", 1.0),
+        a=getattr(args, "a", None),
+        b=getattr(args, "b", None),
         input_path=getattr(args, "input_path", None),
         grid=grid,
         offset=getattr(args, "offset", None),

@@ -37,6 +37,7 @@ from .errors import (
 _EPS = 2.220446049250313e-16
 
 PositionFn = Callable[[float], PGVector]
+JetsFn = Callable[[float, int, int], tuple[PGVector, ...]]
 
 
 class JetKind(Enum):
@@ -50,13 +51,21 @@ class CurveJet:
     Instances are immutable; evaluation is pure.  ``warnings`` collects
     non-fatal construction diagnostics (e.g. inconsistent supplied
     derivatives), never errors.
+
+    ``jet_fn(s, order)`` returns one derivative vector.  A curve whose
+    orders share intermediate work (a normal-offset mate builds one
+    derivative series for all of them) may also pass
+    ``jets_fn(s, first, last)``, returning orders first..last at once;
+    without it a bundle calls ``jet_fn`` once per order.
     """
 
-    __slots__ = ("domain", "kind", "max_order", "warnings", "_jet_fn")
+    __slots__ = ("domain", "kind", "max_order", "warnings", "_jet_fn",
+                 "_jets_fn")
 
     def __init__(self, jet_fn: Callable[[float, int], PGVector],
                  domain: tuple[float, float], kind: JetKind,
-                 max_order: int = 4, warnings: tuple[str, ...] = ()):
+                 max_order: int = 4, warnings: tuple[str, ...] = (),
+                 jets_fn: JetsFn | None = None):
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
@@ -65,6 +74,7 @@ class CurveJet:
         object.__setattr__(self, "max_order", int(max_order))
         object.__setattr__(self, "warnings", tuple(warnings))
         object.__setattr__(self, "_jet_fn", jet_fn)
+        object.__setattr__(self, "_jets_fn", jets_fn)
 
     def __setattr__(self, *_):
         raise AttributeError("CurveJet is immutable")
@@ -73,15 +83,30 @@ class CurveJet:
     def span(self) -> float:
         return self.domain[1] - self.domain[0]
 
-    def jet(self, s: float, order: int = 0) -> PGVector:
-        if order < 0 or order > self.max_order:
+    def _check(self, s: float, first: int, last: int) -> None:
+        if first < 0 or last > self.max_order:
+            order = first if first < 0 else last
             raise JetOrderError(
                 f"order {order} not available (curve carries orders 0..{self.max_order})")
         lo, hi = self.domain
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
         if s < lo - slack or s > hi + slack:
             raise ValueError(f"parameter {s} outside domain [{lo}, {hi}]")
+
+    def jet(self, s: float, order: int = 0) -> PGVector:
+        self._check(s, order, order)
         return self._jet_fn(s, order)
+
+    def jets(self, s: float, first: int, last: int) -> tuple[PGVector, ...]:
+        """The derivative vectors of orders first..last at s, checked
+        once.  Each equals ``jet(s, k)`` bit for bit."""
+        if first > last:
+            raise JetOrderError(f"empty order range {first}..{last}")
+        self._check(s, first, last)
+        if self._jets_fn is not None:
+            return self._jets_fn(s, first, last)
+        jet_fn = self._jet_fn
+        return tuple(jet_fn(s, k) for k in range(first, last + 1))
 
     def position(self, s: float) -> PGVector:
         return self.jet(s, 0)
@@ -411,8 +436,7 @@ def check_admissibility(c: CurveJet, grid: Sequence[float],
     worst_light = math.inf
     failing: list[float] = []
     for s in grid:
-        j1 = c.jet(s, 1)
-        j2 = c.jet(s, 2)
+        j1, j2 = c.jets(s, 1, 2)
         ok = True
         if abs(j1.x1) <= 1e-12:
             ok = False

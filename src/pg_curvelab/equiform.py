@@ -68,10 +68,7 @@ def equiform_data(c: CurveJet, s: float) -> EquiformData:
     if c.max_order < 4:
         raise JetOrderError(
             f"equiform apparatus needs order-4 jets, curve carries {c.max_order}")
-    j1 = c.jet(s, 1)
-    j2 = c.jet(s, 2)
-    j3 = c.jet(s, 3)
-    j4 = c.jet(s, 4)
+    j1, j2, j3, j4 = c.jets(s, 1, 4)
 
     if abs(j1.x1 - 1.0) > 1e-6:
         raise InadmissibleCurveError(
@@ -226,7 +223,12 @@ def natural_class(c: CurveJet, grid: Sequence[float],
     """
     if len(grid) < 5:
         raise ValueError("classification needs a grid of at least 5 points")
-    datas = equiform_grid(c, grid)
+    return _natural_class_of(equiform_grid(c, grid), tol_const, tol_zero)
+
+
+def _natural_class_of(datas: Sequence[EquiformData], tol_const: float = 1e-6,
+                      tol_zero: float = 1e-9) -> NaturalClass:
+    """:func:`natural_class` of an already evaluated grid sweep."""
     Ks = [d.curvature for d in datas]
     Ts = [d.torsion for d in datas]
 

@@ -45,9 +45,7 @@ def frenet_data(c: CurveJet, s: float) -> FrenetData:
     arc-length form at s, at an inflection (kappa ~ 0), or when the
     acceleration is numerically lightlike.
     """
-    j1 = c.jet(s, 1)
-    j2 = c.jet(s, 2)
-    j3 = c.jet(s, 3)
+    j1, j2, j3 = c.jets(s, 1, 3)
 
     if abs(j1.x1 - 1.0) > 1e-6:
         raise InadmissibleCurveError(

@@ -431,6 +431,19 @@ _FAMILIES: dict[str, tuple[str, str]] = {
 }
 
 
+# reference (a, b) of each family: the CLI's defaults for omitted --a/--b,
+# the figure datasets' parameters and the parameters of all_entries
+REFERENCE_PARAMS: dict[str, tuple[float, float]] = {
+    "timelike_general_helix": (1.0, 2.0),
+    "spacelike_general_helix": (1.0, 2.0),
+    "timelike_circular_helix": (1.0, 2.0),
+    "spacelike_circular_helix": (1.0, 2.0),
+    "timelike_log_spiral": (1.0, 1.0),
+    "bertrand_helix": (1.0, 1.0),
+    "isotropic_circle": (1.0, 1.0),
+}
+
+
 def zoo_names() -> list[str]:
     return list(_FAMILIES)
 
@@ -473,21 +486,12 @@ def get_example(name: str, a: float, b: float,
 
 def all_entries(params: dict[str, tuple[float, float]] | None = None
                 ) -> list[ZooEntry]:
-    """One entry per family at standard parameters (tests and sweeps).
+    """One entry per family at its :data:`REFERENCE_PARAMS` (tests and
+    sweeps); circular helices on [0.6, 3].
 
-    ``params`` may override the (a, b) pair per name.  Defaults: general
-    helices and circular helices a=1, b=2 (circular helices on [0.6, 3]);
-    log spiral and fixtures a=1, b=1.
+    ``params`` may override the (a, b) pair per name.
     """
-    chosen = {
-        "timelike_general_helix": (1.0, 2.0),
-        "spacelike_general_helix": (1.0, 2.0),
-        "timelike_circular_helix": (1.0, 2.0),
-        "spacelike_circular_helix": (1.0, 2.0),
-        "timelike_log_spiral": (1.0, 1.0),
-        "bertrand_helix": (1.0, 1.0),
-        "isotropic_circle": (1.0, 1.0),
-    }
+    chosen = dict(REFERENCE_PARAMS)
     if params:
         chosen.update(params)
     out = []

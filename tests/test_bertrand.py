@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from pg_curvelab.algebra import pg_dot
+from pg_curvelab.algebra import PGVector, pg_dot
 from pg_curvelab.bertrand import (
     BertrandNature,
+    _normal_series,
     bertrand_mate,
     bertrand_nature,
     verify_bertrand_pair,
 )
-from pg_curvelab.curves import JetKind, make_sampled_curve
+from pg_curvelab.curves import CurveJet, JetKind, make_sampled_curve
 from pg_curvelab.equiform import equiform_data
 from pg_curvelab.errors import MateInadmissibleError
 from pg_curvelab.frenet import frenet_data
@@ -146,3 +147,98 @@ class TestFiniteDifferenceFallback:
                                       uniform(-0.85, 0.85, 11))
         assert not strict.is_pair
         assert any("equiform curvature" in f for f in strict.failures)
+
+
+def bits(v: PGVector) -> tuple[str, ...]:
+    return tuple(x.hex() for x in v.as_tuple())
+
+
+def counting(curve: CurveJet, max_order: int | None = None):
+    """The same curve through the public constructor, logging every
+    (s, order) its jet function is asked for."""
+    calls: list[tuple[float, int]] = []
+
+    def jet_fn(s: float, order: int) -> PGVector:
+        calls.append((s, order))
+        return curve.jet(s, order)
+
+    wrapped = CurveJet(jet_fn, curve.domain, curve.kind,
+                       max_order=curve.max_order if max_order is None
+                       else max_order, warnings=curve.warnings)
+    return wrapped, calls
+
+
+class TestMateJetBundles:
+    @pytest.mark.parametrize("fixture, lam, params", [
+        ("helix_fixture", 1.0, (-0.8, 0.0, 0.55)),
+        ("general_helix", 0.3, (0.2, 1.0, 1.7)),
+        ("circular_helix", 0.2, (0.7, 1.5, 2.8)),
+        ("parabola", 0.7, (-0.6, 0.25)),
+    ])
+    def test_bundle_matches_single_orders_and_full_series(
+            self, request, fixture, lam, params):
+        base = request.getfixturevalue(fixture).curve
+        mate = bertrand_mate(base, lam)
+        for s in params:
+            # the longest series the base allows: shortening a series
+            # must not change any of its remaining entries
+            ny, nz = _normal_series(base.jets(s, 2, base.max_order), s)
+            bundle = mate.jets(s, 0, mate.max_order)
+            for k, got in enumerate(bundle):
+                j = base.jet(s, k)
+                full = PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
+                assert bits(got) == bits(mate.jet(s, k)) == bits(full)
+            assert [bits(v) for v in mate.jets(s, 1, 4)] == \
+                [bits(v) for v in bundle[1:5]]
+
+    def test_equiform_point_reads_six_base_jets(self, helix_fixture):
+        base, calls = counting(helix_fixture.curve)
+        mate = bertrand_mate(base, 0.5)
+        calls.clear()
+        equiform_data(mate, 0.3)
+        assert sorted(calls) == [(0.3, k) for k in range(1, 7)]
+
+    def test_verification_sweeps_each_base_point_once(self, helix_fixture,
+                                                      uniform):
+        base, calls = counting(helix_fixture.curve)
+        mate = bertrand_mate(base, 0.5)
+        grid = uniform(-0.9, 0.9, 11)
+        calls.clear()
+        pair = verify_bertrand_pair(base, mate, 0.5, grid)
+        assert pair.nature is bertrand_nature(helix_fixture.curve, grid)
+        # per grid point: the base's equiform sweep (orders 1-4), the
+        # mate's equiform bundle (base orders 1-6) and the two positions
+        # (base order 0, mate order 0 from base orders 0-2); a second
+        # sweep of the base would add four more
+        per_point = {s: 0 for s in grid}
+        for s, _ in calls:
+            per_point[s] += 1
+        assert per_point == {s: 4 + 6 + 1 + 3 for s in grid}
+
+    def test_fallback_bundle_matches_single_orders(self, helix_fixture):
+        base, _ = counting(helix_fixture.curve, max_order=4)
+        mate = bertrand_mate(base, 1.0)
+        assert mate.kind is JetKind.FINITE_DIFFERENCE
+        for s in (-0.5, 0.1, 0.6):
+            bundle = mate.jets(s, 0, 4)
+            assert [bits(v) for v in bundle] == \
+                [bits(mate.jet(s, k)) for k in range(5)]
+            assert [bits(v) for v in mate.jets(s, 2, 3)] == \
+                [bits(v) for v in bundle[2:4]]
+
+    def test_fallback_exact_orders_use_right_length_series(self,
+                                                           helix_fixture):
+        base, calls = counting(helix_fixture.curve, max_order=4)
+        mate = bertrand_mate(base, 1.0)
+        calls.clear()
+        mate.jets(0.2, 0, 2)
+        assert sorted(calls) == [(0.2, k) for k in range(5)]
+        calls.clear()
+        mate.jet(0.2, 0)
+        assert sorted(calls) == [(0.2, k) for k in range(3)]
+
+    @pytest.mark.parametrize("max_order", [8, 4])
+    def test_flattening_offset_is_rejected(self, helix_fixture, max_order):
+        base, _ = counting(helix_fixture.curve, max_order=max_order)
+        with pytest.raises(MateInadmissibleError, match="inadmissible mate"):
+            bertrand_mate(base, -1.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -377,6 +378,33 @@ class TestBertrandCommand:
         assert rc == 2
         assert "at least 5 grid points" in json.loads(err)["message"]
 
+    # sha256 of the full stdout: every float prints with 17 digits, so
+    # a change in any bit of any field changes the hash
+    @pytest.mark.parametrize("argv, fmt, digest", [
+        (("--curve", "bertrand_helix", "--lambda", "1",
+          "--grid", "-0.9:0.9:21"), "json",
+         "d8329112dd35ae7851bcdadfee5505b0b8a3c287956a4f1cca9f8bca7d881d17"),
+        (("--curve", "bertrand_helix", "--lambda", "1",
+          "--grid", "-0.9:0.9:21"), "csv",
+         "c6a54eb1c9bd16c87d431f79f1d99328ad7cd12db5fec5b1492557e87fbac662"),
+        (("--curve", "isotropic_circle", "--lambda", "0.7",
+          "--grid", "-0.9:0.9:21"), "json",
+         "4a4ad26ef515ff8d3e5e99217d95ecb71dc7792bc4f6533b5374b60ca9f6e51e"),
+        (("--curve", "isotropic_circle", "--lambda", "0.7",
+          "--grid", "-0.9:0.9:21"), "csv",
+         "8f869edc16f11a06eb81648e2fbd2bb4e5e4e0ab29d3a8c384994145250c8ff4"),
+        (("--curve", "timelike_general_helix", "--a", "1", "--b", "2",
+          "--lambda", "0.3", "--grid", "0.2:1.8:21"), "json",
+         "db3e618439dadd981552201556bc07880aba2ae615a98224c824e5732985b689"),
+        (("--curve", "timelike_general_helix", "--a", "1", "--b", "2",
+          "--lambda", "0.3", "--grid", "0.2:1.8:21"), "csv",
+         "ec09af7da35d36b98af0cc9e52b6390d639452b80da0b9521f3db8e94d148b6c"),
+    ])
+    def test_frozen_output_bits(self, capsys, argv, fmt, digest):
+        rc, out, _ = invoke(capsys, "bertrand", *argv, "--format", fmt)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestFigure:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -409,6 +437,34 @@ class TestFigure:
     def test_validation(self, capsys):
         assert invoke(capsys, "figure", "6")[0] == 2
         assert invoke(capsys, "figure", "1", "--format", "json")[0] == 2
+
+
+class TestReferenceDefaults:
+    def test_every_family_runs_with_defaults(self, capsys):
+        from pg_curvelab.zoo import REFERENCE_PARAMS, get_example
+
+        rc, out, _ = invoke(capsys, "zoo-list", "--format", "json")
+        assert rc == 0
+        names = [c["name"] for c in json.loads(out)["curves"]]
+        assert names == list(REFERENCE_PARAMS)
+        for name in names:
+            lo, hi = get_example(name, *REFERENCE_PARAMS[name]).domain
+            grid = f"{lo + 0.1 * (hi - lo)!r}:{hi - 0.1 * (hi - lo)!r}:11"
+            for command in ("eval", "classify"):
+                rc, out, err = invoke(capsys, command, "--curve", name,
+                                      "--grid", grid, "--format", "json")
+                assert (rc, err) == (0, ""), (command, name)
+                assert json.loads(out)["params"]["a"] == \
+                    REFERENCE_PARAMS[name][0]
+
+    def test_explicit_parameters_override_the_defaults(self, capsys):
+        argv = ("classify", "--curve", "timelike_general_helix",
+                "--grid", "0.2:1.8:11", "--format", "json")
+        _, default, _ = invoke(capsys, *argv)
+        _, explicit, _ = invoke(capsys, *argv, "--a", "1", "--b", "2")
+        _, other, _ = invoke(capsys, *argv, "--a", "1", "--b", "3")
+        assert default == explicit
+        assert json.loads(other)["params"] == {"a": 1.0, "b": 3.0}
 
 
 class TestErrorExits:

@@ -62,6 +62,43 @@ class TestCurveJet:
         with pytest.raises(ValueError, match="outside domain"):
             c.jet(-1.0, 0)
 
+    def test_bundle_calls_the_jet_function_once_per_order(self):
+        fns = cubic_jets()
+        calls = []
+
+        def jet_fn(s, order):
+            calls.append((s, order))
+            return fns[order](s)
+
+        c = CurveJet(jet_fn, (0.0, 2.0), JetKind.ANALYTIC, max_order=4,
+                     warnings=("note",))
+        got = c.jets(1.5, 1, 4)
+        assert calls == [(1.5, 1), (1.5, 2), (1.5, 3), (1.5, 4)]
+        assert got == tuple(c.jet(1.5, k) for k in range(1, 5))
+        assert c.jets(0.5, 0, 0) == (fns[0](0.5),)
+
+    def test_bundle_uses_the_curve_bundle_function(self):
+        fns = cubic_jets()
+
+        def jets_fn(s, first, last):
+            return tuple(fns[k](s) for k in range(first, last + 1))
+
+        c = CurveJet(lambda s, k: jets_fn(s, k, k)[0], (0.0, 2.0),
+                     JetKind.ANALYTIC, jets_fn=jets_fn)
+        assert c.jets(1.0, 2, 3) == (fns[2](1.0), fns[3](1.0))
+        assert c.jet(1.0, 2) == fns[2](1.0)
+
+    def test_bundle_checks_orders_and_domain(self):
+        c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
+        with pytest.raises(JetOrderError, match="order 5 not available"):
+            c.jets(1.0, 1, 5)
+        with pytest.raises(JetOrderError, match="order -1 not available"):
+            c.jets(1.0, -1, 2)
+        with pytest.raises(JetOrderError, match="empty order range"):
+            c.jets(1.0, 3, 2)
+        with pytest.raises(ValueError, match="outside domain"):
+            c.jets(2.0 + 1e-7, 1, 4)
+
     def test_immutable(self):
         c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
         with pytest.raises(AttributeError, match="immutable"):
