@@ -28,8 +28,7 @@ from .aw import (AWReport, AWResiduals, AWVerdict, DerivativeVectors,
                  sigma_rates, unit_directions, vector_identity_residuals)
 from .bertrand import (BertrandNature, BertrandPair, bertrand_mate,
                        bertrand_nature, verify_bertrand_pair)
-from .curves import (AdmissibilityReport, CurveJet, JetKind, apply_homothety,
-                     check_admissibility, make_analytic_curve,
+from .curves import (CurveJet, JetKind, apply_homothety, make_analytic_curve,
                      make_sampled_curve)
 from .equiform import (EquiformData, NaturalClass, NaturalClassTag,
                        equiform_data, equiform_grid, equiform_residual,
@@ -40,8 +39,9 @@ from .errors import (CurveLabError, EmptyDomainError, EmptyGridError,
                      MateInadmissibleError, NarrowDomainError,
                      ParameterConstraintError, StepTooSmallError,
                      UnknownCurveError)
-from .frenet import (FrenetData, equiform_parameter, frame_determinant,
-                     frenet_data, frenet_residual, invariants_general)
+from .frenet import (AdmissibilityReport, FrenetData, check_admissibility,
+                     equiform_parameter, frame_determinant, frenet_data,
+                     frenet_residual, invariants_general)
 from .series import DSeries
 from .zoo import (OracleForms, ZooEntry, bertrand_fixture, get_example,
                   isotropic_circle_fixture, zoo_names)

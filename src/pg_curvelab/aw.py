@@ -309,17 +309,21 @@ def classify(c: CurveJet, grid: Sequence[float],
     the report; their vector forms are ratios of unresolved quantities
     and are not cross-checked or tested for degeneracy.
     """
-    if tol is None:
-        tol = 1e-8 if c.kind is JetKind.ANALYTIC else 1e-5
-    # admissibility + normal-character sweep; its data feed the kernel
-    datas = equiform_grid(c, grid)
+    return _classify_of(equiform_grid(c, grid), c.kind, tol, notes)
 
+
+def _classify_of(datas: Sequence[EquiformData], kind: JetKind,
+                 tol: float | None, notes: Sequence[str]) -> AWReport:
+    """:func:`classify` of an already evaluated sweep (jets of ``kind``)."""
+    if tol is None:
+        tol = 1e-8 if kind is JetKind.ANALYTIC else 1e-5
     sup: dict[str, float] = {name: 0.0 for name in _CONDITIONS}
     degenerate: list[float] = []
     limited: list[float] = []
     diagnostics = list(notes)
     mismatches = 0
-    for s, d in zip(grid, datas):
+    for d in datas:
+        s = d.s
         Kp, Tqp = sigma_rates(d)
         res = aw_residuals(d.curvature, d.torsion, Kp, Tqp,
                            omega_resolution(d))
@@ -346,7 +350,7 @@ def classify(c: CurveJet, grid: Sequence[float],
 
     verdicts = {name: AWVerdict(holds=sup[name] <= tol,
                                 sup_residual=sup[name],
-                                grid_size=len(grid))
+                                grid_size=len(datas))
                 for name in _CONDITIONS}
     return AWReport(verdicts=verdicts, tolerance=tol,
                     degenerate_points=tuple(degenerate),

@@ -50,7 +50,7 @@ from .errors import (
     NarrowDomainError,
     StepTooSmallError,
 )
-from .frenet import LIGHTLIKE_TOL, frenet_data
+from .frenet import frenet_data, normal_character
 from .series import DSeries
 
 OffsetFn = Callable[[float], float]
@@ -60,17 +60,12 @@ def _normal_series(jets: Sequence[PGVector], s: float
                    ) -> tuple[DSeries, DSeries]:
     """Derivative series of the two isotropic components of the
     scale-invariant normal rho^2 * gamma'' from the base jets of orders
-    2, 3, ...: n jets give series of length n."""
+    2, 3, ...: n jets give series of length n.  Raises where
+    :func:`normal_character` rejects the base's acceleration."""
+    eps = normal_character(s, None, jets[0])
     y2 = DSeries(j.x2 for j in jets)
     z2 = DSeries(j.x3 for j in jets)
-    w = y2 * y2 - z2 * z2
-    mag = y2[0] * y2[0] + z2[0] * z2[0]
-    if mag == 0.0 or abs(w[0]) <= LIGHTLIKE_TOL * mag:
-        raise InadmissibleCurveError(
-            f"cannot build the normal offset at s={s:.6g}: acceleration is "
-            "vanishing or lightlike", param=s)
-    eps = 1 if w[0] > 0.0 else -1
-    rho2 = (eps * w).reciprocal()
+    rho2 = (eps * (y2 * y2 - z2 * z2)).reciprocal()
     return rho2 * y2, rho2 * z2
 
 

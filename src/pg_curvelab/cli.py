@@ -44,13 +44,14 @@ from typing import Sequence
 from . import aw
 from .algebra import PGVector
 from .bertrand import bertrand_mate, verify_bertrand_pair
-from .curves import CurveJet, JetKind, make_sampled_curve
-from .equiform import equiform_data, equiform_residual, natural_class
+from .curves import CurveJet, make_sampled_curve
+from .equiform import (EquiformData, NaturalClass, _equiform_of,
+                       _equiform_residual_of, _natural_class_of,
+                       equiform_grid)
 from .errors import CurveLabError, InadmissibleCurveError
-from .frenet import frenet_data, frenet_residual
+from .frenet import FrenetData, _frenet_of, _frenet_residual_of
 from .zoo import (
     REFERENCE_PARAMS,
-    ZooEntry,
     describe_constraints,
     get_example,
     zoo_names,
@@ -190,33 +191,7 @@ def _lattice_curve(path: str) -> tuple[CurveJet, float, float]:
         return points[i]
 
     domain = (s0 + 8 * delta, s_end - 8 * delta)
-    curve = make_sampled_curve(position, domain, h=2 * delta)
-    return _request_memo(curve), delta, s0
-
-
-def _request_memo(curve: CurveJet) -> CurveJet:
-    """The same curve, remembering every jet it has returned.
-
-    A request asks for the jets at each of its parameters several times
-    (``eval``: the frame data and both frame residuals at s and s +- h;
-    ``classify``: the span sweep and the natural-class sweep), and an FD
-    jet costs dozens of position reads.  The memo lives as long as the
-    request's curve, so it holds one row of jets per parameter of that
-    request and no more.
-    """
-    memo: dict[float, list[PGVector | None]] = {}
-
-    def jet_fn(s: float, order: int) -> PGVector:
-        row = memo.get(s)
-        if row is None:
-            row = memo[s] = [None] * (curve.max_order + 1)
-        jet = row[order]
-        if jet is None:
-            jet = row[order] = curve.jet(s, order)
-        return jet
-
-    return CurveJet(jet_fn, curve.domain, curve.kind,
-                    max_order=curve.max_order, warnings=curve.warnings)
+    return make_sampled_curve(position, domain, h=2 * delta), delta, s0
 
 
 def _snap_grid(pts: Sequence[float], delta: float, s0: float,
@@ -247,7 +222,6 @@ class _Resolved:
     grid: list[float]
     notes: tuple[str, ...] = ()
     residual_h: float = 1e-4
-    entry: ZooEntry | None = None
 
 
 def _resolve(config: RunConfig) -> _Resolved:
@@ -270,7 +244,7 @@ def _resolve(config: RunConfig) -> _Resolved:
                 f"grid point {p:g} is outside the curve domain "
                 f"[{lo:g}, {hi:g}]")
     return _Resolved(curve=entry.curve, label=entry.name, params=entry.params,
-                     grid=pts, notes=entry.notes, entry=entry)
+                     grid=pts, notes=entry.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +298,30 @@ _EVAL_HEADER = (
 
 
 def _eval_rows(res: _Resolved) -> list[list[float]]:
-    lo, hi = res.curve.domain
-    h = res.residual_h
+    """One row per grid point.  Each parameter's Frenet and equiform data
+    come from one jet bundle, kept while the ascending grid can still
+    read them (at s and s +- h)."""
+    curve, h = res.curve, res.residual_h
+    lo, hi = curve.domain
+    window: dict[float, tuple[FrenetData, EquiformData]] = {}
+
+    def apparatus(s: float) -> tuple[FrenetData, EquiformData]:
+        rec = window.get(s)
+        if rec is None:
+            jets = curve.jets(s, 1, 4)
+            rec = window[s] = (_frenet_of(s, *jets[:3]),
+                               _equiform_of(s, *jets))
+        return rec
+
     rows = []
     for s in res.grid:
-        p = res.curve.jet(s, 0)
-        fr = frenet_data(res.curve, s)
-        eq = equiform_data(res.curve, s)
+        window = {k: v for k, v in window.items() if k >= s - h}
+        p = curve.jet(s, 0)
+        fr, eq = apparatus(s)
         if lo <= s - h and s + h <= hi:
-            r1 = frenet_residual(res.curve, s, h=h)
-            r2 = equiform_residual(res.curve, s, h=h)
+            (frm, eqm), (frp, eqp) = apparatus(s - h), apparatus(s + h)
+            r1 = _frenet_residual_of(frm, fr, frp, h)
+            r2 = _equiform_residual_of(eqm, eq, eqp, h)
         else:
             r1 = r2 = math.nan
         rows.append([
@@ -365,12 +353,18 @@ def _cmd_eval(config: RunConfig) -> int:
     return 0
 
 
+def _classify(res: _Resolved,
+              config: RunConfig) -> tuple[aw.AWReport, NaturalClass]:
+    """The span verdicts and the natural class from one grid sweep."""
+    datas = equiform_grid(res.curve, res.grid)
+    report = aw._classify_of(datas, res.curve.kind, config.tol_class,
+                             res.notes)
+    return report, _natural_class_of(datas, config.tol_const, config.tol_zero)
+
+
 def _cmd_classify(config: RunConfig) -> int:
     res = _resolve(config)
-    report = aw.classify(res.curve, res.grid, tol=config.tol_class,
-                         notes=res.notes)
-    nat = natural_class(res.curve, res.grid, tol_const=config.tol_const,
-                        tol_zero=config.tol_zero)
+    report, nat = _classify(res, config)
     diagnostics = list(report.diagnostics)
     if report.degenerate_points:
         diagnostics.append(
@@ -529,7 +523,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--tol-zero", dest="tol_zero", type=float,
                            default=1e-9,
                            help="threshold below which an invariant counts "
-                                "as identically zero (default 1e-9)")
+                                "as identically zero; --input points also "
+                                "allow their FD error bound (default 1e-9)")
             p.add_argument("--tol-const", dest="tol_const", type=float,
                            default=1e-6,
                            help="relative spread below which an invariant "

@@ -25,10 +25,9 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import PGVector, pg_cross
+from .algebra import PGVector
 from .errors import (
     EmptyDomainError,
-    EmptyGridError,
     JetOrderError,
     NarrowDomainError,
     StepTooSmallError,
@@ -408,60 +407,7 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
 
 
 # ---------------------------------------------------------------------------
-# admissibility and homothety
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Grid sweep of the admissibility conditions.
-
-    ``worst_lightlike_margin`` is min over the grid of
-    |y''^2 - z''^2| / (y''^2 + z''^2); ``worst_inflection_margin`` is the
-    smallest sup-norm of the cross product of the first two derivatives.
-    """
-
-    admissible: bool
-    worst_inflection_margin: float
-    worst_lightlike_margin: float
-    failing_params: tuple[float, ...]
-
-
-def check_admissibility(c: CurveJet, grid: Sequence[float],
-                        tol_light: float = 1e-10) -> AdmissibilityReport:
-    """Check x' != 0, a nonvanishing cross product of the first two
-    derivatives, and a y''^2 - z''^2 bounded away from the light cone."""
-    if len(grid) == 0:
-        raise EmptyGridError("admissibility sweep needs a non-empty grid")
-    worst_infl = math.inf
-    worst_light = math.inf
-    failing: list[float] = []
-    for s in grid:
-        j1, j2 = c.jets(s, 1, 2)
-        ok = True
-        if abs(j1.x1) <= 1e-12:
-            ok = False
-        cross = pg_cross(j1, j2)
-        scale = max(1.0, j1.max_abs(), j2.max_abs())
-        infl = cross.max_abs()
-        worst_infl = min(worst_infl, infl)
-        if infl <= 1e-12 * scale:
-            ok = False
-        denom = j2.x2 * j2.x2 + j2.x3 * j2.x3
-        if denom == 0.0:
-            light = 0.0
-        else:
-            light = abs(j2.x2 * j2.x2 - j2.x3 * j2.x3) / denom
-        worst_light = min(worst_light, light)
-        if light <= tol_light:
-            ok = False
-        if not ok:
-            failing.append(s)
-    return AdmissibilityReport(
-        admissible=not failing,
-        worst_inflection_margin=worst_infl,
-        worst_lightlike_margin=worst_light,
-        failing_params=tuple(failing),
-    )
+# homothety
 
 
 def apply_homothety(c: CurveJet, mu: float) -> CurveJet:

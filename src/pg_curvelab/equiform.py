@@ -27,8 +27,8 @@ from typing import Sequence
 
 from .algebra import PGVector
 from .curves import CurveJet, jet_errors
-from .errors import EmptyGridError, InadmissibleCurveError, JetOrderError
-from .frenet import LIGHTLIKE_TOL
+from .errors import EmptyGridError, JetOrderError
+from .frenet import _one_character, normal_character
 from .series import DSeries
 
 
@@ -61,35 +61,24 @@ def equiform_data(c: CurveJet, s: float) -> EquiformData:
     """Evaluate the scale-invariant apparatus at s.
 
     Needs jets up to order 4 (the torsion rate sees the fourth
-    derivative).  Raises the same admissibility errors as the classical
-    apparatus.  The error bounds of finite-difference jets are carried
-    through the series pass into ``errors``.
+    derivative).  Raises where :func:`normal_character` does.  The error
+    bounds of finite-difference jets are carried through the series pass
+    into ``errors``.
     """
     if c.max_order < 4:
         raise JetOrderError(
             f"equiform apparatus needs order-4 jets, curve carries {c.max_order}")
-    j1, j2, j3, j4 = c.jets(s, 1, 4)
+    return _equiform_of(s, *c.jets(s, 1, 4))
 
-    if abs(j1.x1 - 1.0) > 1e-6:
-        raise InadmissibleCurveError(
-            f"curve is not in arc-length form at s={s:.6g} (x'={j1.x1:.6g})",
-            param=s)
 
+def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
+                 j4: PGVector) -> EquiformData:
+    """:func:`equiform_data` from the jets of orders 1-4 at s."""
+    eps = normal_character(s, j1, j2)
     errs = jet_errors(j2, j3, j4)
     y2 = DSeries((j2.x2, j3.x2, j4.x2), errs)
     z2 = DSeries((j2.x3, j3.x3, j4.x3), errs)
-    w3 = y2 * y2 - z2 * z2
-    w = w3[0]
-    mag = j2.x2 * j2.x2 + j2.x3 * j2.x3
-    if mag == 0.0:
-        raise InadmissibleCurveError(
-            f"inflection point at s={s:.6g}: second derivative vanishes", param=s)
-    if abs(w) <= LIGHTLIKE_TOL * mag:
-        raise InadmissibleCurveError(
-            f"lightlike acceleration at s={s:.6g}: y''^2 - z''^2 ~ 0", param=s)
-    eps = 1 if w > 0.0 else -1
-
-    absw3 = eps * w3                               # series of kappa^2 > 0
+    absw3 = eps * (y2 * y2 - z2 * z2)              # series of kappa^2 > 0
     rho3 = absw3.sqrt().reciprocal()               # (rho, K, dK/ds)
     rho = rho3[0]
     curvature = rho3[1]
@@ -134,12 +123,7 @@ def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
     if len(grid) == 0:
         raise EmptyGridError("equiform sweep needs a non-empty grid")
     datas = [equiform_data(c, s) for s in grid]
-    eps0 = datas[0].epsilon
-    for d in datas[1:]:
-        if d.epsilon != eps0:
-            raise InadmissibleCurveError(
-                f"normal character flips between s={grid[0]:.6g} and "
-                f"s={d.s:.6g}; the curve crosses the light cone", param=d.s)
+    _one_character(datas)
     return datas
 
 
@@ -151,14 +135,14 @@ def equiform_residual(c: CurveJet, s: float, h: float = 1e-4) -> float:
     worst component is returned, normalized by
     rho * max(1, |K|, |T|).
     """
-    dm = equiform_data(c, s - h)
-    dp = equiform_data(c, s + h)
-    d0 = equiform_data(c, s)
-    if dm.epsilon != dp.epsilon or dm.epsilon != d0.epsilon:
-        raise InadmissibleCurveError(
-            f"normal character flips near s={s:.6g}; the curve crosses "
-            "the light cone inside the difference stencil", param=s)
+    dm, dp = equiform_data(c, s - h), equiform_data(c, s + h)
+    return _equiform_residual_of(dm, equiform_data(c, s), dp, h)
 
+
+def _equiform_residual_of(dm: EquiformData, d0: EquiformData,
+                          dp: EquiformData, h: float) -> float:
+    """:func:`equiform_residual` from the data at s - h, s and s + h."""
+    _one_character((dm, d0, dp), d0.s)
     scale = d0.rho * 0.5 / h
     dT = (dp.tangent - dm.tangent) * scale
     dN = (dp.normal - dm.normal) * scale
@@ -197,8 +181,9 @@ def _spread(vals: Sequence[float]) -> float:
     return max(vals) - min(vals)
 
 
-def _is_zero(vals: Sequence[float], tol: float) -> bool:
-    return max(abs(v) for v in vals) <= tol
+def _is_zero(vals: Sequence[float], bounds: Sequence[float],
+             tol: float) -> bool:
+    return all(abs(v) <= max(tol, e) for v, e in zip(vals, bounds))
 
 
 def _is_const(vals: Sequence[float], tol: float) -> bool:
@@ -210,8 +195,9 @@ def natural_class(c: CurveJet, grid: Sequence[float],
                   tol_zero: float = 1e-9) -> NaturalClass:
     """Classify a curve by constancy of K and T over the grid.
 
-    Writing "zero" for max |value| <= tol_zero and "constant" for
-    (max - min) <= tol_const * max(1, |mean|):
+    Writing "zero" for |value| <= max(tol_zero, its error bound) at every
+    grid point (the bound from ``EquiformData.errors``, 0 for exact jets)
+    and "constant" for (max - min) <= tol_const * max(1, |mean|):
 
     * K zero and T zero: isotropic circle (constant classical curvature,
       zero classical torsion).
@@ -220,22 +206,25 @@ def natural_class(c: CurveJet, grid: Sequence[float],
     * K constant nonzero and T zero: isotropic logarithmic spiral.
     * Everything else — including both invariants constant and nonzero —
       is OTHER.
+
+    Needs at least 5 grid points, checked after the sweep.
     """
-    if len(grid) < 5:
-        raise ValueError("classification needs a grid of at least 5 points")
     return _natural_class_of(equiform_grid(c, grid), tol_const, tol_zero)
 
 
 def _natural_class_of(datas: Sequence[EquiformData], tol_const: float = 1e-6,
                       tol_zero: float = 1e-9) -> NaturalClass:
     """:func:`natural_class` of an already evaluated grid sweep."""
+    if len(datas) < 5:
+        raise ValueError("classification needs a grid of at least 5 points")
     Ks = [d.curvature for d in datas]
     Ts = [d.torsion for d in datas]
 
     result = NaturalClassTag.OTHER
     if _is_const(Ks, tol_const) and _is_const(Ts, tol_const):
-        k_zero = _is_zero(Ks, tol_zero)
-        t_zero = _is_zero(Ts, tol_zero)
+        errs = [d.errors or (0.0,) * 5 for d in datas]
+        k_zero = _is_zero(Ks, [e[1] for e in errs], tol_zero)
+        t_zero = _is_zero(Ts, [e[2] for e in errs], tol_zero)
         if k_zero and t_zero:
             result = NaturalClassTag.ISOTROPIC_CIRCLE
         elif k_zero:

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Sequence
 
 from .algebra import PGVector, det3
 from .curves import CurveJet
-from .errors import InadmissibleCurveError, IsotropicTangentError
+from .errors import (EmptyGridError, InadmissibleCurveError,
+                     IsotropicTangentError)
 
 LIGHTLIKE_TOL = 1e-10
 
@@ -38,20 +40,17 @@ class FrenetData:
     binormal: PGVector
 
 
-def frenet_data(c: CurveJet, s: float) -> FrenetData:
-    """Evaluate the classical apparatus at s.
+def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
+    """The admissibility test of every apparatus at s; returns eps.
 
-    Raises :class:`InadmissibleCurveError` when the curve is not in
-    arc-length form at s, at an inflection (kappa ~ 0), or when the
-    acceleration is numerically lightlike.
+    Raises :class:`InadmissibleCurveError` unless |x' - 1| <= 1e-6 (arc
+    length; skipped when ``j1`` is None), y''^2 + z''^2 > 0 (no
+    inflection) and |y''^2 - z''^2| > LIGHTLIKE_TOL * (y''^2 + z''^2).
     """
-    j1, j2, j3 = c.jets(s, 1, 3)
-
-    if abs(j1.x1 - 1.0) > 1e-6:
+    if j1 is not None and abs(j1.x1 - 1.0) > 1e-6:
         raise InadmissibleCurveError(
             f"curve is not in arc-length form at s={s:.6g} (x'={j1.x1:.6g})",
             param=s)
-
     w = j2.x2 * j2.x2 - j2.x3 * j2.x3
     mag = j2.x2 * j2.x2 + j2.x3 * j2.x3
     if mag == 0.0:
@@ -60,8 +59,55 @@ def frenet_data(c: CurveJet, s: float) -> FrenetData:
     if abs(w) <= LIGHTLIKE_TOL * mag:
         raise InadmissibleCurveError(
             f"lightlike acceleration at s={s:.6g}: y''^2 - z''^2 ~ 0", param=s)
+    return 1 if w > 0.0 else -1
 
-    eps = 1 if w > 0.0 else -1
+
+@dataclass(frozen=True)
+class AdmissibilityReport:
+    """Grid sweep of :func:`normal_character`: ``admissible`` when no
+    apparatus raises at a grid point.  The margins are the smallest
+    max(|y''|, |z''|) (inflection) and |y''^2 - z''^2| / (y''^2 + z''^2)
+    (lightlike) over the grid.
+    """
+
+    admissible: bool
+    worst_inflection_margin: float
+    worst_lightlike_margin: float
+    failing_params: tuple[float, ...]
+
+
+def check_admissibility(c: CurveJet, grid: Sequence[float]
+                        ) -> AdmissibilityReport:
+    """Sweep :func:`normal_character` over the grid and report its margins."""
+    if len(grid) == 0:
+        raise EmptyGridError("admissibility sweep needs a non-empty grid")
+    infl: list[float] = []
+    light: list[float] = []
+    failing: list[float] = []
+    for s in grid:
+        j1, j2 = c.jets(s, 1, 2)
+        mag = j2.x2 * j2.x2 + j2.x3 * j2.x3
+        infl.append(max(abs(j2.x2), abs(j2.x3)))
+        light.append(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3) / mag if mag else 0.0)
+        try:
+            normal_character(s, j1, j2)
+        except InadmissibleCurveError:
+            failing.append(s)
+    return AdmissibilityReport(not failing, min(infl), min(light),
+                               tuple(failing))
+
+
+def frenet_data(c: CurveJet, s: float) -> FrenetData:
+    """Evaluate the classical apparatus at s; raises where
+    :func:`normal_character` does."""
+    return _frenet_of(s, *c.jets(s, 1, 3))
+
+
+def _frenet_of(s: float, j1: PGVector, j2: PGVector,
+               j3: PGVector) -> FrenetData:
+    """:func:`frenet_data` from the jets of orders 1-3 at s."""
+    eps = normal_character(s, j1, j2)
+    w = j2.x2 * j2.x2 - j2.x3 * j2.x3
     kappa = sqrt(abs(w))
     tau = (j2.x2 * j3.x3 - j3.x2 * j2.x3) / abs(w)
 
@@ -70,6 +116,23 @@ def frenet_data(c: CurveJet, s: float) -> FrenetData:
     binormal = PGVector(0.0, eps * j2.x3 / kappa, eps * j2.x2 / kappa)
     return FrenetData(s=s, kappa=kappa, tau=tau, epsilon=eps,
                       tangent=tangent, normal=normal, binormal=binormal)
+
+
+def _one_character(datas: Sequence, stencil_at: float | None = None) -> None:
+    """Raise :class:`InadmissibleCurveError` when the normal character
+    flips within ``datas`` (Frenet or equiform data of a grid sweep, or of
+    the difference stencil centred at ``stencil_at``)."""
+    for d in datas:
+        if d.epsilon == datas[0].epsilon:
+            continue
+        if stencil_at is None:
+            raise InadmissibleCurveError(
+                f"normal character flips between s={datas[0].s:.6g} and "
+                f"s={d.s:.6g}; the curve crosses the light cone", param=d.s)
+        raise InadmissibleCurveError(
+            f"normal character flips near s={stencil_at:.6g}; the curve "
+            "crosses the light cone inside the difference stencil",
+            param=stencil_at)
 
 
 def invariants_general(jets) -> tuple[float, float]:
@@ -115,14 +178,14 @@ def frenet_residual(c: CurveJet, s: float, h: float = 1e-4) -> float:
     s + h must share the normal character eps, otherwise the curve is
     inadmissible on [s - h, s + h].
     """
-    fm = frenet_data(c, s - h)
-    fp = frenet_data(c, s + h)
-    f0 = frenet_data(c, s)
-    if fm.epsilon != fp.epsilon or fm.epsilon != f0.epsilon:
-        raise InadmissibleCurveError(
-            f"normal character flips near s={s:.6g}; the curve crosses "
-            "the light cone inside the difference stencil", param=s)
+    fm, fp = frenet_data(c, s - h), frenet_data(c, s + h)
+    return _frenet_residual_of(fm, frenet_data(c, s), fp, h)
 
+
+def _frenet_residual_of(fm: FrenetData, f0: FrenetData, fp: FrenetData,
+                        h: float) -> float:
+    """:func:`frenet_residual` from the data at s - h, s and s + h."""
+    _one_character((fm, f0, fp), f0.s)
     inv = 0.5 / h
     de1 = (fp.tangent - fm.tangent) * inv
     de2 = (fp.normal - fm.normal) * inv
@@ -184,8 +247,11 @@ def equiform_parameter(c: CurveJet, s0: float, s: float,
 
 __all__ = [
     "LIGHTLIKE_TOL",
+    "AdmissibilityReport",
     "FrenetData",
+    "check_admissibility",
     "frenet_data",
+    "normal_character",
     "invariants_general",
     "frenet_residual",
     "frame_determinant",

@@ -60,6 +60,18 @@ class TestExactMate:
         with pytest.raises(MateInadmissibleError, match="inadmissible mate"):
             bertrand_mate(helix_fixture.curve, -1.0)
 
+    def test_lightlike_base_fails_the_shared_predicate(self):
+        # y'' = z'' everywhere: the base normal is lightlike, and the
+        # normal series rejects it with the apparatus's own message
+        def jet(s, k):              # (s, 1 + s^2, 1 + s^2)
+            y = (1.0 + s * s, 2.0 * s, 2.0, 0.0)[min(k, 3)]
+            return PGVector((s, 1.0, 0.0)[min(k, 2)], y, y)
+
+        base = CurveJet(jet, (0.0, 1.0), JetKind.ANALYTIC, max_order=8)
+        with pytest.raises(MateInadmissibleError,
+                           match="lightlike acceleration at s="):
+            bertrand_mate(base, 0.5)
+
 
 class TestVerification:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

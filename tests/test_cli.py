@@ -16,11 +16,15 @@ from pg_curvelab.cli import (
     SCHEMA,
     ConfigError,
     RunConfig,
+    _classify,
+    _eval_rows,
     _grid_points,
     _merge_grid_value,
     _parse_grid,
+    _Resolved,
     main,
 )
+from pg_curvelab.curves import CurveJet
 
 EVAL_COLUMNS = [
     "s", "x", "y", "z", "kappa", "tau", "epsilon",
@@ -260,8 +264,9 @@ class TestLatticeInput:
         assert holds == {"AW1": False, "AW2": False, "AW3": True,
                          "WeakAW2": False, "WeakAW3": True}
         # rebuilt derivatives carry ~1e-7 noise, above the strict
-        # zero-threshold: the natural-class tag needs a looser --tol-zero
-        assert doc["natural_class"]["tag"] == "other"
+        # zero-threshold but inside each point's FD error bound, which
+        # the natural-class zero test honours: the analytic verdict
+        assert doc["natural_class"]["tag"] == "circular-helix"
 
         rc, out, _ = invoke(capsys, "classify", "--input", helix_csv,
                             "--grid", "-0.9:0.9:41", "--format", "json",
@@ -404,6 +409,110 @@ class TestBertrandCommand:
         rc, out, _ = invoke(capsys, "bertrand", *argv, "--format", fmt)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_CURVE_ARGV = {
+    "bertrand_helix": ("--curve", "bertrand_helix", "--grid", "-0.9:0.9:21"),
+    "timelike_general_helix": ("--curve", "timelike_general_helix",
+                               "--a", "1", "--b", "2",
+                               "--grid", "0.2:1.8:21"),
+    "timelike_log_spiral": ("--curve", "timelike_log_spiral",
+                            "--grid", "0.5:3.5:21"),
+}
+
+
+class TestFrozenEvalClassifyBits:
+    """sha256 of the full stdout of ``eval`` and ``classify`` on 21-point
+    grids, three catalogue curves and the parabola lattice.  The lattice
+    path in the JSON ``curve`` label is replaced by ``LATTICE`` first."""
+
+    @pytest.mark.parametrize("command, source, fmt, digest", [
+        ("eval", "bertrand_helix", "json",
+         "82cb16d3ac069bd1b924e49ee680933904fb516eb14c1bfe29573233ea80c276"),
+        ("eval", "bertrand_helix", "csv",
+         "5722ca7d85405cc67c2d76e20dd0e9d30d260e333e08e9863d5a9b2bdaa7a493"),
+        ("eval", "timelike_general_helix", "json",
+         "5e4bed09a4db2661e99b0821ca2978cece84fb4eaf2141fa80e4b7b527baee93"),
+        ("eval", "timelike_general_helix", "csv",
+         "75559209dc3a2fd21a83f2d4e6e971e046de91556deecadd9073fc0f09a93e64"),
+        ("eval", "timelike_log_spiral", "json",
+         "b0805cb75056ffc1597bf014a063216a3a3bae4c57696106aaec55ca11e9ca25"),
+        ("eval", "timelike_log_spiral", "csv",
+         "9599690e9507b5f578f4b22d30a1028380b58810a3b60f7a7ee9d273009991e4"),
+        ("eval", "parabola", "json",
+         "d5f52475d633b4910096c2b643365129e3499e860afc2a48db8bc4973a34b926"),
+        ("eval", "parabola", "csv",
+         "83567d7c0fcc36d0e571a5fd7949c568e4c288735821ee3712673ae05313a41c"),
+        ("classify", "bertrand_helix", "json",
+         "09d37273f37f361847308408d25d44b2062f311e34d17c2442eee64afe80a650"),
+        ("classify", "bertrand_helix", "csv",
+         "e826867c1e8f1a22492108c8dd001d3471bf1ed1ea1caa2f522b70e7dc488bbd"),
+        ("classify", "timelike_general_helix", "json",
+         "2c6149d99bdb3f381e9219e65bda5126735b4837c2c04b695da258a07f68d39f"),
+        ("classify", "timelike_general_helix", "csv",
+         "6afa94b659503ceab85f0345ff972b47c0a16b6b84bd13d787e8a46c8bcaee13"),
+        ("classify", "timelike_log_spiral", "json",
+         "5a1564b9e8bb6f5be89038584c74fc8775f5c8a088f4a1e15abccafacaefc595"),
+        ("classify", "timelike_log_spiral", "csv",
+         "906a0ca4b0240f95dd71b79645fcd54230371b54d5f5834820f9f06c02970f73"),
+        ("classify", "parabola", "json",
+         "1af70442870460f417f126e58eb4d1d68dd3352ad3520b458afd5e9412d315b9"),
+        ("classify", "parabola", "csv",
+         "d01ee6dc2a0d557219ff3319ab2845f9b0c86092695e0741cf0bd4ae4dff7823"),
+    ])
+    def test_frozen_output_bits(self, capsys, parabola_csv, command, source,
+                                fmt, digest):
+        argv = _CURVE_ARGV.get(source) or (
+            "--input", parabola_csv, "--grid", "-0.5:0.5:21")
+        rc, out, _ = invoke(capsys, command, *argv, "--format", fmt)
+        assert rc == 0
+        out = out.replace(parabola_csv, "LATTICE")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def counted(curve):
+    """The same curve, recording the order of every jet evaluation."""
+    calls = []
+
+    def jet_fn(s, order):
+        calls.append(order)
+        return curve.jet(s, order)
+
+    return CurveJet(jet_fn, curve.domain, curve.kind,
+                    max_order=curve.max_order, warnings=curve.warnings), calls
+
+
+class TestWorkCounts:
+    """Jet evaluations per grid point of the CLI's eval and classify."""
+
+    def test_eval_reads_each_stencil_point_once(self, helix_fixture):
+        # residual step 1e-4, grid spacing 0.09: s - h and s + h are off
+        # the grid, so each point needs its position and three bundles
+        curve, calls = counted(helix_fixture.curve)
+        grid = _grid_points((-0.9, 0.9, 21))
+        _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
+        assert len(calls) <= (1 + 3 * 4) * len(grid)
+
+    def test_eval_shares_neighbours_when_spacing_is_h(self, parabola):
+        # dyadic grid of spacing h: s + h is the next grid point exactly,
+        # so after the first point each point reads its position and the
+        # bundle at s + h only
+        h = 2.0 ** -6
+        grid = [k * h for k in range(-20, 21)]
+        curve, calls = counted(parabola.curve)
+        _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid,
+                             residual_h=h))
+        assert len(calls) <= (1 + 3 * 4) + 5 * (len(grid) - 1)
+
+    def test_classify_sweeps_once(self, helix_fixture):
+        curve, calls = counted(helix_fixture.curve)
+        grid = _grid_points((-0.9, 0.9, 21))
+        report, nat = _classify(
+            _Resolved(curve=curve, label="", params={}, grid=grid),
+            RunConfig(command="classify"))
+        assert nat.tag.value == "circular-helix"
+        assert len(calls) == 4 * len(grid)
+        assert sorted(set(calls)) == [1, 2, 3, 4]
 
 
 class TestFigure:

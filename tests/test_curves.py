@@ -13,17 +13,18 @@ from pg_curvelab.curves import (
     JetKind,
     _weights,
     apply_homothety,
-    check_admissibility,
     make_analytic_curve,
     make_sampled_curve,
 )
 from pg_curvelab.errors import (
     EmptyDomainError,
     EmptyGridError,
+    InadmissibleCurveError,
     JetOrderError,
     NarrowDomainError,
     StepTooSmallError,
 )
+from pg_curvelab.frenet import check_admissibility
 
 
 def cubic_jets():
@@ -331,6 +332,31 @@ class TestAdmissibility:
     def test_empty_grid_rejected(self, general_helix):
         with pytest.raises(EmptyGridError):
             check_admissibility(general_helix.curve, [])
+
+    def test_fails_exactly_where_the_apparatus_raises(self):
+        # y'' = z'' * (1 + 1e-11) on (0.5, 0.8] lies inside the lightlike
+        # band; x = 2s beyond 0.8 is not in arc-length form
+        def jet(s, k):
+            e = math.exp(s)
+            y = e * (1.0 + 1e-11) if 0.5 < s <= 0.8 else 2.0 * e
+            xp = 2.0 if s > 0.8 else 1.0
+            if k == 0:
+                return PGVector(xp * s, y, e)
+            return PGVector(xp if k == 1 else 0.0, y, e)
+
+        from pg_curvelab.frenet import frenet_data
+
+        c = CurveJet(jet, (0.0, 1.0), JetKind.ANALYTIC)
+        grid = [0.25, 0.6, 0.9]
+        report = check_admissibility(c, grid)
+        raising = []
+        for s in grid:
+            try:
+                frenet_data(c, s)
+            except InadmissibleCurveError:
+                raising.append(s)
+        assert report.failing_params == tuple(raising) == (0.6, 0.9)
+        assert not report.admissible
 
 
 class TestHomothety:

@@ -156,6 +156,25 @@ class TestNaturalClass:
         assert natural_class(log_spiral.curve, grid, tol_zero=10.0).tag is \
             NaturalClassTag.ISOTROPIC_CIRCLE
 
+    def test_sampled_helix_zero_test_honours_fd_bounds(self, helix_fixture,
+                                                       uniform):
+        # rebuilt from positions, K carries ~1e-8 of FD error: above the
+        # default tol_zero, but inside each point's own error bound
+        c = make_sampled_curve(helix_fixture.curve.position, (-0.9, 0.9),
+                               h=1e-3)
+        grid = uniform(-0.9, 0.9, 21)
+        datas = equiform_grid(c, grid)
+        assert max(abs(d.curvature) for d in datas) > 1e-9
+        assert all(abs(d.curvature) <= d.errors[1] for d in datas)
+        assert natural_class(c, grid).tag is NaturalClassTag.CIRCULAR_HELIX
+
+    def test_sampled_general_helix_stays_other(self, general_helix, uniform):
+        # a resolved nonzero K is not read as zero by its bound
+        c = make_sampled_curve(general_helix.curve.position,
+                               general_helix.domain, h=1e-3)
+        nc = natural_class(c, uniform(*general_helix.domain, 21))
+        assert nc.tag is NaturalClassTag.OTHER
+
     def test_short_grid_rejected(self, general_helix):
         with pytest.raises(ValueError, match="at least 5"):
             natural_class(general_helix.curve, [0.1, 0.5, 0.9, 1.3])
