@@ -38,8 +38,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from . import aw
 from .algebra import PGVector
@@ -71,64 +71,7 @@ _FIGURE_SAMPLES = 256
 
 
 class ConfigError(ValueError):
-    """A run configuration that violates its own invariants."""
-
-
-@dataclass
-class RunConfig:
-    """Validated description of one CLI invocation.
-
-    ``a`` and ``b`` left as None take the family's reference parameters
-    (``zoo.REFERENCE_PARAMS``).
-    """
-
-    command: str
-    curve: str | None = None
-    a: float | None = None
-    b: float | None = None
-    input_path: str | None = None
-    grid: tuple[float, float, int] | None = None
-    offset: float | None = None
-    figure_number: int | None = None
-    tol_class: float | None = None
-    tol_zero: float = 1e-9
-    tol_const: float = 1e-6
-    out_path: str | None = None
-    fmt: str = "csv"
-
-    def validate(self) -> None:
-        if self.command not in ("eval", "classify", "bertrand", "zoo-list",
-                                "figure"):
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
-        for name in ("tol_class", "tol_zero", "tol_const"):
-            val = getattr(self, name)
-            if val is not None and not val > 0.0:
-                raise ConfigError(f"{name} must be positive, got {val}")
-        if self.grid is not None:
-            start, stop, count = self.grid
-            if count < 1:
-                raise ConfigError("grid count must be at least 1")
-            if count == 1:
-                if start != stop:
-                    raise ConfigError(
-                        "a single-point grid needs start == stop")
-            elif not start < stop:
-                raise ConfigError("grid start must be below stop")
-        if self.command in ("eval", "classify", "bertrand"):
-            if (self.curve is None) == (self.input_path is None):
-                raise ConfigError(
-                    "exactly one of --curve and --input is required")
-            if self.grid is None:
-                raise ConfigError("--grid is required for this command")
-        if self.command == "bertrand" and self.offset is None:
-            raise ConfigError("--lambda is required for the bertrand command")
-        if self.command == "figure":
-            if self.figure_number not in _FIGURES:
-                raise ConfigError("figure number must be between 1 and 5")
-            if self.fmt != "csv":
-                raise ConfigError("the figure command only emits csv")
+    """A command line that violates the CLI's own invariants."""
 
 
 def _f17(v: float) -> str:
@@ -155,8 +98,13 @@ def _read_lattice(path: str) -> tuple[list[float], list[PGVector]]:
             raise ConfigError(
                 f"{path}: need CSV columns s,x,y,z (found "
                 f"{reader.fieldnames})")
-        rows = [(float(r["s"]), float(r["x"]), float(r["y"]), float(r["z"]))
-                for r in reader]
+        rows = []
+        for r in reader:
+            fields = [r[k] for k in "sxyz"]
+            if None in fields:
+                raise ConfigError(
+                    f"{path}: line {reader.line_num} lacks one of s,x,y,z")
+            rows.append(tuple(map(float, fields)))
     if len(rows) < 18:
         raise ConfigError(
             f"{path}: need at least 18 samples to rebuild derivatives, "
@@ -166,11 +114,13 @@ def _read_lattice(path: str) -> tuple[list[float], list[PGVector]]:
     return svals, [PGVector(r[1], r[2], r[3]) for r in rows]
 
 
-def _lattice_curve(path: str) -> tuple[CurveJet, float, float]:
+def _lattice_curve(
+        path: str) -> tuple[CurveJet, float, Callable[[float], float]]:
     """Build an FD curve from a CSV sample file.
 
-    Returns (curve, lattice spacing, first sample).  The FD step is twice
-    the spacing so every stencil evaluation lands back on the lattice.
+    Returns (curve, lattice spacing, snap), where snap maps a parameter
+    to the nearest lattice abscissa.  The FD step is twice the spacing so
+    every stencil evaluation lands back on the lattice.
     """
     svals, points = _read_lattice(path)
     s0, s_end = svals[0], svals[-1]
@@ -184,6 +134,9 @@ def _lattice_curve(path: str) -> tuple[CurveJet, float, float]:
                 f"{path}: samples must lie on a uniform lattice "
                 f"(row {i} is off by more than 1e-9)")
 
+    def snap(t: float) -> float:
+        return s0 + round((t - s0) / delta) * delta
+
     def position(s: float) -> PGVector:
         i = round((s - s0) / delta)
         if i < 0 or i >= n or abs(s - (s0 + i * delta)) > 1e-6 * delta:
@@ -191,17 +144,15 @@ def _lattice_curve(path: str) -> tuple[CurveJet, float, float]:
         return points[i]
 
     domain = (s0 + 8 * delta, s_end - 8 * delta)
-    return make_sampled_curve(position, domain, h=2 * delta), delta, s0
+    return make_sampled_curve(position, domain, h=2 * delta), delta, snap
 
 
-def _snap_grid(pts: Sequence[float], delta: float, s0: float,
+def _snap_grid(pts: Sequence[float], snap: Callable[[float], float],
                domain: tuple[float, float]) -> list[float]:
     lo, hi = domain
     out: list[float] = []
     for p in pts:
-        snapped = s0 + round((p - s0) / delta) * delta
-        snapped = min(max(snapped, lo), hi)
-        snapped = s0 + round((snapped - s0) / delta) * delta
+        snapped = snap(min(max(snap(p), lo), hi))
         if lo - 1e-12 <= snapped <= hi + 1e-12 and (
                 not out or snapped > out[-1]):
             out.append(snapped)
@@ -222,21 +173,23 @@ class _Resolved:
     grid: list[float]
     notes: tuple[str, ...] = ()
     residual_h: float = 1e-4
+    # parameter -> the abscissa whose jets stand for it (lattice input)
+    snap: Callable[[float], float] = lambda t: t
 
 
-def _resolve(config: RunConfig) -> _Resolved:
-    pts = _grid_points(config.grid) if config.grid else []
-    if config.input_path is not None:
-        curve, delta, s0 = _lattice_curve(config.input_path)
-        grid = _snap_grid(pts, delta, s0, curve.domain)
-        return _Resolved(curve=curve, label=f"sampled:{config.input_path}",
-                         params={}, grid=grid, residual_h=2 * delta)
-    assert config.curve is not None
+def _resolve(args: argparse.Namespace) -> _Resolved:
+    pts = _grid_points(args.grid)
+    if args.input_path is not None:
+        curve, delta, snap = _lattice_curve(args.input_path)
+        grid = _snap_grid(pts, snap, curve.domain)
+        return _Resolved(curve=curve, label=f"sampled:{args.input_path}",
+                         params={}, grid=grid, residual_h=2 * delta,
+                         snap=snap)
     # an unknown name gets a placeholder here and is rejected by get_example
-    ref_a, ref_b = REFERENCE_PARAMS.get(config.curve, (1.0, 1.0))
-    entry = get_example(config.curve,
-                        ref_a if config.a is None else config.a,
-                        ref_b if config.b is None else config.b)
+    ref_a, ref_b = REFERENCE_PARAMS.get(args.curve, (1.0, 1.0))
+    entry = get_example(args.curve,
+                        ref_a if args.a is None else args.a,
+                        ref_b if args.b is None else args.b)
     lo, hi = entry.curve.domain
     for p in pts:
         if not lo <= p <= hi:
@@ -272,12 +225,13 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _grid_doc(config: RunConfig, grid: list[float]) -> dict:
-    if config.grid is not None:
-        start, stop, count = config.grid
-        return {"start": start, "stop": stop, "count": count,
-                "points": len(grid)}
-    return {"points": len(grid)}
+def _report(args: argparse.Namespace, res: _Resolved,
+            grid: list[float]) -> dict:
+    """The head every eval, classify and bertrand JSON report shares."""
+    start, stop, count = args.grid
+    return {"schema": SCHEMA, "curve": res.label, "params": res.params,
+            "grid": {"start": start, "stop": stop, "count": count,
+                     "points": len(grid)}}
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -300,8 +254,9 @@ _EVAL_HEADER = (
 def _eval_rows(res: _Resolved) -> list[list[float]]:
     """One row per grid point.  Each parameter's Frenet and equiform data
     come from one jet bundle, kept while the ascending grid can still
-    read them (at s and s +- h)."""
-    curve, h = res.curve, res.residual_h
+    read them (at s and s +- h, looked up through ``res.snap`` so that a
+    lattice neighbour is the grid point it lands on)."""
+    curve, h, snap = res.curve, res.residual_h, res.snap
     lo, hi = curve.domain
     window: dict[float, tuple[FrenetData, EquiformData]] = {}
 
@@ -315,11 +270,12 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
 
     rows = []
     for s in res.grid:
-        window = {k: v for k, v in window.items() if k >= s - h}
+        below, above = snap(s - h), snap(s + h)
+        window = {k: v for k, v in window.items() if k >= below}
         p = curve.jet(s, 0)
         fr, eq = apparatus(s)
         if lo <= s - h and s + h <= hi:
-            (frm, eqm), (frp, eqp) = apparatus(s - h), apparatus(s + h)
+            (frm, eqm), (frp, eqp) = apparatus(below), apparatus(above)
             r1 = _frenet_residual_of(frm, fr, frp, h)
             r2 = _equiform_residual_of(eqm, eq, eqp, h)
         else:
@@ -333,38 +289,35 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
     return rows
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    res = _resolve(config)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    res = _resolve(args)
     rows = _eval_rows(res)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = _csv_text(_EVAL_HEADER, [[_f17(v) for v in row]
                                         for row in rows])
     else:
         text = _json_text({
-            "schema": SCHEMA,
-            "curve": res.label,
-            "params": res.params,
-            "grid": _grid_doc(config, res.grid),
+            **_report(args, res, res.grid),
             "columns": list(_EVAL_HEADER),
             "rows": rows,
             "diagnostics": list(res.notes),
         })
-    _write_text(config.out_path, text)
+    _write_text(args.out_path, text)
     return 0
 
 
-def _classify(res: _Resolved,
-              config: RunConfig) -> tuple[aw.AWReport, NaturalClass]:
+def _classify(res: _Resolved, args: argparse.Namespace
+              ) -> tuple[aw.AWReport, NaturalClass]:
     """The span verdicts and the natural class from one grid sweep."""
     datas = equiform_grid(res.curve, res.grid)
-    report = aw._classify_of(datas, res.curve.kind, config.tol_class,
+    report = aw._classify_of(datas, res.curve.kind, args.tol_class,
                              res.notes)
-    return report, _natural_class_of(datas, config.tol_const, config.tol_zero)
+    return report, _natural_class_of(datas, args.tol_const, args.tol_zero)
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    res = _resolve(config)
-    report, nat = _classify(res, config)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    res = _resolve(args)
+    report, nat = _classify(res, args)
     diagnostics = list(report.diagnostics)
     if report.degenerate_points:
         diagnostics.append(
@@ -378,12 +331,9 @@ def _cmd_classify(config: RunConfig) -> int:
             "conditions read as for exactly vanishing invariants there")
     aw_doc = {name: {"holds": v.holds, "sup_residual": v.sup_residual}
               for name, v in report.verdicts.items()}
-    if config.fmt == "json":
+    if args.fmt == "json":
         text = _json_text({
-            "schema": SCHEMA,
-            "curve": res.label,
-            "params": res.params,
-            "grid": _grid_doc(config, res.grid),
+            **_report(args, res, res.grid),
             "natural_class": {
                 "tag": nat.tag.value,
                 "curvature_mean": nat.curvature_mean,
@@ -401,27 +351,23 @@ def _cmd_classify(config: RunConfig) -> int:
         rows.append(["natural_class", nat.tag.value, ""])
         rows.extend(["diagnostic", d, ""] for d in diagnostics)
         text = _csv_text(("condition", "holds", "sup_residual"), rows)
-    _write_text(config.out_path, text)
+    _write_text(args.out_path, text)
     return 0
 
 
-def _cmd_bertrand(config: RunConfig) -> int:
-    res = _resolve(config)
-    assert config.offset is not None
-    mate = bertrand_mate(res.curve, config.offset)
+def _cmd_bertrand(args: argparse.Namespace) -> int:
+    res = _resolve(args)
+    mate = bertrand_mate(res.curve, args.offset)
     grid = [s for s in res.grid
             if mate.domain[0] <= s <= mate.domain[1]]
     if len(grid) < 5:
         raise ConfigError(
             "need at least 5 grid points inside the mate domain")
-    pair = verify_bertrand_pair(res.curve, mate, config.offset, grid,
-                                tol=config.tol_class or 1e-8)
+    pair = verify_bertrand_pair(res.curve, mate, args.offset, grid,
+                                tol=args.tol_class or 1e-8)
     doc = {
-        "schema": SCHEMA,
-        "curve": res.label,
-        "params": res.params,
-        "grid": _grid_doc(config, grid),
-        "offset": config.offset,
+        **_report(args, res, grid),
+        "offset": args.offset,
         "bertrand": {
             "is_pair": pair.is_pair,
             "nature": pair.nature.value,
@@ -433,7 +379,7 @@ def _cmd_bertrand(config: RunConfig) -> int:
         },
         "diagnostics": list(res.notes) + list(mate.warnings),
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         text = _json_text(doc)
     else:
         items = doc["bertrand"]
@@ -448,15 +394,15 @@ def _cmd_bertrand(config: RunConfig) -> int:
             return "; ".join(v)
 
         rows = [[k, cell(v)] for k, v in items.items()]
-        rows.insert(0, ["offset", _f17(config.offset)])
+        rows.insert(0, ["offset", _f17(args.offset)])
         text = _csv_text(("key", "value"), rows)
-    _write_text(config.out_path, text)
+    _write_text(args.out_path, text)
     return 0
 
 
-def _cmd_zoo_list(config: RunConfig) -> int:
+def _cmd_zoo_list(args: argparse.Namespace) -> int:
     names = zoo_names()
-    if config.fmt == "json":
+    if args.fmt == "json":
         text = _json_text({
             "schema": SCHEMA,
             "curves": [
@@ -468,13 +414,12 @@ def _cmd_zoo_list(config: RunConfig) -> int:
     else:
         rows = [[n, *describe_constraints(n)] for n in names]
         text = _csv_text(("name", "constraints", "default_domain"), rows)
-    _write_text(config.out_path, text)
+    _write_text(args.out_path, text)
     return 0
 
 
-def _cmd_figure(config: RunConfig) -> int:
-    assert config.figure_number is not None
-    name = _FIGURES[config.figure_number]
+def _cmd_figure(args: argparse.Namespace) -> int:
+    name = _FIGURES[args.figure_number]
     entry = get_example(name, *REFERENCE_PARAMS[name])
     lo, hi = entry.domain
     step = (hi - lo) / (_FIGURE_SAMPLES - 1)
@@ -483,7 +428,7 @@ def _cmd_figure(config: RunConfig) -> int:
         s = lo + i * step
         p = entry.curve.jet(s, 0)
         rows.append([_f17(s), _f17(p.x1), _f17(p.x2), _f17(p.x3)])
-    _write_text(config.out_path, _csv_text(("s", "x", "y", "z"), rows))
+    _write_text(args.out_path, _csv_text(("s", "x", "y", "z"), rows))
     return 0
 
 
@@ -504,7 +449,10 @@ def _build_parser() -> _Parser:
                                  "degenerate-metric ambient space")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_grid: bool) -> None:
+    def add_common(p: argparse.ArgumentParser,
+                   handler: Callable[[argparse.Namespace], int],
+                   with_grid: bool) -> None:
+        p.set_defaults(handler=handler)
         if with_grid:
             p.add_argument("--curve", help="catalogue curve name")
             p.add_argument("--a", type=float,
@@ -534,17 +482,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv", help="output format (default csv)")
 
-    for name in ("eval", "classify"):
-        add_common(sub.add_parser(name), with_grid=True)
+    add_common(sub.add_parser("eval"), _cmd_eval, with_grid=True)
+    add_common(sub.add_parser("classify"), _cmd_classify, with_grid=True)
     pb = sub.add_parser("bertrand")
     pb.add_argument("--lambda", dest="offset", type=float, required=True,
                     help="constant normal-offset factor")
-    add_common(pb, with_grid=True)
-    add_common(sub.add_parser("zoo-list"), with_grid=False)
+    add_common(pb, _cmd_bertrand, with_grid=True)
+    add_common(sub.add_parser("zoo-list"), _cmd_zoo_list, with_grid=False)
     pf = sub.add_parser("figure")
     pf.add_argument("figure_number", type=int, metavar="N",
                     help="figure number 1..5")
-    add_common(pf, with_grid=False)
+    add_common(pf, _cmd_figure, with_grid=False)
     return parser
 
 
@@ -558,24 +506,30 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the exit status."""
-    handlers = {
-        "eval": _cmd_eval,
-        "classify": _cmd_classify,
-        "bertrand": _cmd_bertrand,
-        "zoo-list": _cmd_zoo_list,
-        "figure": _cmd_figure,
-    }
-    try:
-        config.validate()
-        return handlers[config.command](config)
-    except InadmissibleCurveError as exc:
-        _emit_error(exc)
-        return 3
-    except (CurveLabError, ValueError, OSError) as exc:
-        _emit_error(exc)
-        return 2
+def _check(args: argparse.Namespace) -> None:
+    """The rules argparse cannot state; parses ``args.grid`` in place."""
+    if args.command == "figure":
+        if args.figure_number not in _FIGURES:
+            raise ConfigError("figure number must be between 1 and 5")
+        if args.fmt != "csv":
+            raise ConfigError("the figure command only emits csv")
+    if args.command in ("zoo-list", "figure"):
+        return
+    args.grid = _parse_grid(args.grid)
+    for name in ("tol_class", "tol_zero", "tol_const"):
+        val = getattr(args, name)
+        if val is not None and not val > 0.0:
+            raise ConfigError(f"{name} must be positive, got {val}")
+    start, stop, count = args.grid
+    if count < 1:
+        raise ConfigError("grid count must be at least 1")
+    if count == 1:
+        if start != stop:
+            raise ConfigError("a single-point grid needs start == stop")
+    elif not start < stop:
+        raise ConfigError("grid start must be below stop")
+    if (args.curve is None) == (args.input_path is None):
+        raise ConfigError("exactly one of --curve and --input is required")
 
 
 def _merge_grid_value(argv: Sequence[str]) -> list[str]:
@@ -593,31 +547,21 @@ def _merge_grid_value(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; returns the exit status."""
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_merge_grid_value(argv))
     try:
-        grid = (_parse_grid(args.grid)
-                if getattr(args, "grid", None) is not None else None)
-    except ConfigError as exc:
+        _check(args)
+        return args.handler(args)
+    except InadmissibleCurveError as exc:
+        _emit_error(exc)
+        return 3
+    except (CurveLabError, ValueError, ArithmeticError, OSError) as exc:
+        # ArithmeticError: parameters far outside a family's range
+        # overflow its closed forms
         _emit_error(exc)
         return 2
-    config = RunConfig(
-        command=args.command,
-        curve=getattr(args, "curve", None),
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-        input_path=getattr(args, "input_path", None),
-        grid=grid,
-        offset=getattr(args, "offset", None),
-        figure_number=getattr(args, "figure_number", None),
-        tol_class=getattr(args, "tol_class", None),
-        tol_zero=getattr(args, "tol_zero", 1e-9),
-        tol_const=getattr(args, "tol_const", 1e-6),
-        out_path=args.out_path,
-        fmt=args.fmt,
-    )
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -341,8 +341,9 @@ def _adaptive(position: PositionFn, s: float, order: int, h: float,
 
 
 def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
-                       h: float | None = None, max_order: int = 4) -> CurveJet:
-    """Build a curve whose derivatives come from finite differences.
+                       h: float | None = None) -> CurveJet:
+    """Build a curve whose derivatives, up to order 4, come from finite
+    differences.
 
     Every jet is one Richardson level over the steps H and H/2 of a
     fourth-order stencil, (16 * fine - coarse) / 15, and is returned as
@@ -375,8 +376,6 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     lo, hi = float(domain[0]), float(domain[1])
     if not (lo < hi):
         raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
-    if not 1 <= max_order <= 4:
-        raise JetOrderError(f"max_order must be between 1 and 4, got {max_order}")
 
     scale = max(1.0, abs(lo), abs(hi))
     if h is None:
@@ -403,7 +402,7 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
             return _richardson(position, s, order, h)
         return _adaptive(position, s, order, h, top, window)
 
-    return CurveJet(jet_fn, (lo, hi), JetKind.FINITE_DIFFERENCE, max_order=max_order)
+    return CurveJet(jet_fn, (lo, hi), JetKind.FINITE_DIFFERENCE)
 
 
 # ---------------------------------------------------------------------------

@@ -484,18 +484,11 @@ def get_example(name: str, a: float, b: float,
         f"unknown curve {name!r}; known: {', '.join(_FAMILIES)}")
 
 
-def all_entries(params: dict[str, tuple[float, float]] | None = None
-                ) -> list[ZooEntry]:
+def all_entries() -> list[ZooEntry]:
     """One entry per family at its :data:`REFERENCE_PARAMS` (tests and
-    sweeps); circular helices on [0.6, 3].
-
-    ``params`` may override the (a, b) pair per name.
-    """
-    chosen = dict(REFERENCE_PARAMS)
-    if params:
-        chosen.update(params)
+    sweeps); circular helices on [0.6, 3]."""
     out = []
-    for name, (a, b) in chosen.items():
+    for name, (a, b) in REFERENCE_PARAMS.items():
         domain = (0.6, 3.0) if "circular_helix" in name else None
         out.append(get_example(name, a, b, domain))
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -11,20 +12,23 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pg_curvelab.cli import (
     SCHEMA,
     ConfigError,
-    RunConfig,
     _classify,
     _eval_rows,
     _grid_points,
+    _lattice_curve,
     _merge_grid_value,
     _parse_grid,
     _Resolved,
+    _snap_grid,
     main,
 )
 from pg_curvelab.curves import CurveJet
+from pg_curvelab.zoo import REFERENCE_PARAMS, get_example, zoo_names
 
 EVAL_COLUMNS = [
     "s", "x", "y", "z", "kappa", "tau", "epsilon",
@@ -35,9 +39,27 @@ EVAL_COLUMNS = [
 
 
 def invoke(capsys, *argv):
-    rc = main(list(argv))
+    """(exit status, stdout, stderr); argparse rejects a command line by
+    raising SystemExit, which counts as its exit status."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def rejected(capsys, *argv) -> str:
+    """Run a command line that must exit 2 with exactly one JSON line on
+    stderr and nothing on stdout; returns that line's message."""
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["schema"] == SCHEMA
+    return doc["message"]
 
 
 def write_lattice(path, curve, lo, delta, count):
@@ -65,48 +87,64 @@ def parabola_csv(tmp_path_factory, parabola):
 
 
 class TestConfigValidation:
-    def ok(self, **kw):
-        RunConfig(**kw).validate()
+    """Each rule on the command line, through ``main``: the rules
+    argparse cannot state keep their exact messages, the ones argparse
+    enforces name the option."""
 
-    def bad(self, match, **kw):
-        with pytest.raises(ConfigError, match=match):
-            RunConfig(**kw).validate()
+    CURVE = ("--curve", "isotropic_circle")
 
-    def test_commands_and_formats(self):
-        self.ok(command="zoo-list")
-        self.bad("unknown command", command="frobnicate")
-        self.bad("unknown format", command="zoo-list", fmt="yaml")
+    def test_commands_and_formats(self, capsys):
+        assert invoke(capsys, "zoo-list")[0] == 0
+        assert "frobnicate" in rejected(capsys, "frobnicate")
+        assert "--format" in rejected(capsys, "zoo-list", "--format", "yaml")
 
-    def test_tolerances_must_be_positive(self):
-        self.bad("tol_zero", command="zoo-list", tol_zero=0.0)
-        self.bad("tol_class", command="zoo-list", tol_class=-1e-8)
+    def test_tolerances_must_be_positive(self, capsys):
+        grid = ("--grid", "0:1:5")
+        assert rejected(capsys, "classify", *self.CURVE, *grid,
+                        "--tol-zero", "0") == \
+            "tol_zero must be positive, got 0.0"
+        assert rejected(capsys, "classify", *self.CURVE, *grid,
+                        "--tol=-1e-8") == \
+            "tol_class must be positive, got -1e-08"
+        assert rejected(capsys, "eval", *self.CURVE, *grid,
+                        "--tol-const=-1") == \
+            "tol_const must be positive, got -1.0"
 
-    def test_grid_shape(self):
-        base = dict(command="eval", curve="isotropic_circle")
-        self.ok(**base, grid=(0.0, 1.0, 11))
-        self.ok(**base, grid=(0.5, 0.5, 1))
-        self.bad("at least 1", **base, grid=(0.0, 1.0, 0))
-        self.bad("start == stop", **base, grid=(0.0, 1.0, 1))
-        self.bad("below stop", **base, grid=(1.0, 0.0, 5))
+    def test_grid_shape(self, capsys):
+        assert invoke(capsys, "eval", *self.CURVE, "--grid", "0:1:11")[0] == 0
+        assert invoke(capsys, "eval", *self.CURVE,
+                      "--grid", "0.5:0.5:1")[0] == 0
+        assert rejected(capsys, "eval", *self.CURVE, "--grid", "0:1:0") == \
+            "grid count must be at least 1"
+        assert rejected(capsys, "eval", *self.CURVE, "--grid", "0:1:1") == \
+            "a single-point grid needs start == stop"
+        assert rejected(capsys, "eval", *self.CURVE, "--grid", "1:0:5") == \
+            "grid start must be below stop"
+        assert rejected(capsys, "eval", *self.CURVE, "--grid", "0:1") == \
+            "grid must be start:stop:count, got '0:1'"
+        assert rejected(capsys, "eval", *self.CURVE, "--grid", "a:b:c") \
+            .startswith("bad grid 'a:b:c': ")
 
-    def test_curve_source_is_exclusive(self):
-        self.bad("exactly one", command="eval", grid=(0.0, 1.0, 5))
-        self.bad("exactly one", command="eval", grid=(0.0, 1.0, 5),
-                 curve="isotropic_circle", input_path="x.csv")
+    def test_curve_source_is_exclusive(self, capsys):
+        message = "exactly one of --curve and --input is required"
+        assert rejected(capsys, "eval", "--grid", "0:1:5") == message
+        assert rejected(capsys, "eval", *self.CURVE, "--input", "x.csv",
+                        "--grid", "0:1:5") == message
 
-    def test_grid_required(self):
-        self.bad("--grid is required", command="classify",
-                 curve="isotropic_circle")
+    def test_grid_required(self, capsys):
+        assert "--grid" in rejected(capsys, "classify", *self.CURVE)
 
-    def test_bertrand_needs_offset(self):
-        self.bad("--lambda", command="bertrand", curve="bertrand_helix",
-                 grid=(-0.5, 0.5, 9))
+    def test_bertrand_needs_offset(self, capsys):
+        assert "--lambda" in rejected(capsys, "bertrand", "--curve",
+                                      "bertrand_helix", "--grid",
+                                      "-0.5:0.5:9")
 
-    def test_figure_constraints(self):
-        self.ok(command="figure", figure_number=3)
-        self.bad("between 1 and 5", command="figure", figure_number=6)
-        self.bad("only emits csv", command="figure", figure_number=1,
-                 fmt="json")
+    def test_figure_constraints(self, capsys):
+        assert invoke(capsys, "figure", "3")[0] == 0
+        assert rejected(capsys, "figure", "6") == \
+            "figure number must be between 1 and 5"
+        assert rejected(capsys, "figure", "1", "--format", "json") == \
+            "the figure command only emits csv"
 
 
 class TestArgvHelpers:
@@ -350,6 +388,15 @@ class TestLatticeInput:
         assert rc == 2
         assert "columns" in json.loads(err)["message"]
 
+    def test_short_row_rejected(self, tmp_path, capsys, helix_csv):
+        lines = open(helix_csv).read().splitlines()
+        lines[40] = lines[40].rsplit(",", 1)[0]
+        path = tmp_path / "short_row.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert rejected(capsys, "classify", "--input", str(path),
+                        "--grid", "-0.5:0.5:9") == \
+            f"{path}: line 41 lacks one of s,x,y,z"
+
 
 class TestBertrandCommand:
     def test_helix_pair_json(self, capsys):
@@ -509,10 +556,28 @@ class TestWorkCounts:
         grid = _grid_points((-0.9, 0.9, 21))
         report, nat = _classify(
             _Resolved(curve=curve, label="", params={}, grid=grid),
-            RunConfig(command="classify"))
+            argparse.Namespace(tol_class=None, tol_zero=1e-9,
+                               tol_const=1e-6))
         assert nat.tag.value == "circular-helix"
         assert len(calls) == 4 * len(grid)
         assert sorted(set(calls)) == [1, 2, 3, 4]
+
+    def test_eval_snaps_neighbours_on_a_non_dyadic_lattice(
+            self, tmp_path, helix_fixture):
+        # spacing 0.01 and grid spacing h = 0.02: s + h, formed in floating
+        # point, misses the next grid point by an ulp at some points unless
+        # it is snapped onto the lattice
+        path = write_lattice(tmp_path / "helix.csv", helix_fixture.curve,
+                             -1.0, 0.01, 201)
+        lattice, delta, snap = _lattice_curve(path)
+        lo, hi = lattice.domain
+        count = round((hi - lo) / (2 * delta)) + 1
+        grid = _snap_grid(_grid_points((lo, hi, count)), snap, lattice.domain)
+        assert len(grid) == count
+        curve, calls = counted(lattice)
+        _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid,
+                             residual_h=2 * delta, snap=snap))
+        assert len(calls) <= (1 + 3 * 4) + 5 * (len(grid) - 1)
 
 
 class TestFigure:
@@ -530,8 +595,6 @@ class TestFigure:
         (5, "timelike_log_spiral", (1.0, 1.0)),
     ])
     def test_rows_roundtrip_to_positions(self, capsys, number, name, params):
-        from pg_curvelab.zoo import get_example
-
         rc, out, _ = invoke(capsys, "figure", str(number))
         assert rc == 0
         entry = get_example(name, *params)
@@ -550,8 +613,6 @@ class TestFigure:
 
 class TestReferenceDefaults:
     def test_every_family_runs_with_defaults(self, capsys):
-        from pg_curvelab.zoo import REFERENCE_PARAMS, get_example
-
         rc, out, _ = invoke(capsys, "zoo-list", "--format", "json")
         assert rc == 0
         names = [c["name"] for c in json.loads(out)["curves"]]
@@ -609,6 +670,79 @@ class TestErrorExits:
                             "--grid", "0:0.4:3")
         assert rc == 2
         assert "at least 5" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--curve", "timelike_general_helix", "--a", "-1000", "--b", "1",
+         "--grid", "0:2:5"),
+        ("--curve", "timelike_circular_helix", "--a", "1e200", "--b", "1",
+         "--grid", "1:2:5"),
+    ])
+    def test_overflowing_parameters(self, capsys, argv):
+        rejected(capsys, "eval", *argv)
+
+
+def exits_cleanly(capsys, *argv) -> None:
+    """Exit status 0, 2 or 3, with exactly one JSON stderr line when it
+    is not 0; an exception escaping ``main`` fails the caller."""
+    rc, _, err = invoke(capsys, *argv)
+    assert rc in (0, 2, 3)
+    if rc:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["schema"] == SCHEMA
+
+
+# capsys is drained by every invoke and the lattice file is rewritten by
+# every example, so both fixtures can be shared across examples
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+LATTICE_ROWS = 40           # s = 0.02 i; the curve (s, s^2/2, s^3/6)
+
+lattice_edits = st.one_of(
+    st.tuples(st.sampled_from(["nan", "inf", "-inf", ""]),
+              st.integers(0, LATTICE_ROWS - 1), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["short", "long", "duplicate", "drop"]),
+              st.integers(0, LATTICE_ROWS - 1), st.integers(1, 3)),
+)
+
+
+class TestCommandLineFuzz:
+    @FUZZ
+    @given(edits=st.lists(lattice_edits, max_size=4),
+           keep=st.one_of(st.just(LATTICE_ROWS), st.integers(0, 17)),
+           command=st.sampled_from(["eval", "classify"]))
+    def test_mutated_lattice(self, tmp_path, capsys, edits, keep, command):
+        rows = [[repr(v) for v in (s, s, s * s / 2, s ** 3 / 6)]
+                for s in (0.02 * i for i in range(LATTICE_ROWS))]
+        for kind, i, j in edits:
+            i %= len(rows)
+            if kind == "short":
+                rows[i] = rows[i][:j]
+            elif kind == "long":
+                rows[i] = rows[i] + ["0"] * j
+            elif kind == "duplicate":
+                rows.insert(i, list(rows[i]))
+            elif kind == "drop":
+                del rows[i]
+            else:
+                rows[i][j] = kind
+        path = tmp_path / "fuzz.csv"
+        path.write_text("s,x,y,z\n" + "".join(",".join(r) + "\n"
+                                              for r in rows[:keep]))
+        exits_cleanly(capsys, command, "--input", str(path),
+                      "--grid", "0.2:0.6:6")
+
+    @FUZZ
+    @given(name=st.sampled_from(zoo_names()),
+           a=st.one_of(st.floats(), st.sampled_from([-1000.0, 1e200])),
+           b=st.one_of(st.floats(), st.sampled_from([-1000.0, 1e200])),
+           command=st.sampled_from(["eval", "classify", "bertrand"]))
+    def test_curve_parameters(self, capsys, name, a, b, command):
+        lo, hi = get_example(name, *REFERENCE_PARAMS[name]).domain
+        offset = ["--lambda", "0.3"] if command == "bertrand" else []
+        exits_cleanly(capsys, command, "--curve", name, f"--a={a!r}",
+                      f"--b={b!r}", f"--grid={lo!r}:{hi!r}:5", *offset)
 
 
 def test_module_entry_point():

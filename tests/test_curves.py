@@ -283,19 +283,6 @@ class TestSampledConstructor:
             make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (0.0, 0.1),
                                h=0.05)
 
-    def test_max_order_bounds(self):
-        for bad in (0, 5):
-            with pytest.raises(JetOrderError):
-                make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0),
-                                   (0.0, 1.0), max_order=bad)
-
-    def test_reduced_max_order_is_enforced(self):
-        c = make_sampled_curve(lambda s: PGVector(s, 0.5 * s * s, 0.0),
-                               (0.0, 1.0), h=0.05, max_order=2)
-        assert c.max_order == 2
-        with pytest.raises(JetOrderError):
-            c.jet(0.5, 3)
-
 
 class TestAdmissibility:
     def test_catalogue_curve_is_admissible(self, general_helix, uniform):

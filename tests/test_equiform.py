@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pg_curvelab.curves import make_sampled_curve
+from pg_curvelab.curves import CurveJet, make_sampled_curve
 from pg_curvelab.equiform import (
     NaturalClassTag,
     equiform_data,
@@ -90,8 +90,8 @@ class TestEquiformData:
             assert d.torsion_rate == pytest.approx(fd_t, abs=1e-5)
 
     def test_needs_order_four_jets(self, general_helix):
-        low = make_sampled_curve(lambda s: general_helix.curve.jet(s, 0),
-                                 (0.2, 1.8), max_order=2)
+        helix = general_helix.curve
+        low = CurveJet(helix.jet, helix.domain, helix.kind, max_order=2)
         with pytest.raises(JetOrderError, match="order-4"):
             equiform_data(low, 1.0)
 

@@ -13,7 +13,6 @@ from pg_curvelab.errors import (
 from pg_curvelab.frenet import frenet_data
 from pg_curvelab.zoo import (
     MAX_JET_ORDER,
-    all_entries,
     bertrand_fixture,
     describe_constraints,
     get_example,
@@ -150,13 +149,6 @@ class TestRegistry:
     def test_all_entries_defaults(self, zoo_entries):
         assert [e.name for e in zoo_entries] == NAMES
         assert all(e.curve.max_order == MAX_JET_ORDER for e in zoo_entries)
-
-    def test_all_entries_parameter_override(self):
-        entries = all_entries({"bertrand_helix": (2.0, 3.0)})
-        entry = next(e for e in entries if e.name == "bertrand_helix")
-        assert entry.params == {"a": 2.0, "b": 3.0}
-        assert entry.oracle.kappa(0.0) == 2.0
-        assert entry.oracle.tau(0.0) == 3.0
 
     def test_domain_override(self):
         entry = get_example("bertrand_helix", 1.0, 1.0, (-0.5, 0.5))
