@@ -23,8 +23,8 @@ take one fetch of the base orders min(first, 2)..last+2 and one series
 of length last+1, e.g. 6 base jets for the orders 1-4 of
 :func:`equiform_data`.  When the base has order < 6 the exact bundle
 stops at order 2, orders three and four are finite differences of the
-exact second-derivative function, and the mate's domain shrinks by the
-stencil reach.
+exact second-derivative function (one read of it per node and bundle),
+and the mate's domain shrinks by the stencil reach.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from statistics import fmean
 from typing import Callable, Sequence
 
 from .algebra import PGVector, pg_dot
-from .curves import _EPS, CurveJet, JetKind, _richardson
+from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_source
 from .equiform import (
     NaturalClassTag,
     _natural_class_of,
@@ -132,7 +132,8 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
         def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
             exact = (_offset_jets(base, lam, s, first, min(last, 2))
                      if first <= 2 else ())
-            return exact + tuple(_richardson(m2, s, k - 2, h)
+            rows = _row_source(m2)
+            return exact + tuple(_fd_jet(rows, s, k - 2, h)
                                  for k in range(max(first, 3), last + 1))
 
         domain, kind, max_order = ((lo + 2.0 * h, hi - 2.0 * h),

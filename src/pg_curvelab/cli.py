@@ -91,20 +91,31 @@ def _grid_points(grid: tuple[float, float, int]) -> list[float]:
 
 
 def _read_lattice(path: str) -> tuple[list[float], list[PGVector]]:
+    """The rows of an s,x,y,z file sorted by s.  As with
+    ``csv.DictReader``, blank rows are skipped, the last of duplicate
+    column names wins and a row that stops before it lacks that column."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"s", "x", "y", "z"} <= set(
-                reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"s", "x", "y", "z"} <= set(header):
             raise ConfigError(
-                f"{path}: need CSV columns s,x,y,z (found "
-                f"{reader.fieldnames})")
+                f"{path}: need CSV columns s,x,y,z (found {header})")
+        cols = [max(i for i, name in enumerate(header) if name == key)
+                for key in "sxyz"]
+        width = max(cols) + 1
         rows = []
         for r in reader:
-            fields = [r[k] for k in "sxyz"]
-            if None in fields:
+            if not r:
+                continue
+            if len(r) < width:
                 raise ConfigError(
                     f"{path}: line {reader.line_num} lacks one of s,x,y,z")
-            rows.append(tuple(map(float, fields)))
+            row = tuple([float(r[i]) for i in cols])
+            if not math.isfinite(sum(row)) and not all(
+                    map(math.isfinite, row)):
+                raise ConfigError(
+                    f"{path}: line {reader.line_num} has a non-finite value")
+            rows.append(row)
     if len(rows) < 18:
         raise ConfigError(
             f"{path}: need at least 18 samples to rebuild derivatives, "
@@ -532,17 +543,36 @@ def _check(args: argparse.Namespace) -> None:
         raise ConfigError("exactly one of --curve and --input is required")
 
 
-def _merge_grid_value(argv: Sequence[str]) -> list[str]:
-    """Join ``--grid`` with its value so grids starting at a negative
-    parameter (``--grid -1:1:101``) survive option parsing."""
+# options whose float value may be written as -1e-3, which argparse's
+# negative-number rule would otherwise read as an option
+_FLOAT_OPTIONS = frozenset(("--a", "--b", "--lambda", "--tol", "--tol-zero",
+                            "--tol-const"))
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _merge_option_values(argv: Sequence[str]) -> list[str]:
+    """Join value-taking options with their values so values starting
+    with '-' survive option parsing: ``--grid`` always
+    (``--grid -1:1:101``), a float option when the next token reads as a
+    float (``--a -1e-3``).  A missing value is left to argparse."""
     out: list[str] = []
-    tokens = iter(argv)
-    for tok in tokens:
-        if tok == "--grid":
-            value = next(tokens, None)
-            out.append(tok if value is None else f"--grid={value}")
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if i + 1 < len(argv) and (tok == "--grid" or (
+                tok in _FLOAT_OPTIONS and _reads_as_float(argv[i + 1]))):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
         else:
             out.append(tok)
+            i += 1
     return out
 
 
@@ -550,7 +580,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line; returns the exit status."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_grid_value(argv))
+    args = _build_parser().parse_args(_merge_option_values(argv))
     try:
         _check(args)
         return args.handler(args)

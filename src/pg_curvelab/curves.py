@@ -240,44 +240,73 @@ def _weights(order: int, first: int, count: int
     return offsets, weights, denom, sum(abs(w) for w in weights)
 
 
-def _stencil(position: PositionFn, s: float, order: int, h: float,
-             offsets: tuple[int, ...], weights: tuple[int, ...],
-             denom: int) -> tuple[float, float, float, float]:
-    """Scaled stencil sums (x, y, z) at step h and the largest sample
-    component magnitude."""
-    pts = [position(s + j * h) for j in offsets]
-    xs = [p.x1 for p in pts]
-    ys = [p.x2 for p in pts]
-    zs = [p.x3 for p in pts]
-    scale = denom * h ** order
-    return (math.fsum(map(mul, weights, xs)) / scale,
-            math.fsum(map(mul, weights, ys)) / scale,
-            math.fsum(map(mul, weights, zs)) / scale,
-            max(map(abs, xs + ys + zs)))
+Row = tuple[float, float, float, float]      # x, y, z, max |component|
+Rows = Callable[[float, float, tuple[int, ...]], list[Row]]
 
 
-def _extrapolate(position: PositionFn, s: float, order: int, h: float,
-                 first: int, count: int) -> tuple[FDVector, float, float]:
+def _row_source(position: PositionFn) -> Rows:
+    """``rows(s, step, offsets)``: (x, y, z, max |component|) of the
+    position at each s + j * step.  Each abscissa is read once while the
+    source (one jet bundle) lives, so the coarse nodes j*H, which equal
+    the fine nodes 2j*(H/2) bit for bit, and the nodes that several
+    orders or step trials share come from one read."""
+    seen: dict[float, Row] = {}
+    get = seen.get
+
+    def rows(s: float, step: float, offsets: tuple[int, ...]) -> list[Row]:
+        out = []
+        for j in offsets:
+            t = s + j * step
+            row = get(t)
+            if row is None:
+                p = position(t)
+                x, y, z = p.x1, p.x2, p.x3
+                row = seen[t] = (x, y, z, max(abs(x), abs(y), abs(z)))
+            out.append(row)
+        return out
+
+    return rows
+
+
+def _extrapolate(rows: Rows, s: float, order: int, h: float, first: int,
+                 count: int) -> tuple[float, float, float, float, float]:
     """One Richardson level over steps h and h/2 on the node range
-    (first, count): the jet, its truncation estimate and its round-off
-    bound.  The jet's ``err`` is their sum."""
+    (first, count): the jet's components, its truncation estimate and
+    its round-off bound.  The jet's error bound is their sum."""
     offsets, weights, denom, wsum = _weights(order, first, count)
-    cx, cy, cz, cmag = _stencil(position, s, order, h, offsets, weights, denom)
+    fsum = math.fsum
+    sums = []
+    for step in (h, 0.5 * h):
+        xs, ys, zs, mags = zip(*rows(s, step, offsets))
+        scale = denom * step ** order
+        sums.append((fsum(map(mul, weights, xs)) / scale,
+                     fsum(map(mul, weights, ys)) / scale,
+                     fsum(map(mul, weights, zs)) / scale, max(mags)))
+    (cx, cy, cz, cmag), (fx, fy, fz, fmag) = sums
     half = 0.5 * h
-    fx, fy, fz, fmag = _stencil(position, s, order, half, offsets, weights,
-                                denom)
     trunc = max(abs(fx - cx), abs(fy - cy), abs(fz - cz)) / 15.0
     roundoff = (_ROUNDOFF_ULPS * _EPS * wsum / denom
                 * (16.0 * fmag / half ** order + cmag / h ** order) / 15.0)
-    jet = FDVector((16.0 * fx - cx) / 15.0, (16.0 * fy - cy) / 15.0,
-                   (16.0 * fz - cz) / 15.0, trunc + roundoff)
-    return jet, trunc, roundoff
+    x = (16.0 * fx - cx) / 15.0
+    y = (16.0 * fy - cy) / 15.0
+    z = (16.0 * fz - cz) / 15.0
+    if not math.isfinite(x + y + z):
+        FDVector(x, y, z)       # a non-finite component raises here
+    return x, y, z, trunc, roundoff
 
 
-def _richardson(position: PositionFn, s: float, order: int,
-                h: float) -> FDVector:
-    """Centred order-``order`` jet at steps h and h/2, with its error bound."""
-    return _extrapolate(position, s, order, h, *_CENTRED[order])[0]
+def _fd_jet(rows: Rows, s: float, order: int, h: float, top: int = 1,
+            window: tuple[float, float] = (-math.inf, math.inf)
+            ) -> FDVector:
+    """Order-``order`` (>= 1) jet at s with its error bound: centred at
+    steps h and h/2 for orders 1-2 or when ``top`` is 1, otherwise at the
+    step :func:`_adaptive` picks."""
+    if order <= 2 or top == 1:
+        x, y, z, trunc, roundoff = _extrapolate(rows, s, order, h,
+                                                *_CENTRED[order])
+    else:
+        x, y, z, trunc, roundoff = _adaptive(rows, s, order, h, top, window)
+    return FDVector(x, y, z, trunc + roundoff)
 
 
 def _node_range(order: int, s: float, step: float,
@@ -299,10 +328,12 @@ def _node_range(order: int, s: float, step: float,
     return (-left, count) if left < 3 else (right - count + 1, count)
 
 
-def _adaptive(position: PositionFn, s: float, order: int, h: float,
-              top: int, window: tuple[float, float]) -> FDVector:
+def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
+              window: tuple[float, float]
+              ) -> tuple[float, float, float, float, float]:
     """Order-3/4 jet at the step m*h, 1 <= m <= 2*top, whose error
-    estimate is smallest among the steps tried.
+    estimate is smallest among the steps tried, as :func:`_extrapolate`
+    returns it.
 
     The first try is the balanced step top*h, or the largest step below
     it whose stencil fits the window.  The estimate t + r (truncation
@@ -312,30 +343,30 @@ def _adaptive(position: PositionFn, s: float, order: int, h: float,
     steps are tried, and a prediction within 20% of the current step
     ends the search.  Multiples of h keep every node on s + (h/2) * Z.
     """
-    def fits(m: int) -> int:
-        while m > 1 and _node_range(order, s, m * h, window) is None:
+    def fits(m: int) -> tuple[int, tuple[int, int]]:
+        nodes = _node_range(order, s, m * h, window)
+        while m > 1 and nodes is None:
             m -= 1
-        return m
-
-    def attempt(m: int) -> tuple[FDVector, float, float]:
+            nodes = _node_range(order, s, m * h, window)
         # the centred stencil at m = 1 reaches 3h, inside the 4h margin
-        nodes = _node_range(order, s, m * h, window) or _CENTRED[order]
-        return _extrapolate(position, s, order, m * h, *nodes)
+        return m, nodes or _CENTRED[order]
 
-    m = fits(top)
-    best, trunc, roundoff = attempt(m)
+    m, nodes = fits(top)
+    best = _extrapolate(rows, s, order, m * h, *nodes)
+    trunc, roundoff = best[3:]
     for _ in range(2):
         if trunc > 0.0:
             ratio = order * roundoff / (4.0 * trunc)
             nxt = round(m * ratio ** (1.0 / (order + 4)))
         else:
             nxt = 2 * top
-        nxt = fits(min(max(nxt, 1), 2 * top))
+        nxt, nodes = fits(min(max(nxt, 1), 2 * top))
         if abs(nxt - m) <= 0.2 * m:
             break
         m = nxt
-        jet, trunc, roundoff = attempt(m)
-        if jet.err < best.err:
+        jet = _extrapolate(rows, s, order, m * h, *nodes)
+        trunc, roundoff = jet[3:]
+        if trunc + roundoff < best[3] + best[4]:
             best = jet
     return best
 
@@ -371,7 +402,10 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     position sampled on a lattice of spacing h/2 that contains s is
     only read on that lattice.
 
-    Evaluation is pure.
+    Bundles.  ``jets(s, first, last)`` reads each node once for all its
+    orders and step trials (see ``_row_source``); ``jet(s, k)`` is the
+    bundle of order k alone, so both give the same bits.  Nothing is
+    kept between calls: evaluation is pure.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (lo < hi):
@@ -395,14 +429,17 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     top = max(1, math.floor(_BALANCED * scale / h))
     window = (lo - 4.0 * h, hi + 4.0 * h)
 
-    def jet_fn(s: float, order: int) -> PGVector:
-        if order == 0:
-            return position(s)
-        if order <= 2 or top == 1:
-            return _richardson(position, s, order, h)
-        return _adaptive(position, s, order, h, top, window)
+    def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+        rows = _row_source(position)
+        return tuple(position(s) if k == 0
+                     else _fd_jet(rows, s, k, h, top, window)
+                     for k in range(first, last + 1))
 
-    return CurveJet(jet_fn, (lo, hi), JetKind.FINITE_DIFFERENCE)
+    def jet_fn(s: float, order: int) -> PGVector:
+        return jets_fn(s, order, order)[0]
+
+    return CurveJet(jet_fn, (lo, hi), JetKind.FINITE_DIFFERENCE,
+                    jets_fn=jets_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,19 @@ jets enter the invariant kernels this way.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
+
+
+@lru_cache(maxsize=None)
+def _pascal(n: int, first: int = 0, drop: int = 0
+            ) -> tuple[tuple[tuple[float, int, int], ...], ...]:
+    """Leibniz terms of the orders k < n: row k lists (C(k, i), i, k - i)
+    for first <= i <= k - drop, so a kernel reads its binomials instead
+    of computing them per term."""
+    return tuple(tuple((float(math.comb(k, i)), i, k - i)
+                       for i in range(first, k + 1 - drop))
+                 for k in range(n))
 
 
 class DSeries:
@@ -41,6 +53,15 @@ class DSeries:
         if self.errs is not None and len(self.errs) != len(self.vals):
             raise ValueError("DSeries errs and vals lengths differ")
 
+    @classmethod
+    def _of(cls, vals: Sequence[float],
+            errs: Sequence[float] | None = None) -> "DSeries":
+        """Unchecked constructor for results of the kernels below."""
+        new = cls.__new__(cls)
+        new.vals = tuple(vals)
+        new.errs = None if errs is None else tuple(errs)
+        return new
+
     def __len__(self) -> int:
         return len(self.vals)
 
@@ -61,7 +82,7 @@ class DSeries:
         return DSeries((float(c),) + (0.0,) * (n - 1))
 
     def _check(self, other: "DSeries") -> None:
-        if len(self) != len(other):
+        if len(self.vals) != len(other.vals):
             raise ValueError("DSeries lengths differ")
 
     def _bounds(self) -> tuple[float, ...]:
@@ -74,16 +95,16 @@ class DSeries:
 
     def __add__(self, other: "DSeries") -> "DSeries":
         self._check(other)
-        return DSeries([a + b for a, b in zip(self.vals, other.vals)],
-                       self._summed_errs(other))
+        return DSeries._of([a + b for a, b in zip(self.vals, other.vals)],
+                           self._summed_errs(other))
 
     def __sub__(self, other: "DSeries") -> "DSeries":
         self._check(other)
-        return DSeries([a - b for a, b in zip(self.vals, other.vals)],
-                       self._summed_errs(other))
+        return DSeries._of([a - b for a, b in zip(self.vals, other.vals)],
+                           self._summed_errs(other))
 
     def __neg__(self) -> "DSeries":
-        return DSeries([-a for a in self.vals], self.errs)
+        return DSeries._of([-a for a in self.vals], self.errs)
 
     def __mul__(self, other):
         if not isinstance(other, DSeries):
@@ -91,16 +112,13 @@ class DSeries:
                                                    for e in self.errs]
             return DSeries([other * a for a in self.vals], errs)
         self._check(other)
-        n = len(self)
         a, b = self.vals, other.vals
-        out = []
-        for k in range(n):
-            out.append(math.fsum(
-                math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1)))
+        out = [math.fsum([c * a[i] * b[j] for c, i, j in row])
+               for row in _pascal(len(a))]
         if self.errs is None and other.errs is None:
-            return DSeries(out)
-        return DSeries(out, _product_bounds(a, self._bounds(), b,
-                                            other._bounds()))
+            return DSeries._of(out)
+        return DSeries._of(out, _product_bounds(a, self._bounds(), b,
+                                                other._bounds()))
 
     __rmul__ = __mul__
 
@@ -109,39 +127,36 @@ class DSeries:
         self._check(other)
         if other.vals[0] == 0.0:
             raise ZeroDivisionError("division by a series with zero leading value")
-        n = len(self)
-        g = other.vals
-        out = [self.vals[0] / g[0]]
-        for k in range(1, n):
-            acc = self.vals[k] - math.fsum(
-                math.comb(k, i) * out[i] * g[k - i] for i in range(k))
+        f, g = self.vals, other.vals
+        out = [f[0] / g[0]]
+        for k, row in enumerate(_pascal(len(f), 0, 1)[1:], 1):
+            acc = f[k] - math.fsum([c * out[i] * g[j] for c, i, j in row])
             out.append(acc / g[0])
         if self.errs is None and other.errs is None:
-            return DSeries(out)
+            return DSeries._of(out)
         # first order: g0 dq_k = df_k - sum_{i<=k} C(k,i) q_i dg_{k-i}
         #                       - sum_{i<k} C(k,i) dq_i g_{k-i}
-        num = _product_bounds(out, (0.0,) * n, g, other._bounds())
+        num = _product_bounds(out, (0.0,) * len(f), g, other._bounds())
         num = [e + m for e, m in zip(self._bounds(), num)]
-        return DSeries(out, _recursion_bounds(num, g))
+        return DSeries._of(out, _recursion_bounds(num, g))
 
     def reciprocal(self) -> "DSeries":
         return DSeries.constant(1.0, len(self)) / self
 
     def sqrt(self) -> "DSeries":
         """Series of sqrt(f); requires a positive leading value."""
-        if self.vals[0] <= 0.0:
+        f = self.vals
+        if f[0] <= 0.0:
             raise ValueError("sqrt needs a positive leading value")
-        n = len(self)
-        out = [math.sqrt(self.vals[0])]
-        for k in range(1, n):
-            acc = self.vals[k] - math.fsum(
-                math.comb(k, i) * out[i] * out[k - i] for i in range(1, k))
+        out = [math.sqrt(f[0])]
+        for k, row in enumerate(_pascal(len(f), 1, 1)[1:], 1):
+            acc = f[k] - math.fsum([c * out[i] * out[j] for c, i, j in row])
             out.append(acc / (2.0 * out[0]))
         if self.errs is None:
-            return DSeries(out)
+            return DSeries._of(out)
         # first order: 2 r0 dr_k = df_k - sum_{i<k} C(k,i) dr_i 2 r_{k-i}
-        return DSeries(out, _recursion_bounds(self.errs,
-                                              [2.0 * r for r in out]))
+        return DSeries._of(out, _recursion_bounds(self.errs,
+                                                  [2.0 * r for r in out]))
 
 
 def _product_bounds(a: Sequence[float], ea: Sequence[float],
@@ -149,11 +164,10 @@ def _product_bounds(a: Sequence[float], ea: Sequence[float],
     """First-order error bounds of the Leibniz product of a and b, whose
     entries carry the error bounds ea and eb."""
     out = []
-    for k in range(len(a)):
+    for row in _pascal(len(a)):
         acc = 0.0
-        for i in range(k + 1):
-            acc += math.comb(k, i) * (abs(a[i]) * eb[k - i]
-                                      + ea[i] * abs(b[k - i]))
+        for c, i, j in row:
+            acc += c * (abs(a[i]) * eb[j] + ea[i] * abs(b[j]))
         out.append(acc)
     return out
 
@@ -163,10 +177,11 @@ def _recursion_bounds(num: Sequence[float],
     """Bounds t of the unknowns of g0 t_k = num_k - sum_{i<k} C(k,i) t_i
     g_{k-i}, every term taken by its modulus: the error recursions of
     division and square root."""
+    g0 = abs(g[0])
     out: list[float] = []
-    for k in range(len(num)):
+    for k, row in enumerate(_pascal(len(num), 0, 1)):
         acc = num[k]
-        for i in range(k):
-            acc += math.comb(k, i) * out[i] * abs(g[k - i])
-        out.append(acc / abs(g[0]))
+        for c, i, j in row:
+            acc += c * out[i] * abs(g[j])
+        out.append(acc / g0)
     return out

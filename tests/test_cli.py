@@ -12,8 +12,9 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from pg_curvelab import cli
 from pg_curvelab.cli import (
     SCHEMA,
     ConfigError,
@@ -21,13 +22,13 @@ from pg_curvelab.cli import (
     _eval_rows,
     _grid_points,
     _lattice_curve,
-    _merge_grid_value,
+    _merge_option_values,
     _parse_grid,
     _Resolved,
     _snap_grid,
     main,
 )
-from pg_curvelab.curves import CurveJet
+from pg_curvelab.curves import CurveJet, make_sampled_curve
 from pg_curvelab.zoo import REFERENCE_PARAMS, get_example, zoo_names
 
 EVAL_COLUMNS = [
@@ -158,15 +159,53 @@ class TestArgvHelpers:
 
     def test_merge_grid_value(self):
         argv = ["classify", "--grid", "-1:1:5", "--format", "json"]
-        assert _merge_grid_value(argv) == \
+        assert _merge_option_values(argv) == \
             ["classify", "--grid=-1:1:5", "--format", "json"]
-        assert _merge_grid_value(["zoo-list"]) == ["zoo-list"]
-        assert _merge_grid_value(["eval", "--grid"]) == ["eval", "--grid"]
+        assert _merge_option_values(["zoo-list"]) == ["zoo-list"]
+        assert _merge_option_values(["eval", "--grid"]) == ["eval", "--grid"]
+
+    def test_merge_float_option_values(self):
+        # a float option is joined only with a token that reads as a float
+        assert _merge_option_values(
+            ["eval", "--a", "-1e-3", "--b", "2", "--tol-zero", "-1E-9"]) == \
+            ["eval", "--a=-1e-3", "--b=2", "--tol-zero=-1E-9"]
+        assert _merge_option_values(["bertrand", "--lambda", "-.5"]) == \
+            ["bertrand", "--lambda=-.5"]
+        assert _merge_option_values(["eval", "--a", "--grid", "0:1:5"]) == \
+            ["eval", "--a", "--grid=0:1:5"]
+        assert _merge_option_values(["eval", "--curve", "-1e-3"]) == \
+            ["eval", "--curve", "-1e-3"]
 
     def test_grid_points(self):
         assert _grid_points((0.5, 0.5, 1)) == [0.5]
         pts = _grid_points((0.0, 1.0, 5))
         assert pts[0] == 0.0 and pts[-1] == 1.0 and len(pts) == 5
+
+
+class TestExponentFormValues:
+    """A negative value in exponent form reaches the option it follows."""
+
+    def test_negative_exponent_value_is_parsed(self, capsys):
+        base = ("eval", "--curve", "timelike_general_helix", "--grid",
+                "0:1:3")
+        rc, out, err = invoke(capsys, *base, "--b", "-2e0")
+        assert (rc, err) == (0, "")
+        assert invoke(capsys, *base, "--b=-2e0") == (0, out, "")
+
+    def test_negative_exponent_value_reaches_the_library(self, capsys):
+        # argparse's negative-number rule alone would read -1e-3 as an
+        # option and stop at "argument --a: expected one argument"
+        assert rejected(capsys, "eval", "--curve", "bertrand_helix", "--a",
+                        "-1e-3", "--grid", "0:1:5") == \
+            "parameter a must be positive (a is the curvature)"
+        assert rejected(capsys, "classify", "--curve", "bertrand_helix",
+                        "--tol", "-1e-8", "--grid", "0:1:5") == \
+            "tol_class must be positive, got -1e-08"
+
+    def test_missing_value_keeps_the_argparse_message(self, capsys):
+        for argv in (("--a", "--grid", "0:1:5"), ("--grid", "0:1:5", "--a")):
+            assert rejected(capsys, "eval", "--curve", "bertrand_helix",
+                            *argv) == "argument --a: expected one argument"
 
 
 class TestZooList:
@@ -388,6 +427,20 @@ class TestLatticeInput:
         assert rc == 2
         assert "columns" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, capsys,
+                                                  command):
+        # row 20 of 40 (file line 22, after the header) has y = nan
+        path = tmp_path / "nan.csv"
+        rows = [[repr(v) for v in (s, s, s * s / 2, s ** 3 / 6)]
+                for s in (0.02 * i for i in range(40))]
+        rows[20][2] = "nan"
+        path.write_text("s,x,y,z\n" + "".join(",".join(r) + "\n"
+                                              for r in rows))
+        assert rejected(capsys, command, "--input", str(path),
+                        "--grid", "0.2:0.6:6") == \
+            f"{path}: line 22 has a non-finite value"
+
     def test_short_row_rejected(self, tmp_path, capsys, helix_csv):
         lines = open(helix_csv).read().splitlines()
         lines[40] = lines[40].rsplit(",", 1)[0]
@@ -580,6 +633,37 @@ class TestWorkCounts:
         assert len(calls) <= (1 + 3 * 4) + 5 * (len(grid) - 1)
 
 
+class TestPositionReads:
+    """Lattice positions read per grid point of ``classify --input``."""
+
+    # the same request reads 64.06 positions per point when every FD
+    # order runs its own stencils (66.7 on average over the seven
+    # families at their reference parameters)
+    SEPARATE_STENCIL_READS = 64.06
+
+    def test_classify_input_reads_half_the_positions(
+            self, tmp_path, monkeypatch, capsys, general_helix):
+        # 2017 rows at half the spacing of the 1001-point grid, 8 rows
+        # beyond each end, as the benchmark writes its lattices
+        lo, hi = general_helix.domain
+        delta = (hi - lo) / 2000
+        path = write_lattice(tmp_path / "helix.csv", general_helix.curve,
+                             lo - 8 * delta, delta, 2017)
+        reads = []
+
+        def counting(position, domain, h=None):
+            def counted(s):
+                reads.append(s)
+                return position(s)
+            return make_sampled_curve(counted, domain, h=h)
+
+        monkeypatch.setattr(cli, "make_sampled_curve", counting)
+        rc, _, _ = invoke(capsys, "classify", "--input", path,
+                          "--grid", f"{lo!r}:{hi!r}:1001")
+        assert rc == 0
+        assert len(reads) / 1001 <= self.SEPARATE_STENCIL_READS / 2
+
+
 class TestFigure:
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "fig_a.csv", tmp_path / "fig_b.csv"
@@ -712,6 +796,9 @@ class TestCommandLineFuzz:
     @given(edits=st.lists(lattice_edits, max_size=4),
            keep=st.one_of(st.just(LATTICE_ROWS), st.integers(0, 17)),
            command=st.sampled_from(["eval", "classify"]))
+    # a value edit after a short edit of the same row
+    @example(edits=[("short", 0, 1), ("nan", 0, 1)], keep=LATTICE_ROWS,
+             command="eval")
     def test_mutated_lattice(self, tmp_path, capsys, edits, keep, command):
         rows = [[repr(v) for v in (s, s, s * s / 2, s ** 3 / 6)]
                 for s in (0.02 * i for i in range(LATTICE_ROWS))]
@@ -725,7 +812,7 @@ class TestCommandLineFuzz:
                 rows.insert(i, list(rows[i]))
             elif kind == "drop":
                 del rows[i]
-            else:
+            elif j < len(rows[i]):      # a column the row still has
                 rows[i][j] = kind
         path = tmp_path / "fuzz.csv"
         path.write_text("s,x,y,z\n" + "".join(",".join(r) + "\n"

@@ -284,6 +284,84 @@ class TestSampledConstructor:
                                h=0.05)
 
 
+def bits(v: PGVector) -> tuple:
+    """A jet's type, components and error bound, with the sign of zero."""
+    return (type(v), *(c.hex() for c in v.as_tuple()),
+            getattr(v, "err", 0.0).hex())
+
+
+class TestSampledBundle:
+    """``jets(s, first, last)`` of a sampled curve equals ``jet(s, k)``
+    bit for bit, error bound included, for every order range."""
+
+    @staticmethod
+    def assert_bundles_match(c: CurveJet, points) -> None:
+        for s in points:
+            single = [bits(c.jet(s, k)) for k in range(5)]
+            for first in range(5):
+                for last in range(first, 5):
+                    got = [bits(v) for v in c.jets(s, first, last)]
+                    assert got == single[first:last + 1], (s, first, last)
+
+    def test_adaptive_steps_on_a_callable(self):
+        # h = 1e-3 is round-off-bound: orders 3-4 pick steps up to 54h,
+        # and the stencils move off centre within ~160h of either end
+        h, lo, hi = 1e-3, -0.5, 0.5
+        c = make_sampled_curve(
+            lambda s: PGVector(s, math.cosh(s), math.sinh(s)), (lo, hi), h=h)
+        self.assert_bundles_match(
+            c, [lo, lo + h, lo + 37 * h, -0.123, 0.0, 0.3, hi - 5 * h, hi])
+
+    def test_single_step_on_a_callable(self):
+        # at the default step top == 1: every order is centred at h
+        c = make_sampled_curve(
+            lambda s: PGVector(s, math.exp(0.5 * s), s ** 3 / 6.0), (-1.0, 1.0))
+        lo, hi = c.domain
+        self.assert_bundles_match(c, [lo, -0.31, 0.0, 0.7, hi])
+
+    def test_lattice_backed_curve(self):
+        delta, n = 2.0 ** -10, 2049
+        points = [PGVector(-1.0 + i * delta, math.cosh(-1.0 + i * delta),
+                           math.sinh(-1.0 + i * delta)) for i in range(n)]
+
+        def position(s):
+            return points[round((s + 1.0) / delta)]
+
+        c = make_sampled_curve(position, (-1.0 + 8 * delta, 1.0 - 8 * delta),
+                               h=2 * delta)
+        lo, hi = c.domain
+        self.assert_bundles_match(
+            c, [lo, lo + delta, lo + 40 * delta, -0.25, 0.0, 0.5,
+                hi - 3 * delta, hi])
+
+    def test_bundle_reads_each_node_once(self):
+        calls: list[float] = []
+
+        def position(s):
+            calls.append(s)
+            return PGVector(s, math.cosh(s), math.sinh(s))
+
+        c = make_sampled_curve(position, (-0.5, 0.5), h=1e-3)
+        for s in (-0.5, 0.0, 0.4):
+            calls.clear()
+            c.jets(s, 1, 4)
+            first = list(calls)
+            assert len(first) == len(set(first))
+            # nothing is kept between calls: the same bundle reads again
+            calls.clear()
+            c.jets(s, 1, 4)
+            assert calls == first
+
+    def test_overflowing_step_trial_raises(self):
+        # at s = -0.45 an order-4 step trial overflows: it raises like a
+        # non-finite jet, although only the kept trial becomes an FDVector
+        c = make_sampled_curve(
+            lambda s: PGVector(s, 1e305 * math.cosh(3 * s),
+                               1e305 * math.sinh(s)), (-0.5, 0.5), h=1e-3)
+        with pytest.raises(ValueError, match="must be finite"):
+            c.jet(-0.45, 4)
+
+
 class TestAdmissibility:
     def test_catalogue_curve_is_admissible(self, general_helix, uniform):
         lo, hi = general_helix.domain

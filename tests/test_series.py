@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pg_curvelab.series import DSeries
 
@@ -169,3 +170,114 @@ class TestErrorBounds:
         assert (a * b).errs == pytest.approx((3e-6, 7e-6))
         assert (b - a).errs == (1e-6, 2e-6)
         assert a.truncate(1).errs == (1e-6,)
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the Leibniz formulas with a math.comb per term, as the
+# series arithmetic first computed them; the plan-driven kernels must give
+# the same bits
+
+
+def ref_product_bounds(a, ea, b, eb):
+    out = []
+    for k in range(len(a)):
+        acc = 0.0
+        for i in range(k + 1):
+            acc += math.comb(k, i) * (abs(a[i]) * eb[k - i]
+                                      + ea[i] * abs(b[k - i]))
+        out.append(acc)
+    return out
+
+
+def ref_recursion_bounds(num, g):
+    out = []
+    for k in range(len(num)):
+        acc = num[k]
+        for i in range(k):
+            acc += math.comb(k, i) * out[i] * abs(g[k - i])
+        out.append(acc / abs(g[0]))
+    return out
+
+
+def ref_mul(a, ea, b, eb):
+    out = [math.fsum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1))
+           for k in range(len(a))]
+    if ea is None and eb is None:
+        return out, None
+    zero = (0.0,) * len(a)
+    return out, ref_product_bounds(a, ea or zero, b, eb or zero)
+
+
+def ref_div(f, ef, g, eg):
+    n = len(f)
+    out = [f[0] / g[0]]
+    for k in range(1, n):
+        acc = f[k] - math.fsum(
+            math.comb(k, i) * out[i] * g[k - i] for i in range(k))
+        out.append(acc / g[0])
+    if ef is None and eg is None:
+        return out, None
+    zero = (0.0,) * n
+    num = ref_product_bounds(out, zero, g, eg or zero)
+    num = [e + m for e, m in zip(ef or zero, num)]
+    return out, ref_recursion_bounds(num, g)
+
+
+def ref_sqrt(f, ef):
+    out = [math.sqrt(f[0])]
+    for k in range(1, len(f)):
+        acc = f[k] - math.fsum(
+            math.comb(k, i) * out[i] * out[k - i] for i in range(1, k))
+        out.append(acc / (2.0 * out[0]))
+    if ef is None:
+        return out, None
+    return out, ref_recursion_bounds(ef, [2.0 * r for r in out])
+
+
+def hexes(vals):
+    return None if vals is None else [v.hex() for v in vals]
+
+
+def outcome(fn):
+    """The bits of a (vals, errs) result, or the error it raised (an
+    fsum of an overflowed term raises in both kernels alike)."""
+    try:
+        vals, errs = fn()
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return hexes(vals), hexes(errs)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+bound = st.floats(0.0, 1e-3, allow_nan=False)
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 8))
+    vals = st.lists(finite, min_size=n, max_size=n)
+    errs = st.none() | st.lists(bound, min_size=n, max_size=n)
+    return draw(vals), draw(errs), draw(vals), draw(errs)
+
+
+class TestAgainstReferenceKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(series_pairs())
+    def test_same_bits(self, pair):
+        a, ea, b, eb = pair
+        x, y = DSeries(a, ea), DSeries(b, eb)
+
+        def kernel(op):
+            def run():
+                got = op()
+                return got.vals, got.errs
+            return run
+
+        cases = [("mul", lambda: ref_mul(a, ea, b, eb), lambda: x * y)]
+        if b[0] != 0.0:
+            cases.append(("div", lambda: ref_div(a, ea, b, eb),
+                          lambda: x / y))
+        if a[0] > 0.0:
+            cases.append(("sqrt", lambda: ref_sqrt(a, ea), x.sqrt))
+        for name, ref, op in cases:
+            assert outcome(kernel(op)) == outcome(ref), name
