@@ -19,23 +19,46 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 
-@dataclass(frozen=True)
 class PGVector:
     """A vector (or point) with components along x, y, z.
 
-    Components must be finite; arithmetic is componentwise.
+    Components must be finite; arithmetic is componentwise.  A value
+    type: immutable, equal to a vector of the same class with equal
+    fields, hashable, and copied or pickled through its constructor.
     """
 
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ("x1", "x2", "x3")
 
-    def __post_init__(self):
-        for c in (self.x1, self.x2, self.x3):
-            if not math.isfinite(c):
-                raise ValueError(f"PGVector components must be finite, got {c!r}")
+    def __init__(self, x1: float, x2: float, x3: float):
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+            bad = next(c for c in (x1, x2, x3) if not isfinite(c))
+            raise ValueError(f"PGVector components must be finite, got {bad!r}")
+        _set_x1(self, x1)
+        _set_x2(self, x2)
+        _set_x3(self, x3)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(x1={self.x1!r}, x2={self.x2!r}, "
+                f"x3={self.x3!r})")
 
     def __add__(self, other: "PGVector") -> "PGVector":
         return PGVector(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
@@ -57,9 +80,17 @@ class PGVector:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)
 
+    # the fields that equality, hash and pickling see; FDVector adds err
+    _values = as_tuple
+
     def max_abs(self) -> float:
         """Sup-norm of the component triple (a scale, not a metric norm)."""
         return max(abs(self.x1), abs(self.x2), abs(self.x3))
+
+
+# the slot setters, which the immutable class's own __setattr__ refuses
+_set_x1, _set_x2, _set_x3 = (PGVector.x1.__set__, PGVector.x2.__set__,
+                             PGVector.x3.__set__)
 
 
 class CausalClass(Enum):

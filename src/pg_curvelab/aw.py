@@ -39,7 +39,7 @@ Such points are counted in the report, never dropped silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import PGVector, pg_dot
 from .curves import CurveJet, JetKind
@@ -62,8 +62,7 @@ def _det_coeff(K: float, Tq: float, Kp: float, Tqp: float) -> float:
     return K * K * Tq - K * Tqp + Tq * Kp - Tq * Tq * Tq
 
 
-@dataclass(frozen=True)
-class AWResiduals:
+class AWResiduals(NamedTuple):
     """Normalized scalar residuals of the five conditions at one point."""
 
     aw1: float
@@ -122,8 +121,7 @@ def aw_residuals(K: float, Tq: float, Kp: float, Tqp: float,
         u=u, v=v, det=det, omega=omega)
 
 
-@dataclass(frozen=True)
-class DerivativeVectors:
+class DerivativeVectors(NamedTuple):
     """Derivatives two to four of the curve and their frame coefficients."""
 
     s: float

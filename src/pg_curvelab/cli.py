@@ -90,9 +90,10 @@ def _grid_points(grid: tuple[float, float, int]) -> list[float]:
 # external position samples
 
 
-def _read_lattice(path: str) -> tuple[list[float], list[PGVector]]:
-    """The rows of an s,x,y,z file sorted by s.  As with
-    ``csv.DictReader``, blank rows are skipped, the last of duplicate
+def _read_lattice(
+        path: str) -> tuple[list[float], list[PGVector], list[int]]:
+    """(s, point, file line) of an s,x,y,z file's rows, sorted by s.  As
+    with ``csv.DictReader``, blank rows are skipped, the last of duplicate
     column names wins and a row that stops before it lacks that column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -115,14 +116,14 @@ def _read_lattice(path: str) -> tuple[list[float], list[PGVector]]:
                     map(math.isfinite, row)):
                 raise ConfigError(
                     f"{path}: line {reader.line_num} has a non-finite value")
-            rows.append(row)
+            rows.append((*row, reader.line_num))
     if len(rows) < 18:
         raise ConfigError(
             f"{path}: need at least 18 samples to rebuild derivatives, "
             f"got {len(rows)}")
     rows.sort(key=lambda r: r[0])
-    svals = [r[0] for r in rows]
-    return svals, [PGVector(r[1], r[2], r[3]) for r in rows]
+    return ([r[0] for r in rows], [PGVector(r[1], r[2], r[3]) for r in rows],
+            [r[4] for r in rows])
 
 
 def _lattice_curve(
@@ -133,7 +134,7 @@ def _lattice_curve(
     to the nearest lattice abscissa.  The FD step is twice the spacing so
     every stencil evaluation lands back on the lattice.
     """
-    svals, points = _read_lattice(path)
+    svals, points, lines = _read_lattice(path)
     s0, s_end = svals[0], svals[-1]
     n = len(svals)
     delta = (s_end - s0) / (n - 1)
@@ -143,7 +144,7 @@ def _lattice_curve(
         if abs(s - (s0 + i * delta)) > 1e-9 * max(1.0, abs(s)):
             raise ConfigError(
                 f"{path}: samples must lie on a uniform lattice "
-                f"(row {i} is off by more than 1e-9)")
+                f"(line {lines[i]} is off by more than 1e-9)")
 
     def snap(t: float) -> float:
         return s0 + round((t - s0) / delta) * delta

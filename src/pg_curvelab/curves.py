@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import mul
@@ -190,16 +189,29 @@ _BALANCED = _EPS ** 0.1     # balances truncation and round-off at order 4
 _CENTRED = {1: (-2, 5), 2: (-2, 5), 3: (-3, 7), 4: (-3, 7)}
 
 
-@dataclass(frozen=True)
 class FDVector(PGVector):
     """A finite-difference derivative vector with an absolute error bound.
 
     ``err`` bounds the error of every component: the Richardson
     difference |fine - coarse| / 15 plus a round-off bound on the
-    stencil sums.
+    stencil sums.  It takes part in equality, hash and repr.
     """
 
-    err: float = 0.0
+    __slots__ = ("err",)
+
+    def __init__(self, x1: float, x2: float, x3: float, err: float = 0.0):
+        PGVector.__init__(self, x1, x2, x3)
+        _set_err(self, err)
+
+    def _values(self) -> tuple:
+        return (self.x1, self.x2, self.x3, self.err)
+
+    def __repr__(self):
+        return (f"FDVector(x1={self.x1!r}, x2={self.x2!r}, x3={self.x3!r}, "
+                f"err={self.err!r})")
+
+
+_set_err = FDVector.err.__set__
 
 
 def jet_errors(*jets: PGVector) -> tuple[float, ...] | None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import PGVector
 from .curves import CurveJet, jet_errors
@@ -32,8 +32,7 @@ from .frenet import _one_character, normal_character
 from .series import DSeries
 
 
-@dataclass(frozen=True)
-class EquiformData:
+class EquiformData(NamedTuple):
     """Scale-invariant apparatus at one parameter value.
 
     ``curvature_rate`` and ``torsion_rate`` are the s-derivatives of

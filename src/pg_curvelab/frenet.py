@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import PGVector, det3
 from .curves import CurveJet
@@ -27,8 +27,7 @@ from .errors import (EmptyGridError, InadmissibleCurveError,
 LIGHTLIKE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FrenetData:
+class FrenetData(NamedTuple):
     """Curvature, torsion, normal character and frame at one parameter."""
 
     s: float

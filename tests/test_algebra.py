@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -44,6 +46,59 @@ class TestPGVector:
         u = PGVector(1.0, 2.0, 3.0)
         with pytest.raises(Exception):
             u.x1 = 5.0
+
+
+class TestPGVectorValueType:
+    """The value-type contract: equality by class and components, hash,
+    repr, copy and pickle, immutability and the finiteness message."""
+
+    def test_equality_and_hash(self):
+        u = PGVector(1.0, 2.0, 3.0)
+        assert u == PGVector(1.0, 2.0, 3.0)
+        assert u == PGVector(1, 2, 3)
+        assert u != PGVector(1.0, 2.0, 4.0)
+        assert u != (1.0, 2.0, 3.0)
+        assert hash(u) == hash(PGVector(1, 2, 3))
+        assert len({u, PGVector(1.0, 2.0, 3.0), -u}) == 2
+
+    def test_repr(self):
+        assert repr(PGVector(1.0, -0.0, 2.5e-300)) == (
+            "PGVector(x1=1.0, x2=-0.0, x3=2.5e-300)")
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        lambda v: pickle.loads(pickle.dumps(v)),
+    ])
+    def test_copy_and_pickle_round_trip(self, clone):
+        u = PGVector(1.0, -0.0, 0.1)
+        w = clone(u)
+        assert type(w) is PGVector and w == u
+        assert math.copysign(1.0, w.x2) == -1.0
+
+    @pytest.mark.parametrize("name", ["x1", "x2", "x3", "other"])
+    def test_assignment_raises_attribute_error(self, name):
+        u = PGVector(1.0, 2.0, 3.0)
+        with pytest.raises(AttributeError):
+            setattr(u, name, 5.0)
+        with pytest.raises(AttributeError):
+            delattr(u, name)
+        assert u.as_tuple() == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_finiteness_message_names_the_first_bad_component(self, bad,
+                                                               position):
+        comps = [1.0, 2.0, 3.0]
+        comps[position] = bad
+        with pytest.raises(ValueError) as info:
+            PGVector(*comps)
+        assert str(info.value) == (
+            f"PGVector components must be finite, got {bad!r}")
+        # the first offending component is the one reported
+        with pytest.raises(ValueError, match="got nan$"):
+            PGVector(*[0.0 if i < position else
+                       math.nan if i == position else math.inf
+                       for i in range(3)])
 
 
 class TestScalarProduct:

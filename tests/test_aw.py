@@ -20,6 +20,7 @@ from pg_curvelab.aw import (
 from pg_curvelab.curves import apply_homothety, make_sampled_curve
 from pg_curvelab.equiform import EquiformData, equiform_data
 from pg_curvelab.errors import LightlikeNormalError
+from pg_curvelab.frenet import FrenetData
 
 ALL = {"AW1", "AW2", "AW3", "WeakAW2", "WeakAW3"}
 
@@ -99,6 +100,47 @@ class TestDerivativeVectors:
                     jet = entry.curve.jet(s, order)
                     scale = max(1.0, jet.max_abs())
                     assert (vec - jet).max_abs() <= 1e-9 * scale
+
+
+_E1, _E2, _E3 = (PGVector(1.0, 0.0, 0.0), PGVector(0.0, 1.0, 0.0),
+                 PGVector(0.0, 0.0, 1.0))
+_EQ = dict(s=0.5, epsilon=-1, rho=2.0, curvature=0.25, torsion=-0.5,
+           curvature_rate=0.125, torsion_rate=1.5, tangent=_E1, normal=_E2,
+           binormal=_E3)
+_AW = dict(aw1=0.5, aw2=0.25, aw3=0.125, weak_aw2=1.0, weak_aw3=2.0, u=3.0,
+           v=-4.0, det=5.0, omega=6.0)
+RECORDS = [
+    (FrenetData, dict(s=0.5, kappa=2.0, tau=-1.0, epsilon=-1, tangent=_E1,
+                      normal=_E2, binormal=_E3)),
+    (EquiformData, _EQ),
+    (AWResiduals, _AW),
+    (DerivativeVectors, dict(s=0.5, frame=EquiformData(**_EQ), d2=_E1,
+                             d3=_E2, d4=_E3, a11=1.0, a12=2.0, a21=3.0,
+                             a22=4.0)),
+]
+
+
+class TestPerPointRecords:
+    """The per-point records are immutable values built by keyword or by
+    position in their declared field order."""
+
+    @pytest.mark.parametrize("cls, fields", RECORDS)
+    def test_keyword_and_positional_construction_agree(self, cls, fields):
+        rec = cls(**fields)
+        assert rec == cls(*fields.values())
+        assert all(getattr(rec, k) == v for k, v in fields.items())
+
+    @pytest.mark.parametrize("cls, fields", RECORDS)
+    def test_fields_cannot_be_assigned(self, cls, fields):
+        rec = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0.0)
+        assert all(getattr(rec, k) == v for k, v in fields.items())
+
+    def test_defaults(self):
+        assert EquiformData(**_EQ).errors is None
+        assert AWResiduals(**_AW).resolution_limited is False
 
 
 class TestUnitDirections:

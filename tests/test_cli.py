@@ -416,7 +416,10 @@ class TestLatticeInput:
         rc, _, err = invoke(capsys, "classify", "--input", str(path),
                             "--grid", "1:1.5:7")
         assert rc == 2
-        assert "uniform lattice" in json.loads(err)["message"]
+        # the jittered sample is the 8th data row, on file line 9
+        message = json.loads(err)["message"]
+        assert "uniform lattice" in message
+        assert "(line 9 is off by more than 1e-9)" in message
 
     def test_missing_columns_rejected(self, tmp_path, capsys):
         path = tmp_path / "cols.csv"
@@ -518,13 +521,26 @@ _CURVE_ARGV = {
                                "--grid", "0.2:1.8:21"),
     "timelike_log_spiral": ("--curve", "timelike_log_spiral",
                             "--grid", "0.5:3.5:21"),
+    "spacelike_general_helix": ("--curve", "spacelike_general_helix",
+                                "--a", "1", "--b", "2",
+                                "--grid", "0.2:1.8:21"),
+    "timelike_circular_helix": ("--curve", "timelike_circular_helix",
+                                "--a", "1", "--b", "2",
+                                "--grid", "0.7:2.8:21"),
+    "spacelike_circular_helix": ("--curve", "spacelike_circular_helix",
+                                 "--a", "1", "--b", "2",
+                                 "--grid", "0.7:2.8:21"),
+    "isotropic_circle": ("--curve", "isotropic_circle",
+                         "--grid", "-0.9:0.9:21"),
 }
 
 
 class TestFrozenEvalClassifyBits:
     """sha256 of the full stdout of ``eval`` and ``classify`` on 21-point
-    grids, three catalogue curves and the parabola lattice.  The lattice
-    path in the JSON ``curve`` label is replaced by ``LATTICE`` first."""
+    grids, every catalogue family and the parabola lattice.  The lattice
+    path in the JSON ``curve`` label is replaced by ``LATTICE`` first.
+    ``spacelike_general_helix`` and ``timelike_circular_helix`` have a
+    timelike normal (epsilon = -1), which no other pin reaches."""
 
     @pytest.mark.parametrize("command, source, fmt, digest", [
         ("eval", "bertrand_helix", "json",
@@ -559,6 +575,22 @@ class TestFrozenEvalClassifyBits:
          "1af70442870460f417f126e58eb4d1d68dd3352ad3520b458afd5e9412d315b9"),
         ("classify", "parabola", "csv",
          "d01ee6dc2a0d557219ff3319ab2845f9b0c86092695e0741cf0bd4ae4dff7823"),
+        ("eval", "spacelike_general_helix", "csv",
+         "376d01695045df25e536d27e5c0491e8fcab2026af7d79c07a94136e0dbc4853"),
+        ("eval", "timelike_circular_helix", "csv",
+         "659d1b9c1d6b595c35313ab7a194c4b92e7f1ffbd8ee8e9675094a2b9bd61554"),
+        ("eval", "spacelike_circular_helix", "csv",
+         "ebb020187fab8e13158c24c94a394d1574e14e089bbeed82ea7abc4a4ad3c799"),
+        ("eval", "isotropic_circle", "csv",
+         "fd38571b75e19895b20162131550918ca3b48675cc527fa99104f9ee4965f726"),
+        ("classify", "spacelike_general_helix", "csv",
+         "9e9cca4c22544624cbebaf3f6b8b890cd4a2d3b3e439c314d205eba34bc25f23"),
+        ("classify", "timelike_circular_helix", "csv",
+         "e5a46264cd62fc9a5210ca3c2079af715cab93fe12dcfc5b18fb14a2f9de18ee"),
+        ("classify", "spacelike_circular_helix", "csv",
+         "2a8919a79f07a5c7c19bd6750417e85b4c4143834742433e6103a113d4699667"),
+        ("classify", "isotropic_circle", "csv",
+         "9f8afc6922f56315569606b2f65f7438b57ba43431a866db889132167f1d953a"),
     ])
     def test_frozen_output_bits(self, capsys, parabola_csv, command, source,
                                 fmt, digest):
@@ -763,6 +795,13 @@ class TestErrorExits:
     ])
     def test_overflowing_parameters(self, capsys, argv):
         rejected(capsys, "eval", *argv)
+
+    def test_non_finite_internal_vector(self, capsys):
+        # the parameters are finite; the apparatus overflows to nan, and only
+        # the finiteness check of an internal vector stops it
+        assert rejected(capsys, "classify", "--curve", "bertrand_helix",
+                        "--a", "1e160", "--b", "1", "--grid", "0.5:1:5") == (
+            "PGVector components must be finite, got nan")
 
 
 def exits_cleanly(capsys, *argv) -> None:

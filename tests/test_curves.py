@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -282,6 +284,51 @@ class TestSampledConstructor:
         with pytest.raises(NarrowDomainError):
             make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (0.0, 0.1),
                                h=0.05)
+
+
+class TestFDVectorValueType:
+    """An ``FDVector`` is a ``PGVector`` value whose error bound takes part
+    in equality, hash, repr, copy and pickle."""
+
+    def test_equality_is_by_class_and_error_bound(self):
+        v = FDVector(1.0, 2.0, 3.0, 0.0)
+        assert v == FDVector(1.0, 2.0, 3.0)
+        assert v != PGVector(1.0, 2.0, 3.0)
+        assert PGVector(1.0, 2.0, 3.0) != v
+        assert FDVector(1.0, 2.0, 3.0, err=0.1) != FDVector(1.0, 2.0, 3.0,
+                                                            err=0.2)
+        assert hash(FDVector(1.0, 2.0, 3.0, err=0.1)) == hash(
+            FDVector(1, 2, 3, err=0.1))
+        assert isinstance(v, PGVector) and v.err == 0.0
+
+    def test_repr(self):
+        assert repr(FDVector(1.0, -0.0, 3.0, err=1e-9)) == (
+            "FDVector(x1=1.0, x2=-0.0, x3=3.0, err=1e-09)")
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        lambda v: pickle.loads(pickle.dumps(v)),
+    ])
+    def test_copy_and_pickle_round_trip(self, clone):
+        v = FDVector(1.0, 2.0, -0.0, err=0.25)
+        w = clone(v)
+        assert type(w) is FDVector and w == v and w.err == 0.25
+        assert math.copysign(1.0, w.x3) == -1.0
+
+    @pytest.mark.parametrize("name", ["x1", "x2", "x3", "err"])
+    def test_assignment_raises_attribute_error(self, name):
+        v = FDVector(1.0, 2.0, 3.0, err=0.5)
+        with pytest.raises(AttributeError):
+            setattr(v, name, 5.0)
+        assert (*v.as_tuple(), v.err) == (1.0, 2.0, 3.0, 0.5)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_finiteness_message(self, position):
+        comps = [1.0, 2.0, 3.0]
+        comps[position] = math.inf
+        with pytest.raises(ValueError) as info:
+            FDVector(*comps, err=0.5)
+        assert str(info.value) == "PGVector components must be finite, got inf"
 
 
 def bits(v: PGVector) -> tuple:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import struct
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pg_curvelab.algebra import (
@@ -39,6 +41,57 @@ boosts = st.builds(
     f=st.floats(min_value=-2.0, max_value=2.0),
     theta=st.floats(min_value=-2.0, max_value=2.0),
 )
+
+
+# every finite double, so that sums, products and quotients can overflow
+finite = st.floats(allow_nan=False, allow_infinity=False)
+triples = st.tuples(finite, finite, finite)
+scalars = st.one_of(finite, st.integers(-3, 3))
+
+
+def bits(xs) -> tuple[bytes, ...]:
+    """The IEEE bit patterns, so that -0.0 and 0.0 differ."""
+    return tuple(struct.pack("<d", x) for x in xs)
+
+
+def assert_componentwise(build, expected) -> None:
+    """``build()`` gives the componentwise floats ``expected`` bit for bit,
+    or raises the finiteness error when one of them overflowed."""
+    if all(map(math.isfinite, expected)):
+        assert bits(build().as_tuple()) == bits(expected)
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
+
+class TestVectorArithmeticBits:
+    """PGVector arithmetic is the componentwise float arithmetic."""
+
+    @given(triples, triples)
+    def test_sum_and_difference(self, a, b):
+        u, v = PGVector(*a), PGVector(*b)
+        assert_componentwise(lambda: u + v, [x + y for x, y in zip(a, b)])
+        assert_componentwise(lambda: u - v, [x - y for x, y in zip(a, b)])
+
+    @given(triples)
+    def test_negation(self, a):
+        assert_componentwise(lambda: -PGVector(*a), [-x for x in a])
+
+    @given(triples, scalars)
+    def test_scaling_from_either_side(self, a, eps):
+        u = PGVector(*a)
+        expected = [eps * x for x in a]
+        assert_componentwise(lambda: eps * u, expected)
+        assert_componentwise(lambda: u * eps, expected)
+
+    @given(triples, scalars)
+    def test_division(self, a, eps):
+        u = PGVector(*a)
+        if eps == 0:
+            with pytest.raises(ZeroDivisionError):
+                u / eps
+            return
+        assert_componentwise(lambda: u / eps, [x / eps for x in a])
 
 
 class TestMetricProperties:
