@@ -16,9 +16,7 @@ All functions here are pure and all types immutable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from math import isfinite
 
 
@@ -93,16 +91,6 @@ _set_x1, _set_x2, _set_x3 = (PGVector.x1.__set__, PGVector.x2.__set__,
                              PGVector.x3.__set__)
 
 
-class CausalClass(Enum):
-    """Causal character of a vector under the degenerate metric."""
-
-    NON_ISOTROPIC = "non-isotropic"
-    SPACELIKE = "spacelike-isotropic"
-    TIMELIKE = "timelike-isotropic"
-    LIGHTLIKE = "lightlike-isotropic"
-    ZERO = "zero"
-
-
 def pg_dot(u: PGVector, v: PGVector) -> float:
     """Signed scalar product of the degenerate metric (see module docstring)."""
     if u.x1 != 0.0 or v.x1 != 0.0:
@@ -110,37 +98,11 @@ def pg_dot(u: PGVector, v: PGVector) -> float:
     return u.x2 * v.x2 - u.x3 * v.x3
 
 
-def pg_cross(u: PGVector, v: PGVector) -> PGVector:
-    """Cross product adapted to the degenerate metric.
-
-    The result always lies in the isotropic plane (first component zero).
-    """
-    return PGVector(0.0, u.x1 * v.x3 - u.x3 * v.x1, u.x1 * v.x2 - u.x2 * v.x1)
-
-
 def det3(u: PGVector, v: PGVector, w: PGVector) -> float:
     """Determinant of the 3x3 matrix with rows u, v, w."""
     return (u.x1 * (v.x2 * w.x3 - v.x3 * w.x2)
             - u.x2 * (v.x1 * w.x3 - v.x3 * w.x1)
             + u.x3 * (v.x1 * w.x2 - v.x2 * w.x1))
-
-
-def causal_class(v: PGVector) -> CausalClass:
-    """Classify v by its causal character.
-
-    Comparisons are exact on the stored components, mirroring the case
-    split of the scalar product.
-    """
-    if v.x1 != 0.0:
-        return CausalClass.NON_ISOTROPIC
-    if v.x2 == 0.0 and v.x3 == 0.0:
-        return CausalClass.ZERO
-    q = v.x2 * v.x2 - v.x3 * v.x3
-    if q > 0.0:
-        return CausalClass.SPACELIKE
-    if q < 0.0:
-        return CausalClass.TIMELIKE
-    return CausalClass.LIGHTLIKE
 
 
 @dataclass(frozen=True)
@@ -154,7 +116,8 @@ class SimilarityMotion:
         z ->  e + f*x + r*sinh(theta)*y + r*cosh(theta)*z
 
     The isometry subgroup is b == r == 1.  The scale r must be nonzero;
-    b must be nonzero whenever the motion is used to reparametrize a curve.
+    :func:`pg_curvelab.curves.apply_similarity`, which maps curves by the
+    motion, also needs b nonzero.
     """
 
     a: float = 0.0
@@ -169,29 +132,3 @@ class SimilarityMotion:
     def __post_init__(self):
         if self.r == 0.0:
             raise ValueError("similarity scale r must be nonzero")
-
-    @property
-    def is_isometry(self) -> bool:
-        return self.b == 1.0 and self.r == 1.0
-
-
-def apply_similarity(m: SimilarityMotion, p: PGVector) -> PGVector:
-    """Transform a point by the full motion, including translations."""
-    ch = math.cosh(m.theta)
-    sh = math.sinh(m.theta)
-    return PGVector(
-        m.a + m.b * p.x1,
-        m.c + m.d * p.x1 + m.r * ch * p.x2 + m.r * sh * p.x3,
-        m.e + m.f * p.x1 + m.r * sh * p.x2 + m.r * ch * p.x3,
-    )
-
-
-def apply_similarity_linear(m: SimilarityMotion, v: PGVector) -> PGVector:
-    """Transform a vector by the linear part only (translations dropped)."""
-    ch = math.cosh(m.theta)
-    sh = math.sinh(m.theta)
-    return PGVector(
-        m.b * v.x1,
-        m.d * v.x1 + m.r * ch * v.x2 + m.r * sh * v.x3,
-        m.f * v.x1 + m.r * sh * v.x2 + m.r * ch * v.x3,
-    )

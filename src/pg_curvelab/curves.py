@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import PGVector
+from .algebra import PGVector, SimilarityMotion
 from .errors import (
     EmptyDomainError,
     JetOrderError,
@@ -455,26 +455,61 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
 
 
 # ---------------------------------------------------------------------------
-# homothety
+# similarity motions
+
+
+def apply_similarity(c: CurveJet, m: SimilarityMotion) -> CurveJet:
+    """Map the curve by the motion m and re-express the image in its own
+    arc length.
+
+    The image's x-coordinate is t = a + b*s, so its arc-length parameter
+    is t and its order-k jet at t is m's linear part applied to c's
+    order-k jet at s = (t - a)/b, divided by b**k; the translations move
+    the position (order 0) alone.  The domain is the image of c's, sorted
+    (b < 0 reverses it).  A finite-difference jet's error bound is
+    multiplied by max(|b|, max(|d|, |f|) + |r|*e^|theta|) / |b|**k, which
+    bounds the linear part's row sums over |b|**k.  The curve keeps its
+    kind, jet orders and warnings.  Raises ValueError when b == 0, which
+    maps the curve into the plane x = a.
+    """
+    a, b = m.a, m.b
+    if b == 0.0:
+        raise ValueError("similarity motion with b = 0 maps the curve "
+                         "into the plane x = a")
+    rch = m.r * math.cosh(m.theta)
+    rsh = m.r * math.sinh(m.theta)
+    row_sum = max(abs(b), max(abs(m.d), abs(m.f))
+                  + abs(m.r) * math.exp(abs(m.theta)))
+
+    def image(k: int, j: PGVector) -> PGVector:
+        q = b ** k
+        x = b * j.x1 / q
+        y = (m.d * j.x1 + rch * j.x2 + rsh * j.x3) / q
+        z = (m.f * j.x1 + rsh * j.x2 + rch * j.x3) / q
+        if k == 0:
+            return PGVector(a + x, m.c + y, m.e + z)
+        if isinstance(j, FDVector):
+            return FDVector(x, y, z, j.err * row_sum / abs(q))
+        return PGVector(x, y, z)
+
+    def jets_fn(t: float, first: int, last: int) -> tuple[PGVector, ...]:
+        return tuple(image(k, j) for k, j in
+                     enumerate(c.jets((t - a) / b, first, last), first))
+
+    def jet_fn(t: float, order: int) -> PGVector:
+        return jets_fn(t, order, order)[0]
+
+    lo, hi = sorted((a + b * c.domain[0], a + b * c.domain[1]))
+    return CurveJet(jet_fn, (lo, hi), c.kind, max_order=c.max_order,
+                    warnings=c.warnings, jets_fn=jets_fn)
 
 
 def apply_homothety(c: CurveJet, mu: float) -> CurveJet:
-    """Rescale the curve by mu > 0 and re-express it in its own arc length.
-
-    The image of gamma under scaling by mu, parametrized by its arc length
-    t, is t -> mu * gamma(t/mu); order-k jets scale by mu**(1-k), and so
-    do the error bounds of finite-difference jets.  The curve stays in
-    arc-length form and keeps its kind and jet orders.
+    """Rescale the curve by mu > 0 and re-express it in its own arc length:
+    the similarity motion with b = r = mu (see :func:`apply_similarity`).
+    Order-k jets scale by mu**(1-k), and so do the error bounds of
+    finite-difference jets.
     """
     if not (mu > 0.0):
         raise ValueError(f"homothety factor must be positive, got {mu}")
-
-    def jet_fn(t: float, order: int) -> PGVector:
-        f = mu ** (1 - order)
-        j = c.jet(t / mu, order)
-        if isinstance(j, FDVector):
-            return FDVector(f * j.x1, f * j.x2, f * j.x3, f * j.err)
-        return f * j
-
-    return CurveJet(jet_fn, (mu * c.domain[0], mu * c.domain[1]),
-                    c.kind, max_order=c.max_order, warnings=c.warnings)
+    return apply_similarity(c, SimilarityMotion(b=mu, r=mu))

@@ -43,10 +43,6 @@ class InadmissibleCurveError(CurveLabError):
         self.param = param
 
 
-class IsotropicTangentError(InadmissibleCurveError):
-    """First derivative has vanishing x-component (isotropic tangent)."""
-
-
 class MateInadmissibleError(InadmissibleCurveError):
     """A constructed Bertrand mate fails the admissibility conditions."""
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import NamedTuple, Sequence
 
-from .algebra import PGVector, det3
+from .algebra import PGVector
 from .curves import CurveJet
-from .errors import (EmptyGridError, InadmissibleCurveError,
-                     IsotropicTangentError)
+from .errors import EmptyGridError, InadmissibleCurveError
 
 LIGHTLIKE_TOL = 1e-10
 
@@ -134,40 +133,6 @@ def _one_character(datas: Sequence, stencil_at: float | None = None) -> None:
             param=stencil_at)
 
 
-def invariants_general(jets) -> tuple[float, float]:
-    """Curvature and torsion from an arbitrary-parameter jet.
-
-    ``jets`` holds the first three (or four) derivative vectors of a curve
-    whose x-component strictly increases.  The formulas
-
-        kappa = sqrt(|(x'y'' - x''y')^2 - (x'z'' - x''z')^2|) / x'^3
-        tau   = det(g', g'', g''') / (x'^6 * kappa^2)
-
-    are invariant under orientation-preserving reparametrization and
-    reduce to the arc-length expressions when x(s) = s.
-    """
-    jets = list(jets)
-    if len(jets) < 3:
-        raise ValueError("need at least the first three derivative vectors")
-    g1, g2, g3 = jets[0], jets[1], jets[2]
-    xp = g1.x1
-    if xp == 0.0:
-        raise IsotropicTangentError(
-            "tangent has vanishing x-component; the projective parameter "
-            "is stationary and the curve is isotropic here")
-    if xp < 0.0:
-        raise ValueError(
-            "x-component of the tangent must be positive (orientation)")
-    wy = xp * g2.x2 - g2.x1 * g1.x2
-    wz = xp * g2.x3 - g2.x1 * g1.x3
-    w = wy * wy - wz * wz
-    kappa = sqrt(abs(w)) / xp ** 3
-    if kappa == 0.0:
-        raise InadmissibleCurveError("inflection point: curvature vanishes")
-    tau = det3(g1, g2, g3) / (xp ** 6 * kappa * kappa)
-    return kappa, tau
-
-
 def frenet_residual(c: CurveJet, s: float, h: float = 1e-4) -> float:
     """Sup-norm defect of the frame derivative equations at s.
 
@@ -194,65 +159,3 @@ def _frenet_residual_of(fm: FrenetData, f0: FrenetData, fp: FrenetData,
     r2 = (de2 - f0.tau * f0.binormal).max_abs()
     r3 = (de3 - f0.tau * f0.normal).max_abs()
     return max(r1, r2, r3) / max(1.0, f0.kappa, abs(f0.tau))
-
-
-def frame_determinant(f: FrenetData) -> float:
-    return det3(f.tangent, f.normal, f.binormal)
-
-
-def _simpson(f, a: float, b: float, fa: float, fm: float, fb: float) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a: float, b: float, fa: float, fm: float, fb: float,
-              whole: float, tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(f, a, m, fa, flm, fm)
-    right = _simpson(f, m, b, fm, frm, fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5 * tol
-    return (_adaptive(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _adaptive(f, m, b, fm, frm, fb, right, half, depth - 1))
-
-
-def _integrate(f, a: float, b: float, tol: float) -> float:
-    if a == b:
-        return 0.0
-    if b < a:
-        return -_integrate(f, b, a, tol)
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = _simpson(f, a, b, fa, fm, fb)
-    return _adaptive(f, a, b, fa, fm, fb, whole, tol, 40)
-
-
-def equiform_parameter(c: CurveJet, s0: float, s: float,
-                       tol: float = 1e-10) -> float:
-    """Integral of the curvature from s0 to s (adaptive Simpson).
-
-    This is the scale-invariant parameter of the curve; it is
-    antisymmetric in (s0, s).
-    """
-
-    def kappa(u: float) -> float:
-        return frenet_data(c, u).kappa
-
-    return _integrate(kappa, s0, s, tol)
-
-
-__all__ = [
-    "LIGHTLIKE_TOL",
-    "AdmissibilityReport",
-    "FrenetData",
-    "check_admissibility",
-    "frenet_data",
-    "normal_character",
-    "invariants_general",
-    "frenet_residual",
-    "frame_determinant",
-    "equiform_parameter",
-]

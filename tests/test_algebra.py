@@ -1,4 +1,4 @@
-"""Scalar product, cross product, causal classes and the similarity group."""
+"""Vectors, scalar product, determinant and the similarity group."""
 
 from __future__ import annotations
 
@@ -8,17 +8,9 @@ import pickle
 
 import pytest
 
-from pg_curvelab.algebra import (
-    CausalClass,
-    PGVector,
-    SimilarityMotion,
-    apply_similarity,
-    apply_similarity_linear,
-    causal_class,
-    det3,
-    pg_cross,
-    pg_dot,
-)
+from pg_curvelab.algebra import PGVector, SimilarityMotion, det3, pg_dot
+from pg_curvelab.curves import apply_similarity
+from pg_curvelab.frenet import frenet_data
 
 
 class TestPGVector:
@@ -119,20 +111,6 @@ class TestScalarProduct:
         assert pg_dot(PGVector(tiny, 0.0, 0.0), PGVector(tiny, 7.0, 0.0)) == 1e-300
 
 
-class TestCrossProduct:
-    def test_frozen_value(self):
-        w = pg_cross(PGVector(1.0, 2.0, 3.0), PGVector(4.0, 5.0, 6.0))
-        assert w.as_tuple() == (0.0, -6.0, -3.0)
-
-    def test_result_is_isotropic(self):
-        w = pg_cross(PGVector(2.0, -1.0, 0.5), PGVector(-3.0, 0.0, 1.0))
-        assert w.x1 == 0.0
-
-    def test_vanishes_on_parallel_vectors(self):
-        u = PGVector(2.0, -1.0, 0.5)
-        assert pg_cross(u, 3.0 * u).as_tuple() == (0.0, 0.0, 0.0)
-
-
 class TestDet3:
     def test_identity(self):
         e1 = PGVector(1.0, 0.0, 0.0)
@@ -153,71 +131,64 @@ class TestDet3:
         assert det3(v, u, w) == 3.0
 
 
-@pytest.mark.parametrize("vec, expected", [
-    ((1.0, 2.0, 3.0), CausalClass.NON_ISOTROPIC),
-    ((-0.5, 0.0, 0.0), CausalClass.NON_ISOTROPIC),
-    ((0.0, 0.0, 0.0), CausalClass.ZERO),
-    ((0.0, 2.0, 1.0), CausalClass.SPACELIKE),
-    ((0.0, 1.0, 2.0), CausalClass.TIMELIKE),
-    ((0.0, 1.0, 1.0), CausalClass.LIGHTLIKE),
-    ((0.0, 1.0, -1.0), CausalClass.LIGHTLIKE),
-    ((0.0, -3.0, 0.0), CausalClass.SPACELIKE),
-    ((0.0, 0.0, 0.25), CausalClass.TIMELIKE),
-])
-def test_causal_class(vec, expected):
-    assert causal_class(PGVector(*vec)) is expected
-
-
 class TestSimilarityMotion:
+    """The group acting on curves (``curves.apply_similarity``): the
+    image's order-k jet at t = a + b*s is the linear part applied to the
+    order-k jet at s, over b**k, and translations move positions only."""
+
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             SimilarityMotion(r=0.0)
 
-    def test_is_isometry(self):
-        assert SimilarityMotion().is_isometry
-        assert SimilarityMotion(a=3.0, c=-1.0, d=2.0, theta=0.7).is_isometry
-        assert not SimilarityMotion(b=2.0).is_isometry
-        assert not SimilarityMotion(r=0.5).is_isometry
+    def test_identity_fixes_points(self, general_helix):
+        c = general_helix.curve
+        same = apply_similarity(c, SimilarityMotion())
+        assert same.domain == c.domain
+        for s in (0.1, 0.9, 1.7):
+            assert same.jets(s, 0, 4) == c.jets(s, 0, 4)
 
-    def test_identity_fixes_points(self):
-        p = PGVector(1.5, -2.0, 0.25)
-        assert apply_similarity(SimilarityMotion(), p).as_tuple() == p.as_tuple()
-
-    def test_translation_moves_points_not_vectors(self):
-        m = SimilarityMotion(a=1.0, c=2.0, e=3.0)
-        p = PGVector(0.5, 0.5, 0.5)
-        assert apply_similarity(m, p).as_tuple() == (1.5, 2.5, 3.5)
-        assert apply_similarity_linear(m, p).as_tuple() == p.as_tuple()
-
-    def test_frozen_full_motion(self):
+    def test_frozen_full_motion(self, parabola):
+        # (s, s^2/2, 0) at s = 0.5; every float below is exact
         m = SimilarityMotion(a=1.0, b=2.0, c=0.5, d=1.0, e=-1.0, f=0.0,
                              r=3.0, theta=0.0)
-        q = apply_similarity(m, PGVector(2.0, 1.0, -1.0))
-        assert q.as_tuple() == (5.0, 5.5, -4.0)
+        p0, p1, p2 = apply_similarity(parabola.curve, m).jets(2.0, 0, 2)
+        assert p0.as_tuple() == (2.0, 1.375, -1.0)
+        assert p1.as_tuple() == (1.0, 1.25, 0.0)
+        assert p2.as_tuple() == (0.0, 0.75, 0.0)
+        # a boost by ln 2: cosh = 1.25, sinh = 0.75
+        boosted = apply_similarity(parabola.curve,
+                                   SimilarityMotion(theta=math.log(2.0)))
+        assert boosted.position(0.5).as_tuple() == pytest.approx(
+            (0.5, 0.15625, 0.09375), rel=1e-15)
 
-    def test_isometry_preserves_scalar_product(self):
+    def test_isometry_preserves_scalar_product(self, general_helix):
         m = SimilarityMotion(a=0.3, c=-1.2, d=0.8, e=2.0, f=-0.4, theta=0.9)
-        pairs = [
-            (PGVector(1.0, 2.0, 3.0), PGVector(-0.5, 1.0, 0.25)),
-            (PGVector(0.0, 2.0, 3.0), PGVector(0.0, -1.0, 0.5)),
-            (PGVector(0.0, 1.5, -2.5), PGVector(0.0, 1.5, -2.5)),
-        ]
-        for u, v in pairs:
-            lu = apply_similarity_linear(m, u)
-            lv = apply_similarity_linear(m, v)
-            assert pg_dot(lu, lv) == pytest.approx(pg_dot(u, v), rel=1e-13, abs=1e-13)
+        moved = apply_similarity(general_helix.curve, m)
+        for s in (0.25, 1.0, 1.75):
+            base = general_helix.curve.jets(s, 1, 3)
+            image = moved.jets(0.3 + s, 1, 3)
+            for i in range(3):
+                for j in range(i, 3):
+                    assert pg_dot(image[i], image[j]) == pytest.approx(
+                        pg_dot(base[i], base[j]), rel=1e-13, abs=1e-13)
 
-    def test_boost_preserves_causal_class(self):
+    def test_boost_preserves_causal_class(self, general_helix,
+                                          mirrored_helix):
         m = SimilarityMotion(theta=1.3)
-        for vec, cls in [((0.0, 2.0, 1.0), CausalClass.SPACELIKE),
-                         ((0.0, 1.0, 2.0), CausalClass.TIMELIKE)]:
-            assert causal_class(apply_similarity_linear(m, PGVector(*vec))) is cls
+        for entry, eps in ((general_helix, 1), (mirrored_helix, -1)):
+            moved = apply_similarity(entry.curve, m)
+            for s in (0.25, 1.0, 1.75):
+                assert frenet_data(moved, s).epsilon == eps
 
-    def test_linear_part_matches_full_motion_on_differences(self):
+    def test_linear_part_matches_full_motion_on_differences(self,
+                                                             general_helix):
         m = SimilarityMotion(a=1.0, b=1.5, c=-0.3, d=0.2, e=0.7, f=-0.9,
                              r=2.0, theta=-0.4)
-        p = PGVector(0.25, -1.0, 2.0)
-        q = PGVector(-0.75, 0.5, 1.0)
-        lhs = apply_similarity(m, p) - apply_similarity(m, q)
-        rhs = apply_similarity_linear(m, p - q)
-        assert lhs.as_tuple() == pytest.approx(rhs.as_tuple(), rel=1e-14, abs=1e-14)
+        linear = SimilarityMotion(b=1.5, d=0.2, f=-0.9, r=2.0, theta=-0.4)
+        full = apply_similarity(general_helix.curve, m)
+        lin = apply_similarity(general_helix.curve, linear)
+        for s, u in ((0.25, 1.5), (1.0, 0.5)):
+            lhs = full.position(1.0 + 1.5 * s) - full.position(1.0 + 1.5 * u)
+            rhs = lin.position(1.5 * s) - lin.position(1.5 * u)
+            assert lhs.as_tuple() == pytest.approx(rhs.as_tuple(),
+                                                   rel=1e-14, abs=1e-14)

@@ -1,4 +1,5 @@
-"""Curve constructors, finite-difference jets, admissibility, homothety."""
+"""Curve constructors, finite-difference jets, admissibility, similarity
+motions and homothety."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ import pickle
 
 import pytest
 
-from pg_curvelab.algebra import PGVector
+from pg_curvelab.algebra import PGVector, SimilarityMotion
 from pg_curvelab.curves import (
     CurveJet,
     FDVector,
     JetKind,
     _weights,
     apply_homothety,
+    apply_similarity,
     make_analytic_curve,
     make_sampled_curve,
 )
@@ -497,3 +499,52 @@ class TestHomothety:
         p = helix_fixture.curve.position(0.5)
         q = big.position(1.0)
         assert q.as_tuple() == (2.0 * p.x1, 2.0 * p.x2, 2.0 * p.x3)
+
+
+class TestSimilarity:
+    def test_zero_b_rejected(self, parabola):
+        with pytest.raises(ValueError, match="b = 0"):
+            apply_similarity(parabola.curve, SimilarityMotion(b=0.0))
+
+    def test_negative_b_sorts_the_domain(self, parabola):
+        lo, hi = parabola.curve.domain
+        flipped = apply_similarity(parabola.curve,
+                                   SimilarityMotion(a=1.0, b=-2.0))
+        assert flipped.domain == (1.0 - 2.0 * hi, 1.0 - 2.0 * lo)
+        # x = 1 - 2s stays the arc length: x' = 1, and y'' = y''(s) / 4
+        q0, q1, q2 = flipped.jets(0.0, 0, 2)
+        assert q0.as_tuple() == (0.0, 0.125, 0.0)
+        assert q1.as_tuple() == (1.0, -0.25, 0.0)
+        assert q2.as_tuple() == (0.0, 0.25, 0.0)
+
+    def test_translation_moves_only_the_position(self, helix_fixture):
+        moved = apply_similarity(helix_fixture.curve,
+                                 SimilarityMotion(a=1.0, c=2.0, e=3.0))
+        for s in (-0.5, 0.25):
+            p, *jets = helix_fixture.curve.jets(s, 0, 4)
+            q, *moved_jets = moved.jets(1.0 + s, 0, 4)
+            assert q.as_tuple() == (p.x1 + 1.0, p.x2 + 2.0, p.x3 + 3.0)
+            assert moved_jets == jets
+
+    def test_fd_error_bounds_stay_honest(self, zoo_entries):
+        # the image of a sampled curve against the image of its analytic
+        # twin: every order-1..4 jet within its own error bound
+        motions = (
+            SimilarityMotion(a=0.5, b=2.0, c=1.0, d=0.3, e=-1.0, f=-0.7,
+                             r=1.5, theta=0.8),
+            SimilarityMotion(a=-1.0, b=-0.5, c=0.2, d=-1.1, e=0.4, f=0.9,
+                             r=-3.0, theta=-1.2),
+            SimilarityMotion(b=0.25, r=4.0, theta=2.0),
+        )
+        for entry in zoo_entries:
+            lo, hi = entry.domain
+            sampled = make_sampled_curve(entry.curve.position, (lo, hi),
+                                         h=1e-3)
+            for m in motions:
+                fd = apply_similarity(sampled, m)
+                exact = apply_similarity(entry.curve, m)
+                for i in range(5):
+                    t = m.a + m.b * (lo + 0.25 * i * (hi - lo))
+                    for got, want in zip(fd.jets(t, 1, 4),
+                                         exact.jets(t, 1, 4)):
+                        assert (got - want).max_abs() <= got.err

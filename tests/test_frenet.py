@@ -1,4 +1,4 @@
-"""Classical curvature, torsion, frame, residuals and the scale parameter."""
+"""Classical curvature, torsion, frame and the frame-ODE residual."""
 
 from __future__ import annotations
 
@@ -6,16 +6,10 @@ import math
 
 import pytest
 
-from pg_curvelab.algebra import PGVector
+from pg_curvelab.algebra import PGVector, det3
 from pg_curvelab.curves import CurveJet, JetKind, make_analytic_curve
-from pg_curvelab.errors import InadmissibleCurveError, IsotropicTangentError
-from pg_curvelab.frenet import (
-    equiform_parameter,
-    frame_determinant,
-    frenet_data,
-    frenet_residual,
-    invariants_general,
-)
+from pg_curvelab.errors import InadmissibleCurveError
+from pg_curvelab.frenet import frenet_data, frenet_residual
 
 
 def tuple_approx(v, expected, **kw):
@@ -64,7 +58,8 @@ class TestFrenetData:
     def test_frame_determinant_is_plus_one(self, general_helix, circular_helix):
         for entry, s in ((general_helix, 0.75), (circular_helix, 2.2)):
             f = frenet_data(entry.curve, s)
-            assert frame_determinant(f) == pytest.approx(1.0, abs=1e-12)
+            assert det3(f.tangent, f.normal, f.binormal) == pytest.approx(
+                1.0, abs=1e-12)
 
     def test_rejects_non_arclength_parametrization(self):
         c = CurveJet(
@@ -111,51 +106,6 @@ def light_cone_crossing_curve():
         domain=(0.25, 2.0))
 
 
-class TestInvariantsGeneral:
-    def test_reduces_to_arclength_values(self, general_helix):
-        s = 0.8
-        jets = [general_helix.curve.jet(s, k) for k in (1, 2, 3)]
-        kappa, tau = invariants_general(jets)
-        f = frenet_data(general_helix.curve, s)
-        assert kappa == f.kappa
-        assert tau == pytest.approx(f.tau, rel=1e-12)
-
-    def test_invariant_under_reparametrization(self, helix_fixture):
-        t = 0.9
-        s = t * t
-        g = [helix_fixture.curve.jet(s, k) for k in (1, 2, 3)]
-        jets = [
-            (2.0 * t) * g[0],
-            2.0 * g[0] + (4.0 * t * t) * g[1],
-            (12.0 * t) * g[1] + (8.0 * t ** 3) * g[2],
-        ]
-        kappa, tau = invariants_general(jets)
-        assert kappa == pytest.approx(1.0, rel=1e-11)
-        assert tau == pytest.approx(1.0, rel=1e-11)
-
-    def test_needs_three_jets(self):
-        with pytest.raises(ValueError, match="three"):
-            invariants_general([PGVector(1.0, 0.0, 0.0)])
-
-    def test_isotropic_tangent_rejected(self):
-        jets = [PGVector(0.0, 1.0, 0.0), PGVector(0.0, 0.0, 1.0),
-                PGVector(0.0, 0.0, 0.0)]
-        with pytest.raises(IsotropicTangentError):
-            invariants_general(jets)
-
-    def test_orientation_rejected(self):
-        jets = [PGVector(-1.0, 0.0, 0.0), PGVector(0.0, 1.0, 0.0),
-                PGVector(0.0, 0.0, 1.0)]
-        with pytest.raises(ValueError, match="orientation"):
-            invariants_general(jets)
-
-    def test_straight_line_rejected(self):
-        jets = [PGVector(1.0, 0.0, 0.0), PGVector(0.0, 0.0, 0.0),
-                PGVector(0.0, 0.0, 0.0)]
-        with pytest.raises(InadmissibleCurveError, match="curvature vanishes"):
-            invariants_general(jets)
-
-
 class TestFrenetResidual:
     def test_small_on_catalogue_curves(self, general_helix, parabola):
         assert frenet_residual(general_helix.curve, 1.0) < 1e-6
@@ -172,18 +122,3 @@ class TestFrenetResidual:
         # ... and the stencil refuses to straddle it
         with pytest.raises(InadmissibleCurveError, match="flips"):
             frenet_residual(c, 1.00005, h=1e-4)
-
-
-class TestEquiformParameter:
-    def test_matches_closed_form_integrals(self, general_helix, circular_helix):
-        # integral of exp(-s) on [0, 1] and of 1/s on [1, 2]
-        got = equiform_parameter(general_helix.curve, 0.0, 1.0)
-        assert got == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-        got = equiform_parameter(circular_helix.curve, 1.0, 2.0)
-        assert got == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_antisymmetric_and_zero_length(self, general_helix):
-        c = general_helix.curve
-        fwd = equiform_parameter(c, 0.2, 1.4)
-        assert equiform_parameter(c, 1.4, 0.2) == -fwd
-        assert equiform_parameter(c, 0.7, 0.7) == 0.0

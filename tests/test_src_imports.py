@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module,
+and the package's one public list names exactly what it imports.
 
-There is no linter in the toolchain, so ``src/pg_curvelab/*.py`` is
-parsed with ``ast``.  ``__init__.py`` is exempt, because its imports are
-the package's re-exports, and so is ``from __future__ import ...``.
+There is no linter in the toolchain, so ``src/pg_curvelab/*.py`` and
+``tests/*.py`` are parsed with ``ast``.  ``__init__.py`` is exempt from
+the unused-import check, because its imports are the package's
+re-exports, which ``__all__`` must list instead; ``from __future__
+import ...`` is exempt everywhere.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pg_curvelab"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pg_curvelab"
+INIT = SRC / "__init__.py"
+MODULES = sorted(p for p in SRC.glob("*.py") if p != INIT) + sorted(
+    TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,9 +48,25 @@ def test_the_checker_flags_an_unused_name():
 
 
 def test_every_module_is_checked():
-    assert {"cli.py", "curves.py", "zoo.py"} <= {p.name for p in MODULES}
+    names = {p.name for p in MODULES}
+    assert {"cli.py", "curves.py", "zoo.py", "conftest.py",
+            "test_src_imports.py"} <= names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[
+    p.name if p.parent == SRC else f"tests/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_init_imports_exactly_the_public_names():
+    tree = ast.parse(INIT.read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    public = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["__all__"])
+    public.remove("__version__")
+    assert len(imported) == len(set(imported))
+    assert len(public) == len(set(public))
+    assert sorted(imported) == sorted(public)
