@@ -7,14 +7,14 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from pg_curvelab.algebra import PGVector, SimilarityMotion, pg_dot
 from pg_curvelab.aw import classify
-from pg_curvelab.curves import apply_similarity
+from pg_curvelab.curves import CurveJet, JetKind, apply_similarity
 from pg_curvelab.equiform import equiform_grid
 from pg_curvelab.errors import InadmissibleCurveError, ParameterConstraintError
-from pg_curvelab.frenet import frenet_data
+from pg_curvelab.frenet import frenet_data, normal_character
 from pg_curvelab.series import DSeries
 from pg_curvelab.zoo import get_example, zoo_names
 
@@ -24,6 +24,7 @@ settings.load_profile("no_deadline")
 component = st.floats(min_value=-1e6, max_value=1e6,
                       allow_nan=False, allow_infinity=False)
 vectors = st.builds(PGVector, component, component, component)
+isotropic = st.builds(PGVector, st.just(0.0), component, component)
 
 small = st.floats(min_value=-3.0, max_value=3.0,
                   allow_nan=False, allow_infinity=False)
@@ -45,6 +46,17 @@ motions = st.builds(
     e=st.floats(min_value=-5.0, max_value=5.0),
     f=st.floats(min_value=-2.0, max_value=2.0),
     r=magnitudes(0.25, 4.0),
+    theta=st.floats(min_value=-2.0, max_value=2.0),
+)
+
+# the isometries: b == r == 1
+boosts = st.builds(
+    SimilarityMotion,
+    a=st.floats(min_value=-5.0, max_value=5.0),
+    c=st.floats(min_value=-5.0, max_value=5.0),
+    e=st.floats(min_value=-5.0, max_value=5.0),
+    d=st.floats(min_value=-2.0, max_value=2.0),
+    f=st.floats(min_value=-2.0, max_value=2.0),
     theta=st.floats(min_value=-2.0, max_value=2.0),
 )
 
@@ -111,6 +123,54 @@ class TestMetricProperties:
             assert pg_dot(u, v) == u.x1 * v.x1
         else:
             assert pg_dot(u, v) == u.x2 * v.x2 - u.x3 * v.x3
+
+    @given(boosts, vectors, vectors)
+    def test_isometries_preserve_the_dot(self, m, u, v):
+        mu, mv = apply_similarity(quadratic(u, v), m).jets(m.a, 1, 2)
+        tol = 1e-12 * (1.0 + mu.max_abs() * mv.max_abs()
+                       + u.max_abs() * v.max_abs())
+        assert abs(pg_dot(mu, mv) - pg_dot(u, v)) <= tol
+
+    @given(boosts, isotropic)
+    def test_isometries_preserve_causal_class_off_the_cone(self, m, v):
+        q = v.x2 * v.x2 - v.x3 * v.x3
+        assume(abs(q) > 1e-6 * (v.x2 * v.x2 + v.x3 * v.x3))
+        mv = apply_similarity(quadratic(PGVector(1.0, 0.0, 0.0), v),
+                              m).jet(m.a, 2)
+        assert normal_character(m.a, None, mv) == normal_character(0.0, None,
+                                                                   v)
+
+    @given(motions, vectors, vectors)
+    def test_point_map_minus_point_map_is_the_linear_map(self, m, p, q):
+        linear = SimilarityMotion(b=m.b, d=m.d, f=m.f, r=m.r, theta=m.theta)
+        lhs = (apply_similarity(constant(p), m).position(m.a)
+               - apply_similarity(constant(q), m).position(m.a))
+        rhs = apply_similarity(constant(p - q), linear).position(0.0)
+        scale = 1.0 + p.max_abs() + q.max_abs()
+        assert (lhs - rhs).max_abs() <= 1e-9 * scale
+
+
+def quadratic(u: PGVector, v: PGVector) -> CurveJet:
+    """The curve s -> s*u + s**2/2*v on [-1, 1]: its order-1 and order-2
+    jets at s = 0 are u and v."""
+    zero = PGVector(0.0, 0.0, 0.0)
+
+    def jet(s: float, order: int) -> PGVector:
+        if order == 0:
+            return s * u + (s * s / 2.0) * v
+        if order == 1:
+            return u + s * v
+        return v if order == 2 else zero
+
+    return CurveJet(jet, (-1.0, 1.0), JetKind.ANALYTIC)
+
+
+def constant(p: PGVector) -> CurveJet:
+    """The constant curve at p on [-1, 1]; the motions act on its
+    position as on the point p."""
+    zero = PGVector(0.0, 0.0, 0.0)
+    return CurveJet(lambda s, order: zero if order else p, (-1.0, 1.0),
+                    JetKind.ANALYTIC)
 
 
 def assert_within(got: float, want: float, scale: float) -> None:
