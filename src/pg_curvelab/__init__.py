@@ -39,8 +39,7 @@ from .errors import (CurveLabError, EmptyDomainError, EmptyGridError,
 from .frenet import (AdmissibilityReport, FrenetData, check_admissibility,
                      frenet_data, frenet_residual)
 from .series import DSeries
-from .zoo import (ZooEntry, bertrand_fixture, get_example,
-                  isotropic_circle_fixture, zoo_names)
+from .zoo import ZooEntry, get_example, zoo_names
 
 __version__ = "0.1.0"
 
@@ -54,10 +53,10 @@ __all__ = [
     "ParameterConstraintError", "PGVector", "SimilarityMotion",
     "StepTooSmallError", "UnknownCurveError", "ZooEntry",
     "apply_homothety", "apply_similarity", "aw_residuals",
-    "bertrand_fixture", "bertrand_mate", "bertrand_nature",
+    "bertrand_mate", "bertrand_nature",
     "check_admissibility", "classify", "derivative_vectors", "det3",
     "equiform_data", "equiform_grid", "equiform_residual", "frenet_data",
-    "frenet_residual", "get_example", "isotropic_circle_fixture",
+    "frenet_residual", "get_example",
     "make_analytic_curve", "make_sampled_curve", "natural_class", "pg_dot",
     "sigma_rates", "vector_identity_residuals", "verify_bertrand_pair",
     "zoo_names", "__version__",

@@ -100,9 +100,12 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     when the base has order >= 6; otherwise it carries order-4 jets whose
     orders three and four are finite differences.  The mate is probed at
     five interior points and :class:`MateInadmissibleError` is raised if
-    the offset flattens or degenerates it.
+    the offset flattens or degenerates it; a non-finite offset raises
+    ``ValueError``.
     """
     lam = float(offset)
+    if not math.isfinite(lam):
+        raise ValueError(f"offset must be finite, got {lam}")
 
     if base.max_order >= 6:
         def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:

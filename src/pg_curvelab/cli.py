@@ -51,7 +51,6 @@ from .equiform import (EquiformData, NaturalClass, _equiform_of,
 from .errors import CurveLabError, InadmissibleCurveError
 from .frenet import FrenetData, _frenet_of, _frenet_residual_of
 from .zoo import (
-    REFERENCE_PARAMS,
     describe_constraints,
     get_example,
     zoo_names,
@@ -197,11 +196,7 @@ def _resolve(args: argparse.Namespace) -> _Resolved:
         return _Resolved(curve=curve, label=f"sampled:{args.input_path}",
                          params={}, grid=grid, residual_h=2 * delta,
                          snap=snap)
-    # an unknown name gets a placeholder here and is rejected by get_example
-    ref_a, ref_b = REFERENCE_PARAMS.get(args.curve, (1.0, 1.0))
-    entry = get_example(args.curve,
-                        ref_a if args.a is None else args.a,
-                        ref_b if args.b is None else args.b)
+    entry = get_example(args.curve, args.a, args.b)
     lo, hi = entry.curve.domain
     for p in pts:
         if not lo <= p <= hi:
@@ -431,8 +426,7 @@ def _cmd_zoo_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    name = _FIGURES[args.figure_number]
-    entry = get_example(name, *REFERENCE_PARAMS[name])
+    entry = get_example(_FIGURES[args.figure_number])
     lo, hi = entry.domain
     step = (hi - lo) / (_FIGURE_SAMPLES - 1)
     rows = []
@@ -535,6 +529,9 @@ def _check(args: argparse.Namespace) -> None:
     start, stop, count = args.grid
     if count < 1:
         raise ConfigError("grid count must be at least 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid start and stop must be finite, got "
+                          f"{start}:{stop}")
     if count == 1:
         if start != stop:
             raise ConfigError("a single-point grid needs start == stop")

@@ -22,6 +22,12 @@ has equiform curvature a and zero equiform torsion; the last two have
 zero equiform curvature and are the curves that admit normal-offset
 mates.
 
+Each family is one row of ``_FAMILIES``: a builder, which maps (a, b,
+domain) to the nominal domain, the validity region, the jet and the
+oracle, and the family's constraints, default domain, reference (a, b),
+notes and the parameters it uses.  :func:`get_example` is the one place
+that reads a row.
+
 Where published closed forms for these curves are internally
 inconsistent (a frame sign that breaks the determinant normalization, a
 torsion sign that contradicts the definition), the oracle stores the
@@ -36,7 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .algebra import PGVector
 from .curves import CurveJet, make_analytic_curve
@@ -51,8 +58,8 @@ class OracleForms:
     """Closed-form apparatus of a catalogue curve.
 
     All fields but ``epsilon`` are functions of the arc-length parameter.
-    ``tangent``/``normal``/``binormal`` are the classical frame;
-    the ``equiform_*`` triple is the scale-invariant frame.
+    ``tangent``/``normal``/``binormal`` are the classical frame; the
+    scale-invariant frame is that frame times rho = 1/kappa.
     """
 
     kappa: Callable[[float], float]
@@ -63,9 +70,15 @@ class OracleForms:
     binormal: Callable[[float], PGVector]
     equiform_curvature: Callable[[float], float]
     equiform_torsion: Callable[[float], float]
-    equiform_tangent: Callable[[float], PGVector]
-    equiform_normal: Callable[[float], PGVector]
-    equiform_binormal: Callable[[float], PGVector]
+
+    def equiform_tangent(self, s: float) -> PGVector:
+        return self.tangent(s) / self.kappa(s)
+
+    def equiform_normal(self, s: float) -> PGVector:
+        return self.normal(s) / self.kappa(s)
+
+    def equiform_binormal(self, s: float) -> PGVector:
+        return self.binormal(s) / self.kappa(s)
 
 
 @dataclass(frozen=True)
@@ -79,17 +92,9 @@ class ZooEntry:
 
 
 JetFn = Callable[[float, int], PGVector]
-
-
-def _build_curve(jet: JetFn, lo: float, hi: float,
-                 valid_lo: float = -math.inf,
-                 valid_hi: float = math.inf) -> CurveJet:
-    pad = 0.02 * (hi - lo)
-    plo = max(lo - pad, valid_lo)
-    phi = min(hi + pad, valid_hi)
-    fns = [lambda s, k=k: jet(s, k) for k in range(MAX_JET_ORDER + 1)]
-    return make_analytic_curve(fns[0], fns[1], fns[2], fns[3], fns[4],
-                               (plo, phi), higher=fns[5:])
+# (nominal domain, validity region, jet, oracle) of one family member
+Shape = tuple[tuple[float, float], tuple[float, float], JetFn, OracleForms]
+_ANYWHERE = (-math.inf, math.inf)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -122,7 +127,7 @@ def _exp_helix_tables(a: float, b: float, p0: float, q0: float
 
 
 def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
-                   mirrored: bool) -> ZooEntry:
+                   mirrored: bool = False) -> Shape:
     _require(a != 0.0 and b != 0.0, "parameters a and b must be nonzero")
     _require(a != b and a != -b,
              "parameters must satisfy a != +-b (the closed form divides "
@@ -144,9 +149,6 @@ def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
         pz, qz = zcoef[k]
         return PGVector(x, e * (py * ch + qy * sh), e * (pz * ch + qz * sh))
 
-    def rho(s: float) -> float:
-        return math.exp(a * s)
-
     def e2(s: float) -> PGVector:
         ch, sh = math.cosh(b * s), math.sinh(b * s)
         return PGVector(0.0, sh, ch) if mirrored else PGVector(0.0, ch, sh)
@@ -167,27 +169,8 @@ def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
         tangent=e1, normal=e2, binormal=e3,
         equiform_curvature=lambda s: a * math.exp(a * s),
         equiform_torsion=lambda s: tau_val * math.exp(a * s),
-        equiform_tangent=lambda s: rho(s) * e1(s),
-        equiform_normal=lambda s: rho(s) * e2(s),
-        equiform_binormal=lambda s: rho(s) * e3(s),
     )
-    if mirrored:
-        name = "spacelike_general_helix"
-        notes = (
-            "this curve is the component swap (y <-> z) of "
-            "timelike_general_helix; its tabulated equiform-torsion sign "
-            "-b*exp(a*s) agrees with the definitional value torsion/curvature",
-        )
-    else:
-        name = "timelike_general_helix"
-        notes = (
-            "reference tables list the equiform torsion of this curve as "
-            "-b*exp(a*s); the definition (torsion / curvature) gives "
-            "+b*exp(a*s), which is the value stored here and reported",
-        )
-    return ZooEntry(name=name, params={"a": a, "b": b}, domain=(lo, hi),
-                    curve=_build_curve(jet, lo, hi), oracle=oracle,
-                    notes=notes)
+    return (lo, hi), _ANYWHERE, jet, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +190,7 @@ def _log_helix_tables(a: float, b: float, p0: float, q0: float
 
 
 def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
-                    mirrored: bool) -> ZooEntry:
+                    mirrored: bool = False) -> Shape:
     _require(a != 0.0 and b != 0.0, "parameters a and b must be nonzero")
     _require(a != b and a != -b,
              "parameters must satisfy a != +-b (the closed form divides "
@@ -249,9 +232,6 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
         j = jet(s, 1)
         return PGVector(1.0, j.x2, j.x3)
 
-    def rho(s: float) -> float:
-        return s / a
-
     tau_sign = 1.0 if mirrored else -1.0
     oracle = OracleForms(
         kappa=lambda s: a / s,
@@ -260,22 +240,9 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
         tangent=e1, normal=e2, binormal=e3,
         equiform_curvature=lambda s: 1.0 / a,
         equiform_torsion=lambda s: tau_sign * b / (a * a),
-        equiform_tangent=lambda s: rho(s) * e1(s),
-        equiform_normal=lambda s: rho(s) * e2(s),
-        equiform_binormal=lambda s: rho(s) * e3(s),
     )
-    name = "spacelike_circular_helix" if mirrored else "timelike_circular_helix"
-    flip = ("without" if mirrored else "with") + " a leading minus sign"
-    notes = (
-        f"reference tables list the binormal of this curve {flip}, which "
-        "makes the frame determinant -1; the stored binormal carries the "
-        "opposite sign so that det(tangent, normal, binormal) = +1",
-    )
-    return ZooEntry(name=name, params={"a": a, "b": b}, domain=(lo, hi),
-                    curve=_build_curve(jet, lo, hi,
-                                       valid_lo=_MARGIN / a if a > 0 else -math.inf,
-                                       valid_hi=math.inf if a > 0 else _MARGIN / a),
-                    oracle=oracle, notes=notes)
+    valid = (_MARGIN / a, math.inf) if a > 0 else (-math.inf, _MARGIN / a)
+    return (lo, hi), valid, jet, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +250,7 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
 
 
 def _log_spiral(a: float, b: float,
-                domain: tuple[float, float] | None) -> ZooEntry:
+                domain: tuple[float, float] | None) -> Shape:
     _require(a != 0.0 and b != 0.0, "parameters a and b must be nonzero")
     lo, hi = _check_domain(domain, (0.0, 4.0))
     _require(min(a * lo + b, a * hi + b) >= _MARGIN,
@@ -298,50 +265,32 @@ def _log_spiral(a: float, b: float,
         y = (-1.0) ** k * math.factorial(k - 2) * a ** (k - 2) / g ** (k - 1)
         return PGVector(0.0, y, 0.0)
 
-    def e1(s: float) -> PGVector:
-        return PGVector(1.0, math.log(a * s + b) / a, 0.0)
-
     oracle = OracleForms(
         kappa=lambda s: 1.0 / (a * s + b),
         tau=lambda s: 0.0,
         epsilon=1,
-        tangent=e1,
+        tangent=lambda s: PGVector(1.0, math.log(a * s + b) / a, 0.0),
         normal=lambda s: PGVector(0.0, 1.0, 0.0),
         binormal=lambda s: PGVector(0.0, 0.0, 1.0),
         equiform_curvature=lambda s: a,
         equiform_torsion=lambda s: 0.0,
-        equiform_tangent=lambda s: (a * s + b) * e1(s),
-        equiform_normal=lambda s: PGVector(0.0, a * s + b, 0.0),
-        equiform_binormal=lambda s: PGVector(0.0, 0.0, a * s + b),
     )
-    notes = (
-        "reference tables claim this curve satisfies the WeakAW2 condition "
-        "and not WeakAW3; evaluating the span coefficients with constant "
-        "nonzero equiform curvature and identically zero equiform torsion "
-        "gives the opposite (u = 2a^2 != 0 so WeakAW2 fails with residual "
-        "2, v = 0 so WeakAW3 holds); the computed verdicts are reported "
-        "and this conflict is flagged rather than silently resolved",
-    )
-    valid_lo = (_MARGIN - b) / a if a > 0 else -math.inf
-    valid_hi = math.inf if a > 0 else (_MARGIN - b) / a
-    return ZooEntry(name="timelike_log_spiral", params={"a": a, "b": b},
-                    domain=(lo, hi),
-                    curve=_build_curve(jet, lo, hi, valid_lo, valid_hi),
-                    oracle=oracle, notes=notes)
+    edge = (_MARGIN - b) / a
+    valid = (edge, math.inf) if a > 0 else (-math.inf, edge)
+    return (lo, hi), valid, jet, oracle
 
 
 # ---------------------------------------------------------------------------
-# constant-curvature fixtures (the curves admitting normal-offset mates)
+# constant-curvature curves (the curves admitting normal-offset mates)
 
 
-def bertrand_fixture(a: float, b: float,
-                     domain: tuple[float, float] | None = None) -> ZooEntry:
+def _bertrand_helix(a: float, b: float,
+                    domain: tuple[float, float] | None) -> Shape:
     """Constant-invariant helix (s, (a/b^2) cosh(bs), (a/b^2) sinh(bs)).
 
     It has kappa = a, tau = b, zero equiform curvature and equiform
     torsion b/a: the circular-helix case of the offset-mate family.
     """
-    a, b = float(a), float(b)
     _require(a > 0.0, "parameter a must be positive (a is the curvature)")
     _require(b != 0.0, "parameter b must be nonzero")
     lo, hi = _check_domain(domain, (-1.0, 1.0))
@@ -353,38 +302,25 @@ def bertrand_fixture(a: float, b: float,
         even = k % 2 == 0
         return PGVector(x, amp * (ch if even else sh), amp * (sh if even else ch))
 
-    def e2(s: float) -> PGVector:
-        return PGVector(0.0, math.cosh(b * s), math.sinh(b * s))
-
-    def e3(s: float) -> PGVector:
-        return PGVector(0.0, math.sinh(b * s), math.cosh(b * s))
-
-    def e1(s: float) -> PGVector:
-        return PGVector(1.0, (a / b) * math.sinh(b * s),
-                        (a / b) * math.cosh(b * s))
-
     oracle = OracleForms(
         kappa=lambda s: a,
         tau=lambda s: b,
         epsilon=1,
-        tangent=e1, normal=e2, binormal=e3,
+        tangent=lambda s: PGVector(1.0, (a / b) * math.sinh(b * s),
+                                   (a / b) * math.cosh(b * s)),
+        normal=lambda s: PGVector(0.0, math.cosh(b * s), math.sinh(b * s)),
+        binormal=lambda s: PGVector(0.0, math.sinh(b * s), math.cosh(b * s)),
         equiform_curvature=lambda s: 0.0,
         equiform_torsion=lambda s: b / a,
-        equiform_tangent=lambda s: (1.0 / a) * e1(s),
-        equiform_normal=lambda s: (1.0 / a) * e2(s),
-        equiform_binormal=lambda s: (1.0 / a) * e3(s),
     )
-    return ZooEntry(name="bertrand_helix", params={"a": a, "b": b},
-                    domain=(lo, hi), curve=_build_curve(jet, lo, hi),
-                    oracle=oracle, notes=())
+    return (lo, hi), _ANYWHERE, jet, oracle
 
 
-def isotropic_circle_fixture(a: float,
-                             domain: tuple[float, float] | None = None
-                             ) -> ZooEntry:
+def _isotropic_circle(a: float, b: float,
+                      domain: tuple[float, float] | None) -> Shape:
     """Parabola (s, a s^2 / 2, 0): kappa = a, tau = 0, both equiform
-    invariants zero — the isotropic-circle case of the offset-mate family."""
-    a = float(a)
+    invariants zero — the isotropic-circle case of the offset-mate family.
+    ``b`` is unused."""
     _require(a > 0.0, "parameter a must be positive (a is the curvature)")
     lo, hi = _check_domain(domain, (-1.0, 1.0))
 
@@ -404,44 +340,74 @@ def isotropic_circle_fixture(a: float,
         binormal=lambda s: PGVector(0.0, 0.0, 1.0),
         equiform_curvature=lambda s: 0.0,
         equiform_torsion=lambda s: 0.0,
-        equiform_tangent=lambda s: PGVector(1.0 / a, s, 0.0),
-        equiform_normal=lambda s: PGVector(0.0, 1.0 / a, 0.0),
-        equiform_binormal=lambda s: PGVector(0.0, 0.0, 1.0 / a),
     )
-    return ZooEntry(name="isotropic_circle", params={"a": a},
-                    domain=(lo, hi), curve=_build_curve(jet, lo, hi),
-                    oracle=oracle, notes=())
+    return (lo, hi), _ANYWHERE, jet, oracle
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-_FAMILIES: dict[str, tuple[str, str]] = {
-    # name -> (constraints description, default domain description)
-    "timelike_general_helix": ("a, b nonzero; a != +-b", "[0, 2]"),
-    "spacelike_general_helix": ("a, b nonzero; a != +-b", "[0, 2]"),
-    "timelike_circular_helix": ("a, b nonzero; a != +-b; a*s > 0 on domain",
-                                "[1/(2a), 3] for a > 0"),
-    "spacelike_circular_helix": ("a, b nonzero; a != +-b; a*s > 0 on domain",
-                                 "[1/(2a), 3] for a > 0"),
-    "timelike_log_spiral": ("a, b nonzero; a*s + b > 0 on domain", "[0, 4]"),
-    "bertrand_helix": ("a > 0; b nonzero", "[-1, 1]"),
-    "isotropic_circle": ("a > 0 (b unused)", "[-1, 1]"),
-}
+class _Family(NamedTuple):
+    build: Callable[[float, float, tuple[float, float] | None], Shape]
+    constraints: str
+    default_domain: str
+    reference: tuple[float, float]      # (a, b) for an omitted a or b
+    notes: tuple[str, ...] = ()
+    params: tuple[str, ...] = ("a", "b")
 
 
-# reference (a, b) of each family: the CLI's defaults for omitted --a/--b,
-# the figure datasets' parameters and the parameters of all_entries
-REFERENCE_PARAMS: dict[str, tuple[float, float]] = {
-    "timelike_general_helix": (1.0, 2.0),
-    "spacelike_general_helix": (1.0, 2.0),
-    "timelike_circular_helix": (1.0, 2.0),
-    "spacelike_circular_helix": (1.0, 2.0),
-    "timelike_log_spiral": (1.0, 1.0),
-    "bertrand_helix": (1.0, 1.0),
-    "isotropic_circle": (1.0, 1.0),
+_HELIX = "a, b nonzero; a != +-b"
+_CIRCULAR = _HELIX + "; a*s > 0 on domain"
+_BINORMAL_NOTE = (
+    "reference tables list the binormal of this curve {} a leading minus "
+    "sign, which makes the frame determinant -1; the stored binormal "
+    "carries the opposite sign so that det(tangent, normal, binormal) = +1")
+
+_FAMILIES: dict[str, _Family] = {
+    "timelike_general_helix": _Family(
+        _general_helix, _HELIX, "[0, 2]", (1.0, 2.0),
+        ("reference tables list the equiform torsion of this curve as "
+         "-b*exp(a*s); the definition (torsion / curvature) gives "
+         "+b*exp(a*s), which is the value stored here and reported",)),
+    "spacelike_general_helix": _Family(
+        partial(_general_helix, mirrored=True), _HELIX, "[0, 2]", (1.0, 2.0),
+        ("this curve is the component swap (y <-> z) of "
+         "timelike_general_helix; its tabulated equiform-torsion sign "
+         "-b*exp(a*s) agrees with the definitional value torsion/curvature",)),
+    "timelike_circular_helix": _Family(
+        _circular_helix, _CIRCULAR, "[1/(2a), 3] for a > 0", (1.0, 2.0),
+        (_BINORMAL_NOTE.format("with"),)),
+    "spacelike_circular_helix": _Family(
+        partial(_circular_helix, mirrored=True), _CIRCULAR,
+        "[1/(2a), 3] for a > 0", (1.0, 2.0),
+        (_BINORMAL_NOTE.format("without"),)),
+    "timelike_log_spiral": _Family(
+        _log_spiral, "a, b nonzero; a*s + b > 0 on domain", "[0, 4]",
+        (1.0, 1.0),
+        ("reference tables claim this curve satisfies the WeakAW2 condition "
+         "and not WeakAW3; evaluating the span coefficients with constant "
+         "nonzero equiform curvature and identically zero equiform torsion "
+         "gives the opposite (u = 2a^2 != 0 so WeakAW2 fails with residual "
+         "2, v = 0 so WeakAW3 holds); the computed verdicts are reported "
+         "and this conflict is flagged rather than silently resolved",)),
+    "bertrand_helix": _Family(
+        _bertrand_helix, "a > 0; b nonzero", "[-1, 1]", (1.0, 1.0)),
+    "isotropic_circle": _Family(
+        _isotropic_circle, "a > 0 (b unused)", "[-1, 1]", (1.0, 1.0),
+        params=("a",)),
 }
+
+# the reference (a, b) of each family (also the figure datasets' parameters)
+REFERENCE_PARAMS = {name: fam.reference for name, fam in _FAMILIES.items()}
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise UnknownCurveError(
+            f"unknown curve {name!r}; known: {', '.join(_FAMILIES)}") from None
 
 
 def zoo_names() -> list[str]:
@@ -450,45 +416,39 @@ def zoo_names() -> list[str]:
 
 def describe_constraints(name: str) -> tuple[str, str]:
     """(parameter constraints, default domain) for a catalogue name."""
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise UnknownCurveError(
-            f"unknown curve {name!r}; known: {', '.join(_FAMILIES)}") from None
+    fam = _family(name)
+    return fam.constraints, fam.default_domain
 
 
-def get_example(name: str, a: float, b: float,
+def get_example(name: str, a: float | None = None, b: float | None = None,
                 domain: tuple[float, float] | None = None) -> ZooEntry:
-    """Build a catalogue entry by name.
+    """Build a catalogue entry by name; an omitted ``a`` or ``b`` takes
+    the family's reference value.
 
     Raises :class:`UnknownCurveError` for unknown names and
-    :class:`ParameterConstraintError` when (a, b, domain) violate the
-    family's validity constraints.
+    :class:`ParameterConstraintError` when a parameter the family uses
+    is not finite or (a, b, domain) violate its validity constraints.
     """
-    a, b = float(a), float(b)
-    if name == "timelike_general_helix":
-        return _general_helix(a, b, domain, mirrored=False)
-    if name == "spacelike_general_helix":
-        return _general_helix(a, b, domain, mirrored=True)
-    if name == "timelike_circular_helix":
-        return _circular_helix(a, b, domain, mirrored=False)
-    if name == "spacelike_circular_helix":
-        return _circular_helix(a, b, domain, mirrored=True)
-    if name == "timelike_log_spiral":
-        return _log_spiral(a, b, domain)
-    if name == "bertrand_helix":
-        return bertrand_fixture(a, b, domain)
-    if name == "isotropic_circle":
-        return isotropic_circle_fixture(a, domain)
-    raise UnknownCurveError(
-        f"unknown curve {name!r}; known: {', '.join(_FAMILIES)}")
+    fam = _family(name)
+    a = fam.reference[0] if a is None else float(a)
+    b = fam.reference[1] if b is None else float(b)
+    params = dict(zip(fam.params, (a, b)))
+    if not all(map(math.isfinite, params.values())):
+        raise ParameterConstraintError(
+            "parameters must be finite, got "
+            + ", ".join(f"{k}={v}" for k, v in params.items()))
+    (lo, hi), (valid_lo, valid_hi), jet, oracle = fam.build(a, b, domain)
+    pad = 0.02 * (hi - lo)
+    fns = [lambda s, k=k: jet(s, k) for k in range(MAX_JET_ORDER + 1)]
+    curve = make_analytic_curve(
+        fns[0], fns[1], fns[2], fns[3], fns[4],
+        (max(lo - pad, valid_lo), min(hi + pad, valid_hi)), higher=fns[5:])
+    return ZooEntry(name=name, params=params, domain=(lo, hi), curve=curve,
+                    oracle=oracle, notes=fam.notes)
 
 
 def all_entries() -> list[ZooEntry]:
-    """One entry per family at its :data:`REFERENCE_PARAMS` (tests and
+    """One entry per family at its reference parameters (tests and
     sweeps); circular helices on [0.6, 3]."""
-    out = []
-    for name, (a, b) in REFERENCE_PARAMS.items():
-        domain = (0.6, 3.0) if "circular_helix" in name else None
-        out.append(get_example(name, a, b, domain))
-    return out
+    return [get_example(name, domain=(0.6, 3.0) if "circular_helix" in name
+                        else None) for name in _FAMILIES]

@@ -12,9 +12,7 @@ import pytest
 from pg_curvelab.zoo import (
     ZooEntry,
     all_entries,
-    bertrand_fixture,
     get_example,
-    isotropic_circle_fixture,
 )
 
 
@@ -61,13 +59,13 @@ def log_spiral() -> ZooEntry:
 @pytest.fixture(scope="session")
 def helix_fixture() -> ZooEntry:
     """Constant-invariant helix kappa = tau = 1: admits normal-offset mates."""
-    return bertrand_fixture(1.0, 1.0)
+    return get_example("bertrand_helix", 1.0, 1.0)
 
 
 @pytest.fixture(scope="session")
 def parabola() -> ZooEntry:
     """Isotropic circle (s, s^2/2, 0): kappa = 1, tau = 0."""
-    return isotropic_circle_fixture(1.0)
+    return get_example("isotropic_circle", 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from pg_curvelab.algebra import PGVector, pg_dot
@@ -71,6 +73,17 @@ class TestExactMate:
         with pytest.raises(MateInadmissibleError,
                            match="lightlike acceleration at s="):
             bertrand_mate(base, 0.5)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("max_order", [8, 4])
+    def test_non_finite_offset_is_rejected_before_any_jet(self, offset,
+                                                          max_order):
+        def jet(s, k):
+            raise AssertionError("the base was evaluated")
+
+        base = CurveJet(jet, (0.0, 1.0), JetKind.ANALYTIC, max_order=max_order)
+        with pytest.raises(ValueError, match="offset must be finite, got"):
+            bertrand_mate(base, offset)
 
 
 class TestVerification:

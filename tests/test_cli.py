@@ -796,6 +796,37 @@ class TestErrorExits:
     def test_overflowing_parameters(self, capsys, argv):
         rejected(capsys, "eval", *argv)
 
+    @pytest.mark.parametrize("name", zoo_names())
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameters(self, capsys, name, value):
+        entry = get_example(name)
+        lo, hi = entry.domain
+        for option in ("--a", "--b")[:len(entry.params)]:
+            rc, _, err = invoke(capsys, "eval", "--curve", name, option,
+                                value, "--grid", f"{lo!r}:{hi!r}:5")
+            assert rc == 2
+            doc = json.loads(err)
+            assert doc["error"] == "ParameterConstraintError"
+            assert doc["message"].startswith("parameters must be finite, got")
+
+    @pytest.mark.parametrize("grid", ["0:inf:5", "nan:1:5", "-inf:0.5:5",
+                                      "inf:inf:1"])
+    @pytest.mark.parametrize("source", ["curve", "input"])
+    def test_non_finite_grid(self, capsys, helix_csv, source, grid):
+        src = (("--curve", "bertrand_helix") if source == "curve"
+               else ("--input", str(helix_csv)))
+        rc, _, err = invoke(capsys, "classify", *src, "--grid", grid)
+        assert rc == 2
+        doc = json.loads(err)
+        assert doc["error"] == "ConfigError"
+        assert doc["message"].startswith("grid start and stop must be finite")
+
+    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+    def test_non_finite_offset(self, capsys, offset):
+        assert rejected(capsys, "bertrand", "--curve", "bertrand_helix",
+                        "--lambda", offset, "--grid", "-0.9:0.9:21") == (
+            f"offset must be finite, got {float(offset)}")
+
     def test_non_finite_internal_vector(self, capsys):
         # the parameters are finite; the apparatus overflows to nan, and only
         # the finiteness check of an internal vector stops it

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from pg_curvelab.equiform import equiform_data
@@ -13,10 +15,8 @@ from pg_curvelab.errors import (
 from pg_curvelab.frenet import frenet_data
 from pg_curvelab.zoo import (
     MAX_JET_ORDER,
-    bertrand_fixture,
     describe_constraints,
     get_example,
-    isotropic_circle_fixture,
     zoo_names,
 )
 
@@ -121,11 +121,31 @@ class TestConstraints:
 
     def test_fixture_parameters_guarded(self):
         with pytest.raises(ParameterConstraintError, match="positive"):
-            bertrand_fixture(-1.0, 1.0)
+            get_example("bertrand_helix", -1.0, 1.0)
         with pytest.raises(ParameterConstraintError, match="nonzero"):
-            bertrand_fixture(1.0, 0.0)
+            get_example("bertrand_helix", 1.0, 0.0)
         with pytest.raises(ParameterConstraintError, match="positive"):
-            isotropic_circle_fixture(0.0)
+            get_example("isotropic_circle", 0.0)
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        used = get_example(name).params
+        for key in used:
+            params = {**used, key: value}
+            with pytest.raises(ParameterConstraintError,
+                               match="parameters must be finite"):
+                get_example(name, **params)
+
+    def test_unused_parameter_is_not_checked(self):
+        entry = get_example("isotropic_circle", 1.0, math.nan)
+        assert entry.params == {"a": 1.0}
+
+    def test_omitted_parameters_take_the_reference_values(self):
+        assert get_example("timelike_general_helix").params == \
+            {"a": 1.0, "b": 2.0}
+        assert get_example("timelike_general_helix", b=3.0).params == \
+            {"a": 1.0, "b": 3.0}
 
     def test_unknown_names_rejected(self):
         with pytest.raises(UnknownCurveError, match="unknown curve"):
