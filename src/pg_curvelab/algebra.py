@@ -16,8 +16,8 @@ All functions here are pure and all types immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 
 class PGVector:
@@ -105,8 +105,7 @@ def det3(u: PGVector, v: PGVector, w: PGVector) -> float:
             + u.x3 * (v.x1 * w.x2 - v.x2 * w.x1))
 
 
-@dataclass(frozen=True)
-class SimilarityMotion:
+class SimilarityMotion(NamedTuple):
     """An element of the 8-parameter similarity group of the space.
 
     Points transform as
@@ -115,9 +114,9 @@ class SimilarityMotion:
         y ->  c + d*x + r*cosh(theta)*y + r*sinh(theta)*z
         z ->  e + f*x + r*sinh(theta)*y + r*cosh(theta)*z
 
-    The isometry subgroup is b == r == 1.  The scale r must be nonzero;
-    :func:`pg_curvelab.curves.apply_similarity`, which maps curves by the
-    motion, also needs b nonzero.
+    The isometry subgroup is b == r == 1.  The motion is invertible when
+    b and r are nonzero; :func:`pg_curvelab.curves.apply_similarity`,
+    which maps curves by the motion, checks both.
     """
 
     a: float = 0.0
@@ -128,7 +127,3 @@ class SimilarityMotion:
     f: float = 0.0
     r: float = 1.0
     theta: float = 0.0
-
-    def __post_init__(self):
-        if self.r == 0.0:
-            raise ValueError("similarity scale r must be nonzero")

@@ -38,7 +38,6 @@ Such points are counted in the report, never dropped silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import PGVector, pg_dot
@@ -178,8 +177,7 @@ def _vectors(d: EquiformData) -> DerivativeVectors:
         a11=a11, a12=a12, a21=a21, a22=a22)
 
 
-@dataclass(frozen=True)
-class UnitDirections:
+class UnitDirections(NamedTuple):
     """Unit of d2 and the signed-orthogonalized unit of d3.
 
     ``q2`` is None when d3 has no component outside the line of d2 (for
@@ -259,15 +257,13 @@ def vector_identity_residuals(dv: DerivativeVectors) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class AWVerdict:
+class AWVerdict(NamedTuple):
     holds: bool
     sup_residual: float
     grid_size: int
 
 
-@dataclass(frozen=True)
-class AWReport:
+class AWReport(NamedTuple):
     """Grid verdicts for the five span conditions.
 
     ``verdicts`` maps condition name to its verdict; ``holds`` collects

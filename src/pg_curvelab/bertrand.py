@@ -30,15 +30,14 @@ and the mate's domain shrinks by the stencil reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import PGVector, pg_dot
 from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_source
 from .equiform import (
     NaturalClassTag,
+    _mean,
     _natural_class_of,
     _spread,
     equiform_grid,
@@ -178,8 +177,7 @@ def _nature_of(tag: NaturalClassTag) -> BertrandNature:
     return BertrandNature.NOT_BERTRAND
 
 
-@dataclass(frozen=True)
-class BertrandPair:
+class BertrandPair(NamedTuple):
     """Verification outcome for a claimed mate pair.
 
     ``offset`` is the geometrically recovered offset (mean over the
@@ -240,7 +238,7 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
 
         products.append(pg_dot(m.tangent, b.tangent))
 
-    lam_mean = fmean(recovered)
+    lam_mean = _mean(recovered)
     lam_scale = max(1.0, abs(lam_mean))
     prod_spread = _spread(products)
 
@@ -255,12 +253,12 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     if _spread(recovered) > tol * lam_scale:
         failures.append(
             f"recovered offset varies by {_spread(recovered):.3e} over the grid")
-    if _spread(claimed) > tol * max(1.0, abs(fmean(claimed))):
+    if _spread(claimed) > tol * max(1.0, abs(_mean(claimed))):
         failures.append("claimed offset is not constant over the grid")
     if max(abs(r - c) for r, c in zip(recovered, claimed)) > tol * lam_scale:
         failures.append(
             f"claimed offset differs from the recovered {lam_mean:.6g}")
-    if prod_spread > tol * max(1.0, abs(fmean(products))):
+    if prod_spread > tol * max(1.0, abs(_mean(products))):
         failures.append(
             f"tangent scalar product varies by {prod_spread:.3e} over the grid")
 

@@ -38,8 +38,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import aw
 from .algebra import PGVector
@@ -176,8 +175,7 @@ def _snap_grid(pts: Sequence[float], snap: Callable[[float], float],
 # resolving the configured curve
 
 
-@dataclass
-class _Resolved:
+class _Resolved(NamedTuple):
     curve: CurveJet
     label: str
     params: dict[str, float]

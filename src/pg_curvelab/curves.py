@@ -470,12 +470,14 @@ def apply_similarity(c: CurveJet, m: SimilarityMotion) -> CurveJet:
     multiplied by max(|b|, max(|d|, |f|) + |r|*e^|theta|) / |b|**k, which
     bounds the linear part's row sums over |b|**k.  The curve keeps its
     kind, jet orders and warnings.  Raises ValueError when b == 0, which
-    maps the curve into the plane x = a.
+    maps the curve into the plane x = a, or when r == 0.
     """
     a, b = m.a, m.b
     if b == 0.0:
         raise ValueError("similarity motion with b = 0 maps the curve "
                          "into the plane x = a")
+    if m.r == 0.0:
+        raise ValueError("similarity scale r must be nonzero")
     rch = m.r * math.cosh(m.theta)
     rsh = m.r * math.sinh(m.theta)
     row_sum = max(abs(b), max(abs(m.d), abs(m.f))

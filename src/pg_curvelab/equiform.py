@@ -20,9 +20,8 @@ their rates exact to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum
-from statistics import fmean
 from typing import NamedTuple, Sequence
 
 from .algebra import PGVector
@@ -165,8 +164,7 @@ class NaturalClassTag(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class NaturalClass:
+class NaturalClass(NamedTuple):
     """Outcome of the constant-invariant classification over a grid."""
 
     tag: NaturalClassTag
@@ -180,13 +178,17 @@ def _spread(vals: Sequence[float]) -> float:
     return max(vals) - min(vals)
 
 
+def _mean(vals: Sequence[float]) -> float:
+    return math.fsum(vals) / len(vals)
+
+
 def _is_zero(vals: Sequence[float], bounds: Sequence[float],
              tol: float) -> bool:
     return all(abs(v) <= max(tol, e) for v, e in zip(vals, bounds))
 
 
 def _is_const(vals: Sequence[float], tol: float) -> bool:
-    return _spread(vals) <= tol * max(1.0, abs(fmean(vals)))
+    return _spread(vals) <= tol * max(1.0, abs(_mean(vals)))
 
 
 def natural_class(c: CurveJet, grid: Sequence[float],
@@ -231,7 +233,7 @@ def _natural_class_of(datas: Sequence[EquiformData], tol_const: float = 1e-6,
         elif t_zero:
             result = NaturalClassTag.ISOTROPIC_LOG_SPIRAL
     return NaturalClass(tag=result,
-                        curvature_mean=fmean(Ks),
+                        curvature_mean=_mean(Ks),
                         curvature_spread=_spread(Ks),
-                        torsion_mean=fmean(Ts),
+                        torsion_mean=_mean(Ts),
                         torsion_spread=_spread(Ts))

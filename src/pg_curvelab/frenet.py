@@ -15,7 +15,6 @@ binormal has the opposite character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import NamedTuple, Sequence
 
@@ -60,8 +59,7 @@ def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
     return 1 if w > 0.0 else -1
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Grid sweep of :func:`normal_character`: ``admissible`` when no
     apparatus raises at a grid point.  The margins are the smallest
     max(|y''|, |z''|) (inflection) and |y''^2 - z''^2| / (y''^2 + z''^2)

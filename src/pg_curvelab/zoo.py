@@ -41,7 +41,6 @@ stencils centered at the nominal endpoints stay evaluable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -53,8 +52,7 @@ MAX_JET_ORDER = 8
 _MARGIN = 1e-3          # lower bound kept under logarithm arguments
 
 
-@dataclass(frozen=True)
-class OracleForms:
+class OracleForms(NamedTuple):
     """Closed-form apparatus of a catalogue curve.
 
     All fields but ``epsilon`` are functions of the arc-length parameter.
@@ -81,8 +79,7 @@ class OracleForms:
         return self.binormal(s) / self.kappa(s)
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     name: str
     params: dict[str, float]
     domain: tuple[float, float]

@@ -136,9 +136,9 @@ class TestSimilarityMotion:
     image's order-k jet at t = a + b*s is the linear part applied to the
     order-k jet at s, over b**k, and translations move positions only."""
 
-    def test_zero_scale_rejected(self):
+    def test_zero_scale_rejected(self, general_helix):
         with pytest.raises(ValueError, match="nonzero"):
-            SimilarityMotion(r=0.0)
+            apply_similarity(general_helix.curve, SimilarityMotion(r=0.0))
 
     def test_identity_fixes_points(self, general_helix):
         c = general_helix.curve

@@ -53,6 +53,8 @@ motions = st.builds(
 boosts = st.builds(
     SimilarityMotion,
     a=st.floats(min_value=-5.0, max_value=5.0),
+    b=st.just(1.0),
+    r=st.just(1.0),
     c=st.floats(min_value=-5.0, max_value=5.0),
     e=st.floats(min_value=-5.0, max_value=5.0),
     d=st.floats(min_value=-2.0, max_value=2.0),
