@@ -159,15 +159,18 @@ def _lattice_curve(
 
 def _snap_grid(pts: Sequence[float], snap: Callable[[float], float],
                domain: tuple[float, float]) -> list[float]:
+    """Distinct lattice abscissae of the ascending grid points, each of
+    which must snap into the usable range (within half a spacing of it)."""
     lo, hi = domain
     out: list[float] = []
     for p in pts:
-        snapped = snap(min(max(snap(p), lo), hi))
-        if lo - 1e-12 <= snapped <= hi + 1e-12 and (
-                not out or snapped > out[-1]):
+        snapped = snap(p)
+        if snap(min(max(snapped, lo), hi)) != snapped:
+            raise ConfigError(
+                f"grid point {p:g} is outside the usable sample range "
+                f"[{lo:g}, {hi:g}]")
+        if not out or snapped > out[-1]:
             out.append(snapped)
-    if not out:
-        raise ConfigError("grid does not intersect the usable sample range")
     return out
 
 
@@ -369,7 +372,7 @@ def _cmd_bertrand(args: argparse.Namespace) -> int:
         raise ConfigError(
             "need at least 5 grid points inside the mate domain")
     pair = verify_bertrand_pair(res.curve, mate, args.offset, grid,
-                                tol=args.tol_class or 1e-8)
+                                tol=args.tol_class)
     doc = {
         **_report(args, res, grid),
         "offset": args.offset,
@@ -470,27 +473,30 @@ def _build_parser() -> _Parser:
                                 "a uniform lattice")
             p.add_argument("--grid", required=True,
                            help="evaluation grid start:stop:count")
-            p.add_argument("--tol", dest="tol_class", type=float,
-                           help="classification tolerance (default by tier)")
-            p.add_argument("--tol-zero", dest="tol_zero", type=float,
-                           default=1e-9,
-                           help="threshold below which an invariant counts "
-                                "as identically zero; --input points also "
-                                "allow their FD error bound (default 1e-9)")
-            p.add_argument("--tol-const", dest="tol_const", type=float,
-                           default=1e-6,
-                           help="relative spread below which an invariant "
-                                "counts as constant (default 1e-6)")
         p.add_argument("--out", dest="out_path",
                        help="output path (default stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv", help="output format (default csv)")
 
     add_common(sub.add_parser("eval"), _cmd_eval, with_grid=True)
-    add_common(sub.add_parser("classify"), _cmd_classify, with_grid=True)
+    pc = sub.add_parser("classify")
+    add_common(pc, _cmd_classify, with_grid=True)
+    pc.add_argument("--tol", dest="tol_class", type=float,
+                    help="classification tolerance (default by tier)")
+    pc.add_argument("--tol-zero", dest="tol_zero", type=float,
+                    default=1e-9,
+                    help="threshold below which an invariant counts "
+                         "as identically zero; --input points also "
+                         "allow their FD error bound (default 1e-9)")
+    pc.add_argument("--tol-const", dest="tol_const", type=float,
+                    default=1e-6,
+                    help="relative spread below which an invariant "
+                         "counts as constant (default 1e-6)")
     pb = sub.add_parser("bertrand")
     pb.add_argument("--lambda", dest="offset", type=float, required=True,
                     help="constant normal-offset factor")
+    pb.add_argument("--tol", dest="tol_class", type=float, default=1e-8,
+                    help="pair-verification tolerance (default 1e-8)")
     add_common(pb, _cmd_bertrand, with_grid=True)
     add_common(sub.add_parser("zoo-list"), _cmd_zoo_list, with_grid=False)
     pf = sub.add_parser("figure")
@@ -521,7 +527,7 @@ def _check(args: argparse.Namespace) -> None:
         return
     args.grid = _parse_grid(args.grid)
     for name in ("tol_class", "tol_zero", "tol_const"):
-        val = getattr(args, name)
+        val = getattr(args, name, None)
         if val is not None and not val > 0.0:
             raise ConfigError(f"{name} must be positive, got {val}")
     start, stop, count = args.grid
@@ -530,6 +536,8 @@ def _check(args: argparse.Namespace) -> None:
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"grid start and stop must be finite, got "
                           f"{start}:{stop}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"grid span {start}:{stop} overflows a double")
     if count == 1:
         if start != stop:
             raise ConfigError("a single-point grid needs start == stop")

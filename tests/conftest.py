@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from pg_curvelab.algebra import PGVector
+from pg_curvelab.curves import CurveJet, make_analytic_curve
 from pg_curvelab.zoo import (
     ZooEntry,
     all_entries,
@@ -66,6 +68,18 @@ def helix_fixture() -> ZooEntry:
 def parabola() -> ZooEntry:
     """Isotropic circle (s, s^2/2, 0): kappa = 1, tau = 0."""
     return get_example("isotropic_circle", 1.0)
+
+
+@pytest.fixture(scope="session")
+def light_cone_crossing_curve() -> CurveJet:
+    """(s, s^3/6, s^2/2): y'' = s, z'' = 1, so eps flips at s = 1."""
+    return make_analytic_curve(
+        lambda s: PGVector(s, s ** 3 / 6.0, 0.5 * s * s),
+        lambda s: PGVector(1.0, 0.5 * s * s, s),
+        lambda s: PGVector(0.0, s, 1.0),
+        lambda s: PGVector(0.0, 1.0, 0.0),
+        lambda s: PGVector(0.0, 0.0, 0.0),
+        domain=(0.25, 2.0))
 
 
 @pytest.fixture(scope="session")

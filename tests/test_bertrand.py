@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pg_curvelab.algebra import PGVector, pg_dot
+from pg_curvelab.algebra import PGVector, SimilarityMotion, pg_dot
 from pg_curvelab.bertrand import (
     BertrandNature,
     _normal_series,
@@ -14,9 +14,10 @@ from pg_curvelab.bertrand import (
     bertrand_nature,
     verify_bertrand_pair,
 )
-from pg_curvelab.curves import CurveJet, JetKind, make_sampled_curve
+from pg_curvelab.curves import (CurveJet, JetKind, apply_similarity,
+                                 make_sampled_curve)
 from pg_curvelab.equiform import equiform_data
-from pg_curvelab.errors import MateInadmissibleError
+from pg_curvelab.errors import MateInadmissibleError, NarrowDomainError
 from pg_curvelab.frenet import frenet_data
 
 
@@ -126,6 +127,16 @@ class TestVerification:
         assert pair.failures == (
             "claimed offset differs from the recovered 1",)
 
+    def test_translated_copy_is_not_a_mate(self, helix_fixture, uniform):
+        # a shift along y keeps the normals parallel and the tangents
+        # equal, but its projection on the rotating normal is not constant
+        base = helix_fixture.curve
+        shifted = apply_similarity(base, SimilarityMotion(c=0.1))
+        pair = verify_bertrand_pair(base, shifted, 0.0,
+                                    uniform(-0.9, 0.9, 11))
+        assert not pair.is_pair
+        assert pair.failures[0].startswith("recovered offset varies by")
+
     def test_varying_curvature_admits_no_mates(self, general_helix, uniform):
         base = general_helix.curve
         mate = bertrand_mate(base, 1.0)
@@ -172,6 +183,14 @@ class TestFiniteDifferenceFallback:
                                       uniform(-0.85, 0.85, 11))
         assert not strict.is_pair
         assert any("equiform curvature" in f for f in strict.failures)
+
+    def test_narrow_base_domain_rejected(self, helix_fixture):
+        # the mate's difference step is eps^(1/6) ~ 2.5e-3 here, so a base
+        # domain of width 0.01 cannot hold its 8-step stencils
+        base = CurveJet(helix_fixture.curve.jet, (0.0, 0.01),
+                        JetKind.ANALYTIC, max_order=4)
+        with pytest.raises(NarrowDomainError, match="mate stencils"):
+            bertrand_mate(base, 0.3)
 
 
 def bits(v: PGVector) -> tuple[str, ...]:

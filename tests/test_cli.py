@@ -107,9 +107,20 @@ class TestConfigValidation:
         assert rejected(capsys, "classify", *self.CURVE, *grid,
                         "--tol=-1e-8") == \
             "tol_class must be positive, got -1e-08"
-        assert rejected(capsys, "eval", *self.CURVE, *grid,
+        assert rejected(capsys, "classify", *self.CURVE, *grid,
                         "--tol-const=-1") == \
             "tol_const must be positive, got -1.0"
+
+    @pytest.mark.parametrize("command, option", [
+        ("eval", "--tol"), ("eval", "--tol-zero"), ("eval", "--tol-const"),
+        ("bertrand", "--tol-zero"), ("bertrand", "--tol-const"),
+    ])
+    def test_options_a_command_does_not_read(self, capsys, command, option):
+        # eval reads no tolerance and bertrand only its pair tolerance
+        offset = ("--lambda", "0.3") if command == "bertrand" else ()
+        assert rejected(capsys, command, "--curve", "bertrand_helix",
+                        "--grid", "-0.5:0.5:5", *offset, option, "1e-3") == \
+            f"unrecognized arguments: {option}=1e-3"
 
     def test_grid_shape(self, capsys):
         assert invoke(capsys, "eval", *self.CURVE, "--grid", "0:1:11")[0] == 0
@@ -420,6 +431,41 @@ class TestLatticeInput:
         message = json.loads(err)["message"]
         assert "uniform lattice" in message
         assert "(line 9 is off by more than 1e-9)" in message
+
+    def test_coincident_samples_rejected(self, tmp_path, capsys):
+        path = tmp_path / "same.csv"
+        path.write_text("s,x,y,z\n" + "0.5,0.5,0.125,0\n" * 20)
+        assert rejected(capsys, "eval", "--input", str(path),
+                        "--grid", "0:1:5") == \
+            f"{path}: sample parameters must be distinct"
+
+    def test_blank_rows_are_skipped(self, tmp_path, capsys, helix_csv):
+        lines = open(helix_csv).read().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join(line + ("\n\n" if i % 10 == 3 else "\n")
+                                  for i, line in enumerate(lines)))
+        argv = ("--grid", "-0.5:0.5:11")
+        rc, out, err = invoke(capsys, "eval", "--input", str(spaced), *argv)
+        assert (rc, err) == (0, "")
+        assert invoke(capsys, "eval", "--input", helix_csv, *argv) == \
+            (0, out, "")
+
+    def test_top_of_the_usable_range_on_a_far_lattice(self, tmp_path,
+                                                      capsys):
+        # far from s = 0 the top usable abscissa, formed as
+        # s0 + (n - 9) * spacing, rounds 3.6e-12 above the range end
+        # s_end - 8 * spacing; a grid on it is evaluated there
+        s0, d, n = 17412.45260415335, 0.9196491627865294, 942
+        path = tmp_path / "far.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            f"{s!r},{s!r},{(s - s0) ** 2 / 2e3!r},{(s - s0) ** 3 / 6e7!r}\n"
+            for s in (s0 + i * d for i in range(n))))
+        lattice, _, snap = _lattice_curve(str(path))
+        hi = lattice.domain[1]
+        rc, out, err = invoke(capsys, "eval", "--input", str(path),
+                              "--grid", f"{hi!r}:{hi!r}:1")
+        assert (rc, err) == (0, "")
+        assert float(out.splitlines()[1].split(",")[0]) == snap(hi) > hi
 
     def test_missing_columns_rejected(self, tmp_path, capsys):
         path = tmp_path / "cols.csv"
@@ -820,6 +866,43 @@ class TestErrorExits:
         doc = json.loads(err)
         assert doc["error"] == "ConfigError"
         assert doc["message"].startswith("grid start and stop must be finite")
+
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    @pytest.mark.parametrize("source", ["curve", "input"])
+    def test_overflowing_grid_span(self, capsys, helix_csv, source, command):
+        # finite ends whose difference overflows would make every point nan
+        src = (("--curve", "bertrand_helix") if source == "curve"
+               else ("--input", str(helix_csv)))
+        assert rejected(capsys, command, *src,
+                        "--grid", "-1e308:1e308:5") == \
+            "grid span -1e+308:1e+308 overflows a double"
+
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_input_grid_outside_the_usable_range(self, capsys, helix_csv,
+                                                 command):
+        # the lattice spans [-1, 1], so its usable range is [-0.9375, 0.9375]
+        # (8 spacings of 2^-7 in from each end); --curve rejects the same
+        # grid against the curve domain
+        assert rejected(capsys, command, "--input", str(helix_csv),
+                        "--grid", "5:6:11") == \
+            "grid point 5 is outside the usable sample range " \
+            "[-0.9375, 0.9375]"
+        assert rejected(capsys, command, "--input", str(helix_csv),
+                        "--grid", "-0.95:0.5:11") == \
+            "grid point -0.95 is outside the usable sample range " \
+            "[-0.9375, 0.9375]"
+        assert "outside the curve domain" in rejected(
+            capsys, command, "--curve", "bertrand_helix", "--grid", "5:6:11")
+
+    def test_input_grid_within_half_a_spacing_is_clamped(self, capsys,
+                                                         helix_csv):
+        # -0.941 and 0.94 lie within half a spacing (2^-8) of the range
+        # ends and snap onto them
+        rc, out, _ = invoke(capsys, "eval", "--input", str(helix_csv),
+                            "--grid", "-0.941:0.94:2", "--format", "json")
+        assert rc == 0
+        assert [row[0] for row in json.loads(out)["rows"]] == \
+            [-0.9375, 0.9375]
 
     @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
     def test_non_finite_offset(self, capsys, offset):

@@ -116,6 +116,10 @@ class TestCurveJet:
 
 
 class TestAnalyticConstructor:
+    def test_empty_domain_rejected(self):
+        with pytest.raises(EmptyDomainError):
+            make_analytic_curve(*cubic_jets(), domain=(1.0, 1.0))
+
     def test_x_offset_is_normalized_away(self):
         fns = list(cubic_jets())
         shifted = lambda s: PGVector(s + 5.0, s ** 3 / 6.0, 0.5 * s * s)
@@ -286,6 +290,31 @@ class TestSampledConstructor:
         with pytest.raises(NarrowDomainError):
             make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (0.0, 0.1),
                                h=0.05)
+
+    def test_empty_domain_rejected(self):
+        with pytest.raises(EmptyDomainError):
+            make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (1.0, 0.0))
+
+    def test_short_window_shrinks_the_step(self, general_helix):
+        # the balanced order-3/4 step is 27h, whose 7-node stencil spans
+        # 0.162, wider than the window [0.496, 0.604]: every order-3/4 jet
+        # steps down to a stencil that fits, and its error bound holds
+        c = make_sampled_curve(general_helix.curve.position, (0.5, 0.6),
+                               h=1e-3)
+        for s in (0.5, 0.55, 0.6):
+            for order in (3, 4):
+                jet = c.jet(s, order)
+                err = (jet - general_helix.curve.jet(s, order)).max_abs()
+                assert err <= jet.err
+
+    def test_exact_stencils_try_the_largest_step(self):
+        # every difference of a line at a dyadic step is exactly zero, so
+        # the truncation estimate is 0 and the next step tried is the
+        # largest allowed; the jets stay exactly zero
+        c = make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (-1.0, 1.0),
+                               h=2.0 ** -10)
+        assert [j.as_tuple() for j in c.jets(0.0, 3, 4)] == \
+            [(0.0, 0.0, 0.0)] * 2
 
 
 class TestFDVectorValueType:

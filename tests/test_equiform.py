@@ -20,7 +20,6 @@ from pg_curvelab.errors import (
     JetOrderError,
 )
 from pg_curvelab.frenet import frenet_data
-from tests.test_frenet import light_cone_crossing_curve
 
 
 class TestEquiformData:
@@ -101,8 +100,8 @@ class TestEquiformGrid:
         with pytest.raises(EmptyGridError):
             equiform_grid(general_helix.curve, [])
 
-    def test_light_cone_crossing_rejected(self):
-        c = light_cone_crossing_curve()
+    def test_light_cone_crossing_rejected(self, light_cone_crossing_curve):
+        c = light_cone_crossing_curve
         with pytest.raises(InadmissibleCurveError, match="crosses the light cone"):
             equiform_grid(c, [0.5, 1.5])
 

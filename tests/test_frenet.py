@@ -95,24 +95,13 @@ class TestFrenetData:
             frenet_data(c, 0.5)
 
 
-def light_cone_crossing_curve():
-    """(s, s^3/6, s^2/2): y'' = s, z'' = 1, so eps flips at s = 1."""
-    return make_analytic_curve(
-        lambda s: PGVector(s, s ** 3 / 6.0, 0.5 * s * s),
-        lambda s: PGVector(1.0, 0.5 * s * s, s),
-        lambda s: PGVector(0.0, s, 1.0),
-        lambda s: PGVector(0.0, 1.0, 0.0),
-        lambda s: PGVector(0.0, 0.0, 0.0),
-        domain=(0.25, 2.0))
-
-
 class TestFrenetResidual:
     def test_small_on_catalogue_curves(self, general_helix, parabola):
         assert frenet_residual(general_helix.curve, 1.0) < 1e-6
         assert frenet_residual(parabola.curve, 0.3) < 1e-11
 
-    def test_detects_light_cone_crossing(self):
-        c = light_cone_crossing_curve()
+    def test_detects_light_cone_crossing(self, light_cone_crossing_curve):
+        c = light_cone_crossing_curve
         # fine on either side of the crossing ...
         assert frenet_data(c, 0.5).epsilon == -1
         assert frenet_data(c, 1.5).epsilon == 1

@@ -5,12 +5,16 @@ There is no linter in the toolchain, so ``src/pg_curvelab/*.py`` and
 ``tests/*.py`` are parsed with ``ast``.  ``__init__.py`` is exempt from
 the unused-import check, because its imports are the package's
 re-exports, which ``__all__`` must list instead; ``from __future__
-import ...`` is exempt everywhere.
+import ...`` is exempt everywhere.  A fresh interpreter pins the
+standard-library modules that importing the CLI may not pull in.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,18 @@ def test_init_imports_exactly_the_public_names():
     assert len(imported) == len(set(imported))
     assert len(public) == len(set(public))
     assert sorted(imported) == sorted(public)
+
+
+def test_cli_import_leaves_out_costly_stdlib_modules():
+    # every CLI process pays for its imports: dataclasses builds classes
+    # with exec and imports inspect; statistics imports fractions and
+    # decimal
+    code = ("import sys; before = set(sys.modules); import pg_curvelab.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, (str(SRC.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    added = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split()
+    assert "pg_curvelab.cli" in added
+    assert {"dataclasses", "inspect", "statistics"}.isdisjoint(added)
