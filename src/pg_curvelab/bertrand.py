@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import PGVector, pg_dot
-from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_source
+from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_fn, _row_source
 from .equiform import (
     NaturalClassTag,
     _mean,
@@ -128,8 +128,7 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
                 f"domain [{lo}, {hi}] too short for the mate stencils "
                 f"(8h = {8 * h})")
 
-        def m2(s: float) -> PGVector:
-            return _offset_jets(base, lam, s, 2, 2)[0]
+        m2 = _row_fn(lambda s: _offset_jets(base, lam, s, 2, 2)[0])
 
         def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
             exact = (_offset_jets(base, lam, s, first, min(last, 2))

@@ -41,9 +41,8 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from . import aw
-from .algebra import PGVector
 from .bertrand import bertrand_mate, verify_bertrand_pair
-from .curves import CurveJet, make_sampled_curve
+from .curves import CurveJet, make_lattice_curve
 from .equiform import (EquiformData, NaturalClass, _equiform_of,
                        _equiform_residual_of, _natural_class_of,
                        equiform_grid)
@@ -88,10 +87,9 @@ def _grid_points(grid: tuple[float, float, int]) -> list[float]:
 # external position samples
 
 
-def _read_lattice(
-        path: str) -> tuple[list[float], list[PGVector], list[int]]:
-    """(s, point, file line) of an s,x,y,z file's rows, sorted by s.  As
-    with ``csv.DictReader``, blank rows are skipped, the last of duplicate
+def _lattice_curve(path: str) -> CurveJet:
+    """``curves.make_lattice_curve`` of an s,x,y,z file.  As with
+    ``csv.DictReader``, blank rows are skipped, the last of duplicate
     column names wins and a row that stops before it lacks that column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -106,62 +104,39 @@ def _read_lattice(
         for r in reader:
             if not r:
                 continue
+            line = reader.line_num
             if len(r) < width:
+                raise ConfigError(f"{path}: line {line} lacks one of s,x,y,z")
+            try:
+                s, x, y, z = [float(r[i]) for i in cols]
+            except ValueError:
                 raise ConfigError(
-                    f"{path}: line {reader.line_num} lacks one of s,x,y,z")
-            row = tuple([float(r[i]) for i in cols])
-            if not math.isfinite(sum(row)) and not all(
-                    map(math.isfinite, row)):
-                raise ConfigError(
-                    f"{path}: line {reader.line_num} has a non-finite value")
-            rows.append((*row, reader.line_num))
+                    f"{path}: line {line} has a non-numeric value") from None
+            if not math.isfinite(s + x + y + z) and not all(
+                    map(math.isfinite, (s, x, y, z))):
+                raise ConfigError(f"{path}: line {line} has a non-finite value")
+            rows.append((s, (x, y, z, max(abs(x), abs(y), abs(z))), line))
     if len(rows) < 18:
         raise ConfigError(
             f"{path}: need at least 18 samples to rebuild derivatives, "
             f"got {len(rows)}")
     rows.sort(key=lambda r: r[0])
-    return ([r[0] for r in rows], [PGVector(r[1], r[2], r[3]) for r in rows],
-            [r[4] for r in rows])
-
-
-def _lattice_curve(
-        path: str) -> tuple[CurveJet, float, Callable[[float], float]]:
-    """Build an FD curve from a CSV sample file.
-
-    Returns (curve, lattice spacing, snap), where snap maps a parameter
-    to the nearest lattice abscissa.  The FD step is twice the spacing so
-    every stencil evaluation lands back on the lattice.
-    """
-    svals, points, lines = _read_lattice(path)
-    s0, s_end = svals[0], svals[-1]
-    n = len(svals)
-    delta = (s_end - s0) / (n - 1)
+    s0, s_end = rows[0][0], rows[-1][0]
+    delta = (s_end - s0) / (len(rows) - 1)
     if not delta > 0.0:
         raise ConfigError(f"{path}: sample parameters must be distinct")
-    for i, s in enumerate(svals):
+    for i, (s, _, line) in enumerate(rows):
         if abs(s - (s0 + i * delta)) > 1e-9 * max(1.0, abs(s)):
             raise ConfigError(
                 f"{path}: samples must lie on a uniform lattice "
-                f"(line {lines[i]} is off by more than 1e-9)")
-
-    def snap(t: float) -> float:
-        return s0 + round((t - s0) / delta) * delta
-
-    def position(s: float) -> PGVector:
-        i = round((s - s0) / delta)
-        if i < 0 or i >= n or abs(s - (s0 + i * delta)) > 1e-6 * delta:
-            raise ValueError(f"off-lattice evaluation at s={s!r}")
-        return points[i]
-
-    domain = (s0 + 8 * delta, s_end - 8 * delta)
-    return make_sampled_curve(position, domain, h=2 * delta), delta, snap
+                f"(line {line} is off by more than 1e-9)")
+    return make_lattice_curve(s0, s_end, [r[1] for r in rows])
 
 
-def _snap_grid(pts: Sequence[float], snap: Callable[[float], float],
-               domain: tuple[float, float]) -> list[float]:
-    """Distinct lattice abscissae of the ascending grid points, each of
-    which must snap into the usable range (within half a spacing of it)."""
-    lo, hi = domain
+def _snap_grid(pts: Sequence[float], curve: CurveJet) -> list[float]:
+    """Distinct lattice nodes of the ascending grid points, each of which
+    must snap into the usable range (within half a spacing of it)."""
+    snap, (lo, hi) = curve.snap, curve.domain
     out: list[float] = []
     for p in pts:
         snapped = snap(p)
@@ -184,19 +159,14 @@ class _Resolved(NamedTuple):
     params: dict[str, float]
     grid: list[float]
     notes: tuple[str, ...] = ()
-    residual_h: float = 1e-4
-    # parameter -> the abscissa whose jets stand for it (lattice input)
-    snap: Callable[[float], float] = lambda t: t
 
 
 def _resolve(args: argparse.Namespace) -> _Resolved:
     pts = _grid_points(args.grid)
     if args.input_path is not None:
-        curve, delta, snap = _lattice_curve(args.input_path)
-        grid = _snap_grid(pts, snap, curve.domain)
+        curve = _lattice_curve(args.input_path)
         return _Resolved(curve=curve, label=f"sampled:{args.input_path}",
-                         params={}, grid=grid, residual_h=2 * delta,
-                         snap=snap)
+                         params={}, grid=_snap_grid(pts, curve))
     entry = get_example(args.curve, args.a, args.b)
     lo, hi = entry.curve.domain
     for p in pts:
@@ -262,9 +232,11 @@ _EVAL_HEADER = (
 def _eval_rows(res: _Resolved) -> list[list[float]]:
     """One row per grid point.  Each parameter's Frenet and equiform data
     come from one jet bundle, kept while the ascending grid can still
-    read them (at s and s +- h, looked up through ``res.snap`` so that a
-    lattice neighbour is the grid point it lands on)."""
-    curve, h, snap = res.curve, res.residual_h, res.snap
+    read them (at s and s +- h, h the FD step on a lattice, looked up
+    through ``curve.snap`` so that a lattice neighbour is the grid point
+    it lands on)."""
+    curve, snap = res.curve, res.curve.snap
+    h = 2 * curve.nodes[1] if curve.nodes else 1e-4
     lo, hi = curve.domain
     window: dict[float, tuple[FrenetData, EquiformData]] = {}
 

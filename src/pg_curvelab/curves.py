@@ -1,10 +1,10 @@
 """Curve representation: jets of admissible curves in arc-length form.
 
 A :class:`CurveJet` evaluates position and s-derivatives of a curve whose
-canonical parameter is the pseudo-Galilean arc length, i.e. x(s) = s.  Two
+canonical parameter is the pseudo-Galilean arc length, i.e. x(s) = s.  Three
 constructors are provided: one wrapping user-supplied analytic derivative
-functions, one that rebuilds all derivatives from a position function with
-central finite differences.
+functions, two that rebuild all derivatives with central finite differences
+from a position function or from positions on a uniform lattice.
 
 The finite-difference scheme uses the 5-point stencils for orders 1-2 and
 the 7-point stencils for orders 3-4 (all fourth-order accurate), followed
@@ -57,13 +57,14 @@ class CurveJet:
     without it a bundle calls ``jet_fn`` once per order.
     """
 
-    __slots__ = ("domain", "kind", "max_order", "warnings", "_jet_fn",
-                 "_jets_fn")
+    __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
+                 "_jet_fn", "_jets_fn")
 
     def __init__(self, jet_fn: Callable[[float, int], PGVector],
                  domain: tuple[float, float], kind: JetKind,
                  max_order: int = 4, warnings: tuple[str, ...] = (),
-                 jets_fn: JetsFn | None = None):
+                 jets_fn: JetsFn | None = None,
+                 nodes: tuple[float, float] | None = None):
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
@@ -71,6 +72,7 @@ class CurveJet:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))
         object.__setattr__(self, "warnings", tuple(warnings))
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_jet_fn", jet_fn)
         object.__setattr__(self, "_jets_fn", jets_fn)
 
@@ -88,7 +90,7 @@ class CurveJet:
                 f"order {order} not available (curve carries orders 0..{self.max_order})")
         lo, hi = self.domain
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if s < lo - slack or s > hi + slack:
+        if not lo - slack <= s <= hi + slack:
             raise ValueError(f"parameter {s} outside domain [{lo}, {hi}]")
 
     def jet(self, s: float, order: int = 0) -> PGVector:
@@ -108,6 +110,13 @@ class CurveJet:
 
     def position(self, s: float) -> PGVector:
         return self.jet(s, 0)
+
+    def snap(self, t: float) -> float:
+        """The nearest node to t if ``nodes`` is (first, spacing), else t."""
+        if self.nodes is None:
+            return t
+        first, spacing = self.nodes
+        return first + round((t - first) / spacing) * spacing
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +262,23 @@ def _weights(order: int, first: int, count: int
 
 
 Row = tuple[float, float, float, float]      # x, y, z, max |component|
+RowFn = Callable[[float], Row]
 Rows = Callable[[float, float, tuple[int, ...]], list[Row]]
 
 
-def _row_source(position: PositionFn) -> Rows:
-    """``rows(s, step, offsets)``: (x, y, z, max |component|) of the
-    position at each s + j * step.  Each abscissa is read once while the
-    source (one jet bundle) lives, so the coarse nodes j*H, which equal
-    the fine nodes 2j*(H/2) bit for bit, and the nodes that several
-    orders or step trials share come from one read."""
+def _row_fn(position: PositionFn) -> RowFn:
+    """The row (x, y, z, max |component|) of the position at t."""
+    def row_at(t: float) -> Row:
+        p = position(t)
+        return p.x1, p.x2, p.x3, p.max_abs()
+    return row_at
+
+
+def _row_source(row_at: RowFn) -> Rows:
+    """``rows(s, step, offsets)``: the row at each s + j * step, each
+    abscissa read once while the source (one jet bundle) lives: the
+    coarse nodes j*H equal the fine nodes 2j*(H/2) bit for bit, and
+    nodes that several orders or step trials share come from one read."""
     seen: dict[float, Row] = {}
     get = seen.get
 
@@ -271,9 +288,7 @@ def _row_source(position: PositionFn) -> Rows:
             t = s + j * step
             row = get(t)
             if row is None:
-                p = position(t)
-                x, y, z = p.x1, p.x2, p.x3
-                row = seen[t] = (x, y, z, max(abs(x), abs(y), abs(z)))
+                row = seen[t] = row_at(t)
             out.append(row)
         return out
 
@@ -408,17 +423,38 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     each side.  Centred stencils reach 2h (orders 1-2) and 3H (orders
     3-4); where a centred order-3/4 stencil would leave the window, an
     off-centre stencil of order + 4 consecutive nodes (see ``_weights``)
-    is used instead.
-
-    Lattice rule.  Every node is s + j * h/2 for an integer j, so a
-    position sampled on a lattice of spacing h/2 that contains s is
-    only read on that lattice.
+    is used instead.  Every node is s + j * h/2 for an integer j.
 
     Bundles.  ``jets(s, first, last)`` reads each node once for all its
     orders and step trials (see ``_row_source``); ``jet(s, k)`` is the
     bundle of order k alone, so both give the same bits.  Nothing is
     kept between calls: evaluation is pure.
     """
+    return _fd_curve(_row_fn(position), domain, h)
+
+
+def make_lattice_curve(first: float, last: float,
+                       rows: Sequence[Row]) -> CurveJet:
+    """:func:`make_sampled_curve` of the s-sorted rows (x, y, z, max
+    |component|) of positions on the uniform lattice first, ..., last, at
+    h = 2 * spacing on the lattice less 8 spacings at each end: stencils
+    stay on the ``nodes`` (first, spacing); a read between them raises."""
+    n = len(rows)
+    spacing = (last - first) / (n - 1)
+
+    def row_at(t: float) -> Row:
+        i = round((t - first) / spacing)
+        if i < 0 or i >= n or abs(t - (first + i * spacing)) > 1e-6 * spacing:
+            raise ValueError(f"off-lattice evaluation at s={t!r}")
+        return rows[i]
+
+    return _fd_curve(row_at, (first + 8 * spacing, last - 8 * spacing),
+                     2 * spacing, (first, spacing))
+
+
+def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
+              nodes: tuple[float, float] | None = None) -> CurveJet:
+    """:func:`make_sampled_curve` of the rows ``row_at(t)``."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (lo < hi):
         raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
@@ -432,18 +468,23 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     if hi - lo < 8.0 * h:
         raise NarrowDomainError(f"domain [{lo}, {hi}] is shorter than 8h = {8 * h}")
 
-    # probe the left endpoint: for lattice-backed positions it is always
-    # an evaluable sample, unlike the midpoint
-    dx = position(lo).x1 - lo
+    # probe the left endpoint, which on a lattice is a node
+    dx = row_at(lo)[0] - lo
     if dx != 0.0:
-        position = _shifted(position, dx)
+        unshifted = row_at
+
+        def row_at(t: float) -> Row:
+            x, y, z, _ = unshifted(t)
+            if not math.isfinite(x - dx):
+                PGVector(x - dx, y, z)      # an overflowing shift raises
+            return x - dx, y, z, max(abs(x - dx), abs(y), abs(z))
 
     top = max(1, math.floor(_BALANCED * scale / h))
     window = (lo - 4.0 * h, hi + 4.0 * h)
 
     def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-        rows = _row_source(position)
-        return tuple(position(s) if k == 0
+        rows = _row_source(row_at)
+        return tuple(PGVector(*row_at(s)[:3]) if k == 0
                      else _fd_jet(rows, s, k, h, top, window)
                      for k in range(first, last + 1))
 
@@ -451,7 +492,7 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
         return jets_fn(s, order, order)[0]
 
     return CurveJet(jet_fn, (lo, hi), JetKind.FINITE_DIFFERENCE,
-                    jets_fn=jets_fn)
+                    jets_fn=jets_fn, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

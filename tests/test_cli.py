@@ -14,7 +14,6 @@ import sys
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from pg_curvelab import cli
 from pg_curvelab.cli import (
     SCHEMA,
     ConfigError,
@@ -28,7 +27,7 @@ from pg_curvelab.cli import (
     _snap_grid,
     main,
 )
-from pg_curvelab.curves import CurveJet, make_sampled_curve
+from pg_curvelab.curves import CurveJet, make_lattice_curve
 from pg_curvelab.zoo import REFERENCE_PARAMS, get_example, zoo_names
 
 EVAL_COLUMNS = [
@@ -85,6 +84,41 @@ def helix_csv(tmp_path_factory, helix_fixture):
 def parabola_csv(tmp_path_factory, parabola):
     path = tmp_path_factory.mktemp("lattice") / "parabola.csv"
     return write_lattice(path, parabola.curve, -1.0, 2.0 ** -6, 129)
+
+
+@pytest.fixture(scope="module")
+def shifted_csv(tmp_path_factory, helix_fixture):
+    # x = s + 0.25 on a non-dyadic lattice: the x-shift is rounded
+    path = tmp_path_factory.mktemp("lattice") / "shifted.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("s,x,y,z\n")
+        for i in range(201):
+            s = -1.0 + i * 0.01
+            p = helix_fixture.curve.jet(s, 0)
+            fh.write(f"{s:.17g},{p.x1 + 0.25:.17g},{p.x2:.17g},{p.x3:.17g}\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def far_csv(tmp_path_factory):
+    # far from s = 0 the top usable node, formed as s0 + (n - 9) * spacing,
+    # rounds 3.6e-12 above the range end s_end - 8 * spacing
+    s0, d, n = 17412.45260415335, 0.9196491627865294, 942
+    path = tmp_path_factory.mktemp("lattice") / "far.csv"
+    path.write_text("s,x,y,z\n" + "".join(
+        f"{s!r},{s!r},{(s - s0) ** 2 / 2e3!r},{(s - s0) ** 3 / 6e7!r}\n"
+        for s in (s0 + i * d for i in range(n))))
+    return str(path)
+
+
+def lattice_with_cell(path, column, value) -> str:
+    """A 40-row cubic lattice whose row 20, on file line 22 after the
+    header, holds ``value`` in ``column``."""
+    rows = [[repr(v) for v in (s, s, s * s / 2, s ** 3 / 6)]
+            for s in (0.02 * i for i in range(40))]
+    rows[20][column] = value
+    path.write_text("s,x,y,z\n" + "".join(",".join(r) + "\n" for r in rows))
+    return str(path)
 
 
 class TestConfigValidation:
@@ -450,22 +484,17 @@ class TestLatticeInput:
         assert invoke(capsys, "eval", "--input", helix_csv, *argv) == \
             (0, out, "")
 
-    def test_top_of_the_usable_range_on_a_far_lattice(self, tmp_path,
-                                                      capsys):
-        # far from s = 0 the top usable abscissa, formed as
-        # s0 + (n - 9) * spacing, rounds 3.6e-12 above the range end
-        # s_end - 8 * spacing; a grid on it is evaluated there
-        s0, d, n = 17412.45260415335, 0.9196491627865294, 942
-        path = tmp_path / "far.csv"
-        path.write_text("s,x,y,z\n" + "".join(
-            f"{s!r},{s!r},{(s - s0) ** 2 / 2e3!r},{(s - s0) ** 3 / 6e7!r}\n"
-            for s in (s0 + i * d for i in range(n))))
-        lattice, _, snap = _lattice_curve(str(path))
+    def test_top_of_the_usable_range_on_a_far_lattice(self, capsys,
+                                                      far_csv):
+        # the top usable node lies above the range end (see far_csv); a
+        # grid on the range end is evaluated at that node
+        lattice = _lattice_curve(far_csv)
         hi = lattice.domain[1]
-        rc, out, err = invoke(capsys, "eval", "--input", str(path),
+        rc, out, err = invoke(capsys, "eval", "--input", far_csv,
                               "--grid", f"{hi!r}:{hi!r}:1")
         assert (rc, err) == (0, "")
-        assert float(out.splitlines()[1].split(",")[0]) == snap(hi) > hi
+        assert float(out.splitlines()[1].split(",")[0]) == \
+            lattice.snap(hi) > hi
 
     def test_missing_columns_rejected(self, tmp_path, capsys):
         path = tmp_path / "cols.csv"
@@ -479,16 +508,19 @@ class TestLatticeInput:
     @pytest.mark.parametrize("command", ["eval", "classify"])
     def test_non_finite_value_names_file_and_line(self, tmp_path, capsys,
                                                   command):
-        # row 20 of 40 (file line 22, after the header) has y = nan
-        path = tmp_path / "nan.csv"
-        rows = [[repr(v) for v in (s, s, s * s / 2, s ** 3 / 6)]
-                for s in (0.02 * i for i in range(40))]
-        rows[20][2] = "nan"
-        path.write_text("s,x,y,z\n" + "".join(",".join(r) + "\n"
-                                              for r in rows))
-        assert rejected(capsys, command, "--input", str(path),
+        path = lattice_with_cell(tmp_path / "nan.csv", 2, "nan")
+        assert rejected(capsys, command, "--input", path,
                         "--grid", "0.2:0.6:6") == \
             f"{path}: line 22 has a non-finite value"
+
+    @pytest.mark.parametrize("value", ["", "abc"])
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_non_numeric_value_names_file_and_line(self, tmp_path, capsys,
+                                                   command, value):
+        path = lattice_with_cell(tmp_path / "word.csv", 1, value)
+        assert rejected(capsys, command, "--input", path,
+                        "--grid", "0.2:0.6:6") == \
+            f"{path}: line 22 has a non-numeric value"
 
     def test_short_row_rejected(self, tmp_path, capsys, helix_csv):
         lines = open(helix_csv).read().splitlines()
@@ -647,6 +679,24 @@ class TestFrozenEvalClassifyBits:
         out = out.replace(parabola_csv, "LATTICE")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # a lattice whose x column is s + 0.25, and one far from s = 0
+    @pytest.mark.parametrize("command, lattice, grid, digest", [
+        ("eval", "shifted_csv", "-0.5:0.5:21",
+         "0aaa91d86d8b3fe4122e7c4ef22609b27743be3c99fa7494212602fa33301e08"),
+        ("classify", "shifted_csv", "-0.5:0.5:21",
+         "eebda3eda36f9829c1bdf5d787fa7a281bc7ee97b332283a8e71314b35b999f2"),
+        ("eval", "far_csv", "17430:18250:21",
+         "198170c5af8cc93c3af55d5d15cf0695d9dafe47f51aa432f0441a32ca3d99cd"),
+        ("classify", "far_csv", "17430:18250:21",
+         "66fb4ce1ebfe76c0e4757c47b6d23f854a8c676e80a2e6e1821512e4bf6e4b10"),
+    ])
+    def test_frozen_lattice_bits(self, request, capsys, command, lattice,
+                                 grid, digest):
+        path = request.getfixturevalue(lattice)
+        rc, out, _ = invoke(capsys, command, "--input", path, "--grid", grid)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def counted(curve):
     """The same curve, recording the order of every jet evaluation."""
@@ -657,7 +707,8 @@ def counted(curve):
         return curve.jet(s, order)
 
     return CurveJet(jet_fn, curve.domain, curve.kind,
-                    max_order=curve.max_order, warnings=curve.warnings), calls
+                    max_order=curve.max_order, warnings=curve.warnings,
+                    nodes=curve.nodes), calls
 
 
 class TestWorkCounts:
@@ -672,14 +723,16 @@ class TestWorkCounts:
         assert len(calls) <= (1 + 3 * 4) * len(grid)
 
     def test_eval_shares_neighbours_when_spacing_is_h(self, parabola):
-        # dyadic grid of spacing h: s + h is the next grid point exactly,
-        # so after the first point each point reads its position and the
-        # bundle at s + h only
+        # dyadic lattice of spacing h/2 and a grid of spacing h: s + h is
+        # the next grid point exactly, so after the first point each
+        # point reads its position and the bundle at s + h only
         h = 2.0 ** -6
+        rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
+                (parabola.curve.jet(-1.0 + i * h / 2, 0) for i in range(257))]
         grid = [k * h for k in range(-20, 21)]
-        curve, calls = counted(parabola.curve)
-        _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid,
-                             residual_h=h))
+        curve, calls = counted(make_lattice_curve(-1.0, 1.0, rows))
+        assert curve.nodes == (-1.0, h / 2)
+        _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
         assert len(calls) <= (1 + 3 * 4) + 5 * (len(grid) - 1)
 
     def test_classify_sweeps_once(self, helix_fixture):
@@ -700,14 +753,13 @@ class TestWorkCounts:
         # it is snapped onto the lattice
         path = write_lattice(tmp_path / "helix.csv", helix_fixture.curve,
                              -1.0, 0.01, 201)
-        lattice, delta, snap = _lattice_curve(path)
+        lattice = _lattice_curve(path)
         lo, hi = lattice.domain
-        count = round((hi - lo) / (2 * delta)) + 1
-        grid = _snap_grid(_grid_points((lo, hi, count)), snap, lattice.domain)
+        count = round((hi - lo) / (2 * lattice.nodes[1])) + 1
+        grid = _snap_grid(_grid_points((lo, hi, count)), lattice)
         assert len(grid) == count
         curve, calls = counted(lattice)
-        _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid,
-                             residual_h=2 * delta, snap=snap))
+        _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
         assert len(calls) <= (1 + 3 * 4) + 5 * (len(grid) - 1)
 
 
@@ -719,27 +771,28 @@ class TestPositionReads:
     # families at their reference parameters)
     SEPARATE_STENCIL_READS = 64.06
 
-    def test_classify_input_reads_half_the_positions(
-            self, tmp_path, monkeypatch, capsys, general_helix):
+    def test_classify_input_reads_half_the_positions(self, general_helix):
         # 2017 rows at half the spacing of the 1001-point grid, 8 rows
         # beyond each end, as the benchmark writes its lattices
         lo, hi = general_helix.domain
         delta = (hi - lo) / 2000
-        path = write_lattice(tmp_path / "helix.csv", general_helix.curve,
-                             lo - 8 * delta, delta, 2017)
-        reads = []
+        svals = [lo - 8 * delta + i * delta for i in range(2017)]
 
-        def counting(position, domain, h=None):
-            def counted(s):
-                reads.append(s)
-                return position(s)
-            return make_sampled_curve(counted, domain, h=h)
+        class CountingRows(list):
+            reads = 0
 
-        monkeypatch.setattr(cli, "make_sampled_curve", counting)
-        rc, _, _ = invoke(capsys, "classify", "--input", path,
-                          "--grid", f"{lo!r}:{hi!r}:1001")
-        assert rc == 0
-        assert len(reads) / 1001 <= self.SEPARATE_STENCIL_READS / 2
+            def __getitem__(self, i):
+                self.reads += 1
+                return list.__getitem__(self, i)
+
+        rows = CountingRows((p.x1, p.x2, p.x3, p.max_abs()) for p in
+                            map(general_helix.curve.position, svals))
+        curve = make_lattice_curve(svals[0], svals[-1], rows)
+        grid = _snap_grid(_grid_points((lo, hi, 1001)), curve)
+        _classify(_Resolved(curve=curve, label="", params={}, grid=grid),
+                  argparse.Namespace(tol_class=None, tol_zero=1e-9,
+                                     tol_const=1e-6))
+        assert rows.reads / 1001 <= self.SEPARATE_STENCIL_READS / 2
 
 
 class TestFigure:

@@ -18,6 +18,7 @@ from pg_curvelab.curves import (
     apply_homothety,
     apply_similarity,
     make_analytic_curve,
+    make_lattice_curve,
     make_sampled_curve,
 )
 from pg_curvelab.errors import (
@@ -66,6 +67,24 @@ class TestCurveJet:
             c.jet(2.0 + 1e-7, 0)
         with pytest.raises(ValueError, match="outside domain"):
             c.jet(-1.0, 0)
+
+    @pytest.mark.parametrize("kind", ["analytic", "sampled", "lattice"])
+    def test_nan_parameter_is_outside_every_domain(self, kind):
+        # NaN fails both domain comparisons, so it is rejected by the
+        # domain check itself, before any jet function runs
+        if kind == "analytic":
+            c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
+        elif kind == "sampled":
+            c = make_sampled_curve(lambda s: PGVector(s, math.cosh(s), 0.0),
+                                   (0.0, 2.0))
+        else:
+            c = lattice_curve(0.0, 2.0 ** -6, 129)
+        lo, hi = c.domain
+        message = f"parameter nan outside domain \\[{lo}, {hi}\\]"
+        with pytest.raises(ValueError, match=message):
+            c.jet(math.nan, 0)
+        with pytest.raises(ValueError, match=message):
+            c.jets(math.nan, 1, 4)
 
     def test_bundle_calls_the_jet_function_once_per_order(self):
         fns = cubic_jets()
@@ -315,6 +334,79 @@ class TestSampledConstructor:
                                h=2.0 ** -10)
         assert [j.as_tuple() for j in c.jets(0.0, 3, 4)] == \
             [(0.0, 0.0, 0.0)] * 2
+
+
+def lattice_row(s: float, shift: float = 0.0) -> tuple:
+    x, y, z = s + shift, math.cosh(s), math.sinh(s)
+    return x, y, z, max(abs(x), abs(y), abs(z))
+
+
+def lattice_curve(first: float, spacing: float, n: int, shift: float = 0.0):
+    """The lattice curve of (s + shift, cosh s, sinh s) on n nodes."""
+    svals = [first + i * spacing for i in range(n)]
+    return make_lattice_curve(first, svals[-1],
+                              [lattice_row(s, shift) for s in svals])
+
+
+class TestLatticeConstructor:
+    @pytest.mark.parametrize("shift", [0.0, 0.25])
+    def test_jets_equal_the_sampled_reference(self, shift):
+        # the reference: make_sampled_curve reading the same rows through a
+        # position function, at the domain and step the lattice rule sets
+        first, n = -1.0, 201
+        rows = [lattice_row(first + i * 0.01, shift) for i in range(n)]
+        last = first + (n - 1) * 0.01
+        c = make_lattice_curve(first, last, rows)
+        d = (last - first) / (n - 1)
+
+        def position(t):
+            return PGVector(*rows[round((t - first) / d)][:3])
+
+        ref = make_sampled_curve(position, (first + 8 * d, last - 8 * d),
+                                 h=2 * d)
+        assert c.domain == ref.domain
+        lo, hi = c.domain
+        # an interior node and both ends, where orders 3-4 go off centre
+        for s in (c.snap(0.123), lo, hi):
+            assert [bits(v) for v in c.jets(s, 0, 4)] == \
+                [bits(v) for v in ref.jets(s, 0, 4)]
+
+    def test_nodes_and_snap_far_from_zero(self):
+        first, n = 17412.45260415335, 942
+        svals = [first + i * 0.9196491627865294 for i in range(n)]
+        c = make_lattice_curve(first, svals[-1], [
+            (s, (s - first) ** 2 / 2e3, 0.0, s) for s in svals])
+        d = (svals[-1] - first) / (n - 1)
+        assert c.nodes == (first, d)
+        assert c.snap(first + 100.3 * d) == first + 100 * d
+        assert c.snap(first + 99.7 * d) == first + 100 * d
+        # the top usable node rounds above the domain end, and is the
+        # node the domain end snaps to
+        lo, hi = c.domain
+        assert (lo, hi) == (first + 8 * d, svals[-1] - 8 * d)
+        assert c.snap(hi) == first + (n - 9) * d > hi
+        analytic = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
+        assert analytic.nodes is None and analytic.snap(0.3) == 0.3
+
+    def test_read_between_nodes_raises(self):
+        c = lattice_curve(0.0, 2.0 ** -6, 129)
+        s = c.snap(1.0) + 2.0 ** -8
+        with pytest.raises(ValueError, match=f"off-lattice evaluation at s={s!r}"):
+            c.jet(s, 0)
+        with pytest.raises(ValueError, match="off-lattice evaluation at s="):
+            c.jets(s, 1, 4)
+
+    def test_overflowing_shift_raises(self):
+        # x = -1e308 at the left domain end and +1e308 elsewhere: the
+        # x-shift, 1e308 below, overflows every other row
+        first, d, n = 0.0, 2.0 ** -6, 65
+        rows = [(-1e308 if i == 8 else 1e308, 0.0, 0.0, 1e308)
+                for i in range(n)]
+        c = make_lattice_curve(first, first + (n - 1) * d, rows)
+        with pytest.raises(ValueError, match="must be finite"):
+            c.jet(c.snap(0.5), 0)
+        with pytest.raises(ValueError, match="must be finite"):
+            c.jet(c.snap(0.5), 2)
 
 
 class TestFDVectorValueType:
