@@ -294,14 +294,13 @@ def classify(c: CurveJet, grid: Sequence[float],
              notes: Sequence[str] = ()) -> AWReport:
     """Sweep the grid and decide which span conditions hold on it.
 
-    The default tolerance is 1e-8 for curves with analytic jets and 1e-5
-    for finite-difference jets (whose fourth derivatives carry more
-    round-off).  At each point the scalar residuals are also checked
-    against the independent vector forms; a verdict-level disagreement is
-    recorded as a diagnostic.  Resolution-limited points (finite-
-    difference jets only) contribute zero residuals and are listed in
-    the report; their vector forms are ratios of unresolved quantities
-    and are not cross-checked or tested for degeneracy.
+    The default tolerance is the tier's, ``c.kind.tolerance``.  At each
+    point the scalar residuals are also checked against the independent
+    vector forms; a verdict-level disagreement is recorded as a
+    diagnostic.  Resolution-limited points (finite-difference jets only)
+    contribute zero residuals and are listed in the report; their vector
+    forms are ratios of unresolved quantities and are not cross-checked
+    or tested for degeneracy.
     """
     return _classify_of(equiform_grid(c, grid), c.kind, tol, notes)
 
@@ -310,7 +309,7 @@ def _classify_of(datas: Sequence[EquiformData], kind: JetKind,
                  tol: float | None, notes: Sequence[str]) -> AWReport:
     """:func:`classify` of an already evaluated sweep (jets of ``kind``)."""
     if tol is None:
-        tol = 1e-8 if kind is JetKind.ANALYTIC else 1e-5
+        tol = kind.tolerance
     sup: dict[str, float] = {name: 0.0 for name in _CONDITIONS}
     degenerate: list[float] = []
     limited: list[float] = []

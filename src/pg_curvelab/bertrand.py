@@ -24,7 +24,8 @@ of length last+1, e.g. 6 base jets for the orders 1-4 of
 :func:`equiform_data`.  When the base has order < 6 the exact bundle
 stops at order 2, orders three and four are finite differences of the
 exact second-derivative function (one read of it per node and bundle),
-and the mate's domain shrinks by the stencil reach.
+and the mate's domain shrinks by the stencil reach.  The mate keeps the
+base's ``nodes``, and on a lattice its steps and probes land on them.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _offset_jets(base: CurveJet, lam: float, s: float, first: int,
 def _probe_mate(mate: CurveJet, offset: float) -> None:
     lo, hi = mate.domain
     for f in (0.1, 0.3, 0.5, 0.7, 0.9):
-        s = lo + f * (hi - lo)
+        s = mate.snap(lo + f * (hi - lo))
         try:
             frenet_data(mate, s)
         except InadmissibleCurveError as exc:
@@ -116,10 +117,11 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
         # exact jets to order 2, finite differences above
         lo, hi = base.domain
         scale = max(1.0, abs(lo), abs(hi))
-        mid = 0.5 * (lo + hi)
-        fr = frenet_data(base, mid)
+        fr = frenet_data(base, base.snap(0.5 * (lo + hi)))
         freq = max(1.0, abs(fr.tau), fr.kappa)
         h = (_EPS ** (1 / 6)) * scale / freq
+        if base.nodes is not None:      # steps h and h/2 land on nodes
+            h = max(1, round(h / (2 * base.nodes[1]))) * 2 * base.nodes[1]
         if h < 64.0 * _EPS * scale:
             raise StepTooSmallError(
                 f"mate difference step {h} is below the round-off guard")
@@ -143,11 +145,8 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
             f"mate jets of orders 3-4 are finite differences at step "
             f"{h:.3e}; domain shrunk by twice the step on each side",)
 
-    def jet_fn(s: float, order: int) -> PGVector:
-        return jets_fn(s, order, order)[0]
-
-    mate = CurveJet(jet_fn, domain, kind, max_order=max_order,
-                    warnings=warnings, jets_fn=jets_fn)
+    mate = CurveJet(None, domain, kind, max_order=max_order,
+                    warnings=warnings, jets_fn=jets_fn, nodes=base.nodes)
     _probe_mate(mate, lam)
     return mate
 
@@ -200,8 +199,9 @@ class BertrandPair(NamedTuple):
 def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
                          offset_fn: OffsetFn | float,
                          grid: Sequence[float],
-                         tol: float = 1e-8) -> BertrandPair:
-    """Check the mate-pair conditions over a grid at tolerance ``tol``.
+                         tol: float | None = None) -> BertrandPair:
+    """Check the mate-pair conditions over a grid at tolerance ``tol``,
+    by default the looser ``kind.tolerance`` of the two curves.
 
     ``offset_fn`` is the claimed offset, a constant or a function of the
     parameter; a non-constant claim fails verification even if the two
@@ -211,6 +211,8 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     """
     if len(grid) < 5:
         raise ValueError("verification needs a grid of at least 5 points")
+    if tol is None:
+        tol = max(base.kind.tolerance, mate.kind.tolerance)
     if callable(offset_fn):
         claimed = [float(offset_fn(s)) for s in grid]
     else:

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import aw
 from .bertrand import bertrand_mate, verify_bertrand_pair
-from .curves import CurveJet, make_lattice_curve
+from .curves import LATTICE_MIN_ROWS, CurveJet, make_lattice_curve
 from .equiform import (EquiformData, NaturalClass, _equiform_of,
                        _equiform_residual_of, _natural_class_of,
                        equiform_grid)
@@ -116,10 +116,10 @@ def _lattice_curve(path: str) -> CurveJet:
                     map(math.isfinite, (s, x, y, z))):
                 raise ConfigError(f"{path}: line {line} has a non-finite value")
             rows.append((s, (x, y, z, max(abs(x), abs(y), abs(z))), line))
-    if len(rows) < 18:
+    if len(rows) < LATTICE_MIN_ROWS:
         raise ConfigError(
-            f"{path}: need at least 18 samples to rebuild derivatives, "
-            f"got {len(rows)}")
+            f"{path}: need at least {LATTICE_MIN_ROWS} samples to rebuild "
+            f"derivatives, got {len(rows)}")
     rows.sort(key=lambda r: r[0])
     s0, s_end = rows[0][0], rows[-1][0]
     delta = (s_end - s0) / (len(rows) - 1)
@@ -467,8 +467,8 @@ def _build_parser() -> _Parser:
     pb = sub.add_parser("bertrand")
     pb.add_argument("--lambda", dest="offset", type=float, required=True,
                     help="constant normal-offset factor")
-    pb.add_argument("--tol", dest="tol_class", type=float, default=1e-8,
-                    help="pair-verification tolerance (default 1e-8)")
+    pb.add_argument("--tol", dest="tol_class", type=float,
+                    help="pair-verification tolerance (default by tier)")
     add_common(pb, _cmd_bertrand, with_grid=True)
     add_common(sub.add_parser("zoo-list"), _cmd_zoo_list, with_grid=False)
     pf = sub.add_parser("figure")

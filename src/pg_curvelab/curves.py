@@ -42,6 +42,12 @@ class JetKind(Enum):
     ANALYTIC = "analytic"
     FINITE_DIFFERENCE = "finite-difference"
 
+    @property
+    def tolerance(self) -> float:
+        """Default verdict tolerance: 1e-8, or 1e-5 for FD jets, whose
+        fourth derivatives carry more round-off."""
+        return 1e-8 if self is JetKind.ANALYTIC else 1e-5
+
 
 class CurveJet:
     """Evaluator of a curve's position and derivatives up to ``max_order``.
@@ -50,17 +56,17 @@ class CurveJet:
     non-fatal construction diagnostics (e.g. inconsistent supplied
     derivatives), never errors.
 
-    ``jet_fn(s, order)`` returns one derivative vector.  A curve whose
-    orders share intermediate work (a normal-offset mate builds one
-    derivative series for all of them) may also pass
-    ``jets_fn(s, first, last)``, returning orders first..last at once;
-    without it a bundle calls ``jet_fn`` once per order.
+    ``jet_fn(s, order)`` returns one derivative vector and
+    ``jets_fn(s, first, last)`` orders first..last at once.  Pass either
+    (the other may be None) and the other is built from it; a curve whose
+    orders share work (a normal-offset mate builds one derivative series
+    for all of them) passes ``jets_fn``.
     """
 
     __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
                  "_jet_fn", "_jets_fn")
 
-    def __init__(self, jet_fn: Callable[[float, int], PGVector],
+    def __init__(self, jet_fn: Callable[[float, int], PGVector] | None,
                  domain: tuple[float, float], kind: JetKind,
                  max_order: int = 4, warnings: tuple[str, ...] = (),
                  jets_fn: JetsFn | None = None,
@@ -68,6 +74,12 @@ class CurveJet:
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
+        if jets_fn is None:
+            def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+                return tuple(jet_fn(s, k) for k in range(first, last + 1))
+        elif jet_fn is None:
+            def jet_fn(s: float, order: int) -> PGVector:
+                return jets_fn(s, order, order)[0]
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))
@@ -78,10 +90,6 @@ class CurveJet:
 
     def __setattr__(self, *_):
         raise AttributeError("CurveJet is immutable")
-
-    @property
-    def span(self) -> float:
-        return self.domain[1] - self.domain[0]
 
     def _check(self, s: float, first: int, last: int) -> None:
         if first < 0 or last > self.max_order:
@@ -103,10 +111,7 @@ class CurveJet:
         if first > last:
             raise JetOrderError(f"empty order range {first}..{last}")
         self._check(s, first, last)
-        if self._jets_fn is not None:
-            return self._jets_fn(s, first, last)
-        jet_fn = self._jet_fn
-        return tuple(jet_fn(s, k) for k in range(first, last + 1))
+        return self._jets_fn(s, first, last)
 
     def position(self, s: float) -> PGVector:
         return self.jet(s, 0)
@@ -433,12 +438,18 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     return _fd_curve(_row_fn(position), domain, h)
 
 
+# the fewest lattice rows that build: the domain of 8h = 16 spacings plus
+# 8 spacings of stencil reach at each end, plus one
+LATTICE_MIN_ROWS = 8 + 16 + 8 + 1
+
+
 def make_lattice_curve(first: float, last: float,
                        rows: Sequence[Row]) -> CurveJet:
     """:func:`make_sampled_curve` of the s-sorted rows (x, y, z, max
     |component|) of positions on the uniform lattice first, ..., last, at
     h = 2 * spacing on the lattice less 8 spacings at each end: stencils
-    stay on the ``nodes`` (first, spacing); a read between them raises."""
+    stay on the ``nodes`` (first, spacing); a read between them raises.
+    It needs ``LATTICE_MIN_ROWS`` rows."""
     n = len(rows)
     spacing = (last - first) / (n - 1)
 
@@ -465,7 +476,8 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
     h = float(h)
     if h <= 0.0 or h < 64.0 * _EPS * scale:
         raise StepTooSmallError(f"step {h} is below the round-off guard")
-    if hi - lo < 8.0 * h:
+    # the slack forgives the rounding of a lattice's ends (8h is exact)
+    if hi - lo < 8.0 * h - 8.0 * _EPS * scale:
         raise NarrowDomainError(f"domain [{lo}, {hi}] is shorter than 8h = {8 * h}")
 
     # probe the left endpoint, which on a lattice is a node
@@ -488,10 +500,7 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
                      else _fd_jet(rows, s, k, h, top, window)
                      for k in range(first, last + 1))
 
-    def jet_fn(s: float, order: int) -> PGVector:
-        return jets_fn(s, order, order)[0]
-
-    return CurveJet(jet_fn, (lo, hi), JetKind.FINITE_DIFFERENCE,
+    return CurveJet(None, (lo, hi), JetKind.FINITE_DIFFERENCE,
                     jets_fn=jets_fn, nodes=nodes)
 
 
@@ -539,11 +548,8 @@ def apply_similarity(c: CurveJet, m: SimilarityMotion) -> CurveJet:
         return tuple(image(k, j) for k, j in
                      enumerate(c.jets((t - a) / b, first, last), first))
 
-    def jet_fn(t: float, order: int) -> PGVector:
-        return jets_fn(t, order, order)[0]
-
     lo, hi = sorted((a + b * c.domain[0], a + b * c.domain[1]))
-    return CurveJet(jet_fn, (lo, hi), c.kind, max_order=c.max_order,
+    return CurveJet(None, (lo, hi), c.kind, max_order=c.max_order,
                     warnings=c.warnings, jets_fn=jets_fn)
 
 

@@ -180,9 +180,29 @@ class TestFiniteDifferenceFallback:
         assert pair.offset == pytest.approx(1.0, rel=1e-4)
 
         strict = verify_bertrand_pair(base, mate, 1.0,
-                                      uniform(-0.85, 0.85, 11))
+                                      uniform(-0.85, 0.85, 11), tol=1e-8)
         assert not strict.is_pair
         assert any("equiform curvature" in f for f in strict.failures)
+
+    @pytest.mark.parametrize("fixture", ["helix_fixture", "parabola"])
+    def test_resampled_mate_matches_the_analytic_pair(self, request,
+                                                      fixture, uniform):
+        # the mate analogue of acceptance criterion 8: the base rebuilt
+        # from its positions at h = 1e-3, verified at the default (FD
+        # tier) tolerance, gives the analytic pair's verdicts
+        entry = request.getfixturevalue(fixture)
+        lo, hi = entry.domain
+        base = make_sampled_curve(entry.curve.position, (lo, hi), h=1e-3)
+        mate = bertrand_mate(base, 0.3)
+        pad = max(0.05 * (hi - lo), mate.domain[0] - lo, hi - mate.domain[1])
+        grid = uniform(lo + pad, hi - pad, 21)
+        exact = verify_bertrand_pair(entry.curve,
+                                     bertrand_mate(entry.curve, 0.3), 0.3,
+                                     grid)
+        pair = verify_bertrand_pair(base, mate, 0.3, grid)
+        assert exact.is_pair and pair.is_pair, pair.failures
+        assert pair.nature is exact.nature
+        assert pair.offset == pytest.approx(exact.offset, rel=1e-12)
 
     def test_narrow_base_domain_rejected(self, helix_fixture):
         # the mate's difference step is eps^(1/6) ~ 2.5e-3 here, so a base

@@ -5,18 +5,22 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from pg_curvelab.bertrand import bertrand_mate, verify_bertrand_pair
 from pg_curvelab.cli import (
     SCHEMA,
     ConfigError,
+    _build_parser,
     _classify,
     _eval_rows,
     _grid_points,
@@ -27,7 +31,8 @@ from pg_curvelab.cli import (
     _snap_grid,
     main,
 )
-from pg_curvelab.curves import CurveJet, make_lattice_curve
+from pg_curvelab.curves import CurveJet, JetKind, make_lattice_curve
+from pg_curvelab.equiform import natural_class
 from pg_curvelab.zoo import REFERENCE_PARAMS, get_example, zoo_names
 
 EVAL_COLUMNS = [
@@ -109,6 +114,16 @@ def far_csv(tmp_path_factory):
         f"{s!r},{s!r},{(s - s0) ** 2 / 2e3!r},{(s - s0) ** 3 / 6e7!r}\n"
         for s in (s0 + i * d for i in range(n))))
     return str(path)
+
+
+class CountingRows(list):
+    """Lattice rows that count their reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
 
 
 def lattice_with_cell(path, column, value) -> str:
@@ -449,13 +464,36 @@ class TestLatticeInput:
         rc, _, err = invoke(capsys, "classify", "--input", str(path),
                             "--grid", "0:1:5")
         assert rc == 2
-        assert "at least 18 samples" in json.loads(err)["message"]
+        assert "at least 33 samples" in json.loads(err)["message"]
+
+    def test_lattice_minimum_is_the_constructor_minimum(self, tmp_path,
+                                                        capsys):
+        # 32 rows: the CLI names the file and the minimum; 33 rows at
+        # random spacings and first nodes build and evaluate, whatever
+        # the rounding of the domain ends
+        rng = random.Random(33)
+        for trial in range(20):
+            first = rng.uniform(-50.0, 50.0)
+            spacing = 10.0 ** rng.uniform(-3.0, 0.0)
+            path = tmp_path / f"lattice{trial}.csv"
+            path.write_text("s,x,y,z\n" + "".join(
+                f"{s!r},{s!r},{(s - first) ** 2 / 2!r},0\n"
+                for s in (first + i * spacing for i in range(33))))
+            mid = first + 16 * spacing
+            rc, out, err = invoke(capsys, "eval", "--input", str(path),
+                                  "--grid", f"{mid!r}:{mid!r}:1")
+            assert (rc, err) == (0, ""), (first, spacing)
+            assert len(out.splitlines()) == 2
+        path.write_text("".join(path.read_text().splitlines(True)[:33]))
+        assert rejected(capsys, "eval", "--input", str(path),
+                        "--grid", "0:1:5") == \
+            f"{path}: need at least 33 samples to rebuild derivatives, got 32"
 
     def test_nonuniform_lattice_rejected(self, tmp_path, capsys):
         path = tmp_path / "jitter.csv"
         with open(path, "w") as fh:
             fh.write("s,x,y,z\n")
-            for i in range(25):
+            for i in range(40):
                 s = 0.1 * i + (1e-4 if i == 7 else 0.0)
                 fh.write(f"{s},{s},{0.05 * s * s},0\n")
         rc, _, err = invoke(capsys, "classify", "--input", str(path),
@@ -468,7 +506,7 @@ class TestLatticeInput:
 
     def test_coincident_samples_rejected(self, tmp_path, capsys):
         path = tmp_path / "same.csv"
-        path.write_text("s,x,y,z\n" + "0.5,0.5,0.125,0\n" * 20)
+        path.write_text("s,x,y,z\n" + "0.5,0.5,0.125,0\n" * 33)
         assert rejected(capsys, "eval", "--input", str(path),
                         "--grid", "0:1:5") == \
             f"{path}: sample parameters must be distinct"
@@ -557,6 +595,43 @@ class TestBertrandCommand:
                             "--lambda", "-1", "--grid", "-0.9:0.9:21")
         assert rc == 3
         assert json.loads(err)["error"] == "MateInadmissibleError"
+
+    @pytest.mark.parametrize("lattice, nature", [
+        ("helix_csv", "circular-helix"),
+        ("parabola_csv", "isotropic-circle"),
+    ])
+    def test_pair_on_a_lattice(self, request, capsys, lattice, nature):
+        # on helix_csv the mate's curvature flatness, 9.8e-6, sits just
+        # inside the FD tolerance; the parabola's is exactly 0
+        path = request.getfixturevalue(lattice)
+        rc, out, err = invoke(capsys, "bertrand", "--input", path,
+                              "--lambda", "0.3", "--grid", "-0.8:0.8:21",
+                              "--format", "json")
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)["bertrand"]
+        assert doc["is_pair"] is True, doc["failures"]
+        assert doc["nature"] == nature
+
+    def test_lattice_mate_reads_only_nodes(self, helix_fixture):
+        # the rows of helix_csv, counted: a read between nodes would
+        # raise, so every abscissa the mate and the verification read
+        # is a node
+        first, spacing, n = -1.0, 2.0 ** -7, 257
+        rows = CountingRows(
+            (p.x1, p.x2, p.x3, p.max_abs()) for p in
+            (helix_fixture.curve.position(first + i * spacing)
+             for i in range(n)))
+        base = make_lattice_curve(first, first + (n - 1) * spacing, rows)
+        mate = bertrand_mate(base, 0.3)
+        assert mate.nodes == base.nodes
+        probed = rows.reads
+        assert probed > 0
+        lo, hi = mate.domain
+        grid = [s for s in _snap_grid(_grid_points((-0.8, 0.8, 21)), base)
+                if lo <= s <= hi]
+        pair = verify_bertrand_pair(base, mate, 0.3, grid)
+        assert pair.is_pair, pair.failures
+        assert rows.reads > probed
 
     def test_sparse_grid_rejected(self, capsys):
         rc, _, err = invoke(capsys, "bertrand", "--curve", "bertrand_helix",
@@ -777,14 +852,6 @@ class TestPositionReads:
         lo, hi = general_helix.domain
         delta = (hi - lo) / 2000
         svals = [lo - 8 * delta + i * delta for i in range(2017)]
-
-        class CountingRows(list):
-            reads = 0
-
-            def __getitem__(self, i):
-                self.reads += 1
-                return list.__getitem__(self, i)
-
         rows = CountingRows((p.x1, p.x2, p.x3, p.max_abs()) for p in
                             map(general_helix.curve.position, svals))
         curve = make_lattice_curve(svals[0], svals[-1], rows)
@@ -850,6 +917,22 @@ class TestReferenceDefaults:
         _, other, _ = invoke(capsys, *argv, "--a", "1", "--b", "3")
         assert default == explicit
         assert json.loads(other)["params"] == {"a": 1.0, "b": 3.0}
+
+
+def test_option_defaults_are_the_library_defaults():
+    # a default the CLI restated would drift from the library's: the
+    # tolerances come from the tier, the natural-class thresholds from
+    # natural_class's signature
+    parse = _build_parser().parse_args
+    grid = ("--curve", "bertrand_helix", "--grid", "0:1:5")
+    classify = parse(["classify", *grid])
+    assert classify.tol_class is None
+    assert parse(["bertrand", *grid, "--lambda", "1"]).tol_class is None
+    params = inspect.signature(natural_class).parameters
+    assert classify.tol_zero == params["tol_zero"].default
+    assert classify.tol_const == params["tol_const"].default
+    assert (JetKind.ANALYTIC.tolerance,
+            JetKind.FINITE_DIFFERENCE.tolerance) == (1e-8, 1e-5)
 
 
 class TestErrorExits:

@@ -48,7 +48,6 @@ class TestCurveJet:
         c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
         assert c.kind is JetKind.ANALYTIC
         assert c.max_order == 4
-        assert c.span == 2.0
         assert c.jet(1.0, 2).as_tuple() == (0.0, 1.0, 1.0)
         assert c.position(0.5).as_tuple() == (0.5, 0.5 ** 3 / 6.0, 0.125)
 
@@ -111,6 +110,28 @@ class TestCurveJet:
                      JetKind.ANALYTIC, jets_fn=jets_fn)
         assert c.jets(1.0, 2, 3) == (fns[2](1.0), fns[3](1.0))
         assert c.jet(1.0, 2) == fns[2](1.0)
+
+    @pytest.mark.parametrize("view", ["jet", "jets"])
+    def test_the_two_jet_views_agree(self, view):
+        # one view given, the other derived: a single order is the
+        # one-order bundle and a bundle is the tuple of single orders,
+        # bit for bit, FD error bounds included
+        sampled = make_sampled_curve(lambda s: PGVector(s, math.cosh(s),
+                                                        math.sin(s)),
+                                     (0.0, 2.0))
+        if view == "jet":
+            c = CurveJet(sampled.jet, sampled.domain, sampled.kind)
+        else:
+            c = CurveJet(None, sampled.domain, sampled.kind,
+                         jets_fn=sampled.jets)
+        for s in (0.0, 0.7, 2.0):
+            for k in range(5):
+                assert c.jet(s, k) == c.jets(s, k, k)[0] == sampled.jet(s, k)
+            for a in range(5):
+                for b in range(a, 5):
+                    assert c.jets(s, a, b) == tuple(
+                        c.jet(s, k) for k in range(a, b + 1))
+        assert isinstance(c.jet(0.7, 3), FDVector) and c.jet(0.7, 3).err > 0
 
     def test_bundle_checks_orders_and_domain(self):
         c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
