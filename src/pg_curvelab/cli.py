@@ -71,10 +71,6 @@ class ConfigError(ValueError):
     """A command line that violates the CLI's own invariants."""
 
 
-def _f17(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _grid_points(grid: tuple[float, float, int]) -> list[float]:
     start, stop, count = grid
     if count == 1:
@@ -88,10 +84,11 @@ def _grid_points(grid: tuple[float, float, int]) -> list[float]:
 
 
 def _lattice_curve(path: str) -> CurveJet:
-    """``curves.make_lattice_curve`` of an s,x,y,z file.  As with
-    ``csv.DictReader``, blank rows are skipped, the last of duplicate
-    column names wins and a row that stops before it lacks that column."""
-    with open(path, newline="") as fh:
+    """``curves.make_lattice_curve`` of an s,x,y,z file, read as UTF-8
+    with or without a byte-order mark.  As with ``csv.DictReader``,
+    blank rows are skipped, the last of duplicate column names wins and
+    a row that stops before it lacks that column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not {"s", "x", "y", "z"} <= set(header):
@@ -182,29 +179,45 @@ def _resolve(args: argparse.Namespace) -> _Resolved:
 # output plumbing
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+class _Report(NamedTuple):
+    """One command's report: the JSON document (None where the command
+    emits csv only), and the CSV header and raw rows."""
+    doc: dict | None
+    header: Sequence[str]
+    rows: Sequence[Sequence[object]]
+
+
+def _cell(v: object) -> str:
+    """A float with 17 significant digits (lossless), a bool as
+    true/false, text as is, a list joined with "; "."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return v
+    return "; ".join(v)  # type: ignore[arg-type]
+
+
+def _write(args: argparse.Namespace, report: _Report) -> None:
+    """Render ``report`` in the requested format to stdout or ``--out``."""
+    if args.fmt == "json":
+        text = json.dumps(report.doc, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows([_cell(v) for v in row] for row in report.rows)
+        text = buf.getvalue()
+    if args.out_path is None or args.out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
+        with open(args.out_path, "w", newline="") as fh:
             fh.write(text)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _report(args: argparse.Namespace, res: _Resolved,
-            grid: list[float]) -> dict:
+def _head(args: argparse.Namespace, res: _Resolved,
+          grid: list[float]) -> dict:
     """The head every eval, classify and bertrand JSON report shares."""
     start, stop, count = args.grid
     return {"schema": SCHEMA, "curve": res.label, "params": res.params,
@@ -236,7 +249,7 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
     through ``curve.snap`` so that a lattice neighbour is the grid point
     it lands on)."""
     curve, snap = res.curve, res.curve.snap
-    h = 2 * curve.nodes[1] if curve.nodes else 1e-4
+    h = curve.residual_step
     lo, hi = curve.domain
     window: dict[float, tuple[FrenetData, EquiformData]] = {}
 
@@ -269,21 +282,13 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
     return rows
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> _Report:
     res = _resolve(args)
     rows = _eval_rows(res)
-    if args.fmt == "csv":
-        text = _csv_text(_EVAL_HEADER, [[_f17(v) for v in row]
-                                        for row in rows])
-    else:
-        text = _json_text({
-            **_report(args, res, res.grid),
-            "columns": list(_EVAL_HEADER),
-            "rows": rows,
-            "diagnostics": list(res.notes),
-        })
-    _write_text(args.out_path, text)
-    return 0
+    return _Report({**_head(args, res, res.grid),
+                    "columns": list(_EVAL_HEADER),
+                    "rows": rows,
+                    "diagnostics": list(res.notes)}, _EVAL_HEADER, rows)
 
 
 def _classify(res: _Resolved, args: argparse.Namespace
@@ -295,7 +300,7 @@ def _classify(res: _Resolved, args: argparse.Namespace
     return report, _natural_class_of(datas, args.tol_const, args.tol_zero)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> _Report:
     res = _resolve(args)
     report, nat = _classify(res, args)
     diagnostics = list(report.diagnostics)
@@ -309,33 +314,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "resolution-limited: the equiform invariants and their rates "
             "all sat within the finite-difference error bound, so the span "
             "conditions read as for exactly vanishing invariants there")
-    aw_doc = {name: {"holds": v.holds, "sup_residual": v.sup_residual}
-              for name, v in report.verdicts.items()}
-    if args.fmt == "json":
-        text = _json_text({
-            **_report(args, res, res.grid),
-            "natural_class": {
-                "tag": nat.tag.value,
-                "curvature_mean": nat.curvature_mean,
-                "curvature_spread": nat.curvature_spread,
-                "torsion_mean": nat.torsion_mean,
-                "torsion_spread": nat.torsion_spread,
-            },
-            "aw": aw_doc,
-            "diagnostics": diagnostics,
-        })
-    else:
-        rows: list[list[object]] = [
-            [name, str(v.holds).lower(), _f17(v.sup_residual)]
-            for name, v in report.verdicts.items()]
-        rows.append(["natural_class", nat.tag.value, ""])
-        rows.extend(["diagnostic", d, ""] for d in diagnostics)
-        text = _csv_text(("condition", "holds", "sup_residual"), rows)
-    _write_text(args.out_path, text)
-    return 0
+    doc = {
+        **_head(args, res, res.grid),
+        "natural_class": {**nat._asdict(), "tag": nat.tag.value},
+        "aw": {name: {"holds": v.holds, "sup_residual": v.sup_residual}
+               for name, v in report.verdicts.items()},
+        "diagnostics": diagnostics,
+    }
+    rows: list[Sequence[object]] = [
+        [name, v.holds, v.sup_residual]
+        for name, v in report.verdicts.items()]
+    rows.append(["natural_class", nat.tag.value, ""])
+    rows.extend(["diagnostic", d, ""] for d in diagnostics)
+    return _Report(doc, ("condition", "holds", "sup_residual"), rows)
 
 
-def _cmd_bertrand(args: argparse.Namespace) -> int:
+def _cmd_bertrand(args: argparse.Namespace) -> _Report:
     res = _resolve(args)
     mate = bertrand_mate(res.curve, args.offset)
     grid = [s for s in res.grid
@@ -345,60 +339,31 @@ def _cmd_bertrand(args: argparse.Namespace) -> int:
             "need at least 5 grid points inside the mate domain")
     pair = verify_bertrand_pair(res.curve, mate, args.offset, grid,
                                 tol=args.tol_class)
-    doc = {
-        **_report(args, res, grid),
-        "offset": args.offset,
-        "bertrand": {
-            "is_pair": pair.is_pair,
-            "nature": pair.nature.value,
-            "curvature_flatness_sup": pair.curvature_flatness_sup,
-            "normal_parallel_sup": pair.normal_parallel_sup,
-            "tangent_product_spread": pair.tangent_product_spread,
-            "offset_spread": pair.offset_spread,
-            "failures": list(pair.failures),
-        },
-        "diagnostics": list(res.notes) + list(mate.warnings),
+    items = {
+        "is_pair": pair.is_pair,
+        "nature": pair.nature.value,
+        "curvature_flatness_sup": pair.curvature_flatness_sup,
+        "normal_parallel_sup": pair.normal_parallel_sup,
+        "tangent_product_spread": pair.tangent_product_spread,
+        "offset_spread": pair.offset_spread,
+        "failures": list(pair.failures),
     }
-    if args.fmt == "json":
-        text = _json_text(doc)
-    else:
-        items = doc["bertrand"]
-
-        def cell(v: object) -> str:
-            if isinstance(v, bool):
-                return str(v).lower()
-            if isinstance(v, float):
-                return _f17(v)
-            if isinstance(v, str):
-                return v
-            return "; ".join(v)
-
-        rows = [[k, cell(v)] for k, v in items.items()]
-        rows.insert(0, ["offset", _f17(args.offset)])
-        text = _csv_text(("key", "value"), rows)
-    _write_text(args.out_path, text)
-    return 0
+    doc = {**_head(args, res, grid), "offset": args.offset,
+           "bertrand": items,
+           "diagnostics": list(res.notes) + list(mate.warnings)}
+    return _Report(doc, ("key", "value"),
+                   [("offset", args.offset), *items.items()])
 
 
-def _cmd_zoo_list(args: argparse.Namespace) -> int:
-    names = zoo_names()
-    if args.fmt == "json":
-        text = _json_text({
-            "schema": SCHEMA,
-            "curves": [
-                {"name": n,
-                 "constraints": describe_constraints(n)[0],
-                 "default_domain": describe_constraints(n)[1]}
-                for n in names],
-        })
-    else:
-        rows = [[n, *describe_constraints(n)] for n in names]
-        text = _csv_text(("name", "constraints", "default_domain"), rows)
-    _write_text(args.out_path, text)
-    return 0
+def _cmd_zoo_list(args: argparse.Namespace) -> _Report:
+    header = ("name", "constraints", "default_domain")
+    rows = [(n, *describe_constraints(n)) for n in zoo_names()]
+    return _Report({"schema": SCHEMA,
+                    "curves": [dict(zip(header, r)) for r in rows]},
+                   header, rows)
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace) -> _Report:
     entry = get_example(_FIGURES[args.figure_number])
     lo, hi = entry.domain
     step = (hi - lo) / (_FIGURE_SAMPLES - 1)
@@ -406,9 +371,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     for i in range(_FIGURE_SAMPLES):
         s = lo + i * step
         p = entry.curve.jet(s, 0)
-        rows.append([_f17(s), _f17(p.x1), _f17(p.x2), _f17(p.x3)])
-    _write_text(args.out_path, _csv_text(("s", "x", "y", "z"), rows))
-    return 0
+        rows.append((s, p.x1, p.x2, p.x3))
+    return _Report(None, ("s", "x", "y", "z"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +393,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser,
-                   handler: Callable[[argparse.Namespace], int],
+                   handler: Callable[[argparse.Namespace], _Report],
                    with_grid: bool) -> None:
         p.set_defaults(handler=handler)
         if with_grid:
@@ -502,6 +466,8 @@ def _check(args: argparse.Namespace) -> None:
         val = getattr(args, name, None)
         if val is not None and not val > 0.0:
             raise ConfigError(f"{name} must be positive, got {val}")
+        if val is not None and not math.isfinite(val):
+            raise ConfigError(f"{name} must be finite, got {val}")
     start, stop, count = args.grid
     if count < 1:
         raise ConfigError("grid count must be at least 1")
@@ -559,7 +525,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(_merge_option_values(argv))
     try:
         _check(args)
-        return args.handler(args)
+        _write(args, args.handler(args))
+        return 0
     except InadmissibleCurveError as exc:
         _emit_error(exc)
         return 3

@@ -116,6 +116,12 @@ class CurveJet:
     def position(self, s: float) -> PGVector:
         return self.jet(s, 0)
 
+    @property
+    def residual_step(self) -> float:
+        """Default step h of the frame-equation residuals: on a curve with
+        ``nodes`` 2 * spacing, the lattice's own FD step, else 1e-4."""
+        return 2 * self.nodes[1] if self.nodes else 1e-4
+
     def snap(self, t: float) -> float:
         """The nearest node to t if ``nodes`` is (first, spacing), else t."""
         if self.nodes is None:

@@ -125,14 +125,15 @@ def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
     return datas
 
 
-def equiform_residual(c: CurveJet, s: float, h: float = 1e-4) -> float:
+def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     """Sup-norm defect of the scale-invariant frame equations at s.
 
     Frame sigma-derivatives are formed as rho(s) times a central s
-    difference at step h and compared with the right-hand sides; the
-    worst component is returned, normalized by
-    rho * max(1, |K|, |T|).
+    difference at step h (by default ``c.residual_step``) and compared
+    with the right-hand sides; the worst component is returned,
+    normalized by rho * max(1, |K|, |T|).
     """
+    h = c.residual_step if h is None else h
     dm, dp = equiform_data(c, s - h), equiform_data(c, s + h)
     return _equiform_residual_of(dm, equiform_data(c, s), dp, h)
 

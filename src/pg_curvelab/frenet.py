@@ -131,15 +131,17 @@ def _one_character(datas: Sequence, stencil_at: float | None = None) -> None:
             param=stencil_at)
 
 
-def frenet_residual(c: CurveJet, s: float, h: float = 1e-4) -> float:
+def frenet_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     """Sup-norm defect of the frame derivative equations at s.
 
-    Central differences of the frame columns at step h are compared with
-    kappa * normal, tau * binormal and tau * normal; the worst component
-    is returned, normalized by max(1, kappa, |tau|).  Frames at s - h and
-    s + h must share the normal character eps, otherwise the curve is
-    inadmissible on [s - h, s + h].
+    Central differences of the frame columns at step h (by default
+    ``c.residual_step``) are compared with kappa * normal,
+    tau * binormal and tau * normal; the worst component is returned,
+    normalized by max(1, kappa, |tau|).  Frames at s - h and s + h must
+    share the normal character eps, otherwise the curve is inadmissible
+    on [s - h, s + h].
     """
+    h = c.residual_step if h is None else h
     fm, fp = frenet_data(c, s - h), frenet_data(c, s + h)
     return _frenet_residual_of(fm, frenet_data(c, s), fp, h)
 

@@ -104,6 +104,8 @@ def _check_domain(domain: tuple[float, float] | None,
     if domain is None:
         return default
     lo, hi = float(domain[0]), float(domain[1])
+    _require(math.isfinite(lo) and math.isfinite(hi),
+             f"domain ends must be finite, got [{lo}, {hi}]")
     _require(lo < hi, f"domain [{lo}, {hi}] is empty")
     return lo, hi
 
@@ -424,7 +426,8 @@ def get_example(name: str, a: float | None = None, b: float | None = None,
 
     Raises :class:`UnknownCurveError` for unknown names and
     :class:`ParameterConstraintError` when a parameter the family uses
-    is not finite or (a, b, domain) violate its validity constraints.
+    or a domain end is not finite or (a, b, domain) violate its validity
+    constraints.
     """
     fam = _family(name)
     a = fam.reference[0] if a is None else float(a)

@@ -32,7 +32,8 @@ from pg_curvelab.cli import (
     main,
 )
 from pg_curvelab.curves import CurveJet, JetKind, make_lattice_curve
-from pg_curvelab.equiform import natural_class
+from pg_curvelab.equiform import equiform_residual, natural_class
+from pg_curvelab.frenet import frenet_residual
 from pg_curvelab.zoo import REFERENCE_PARAMS, get_example, zoo_names
 
 EVAL_COLUMNS = [
@@ -159,6 +160,19 @@ class TestConfigValidation:
         assert rejected(capsys, "classify", *self.CURVE, *grid,
                         "--tol-const=-1") == \
             "tol_const must be positive, got -1.0"
+
+    @pytest.mark.parametrize("command, option, name", [
+        ("classify", "--tol", "tol_class"),
+        ("classify", "--tol-zero", "tol_zero"),
+        ("classify", "--tol-const", "tol_const"),
+        ("bertrand", "--tol", "tol_class"),
+    ])
+    def test_tolerances_must_be_finite(self, capsys, command, option, name):
+        # an infinite tolerance would pass every check it gates
+        offset = ("--lambda", "0.3") if command == "bertrand" else ()
+        assert rejected(capsys, command, "--curve", "timelike_general_helix",
+                        "--grid", "0.2:1.8:21", *offset, option, "inf") == \
+            f"{name} must be finite, got inf"
 
     @pytest.mark.parametrize("command, option", [
         ("eval", "--tol"), ("eval", "--tol-zero"), ("eval", "--tol-const"),
@@ -454,6 +468,36 @@ class TestLatticeInput:
         assert rc == 3
         doc = json.loads(err)
         assert doc["error"] == "InadmissibleCurveError"
+
+    def test_byte_order_mark_is_read(self, tmp_path, capsys, helix_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(helix_csv, "rb").read())
+        argv = ("eval", "--grid", "-0.5:0.5:11")
+        plain = invoke(capsys, *argv, "--input", helix_csv)
+        assert plain[0] == 0
+        assert invoke(capsys, *argv, "--input", str(bom)) == plain
+
+    @pytest.mark.parametrize("lattice", ["helix_csv", "parabola_csv",
+                                         "shifted_csv"])
+    def test_public_residuals_match_the_eval_columns(self, request, capsys,
+                                                     lattice):
+        # the library's default step on a lattice is the CLI's, 2 spacings
+        path = request.getfixturevalue(lattice)
+        curve = _lattice_curve(path)
+        assert curve.residual_step == 2 * curve.nodes[1]
+        lo, hi = curve.domain
+        rc, out, _ = invoke(capsys, "eval", "--input", path,
+                            "--grid", f"{lo!r}:{hi!r}:9")
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        interior = [r for r in rows
+                    if not math.isnan(float(r["frenet_residual"]))]
+        assert len(interior) == 7
+        for row in interior:
+            s = float(row["s"])
+            assert frenet_residual(curve, s) == float(row["frenet_residual"])
+            assert equiform_residual(curve, s) == \
+                float(row["equiform_residual"])
 
     def test_short_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -891,6 +935,49 @@ class TestFigure:
     def test_validation(self, capsys):
         assert invoke(capsys, "figure", "6")[0] == 2
         assert invoke(capsys, "figure", "1", "--format", "json")[0] == 2
+
+
+class TestReportWriter:
+    """Every command's report goes through one writer: the bytes of the
+    commands no other pin reaches, and ``--out`` against stdout."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("zoo-list",),
+         "fea63da2d77a0a32b46ed3a226a302a9c643ccc72e057389f4e29b194e2f2387"),
+        (("zoo-list", "--format", "json"),
+         "8767d8f0eecb0ab4c056e588b6d24323a5d6f3da6c61b43276a4b3860953d278"),
+        (("figure", "1"),
+         "81f2d35c70c42335d357eab928eaf5772fba2795bdaebae67aaa4680915075d8"),
+        (("figure", "2"),
+         "ddf912954b9afe2905afc8bdbf29ec17b95c639734dd87c2a9fc5e0789490240"),
+        (("figure", "3"),
+         "678ec779f91ffd1f8faf07f909fc06a7f43d2018fe0363a7ffbe9416bff3b130"),
+        (("figure", "4"),
+         "f930f8f76b7257e65218ea0c3230d5d802258a2d653e70d3dea938cff83218c8"),
+        (("figure", "5"),
+         "d9ff9d3dc0d38e5f96a28bc528e78cddd6ddb4546d95a90840705ead234ccda3"),
+    ])
+    def test_frozen_output_bits(self, capsys, argv, digest):
+        rc, out, _ = invoke(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, fmt", [
+        (argv, fmt) for argv in [
+            ("eval", "--curve", "isotropic_circle", "--grid", "-0.5:0.5:9"),
+            ("classify", "--curve", "bertrand_helix", "--grid", "-0.5:0.5:9"),
+            ("bertrand", "--curve", "bertrand_helix", "--grid", "-0.5:0.5:9",
+             "--lambda", "0.3"),
+            ("zoo-list",),
+        ] for fmt in ("csv", "json")] + [(("figure", "4"), "csv")])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv,
+                                             fmt):
+        rc, out, _ = invoke(capsys, *argv, "--format", fmt)
+        assert rc == 0 and out
+        target = tmp_path / f"report.{fmt}"
+        assert invoke(capsys, *argv, "--format", fmt,
+                      "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 class TestReferenceDefaults:

@@ -109,6 +109,14 @@ class TestConstraints:
         with pytest.raises(ParameterConstraintError, match="empty"):
             get_example("timelike_general_helix", 1.0, 2.0, (1.0, 1.0))
 
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("domain", [(0.0, math.inf), (-math.inf, 1.0),
+                                        (math.nan, 1.0), (0.5, math.nan)])
+    def test_non_finite_domain_ends_rejected(self, name, domain):
+        with pytest.raises(ParameterConstraintError,
+                           match="domain ends must be finite"):
+            get_example(name, domain=domain)
+
     def test_circular_helix_needs_domain_for_negative_a(self):
         with pytest.raises(ParameterConstraintError, match="no default domain"):
             get_example("timelike_circular_helix", -1.0, 2.0)
