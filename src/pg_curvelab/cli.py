@@ -43,11 +43,10 @@ from typing import Callable, NamedTuple, Sequence
 from . import aw
 from .bertrand import bertrand_mate, verify_bertrand_pair
 from .curves import LATTICE_MIN_ROWS, CurveJet, make_lattice_curve
-from .equiform import (EquiformData, NaturalClass, _equiform_of,
-                       _equiform_residual_of, _natural_class_of,
-                       equiform_grid)
+from .equiform import (NaturalClass, _equiform_of, _equiform_residual_of,
+                       _frames_at, _natural_class_of, equiform_grid)
 from .errors import CurveLabError, InadmissibleCurveError
-from .frenet import FrenetData, _frenet_of, _frenet_residual_of
+from .frenet import _frenet_of, _frenet_residual_of
 from .zoo import (
     describe_constraints,
     get_example,
@@ -65,6 +64,8 @@ _FIGURES: dict[int, str] = {
     5: "timelike_log_spiral",
 }
 _FIGURE_SAMPLES = 256
+# the most grid points a request may ask for: the grid is built in memory
+_GRID_MAX_COUNT = 10 ** 7
 
 
 class ConfigError(ValueError):
@@ -243,22 +244,28 @@ _EVAL_HEADER = (
 
 
 def _eval_rows(res: _Resolved) -> list[list[float]]:
-    """One row per grid point.  Each parameter's Frenet and equiform data
-    come from one jet bundle, kept while the ascending grid can still
-    read them (at s and s +- h, h the FD step on a lattice, looked up
-    through ``curve.snap`` so that a lattice neighbour is the grid point
-    it lands on)."""
+    """One row per grid point.  A grid point's Frenet and equiform data
+    come from one jet bundle of orders 1-4.  A residual neighbour s +- h
+    (h the FD step on a lattice, looked up through ``curve.snap`` so that
+    a lattice neighbour is the grid point it lands on) that is not a grid
+    point is read for its frames alone, from the jets of orders 1-2
+    (``equiform._frames_at``): 9 jet calls per point off the grid.  Each
+    record is kept while the ascending grid can still read it."""
     curve, snap = res.curve, res.curve.snap
     h = curve.residual_step
     lo, hi = curve.domain
-    window: dict[float, tuple[FrenetData, EquiformData]] = {}
+    on_grid = set(res.grid)
+    window: dict[float, tuple] = {}
 
-    def apparatus(s: float) -> tuple[FrenetData, EquiformData]:
+    def apparatus(s: float) -> tuple:
         rec = window.get(s)
         if rec is None:
-            jets = curve.jets(s, 1, 4)
-            rec = window[s] = (_frenet_of(s, *jets[:3]),
-                               _equiform_of(s, *jets))
+            if s in on_grid:
+                jets = curve.jets(s, 1, 4)
+                rec = _frenet_of(s, *jets[:3]), _equiform_of(s, *jets)
+            else:
+                rec = _frames_at(curve, s)
+            window[s] = rec
         return rec
 
     rows = []
@@ -408,7 +415,8 @@ def _build_parser() -> _Parser:
                            help="CSV file with s,x,y,z position samples on "
                                 "a uniform lattice")
             p.add_argument("--grid", required=True,
-                           help="evaluation grid start:stop:count")
+                           help="evaluation grid start:stop:count, at most "
+                                f"{_GRID_MAX_COUNT} points")
         p.add_argument("--out", dest="out_path",
                        help="output path (default stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
@@ -471,6 +479,9 @@ def _check(args: argparse.Namespace) -> None:
     start, stop, count = args.grid
     if count < 1:
         raise ConfigError("grid count must be at least 1")
+    if count > _GRID_MAX_COUNT:
+        raise ConfigError(f"grid count must be at most {_GRID_MAX_COUNT}, "
+                          f"got {count}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"grid start and stop must be finite, got "
                           f"{start}:{stop}")

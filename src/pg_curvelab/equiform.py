@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 from .algebra import PGVector
 from .curves import CurveJet, jet_errors
 from .errors import EmptyGridError, JetOrderError
-from .frenet import _one_character, normal_character
+from .frenet import Frame, _neighbour, _one_character, normal_character
 from .series import DSeries
 
 
@@ -99,16 +99,27 @@ def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
         errors = (rho3.errs[0], rho3.errs[1], torsion2.errs[0],
                   rho3.errs[2], torsion2.errs[1])
 
+    return EquiformData(s, eps, rho, curvature, torsion, curvature_rate,
+                        torsion_rate, *_equiform_frame(j1, j2, eps, rho),
+                        errors)
+
+
+def _equiform_frame(j1: PGVector, j2: PGVector, eps: int, rho: float
+                    ) -> tuple[PGVector, PGVector, PGVector]:
+    """(tangent, normal, binormal) from the jets of orders 1-2."""
     rho2 = rho * rho
-    tangent = PGVector(rho, rho * j1.x2, rho * j1.x3)
-    normal = PGVector(0.0, rho2 * j2.x2, rho2 * j2.x3)
-    binormal = PGVector(0.0, eps * rho2 * j2.x3, eps * rho2 * j2.x2)
-    return EquiformData(s=s, epsilon=eps, rho=rho,
-                        curvature=curvature, torsion=torsion,
-                        curvature_rate=curvature_rate,
-                        torsion_rate=torsion_rate,
-                        tangent=tangent, normal=normal, binormal=binormal,
-                        errors=errors)
+    return (PGVector(rho, rho * j1.x2, rho * j1.x3),
+            PGVector(0.0, rho2 * j2.x2, rho2 * j2.x3),
+            PGVector(0.0, eps * rho2 * j2.x3, eps * rho2 * j2.x2))
+
+
+def _frames_at(c: CurveJet, s: float) -> tuple[Frame, Frame]:
+    """The Frenet and the equiform frame at a residual neighbour s, from
+    one read of the jets of orders 1-2 (``frenet._neighbour``).  rho =
+    1/kappa is bit for bit entry 0 of the series pass's rho."""
+    fr, kappa, j1, j2 = _neighbour(c, s)
+    return fr, Frame(s, fr.epsilon,
+                     *_equiform_frame(j1, j2, fr.epsilon, 1.0 / kappa))
 
 
 def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
@@ -131,15 +142,19 @@ def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     Frame sigma-derivatives are formed as rho(s) times a central s
     difference at step h (by default ``c.residual_step``) and compared
     with the right-hand sides; the worst component is returned,
-    normalized by rho * max(1, |K|, |T|).
+    normalized by rho * max(1, |K|, |T|).  At s - h and s + h only the
+    frames are built, from the jets of orders 1-2 (:func:`_frames_at`),
+    as ``eval`` does off its grid; the data at s need order 4.  Frames
+    at s - h and s + h must share the normal character eps, as in
+    :func:`frenet_residual`.
     """
     h = c.residual_step if h is None else h
-    dm, dp = equiform_data(c, s - h), equiform_data(c, s + h)
+    dm, dp = _frames_at(c, s - h)[1], _frames_at(c, s + h)[1]
     return _equiform_residual_of(dm, equiform_data(c, s), dp, h)
 
 
-def _equiform_residual_of(dm: EquiformData, d0: EquiformData,
-                          dp: EquiformData, h: float) -> float:
+def _equiform_residual_of(dm: Frame | EquiformData, d0: EquiformData,
+                          dp: Frame | EquiformData, h: float) -> float:
     """:func:`equiform_residual` from the data at s - h, s and s + h."""
     _one_character((dm, d0, dp), d0.s)
     scale = d0.rho * 0.5 / h

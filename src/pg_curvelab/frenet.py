@@ -106,12 +106,37 @@ def _frenet_of(s: float, j1: PGVector, j2: PGVector,
     w = j2.x2 * j2.x2 - j2.x3 * j2.x3
     kappa = sqrt(abs(w))
     tau = (j2.x2 * j3.x3 - j3.x2 * j2.x3) / abs(w)
+    return FrenetData(s, kappa, tau, eps, *_frenet_frame(j1, j2, eps, kappa))
 
-    tangent = PGVector(1.0, j1.x2, j1.x3)
-    normal = PGVector(0.0, j2.x2 / kappa, j2.x3 / kappa)
-    binormal = PGVector(0.0, eps * j2.x3 / kappa, eps * j2.x2 / kappa)
-    return FrenetData(s=s, kappa=kappa, tau=tau, epsilon=eps,
-                      tangent=tangent, normal=normal, binormal=binormal)
+
+def _frenet_frame(j1: PGVector, j2: PGVector, eps: int, kappa: float
+                  ) -> tuple[PGVector, PGVector, PGVector]:
+    """(tangent, normal, binormal) from the jets of orders 1-2."""
+    return (PGVector(1.0, j1.x2, j1.x3),
+            PGVector(0.0, j2.x2 / kappa, j2.x3 / kappa),
+            PGVector(0.0, eps * j2.x3 / kappa, eps * j2.x2 / kappa))
+
+
+class Frame(NamedTuple):
+    """A frame and its normal character at s: all that a frame-equation
+    residual reads at s - h and s + h."""
+
+    s: float
+    epsilon: int
+    tangent: PGVector
+    normal: PGVector
+    binormal: PGVector
+
+
+def _neighbour(c: CurveJet, s: float
+               ) -> tuple[Frame, float, PGVector, PGVector]:
+    """The Frenet frame at a residual neighbour s, with kappa and the
+    jets of orders 1-2 it was built from (one read); raises where
+    :func:`normal_character` does."""
+    j1, j2 = c.jets(s, 1, 2)
+    eps = normal_character(s, j1, j2)
+    kappa = sqrt(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3))
+    return Frame(s, eps, *_frenet_frame(j1, j2, eps, kappa)), kappa, j1, j2
 
 
 def _one_character(datas: Sequence, stencil_at: float | None = None) -> None:
@@ -139,15 +164,17 @@ def frenet_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     tau * binormal and tau * normal; the worst component is returned,
     normalized by max(1, kappa, |tau|).  Frames at s - h and s + h must
     share the normal character eps, otherwise the curve is inadmissible
-    on [s - h, s + h].
+    on [s - h, s + h].  At s - h and s + h only the frame is built, from
+    the jets of orders 1-2 (:class:`Frame`), as ``eval`` does off its
+    grid; the data at s need order 3 (tau).
     """
     h = c.residual_step if h is None else h
-    fm, fp = frenet_data(c, s - h), frenet_data(c, s + h)
+    fm, fp = _neighbour(c, s - h)[0], _neighbour(c, s + h)[0]
     return _frenet_residual_of(fm, frenet_data(c, s), fp, h)
 
 
-def _frenet_residual_of(fm: FrenetData, f0: FrenetData, fp: FrenetData,
-                        h: float) -> float:
+def _frenet_residual_of(fm: Frame | FrenetData, f0: FrenetData,
+                        fp: Frame | FrenetData, h: float) -> float:
     """:func:`frenet_residual` from the data at s - h, s and s + h."""
     _one_character((fm, f0, fp), f0.s)
     inv = 0.5 / h

@@ -21,6 +21,7 @@ from pg_curvelab.cli import (
     SCHEMA,
     ConfigError,
     _build_parser,
+    _check,
     _classify,
     _eval_rows,
     _grid_points,
@@ -33,6 +34,7 @@ from pg_curvelab.cli import (
 )
 from pg_curvelab.curves import CurveJet, JetKind, make_lattice_curve
 from pg_curvelab.equiform import equiform_residual, natural_class
+from pg_curvelab.errors import InadmissibleCurveError
 from pg_curvelab.frenet import frenet_residual
 from pg_curvelab.zoo import REFERENCE_PARAMS, get_example, zoo_names
 
@@ -200,6 +202,25 @@ class TestConfigValidation:
         assert rejected(capsys, "eval", *self.CURVE, "--grid", "a:b:c") \
             .startswith("bad grid 'a:b:c': ")
 
+    def test_grid_count_ceiling(self, capsys, monkeypatch):
+        # rejected before any grid point is built
+        def no_grid(grid):
+            raise AssertionError("grid built before the count was checked")
+        monkeypatch.setattr("pg_curvelab.cli._grid_points", no_grid)
+        for command in ("eval", "classify"):
+            assert rejected(capsys, command, *self.CURVE,
+                            "--grid", "0:1:100000000000") == \
+                "grid count must be at most 10000000, got 100000000000"
+        parser = _build_parser()
+        for count, ok in ((10 ** 7, True), (10 ** 7 + 1, False)):
+            args = parser.parse_args(["eval", *self.CURVE,
+                                      f"--grid=0:1:{count}"])
+            if ok:
+                _check(args)
+            else:
+                with pytest.raises(ConfigError, match="at most 10000000"):
+                    _check(args)
+
     def test_curve_source_is_exclusive(self, capsys):
         message = "exactly one of --curve and --input is required"
         assert rejected(capsys, "eval", "--grid", "0:1:5") == message
@@ -343,6 +364,24 @@ class TestEval:
         assert math.isnan(float(row["frenet_residual"]))
         assert math.isnan(float(row["equiform_residual"]))
         assert not math.isnan(float(row["kappa"]))
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_public_residuals_match_the_eval_columns(self, capsys, name):
+        # off the grid, eval and the library read the residual
+        # neighbours alike: their frames from the jets of orders 1-2
+        entry = get_example(name)
+        lo, hi = entry.domain
+        rc, out, _ = invoke(capsys, "eval", "--curve", name,
+                            "--grid", f"{lo!r}:{hi!r}:9")
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 9
+        for row in rows:
+            s = float(row["s"])
+            assert frenet_residual(entry.curve, s) == \
+                float(row["frenet_residual"])
+            assert equiform_residual(entry.curve, s) == \
+                float(row["equiform_residual"])
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
@@ -818,11 +857,13 @@ class TestFrozenEvalClassifyBits:
 
 
 def counted(curve):
-    """The same curve, recording the order of every jet evaluation."""
-    calls = []
+    """The same curve, recording the order of every jet evaluation and,
+    in ``calls.at``, its (s, order)."""
+    calls = CallLog()
 
     def jet_fn(s, order):
         calls.append(order)
+        calls.at.append((s, order))
         return curve.jet(s, order)
 
     return CurveJet(jet_fn, curve.domain, curve.kind,
@@ -830,21 +871,34 @@ def counted(curve):
                     nodes=curve.nodes), calls
 
 
+class CallLog(list):
+    """Jet orders in call order; ``at`` holds the (s, order) pairs."""
+
+    def __init__(self):
+        super().__init__()
+        self.at = []
+
+
 class TestWorkCounts:
     """Jet evaluations per grid point of the CLI's eval and classify."""
 
     def test_eval_reads_each_stencil_point_once(self, helix_fixture):
         # residual step 1e-4, grid spacing 0.09: s - h and s + h are off
-        # the grid, so each point needs its position and three bundles
+        # the grid, so each point reads its position, its orders 1-4, and
+        # the orders 1-2 at each neighbour (the frames, nothing more)
         curve, calls = counted(helix_fixture.curve)
         grid = _grid_points((-0.9, 0.9, 21))
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
-        assert len(calls) <= (1 + 3 * 4) * len(grid)
+        assert len(calls) == (1 + 4 + 2 * 2) * len(grid)
+        assert len(set(calls.at)) == len(calls.at)
+        high = sorted(s for s, k in calls.at if k >= 3)
+        assert high == sorted(grid + grid)
 
     def test_eval_shares_neighbours_when_spacing_is_h(self, parabola):
         # dyadic lattice of spacing h/2 and a grid of spacing h: s + h is
-        # the next grid point exactly, so after the first point each
-        # point reads its position and the bundle at s + h only
+        # the next grid point exactly, so each point reads its position
+        # and orders 1-4 once; the two neighbours beyond the grid's ends
+        # read orders 1-2 alone
         h = 2.0 ** -6
         rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
                 (parabola.curve.jet(-1.0 + i * h / 2, 0) for i in range(257))]
@@ -852,7 +906,8 @@ class TestWorkCounts:
         curve, calls = counted(make_lattice_curve(-1.0, 1.0, rows))
         assert curve.nodes == (-1.0, h / 2)
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
-        assert len(calls) <= (1 + 3 * 4) + 5 * (len(grid) - 1)
+        assert len(calls) == 5 * len(grid) + 2 * 2
+        assert calls.count(3) == calls.count(4) == len(grid)
 
     def test_classify_sweeps_once(self, helix_fixture):
         curve, calls = counted(helix_fixture.curve)
@@ -879,7 +934,73 @@ class TestWorkCounts:
         assert len(grid) == count
         curve, calls = counted(lattice)
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
-        assert len(calls) <= (1 + 3 * 4) + 5 * (len(grid) - 1)
+        assert len(calls) == 5 * len(grid)
+
+
+@pytest.fixture(scope="module")
+def cone_csv(tmp_path_factory, light_cone_crossing_curve):
+    # y'' = s, z'' = 1: lightlike at s = 1, eps = -1 below and +1 above
+    path = tmp_path_factory.mktemp("lattice") / "cone.csv"
+    return write_lattice(path, light_cone_crossing_curve, 0.25, 2.0 ** -7,
+                         225)
+
+
+@pytest.fixture(scope="module")
+def inflection_csv(tmp_path_factory):
+    # (s, s^3/6, 0) on a lattice symmetric about 0: y'' = z'' = 0 at s = 0
+    path = tmp_path_factory.mktemp("lattice") / "inflection.csv"
+    path.write_text("s,x,y,z\n" + "".join(
+        f"{s!r},{s!r},{s ** 3 / 6!r},0.0\n"
+        for s in (-1.0 + i * 2.0 ** -7 for i in range(257))))
+    return str(path)
+
+
+FLIP_MESSAGE = ("normal character flips near s={}; the curve crosses the "
+                "light cone inside the difference stencil")
+LIGHTLIKE_AT_1 = "lightlike acceleration at s=1: y''^2 - z''^2 ~ 0"
+INFLECTION_AT_0 = "inflection point at s=0: second derivative vanishes"
+
+
+class TestNeighbourFailures:
+    """A failure at s - h or s + h, where eval and the public residuals
+    read frames only, ends both with the same error and message."""
+
+    @pytest.mark.parametrize("lattice, s, message", [
+        ("cone_csv", 1 + 2 ** -7, FLIP_MESSAGE.format("1.00781")),
+        ("cone_csv", 1 + 2 ** -6, LIGHTLIKE_AT_1),
+        ("cone_csv", 1 - 2 ** -6, LIGHTLIKE_AT_1),
+        ("inflection_csv", 2 ** -6, INFLECTION_AT_0),
+        ("inflection_csv", -2 ** -6, INFLECTION_AT_0),
+    ])
+    def test_lattice_neighbour(self, request, capsys, lattice, s, message):
+        path = request.getfixturevalue(lattice)
+        rc, out, err = invoke(capsys, "eval", "--input", path,
+                              "--grid", f"{s!r}:{s!r}:1")
+        assert (rc, out) == (3, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["message"]) == \
+            ("InadmissibleCurveError", message)
+        curve = _lattice_curve(path)
+        for residual in (frenet_residual, equiform_residual):
+            with pytest.raises(InadmissibleCurveError) as exc:
+                residual(curve, s)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("s, message", [
+        (1.00005, FLIP_MESSAGE.format("1.00005")),
+        (1 + 1e-4, LIGHTLIKE_AT_1),
+        (1 - 1e-4, LIGHTLIKE_AT_1),
+    ])
+    def test_function_backed_neighbour(self, light_cone_crossing_curve, s,
+                                       message):
+        curve = light_cone_crossing_curve
+        res = _Resolved(curve=curve, label="", params={}, grid=[s])
+        for run in (lambda: _eval_rows(res),
+                    lambda: frenet_residual(curve, s),
+                    lambda: equiform_residual(curve, s)):
+            with pytest.raises(InadmissibleCurveError) as exc:
+                run()
+            assert str(exc.value) == message
 
 
 class TestPositionReads:

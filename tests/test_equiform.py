@@ -116,6 +116,11 @@ class TestEquiformResidual:
         assert equiform_residual(general_helix.curve, 1.0) < 1e-6
         assert equiform_residual(parabola.curve, 0.3) < 1e-11
 
+    def test_detects_light_cone_crossing(self, light_cone_crossing_curve):
+        # the stencil straddles s = 1, where eps flips from -1 to +1
+        with pytest.raises(InadmissibleCurveError, match="flips near"):
+            equiform_residual(light_cone_crossing_curve, 1.00005, h=1e-4)
+
 
 class TestNaturalClass:
     @pytest.mark.parametrize("name, tag", [

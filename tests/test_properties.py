@@ -11,8 +11,9 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 from pg_curvelab.algebra import PGVector, SimilarityMotion, pg_dot
 from pg_curvelab.aw import classify
-from pg_curvelab.curves import CurveJet, JetKind, apply_similarity
-from pg_curvelab.equiform import equiform_grid
+from pg_curvelab.curves import (CurveJet, JetKind, apply_similarity,
+                                make_lattice_curve)
+from pg_curvelab.equiform import _frames_at, equiform_data, equiform_grid
 from pg_curvelab.errors import InadmissibleCurveError, ParameterConstraintError
 from pg_curvelab.frenet import frenet_data, normal_character
 from pg_curvelab.series import DSeries
@@ -221,6 +222,52 @@ class TestSimilarityInvariance:
                         (d1.curvature, K, max(abs(K), abs(T))),
                         (d1.torsion, T, max(abs(K), abs(T)))):
                     assert_within(got, want, scale)
+
+
+def assert_same_frames(c: CurveJet, s: float) -> None:
+    """The frames a residual neighbour reads at s (jets of orders 1-2)
+    are those of ``frenet_data`` and ``equiform_data`` bit for bit, and
+    the equiform tangent's first component is their rho."""
+    fr, eq = _frames_at(c, s)
+    full = frenet_data(c, s), equiform_data(c, s)
+    for frame, data in zip((fr, eq), full):
+        assert (frame.s, frame.epsilon) == (data.s, data.epsilon)
+        for v, w in ((frame.tangent, data.tangent),
+                     (frame.normal, data.normal),
+                     (frame.binormal, data.binormal)):
+            assert bits(v.as_tuple()) == bits(w.as_tuple())
+    assert bits([eq.tangent.x1]) == bits([full[1].rho])
+
+
+class TestNeighbourFrames:
+    """A residual neighbour off the grid is read for its frames alone;
+    they must not differ in any bit from the full apparatus at s."""
+
+    @given(name=st.sampled_from(zoo_names()), a=magnitudes(0.25, 2.0),
+           b=magnitudes(0.25, 2.0), f=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60)
+    def test_catalogue_curves(self, name, a, b, f):
+        try:
+            c = get_example(name, a, b).curve
+            lo, hi = c.domain
+            assert_same_frames(c, lo + f * (hi - lo))
+        except (ParameterConstraintError, InadmissibleCurveError):
+            reject()
+
+    @given(name=st.sampled_from(zoo_names()),
+           i=st.integers(min_value=8, max_value=248))
+    @settings(max_examples=20)
+    def test_lattice_curves(self, name, i):
+        entry = get_example(name)
+        lo, hi = entry.curve.domain
+        spacing = (hi - lo) / 256
+        rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
+                (entry.curve.position(lo + k * spacing) for k in range(257))]
+        c = make_lattice_curve(lo, lo + 256 * spacing, rows)
+        try:
+            assert_same_frames(c, c.snap(lo + i * spacing))
+        except InadmissibleCurveError:
+            reject()
 
 
 class TestSeriesProperties:
