@@ -21,7 +21,8 @@ would.  Mate jets are served in bundles (:meth:`CurveJet.jets`, which is
 how the Frenet and equiform kernels read a point): orders first..last
 take one fetch of the base orders min(first, 2)..last+2 and one series
 of length last+1, e.g. 6 base jets for the orders 1-4 of
-:func:`equiform_data`.  When the base has order < 6 the exact bundle
+:func:`equiform_data`, and base orders 0-6 once for a point of
+:func:`verify_bertrand_pair`.  When the base has order < 6 the exact bundle
 stops at order 2, orders three and four are finite differences of the
 exact second-derivative function (one read of it per node and bundle),
 and the mate's domain shrinks by the stencil reach.  The mate keeps the
@@ -37,11 +38,13 @@ from typing import Callable, NamedTuple, Sequence
 from .algebra import PGVector, pg_dot
 from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_fn, _row_source
 from .equiform import (
+    EquiformData,
     NaturalClassTag,
+    _equiform_of,
     _mean,
     _natural_class_of,
+    _needs_order_4,
     _spread,
-    equiform_grid,
     natural_class,
 )
 from .errors import (
@@ -50,7 +53,7 @@ from .errors import (
     NarrowDomainError,
     StepTooSmallError,
 )
-from .frenet import frenet_data, normal_character
+from .frenet import _one_character, frenet_data, normal_character
 from .series import DSeries
 
 OffsetFn = Callable[[float], float]
@@ -196,6 +199,20 @@ class BertrandPair(NamedTuple):
     failures: tuple[str, ...]
 
 
+def _sweep(c: CurveJet, grid: Sequence[float]
+           ) -> tuple[list[PGVector], list[EquiformData]]:
+    """Positions and equiform data over the grid, from one bundle of the
+    jets of orders 0-4 per point; raises as ``equiform_grid`` does."""
+    _needs_order_4(c)
+    positions, datas = [], []
+    for s in grid:
+        p, *jets = c.jets(s, 0, 4)
+        positions.append(p)
+        datas.append(_equiform_of(s, *jets))
+    _one_character(datas)
+    return positions, datas
+
+
 def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
                          offset_fn: OffsetFn | float,
                          grid: Sequence[float],
@@ -206,8 +223,9 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     ``offset_fn`` is the claimed offset, a constant or a function of the
     parameter; a non-constant claim fails verification even if the two
     curves are geometrically a pair at some constant offset.  Each curve
-    is swept once; ``nature`` is :func:`bertrand_nature` of the base,
-    read from the same sweep.
+    is swept once, the base first, with one bundle of the jets of orders
+    0-4 per grid point: the position and the equiform data; ``nature``
+    is :func:`bertrand_nature` of the base, read from the same sweep.
     """
     if len(grid) < 5:
         raise ValueError("verification needs a grid of at least 5 points")
@@ -218,8 +236,8 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     else:
         claimed = [float(offset_fn)] * len(grid)
 
-    db = equiform_grid(base, grid)
-    dm = equiform_grid(mate, grid)
+    xb, db = _sweep(base, grid)
+    xm, dm = _sweep(mate, grid)
 
     flat_sup = max(max(abs(d.curvature) for d in db),
                    max(abs(d.curvature) for d in dm))
@@ -227,13 +245,13 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     par_sup = 0.0
     recovered: list[float] = []
     products: list[float] = []
-    for s, b, m in zip(grid, db, dm):
+    for b, m, pb, pm in zip(db, dm, xb, xm):
         nb, nm = b.normal, m.normal
         det2 = nb.x2 * nm.x3 - nb.x3 * nm.x2
         norms = math.hypot(nb.x2, nb.x3) * math.hypot(nm.x2, nm.x3)
         par_sup = max(par_sup, abs(det2) / norms if norms else math.inf)
 
-        o = mate.position(s) - base.position(s)
+        o = pm - pb
         nn = nb.x2 * nb.x2 + nb.x3 * nb.x3
         recovered.append((o.x2 * nb.x2 + o.x3 * nb.x3) / nn)
 

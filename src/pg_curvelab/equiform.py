@@ -63,10 +63,14 @@ def equiform_data(c: CurveJet, s: float) -> EquiformData:
     bounds of finite-difference jets are carried through the series pass
     into ``errors``.
     """
+    _needs_order_4(c)
+    return _equiform_of(s, *c.jets(s, 1, 4))
+
+
+def _needs_order_4(c: CurveJet) -> None:
     if c.max_order < 4:
         raise JetOrderError(
             f"equiform apparatus needs order-4 jets, curve carries {c.max_order}")
-    return _equiform_of(s, *c.jets(s, 1, 4))
 
 
 def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
@@ -145,12 +149,13 @@ def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     normalized by rho * max(1, |K|, |T|).  At s - h and s + h only the
     frames are built, from the jets of orders 1-2 (:func:`_frames_at`),
     as ``eval`` does off its grid; the data at s need order 4.  Frames
-    at s - h and s + h must share the normal character eps, as in
-    :func:`frenet_residual`.
+    at s - h and s + h must share the normal character eps, and the
+    points are read in the order of :func:`frenet_residual`.
     """
     h = c.residual_step if h is None else h
+    d0 = equiform_data(c, s)
     dm, dp = _frames_at(c, s - h)[1], _frames_at(c, s + h)[1]
-    return _equiform_residual_of(dm, equiform_data(c, s), dp, h)
+    return _equiform_residual_of(dm, d0, dp, h)
 
 
 def _equiform_residual_of(dm: Frame | EquiformData, d0: EquiformData,

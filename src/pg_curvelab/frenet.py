@@ -166,11 +166,13 @@ def frenet_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     share the normal character eps, otherwise the curve is inadmissible
     on [s - h, s + h].  At s - h and s + h only the frame is built, from
     the jets of orders 1-2 (:class:`Frame`), as ``eval`` does off its
-    grid; the data at s need order 3 (tau).
+    grid; the data at s need order 3 (tau).  Like ``eval``, it reads s,
+    then s - h, then s + h, so both name the same failing point.
     """
     h = c.residual_step if h is None else h
+    f0 = frenet_data(c, s)
     fm, fp = _neighbour(c, s - h)[0], _neighbour(c, s + h)[0]
-    return _frenet_residual_of(fm, frenet_data(c, s), fp, h)
+    return _frenet_residual_of(fm, f0, fp, h)
 
 
 def _frenet_residual_of(fm: Frame | FrenetData, f0: FrenetData,

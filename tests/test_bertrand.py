@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from pg_curvelab import bertrand
 from pg_curvelab.algebra import PGVector, SimilarityMotion, pg_dot
 from pg_curvelab.bertrand import (
     BertrandNature,
@@ -17,8 +18,10 @@ from pg_curvelab.bertrand import (
 from pg_curvelab.curves import (CurveJet, JetKind, apply_similarity,
                                  make_sampled_curve)
 from pg_curvelab.equiform import equiform_data
-from pg_curvelab.errors import MateInadmissibleError, NarrowDomainError
+from pg_curvelab.errors import (InadmissibleCurveError, MateInadmissibleError,
+                                 NarrowDomainError)
 from pg_curvelab.frenet import frenet_data
+from pg_curvelab.zoo import get_example
 
 
 class TestExactMate:
@@ -213,6 +216,42 @@ class TestFiniteDifferenceFallback:
             bertrand_mate(base, 0.3)
 
 
+class TestSweepOrder:
+    """Each curve is swept whole, the base first, so where both sweeps
+    would raise, the base's error is the one reported, even when the
+    mate fails at an earlier grid point."""
+
+    def test_base_inadmissible_point_is_reported(self):
+        # kappa = e^-s, tau = 6.2: the base turns lightlike between
+        # s = 1.9 and 1.92, the mate at 0.3 already at 1.9
+        base = get_example("timelike_general_helix", 1.0, 6.2).curve
+        mate = bertrand_mate(base, 0.3)
+        grid = [1.9 + 0.02 * i for i in range(8)]
+        equiform_data(base, grid[0])
+        with pytest.raises(InadmissibleCurveError, match="s=1.9:"):
+            equiform_data(mate, grid[0])
+        with pytest.raises(InadmissibleCurveError) as exc:
+            verify_bertrand_pair(base, mate, 0.3, grid)
+        assert str(exc.value) == \
+            "lightlike acceleration at s=1.92: y''^2 - z''^2 ~ 0"
+        assert exc.value.param == grid[1]
+
+    def test_base_character_flip_is_reported(self,
+                                             light_cone_crossing_curve):
+        # eps flips at s = 1 on the base; the mate at -0.08 flips between
+        # the first two grid points
+        base = light_cone_crossing_curve
+        mate = bertrand_mate(base, -0.08)
+        grid = [0.5 + i / 9 for i in range(10)]
+        assert equiform_data(mate, grid[0]).epsilon != \
+            equiform_data(mate, grid[1]).epsilon
+        with pytest.raises(InadmissibleCurveError) as exc:
+            verify_bertrand_pair(base, mate, -0.08, grid)
+        assert str(exc.value) == (
+            "normal character flips between s=0.5 and s=1.05556; the curve "
+            "crosses the light cone")
+
+
 def bits(v: PGVector) -> tuple[str, ...]:
     return tuple(x.hex() for x in v.as_tuple())
 
@@ -263,21 +302,32 @@ class TestMateJetBundles:
         assert sorted(calls) == [(0.3, k) for k in range(1, 7)]
 
     def test_verification_sweeps_each_base_point_once(self, helix_fixture,
-                                                      uniform):
+                                                      uniform, monkeypatch):
         base, calls = counting(helix_fixture.curve)
         mate = bertrand_mate(base, 0.5)
         grid = uniform(-0.9, 0.9, 11)
         calls.clear()
+        series_at: list[float] = []
+
+        def normal_series(jets, s):
+            series_at.append(s)
+            return _normal_series(jets, s)
+
+        monkeypatch.setattr(bertrand, "_normal_series", normal_series)
         pair = verify_bertrand_pair(base, mate, 0.5, grid)
         assert pair.nature is bertrand_nature(helix_fixture.curve, grid)
-        # per grid point: the base's equiform sweep (orders 1-4), the
-        # mate's equiform bundle (base orders 1-6) and the two positions
-        # (base order 0, mate order 0 from base orders 0-2); a second
-        # sweep of the base would add four more
+        # per grid point: the base's bundle of orders 0-4 and the mate's
+        # (base orders 0-6, one normal series); a separate position read
+        # would add base order 0 and, for the mate, base orders 0-2 and a
+        # second normal series
         per_point = {s: 0 for s in grid}
         for s, _ in calls:
             per_point[s] += 1
-        assert per_point == {s: 4 + 6 + 1 + 3 for s in grid}
+        assert per_point == {s: 5 + 7 for s in grid}
+        assert sorted(calls) == sorted(
+            [(s, k) for s in grid for k in range(5)]
+            + [(s, k) for s in grid for k in range(7)])
+        assert series_at == grid
 
     def test_fallback_bundle_matches_single_orders(self, helix_fixture):
         base, _ = counting(helix_fixture.curve, max_order=4)

@@ -955,15 +955,27 @@ def inflection_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def line_csv(tmp_path_factory):
+    # the straight line (s, 0, 0): an inflection at every point
+    path = tmp_path_factory.mktemp("lattice") / "line.csv"
+    path.write_text("s,x,y,z\n" + "".join(
+        f"{s!r},{s!r},0.0,0.0\n" for s in (i * 2.0 ** -7 for i in range(257))))
+    return str(path)
+
+
 FLIP_MESSAGE = ("normal character flips near s={}; the curve crosses the "
                 "light cone inside the difference stencil")
-LIGHTLIKE_AT_1 = "lightlike acceleration at s=1: y''^2 - z''^2 ~ 0"
-INFLECTION_AT_0 = "inflection point at s=0: second derivative vanishes"
+LIGHTLIKE_AT = "lightlike acceleration at s={}: y''^2 - z''^2 ~ 0"
+LIGHTLIKE_AT_1 = LIGHTLIKE_AT.format("1")
+INFLECTION_AT = "inflection point at s={}: second derivative vanishes"
+INFLECTION_AT_0 = INFLECTION_AT.format("0")
 
 
 class TestNeighbourFailures:
     """A failure at s - h or s + h, where eval and the public residuals
-    read frames only, ends both with the same error and message."""
+    read frames only, ends both with the same error and message.  Both
+    read s first, so where s fails too, both name s."""
 
     @pytest.mark.parametrize("lattice, s, message", [
         ("cone_csv", 1 + 2 ** -7, FLIP_MESSAGE.format("1.00781")),
@@ -971,6 +983,7 @@ class TestNeighbourFailures:
         ("cone_csv", 1 - 2 ** -6, LIGHTLIKE_AT_1),
         ("inflection_csv", 2 ** -6, INFLECTION_AT_0),
         ("inflection_csv", -2 ** -6, INFLECTION_AT_0),
+        ("line_csv", 1.0, INFLECTION_AT.format("1")),
     ])
     def test_lattice_neighbour(self, request, capsys, lattice, s, message):
         path = request.getfixturevalue(lattice)
@@ -1001,6 +1014,30 @@ class TestNeighbourFailures:
             with pytest.raises(InadmissibleCurveError) as exc:
                 run()
             assert str(exc.value) == message
+
+
+class TestBertrandErrorOrder:
+    """``bertrand`` sweeps the base whole before the mate, so the base's
+    error is reported where both would raise.  The catalogue families
+    keep one normal character, so the flip is read from a lattice."""
+
+    @pytest.mark.parametrize("source, grid, lam, message", [
+        (("--curve", "timelike_general_helix", "--a", "1", "--b", "6.2"),
+         "1.9:2.04:8", "0.3", LIGHTLIKE_AT.format("1.92")),
+        (("--input", "cone_csv"), "0.5:1.5:10", "-0.08",
+         "normal character flips between s=0.5 and s=1.05469; the curve "
+         "crosses the light cone"),
+    ])
+    def test_base_error_is_reported(self, request, capsys, source, grid,
+                                    lam, message):
+        if source[0] == "--input":
+            source = ("--input", request.getfixturevalue(source[1]))
+        rc, out, err = invoke(capsys, "bertrand", *source, "--grid", grid,
+                              "--lambda", lam)
+        assert (rc, out) == (3, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["message"]) == \
+            ("InadmissibleCurveError", message)
 
 
 class TestPositionReads:

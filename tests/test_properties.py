@@ -5,16 +5,20 @@ from __future__ import annotations
 
 import math
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
+from pg_curvelab import bertrand
 from pg_curvelab.algebra import PGVector, SimilarityMotion, pg_dot
 from pg_curvelab.aw import classify
+from pg_curvelab.bertrand import bertrand_mate, verify_bertrand_pair
 from pg_curvelab.curves import (CurveJet, JetKind, apply_similarity,
                                 make_lattice_curve)
 from pg_curvelab.equiform import _frames_at, equiform_data, equiform_grid
-from pg_curvelab.errors import InadmissibleCurveError, ParameterConstraintError
+from pg_curvelab.errors import (CurveLabError, InadmissibleCurveError,
+                                 ParameterConstraintError)
 from pg_curvelab.frenet import frenet_data, normal_character
 from pg_curvelab.series import DSeries
 from pg_curvelab.zoo import get_example, zoo_names
@@ -267,6 +271,76 @@ class TestNeighbourFrames:
         try:
             assert_same_frames(c, c.snap(lo + i * spacing))
         except InadmissibleCurveError:
+            reject()
+
+
+def pair_outcome(base: CurveJet, mate: CurveJet, lam: float,
+                 grid: list[float]) -> tuple:
+    """Every field of ``verify_bertrand_pair`` but the curves (floats as
+    bit patterns), or the type and message of the error it raises."""
+    try:
+        p = verify_bertrand_pair(base, mate, lam, grid)
+    except (CurveLabError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (bits([p.offset, p.normal_parallel_sup, p.tangent_product_spread,
+                  p.curvature_flatness_sup, p.offset_spread]),
+            p.is_pair, p.nature, p.failures)
+
+
+def separate_position_reads(c: CurveJet, grid: list[float]) -> tuple:
+    """The reference sweep: ``equiform_grid``, then one position read
+    per point."""
+    datas = equiform_grid(c, grid)
+    return [c.position(s) for s in grid], datas
+
+
+def assert_pair_from_bundles(base: CurveJet, lam: float, f: float) -> None:
+    """Position reads and pair verification from the orders 0-4 bundles
+    equal the reference bit for bit, at s = lo + f * (hi - lo) of the
+    mate's domain and on the grid of s and lo + i * (hi - lo) / 5."""
+    mate = bertrand_mate(base, lam)
+    lo, hi = mate.domain
+    s = mate.snap(lo + f * (hi - lo))
+    for c in (base, mate):
+        assert bits(c.jets(s, 0, 4)[0].as_tuple()) == \
+            bits(c.position(s).as_tuple())
+    grid = sorted({s, *(mate.snap(lo + (hi - lo) * i / 5) for i in range(6))})
+    got = pair_outcome(base, mate, lam, grid)
+    with mock.patch.object(bertrand, "_sweep", separate_position_reads):
+        assert got == pair_outcome(base, mate, lam, grid)
+
+
+class TestVerifyBundles:
+    """``verify_bertrand_pair`` takes each curve's positions from the
+    jet bundle of orders 0-4 it reads for the equiform data; nothing it
+    reports may differ in any bit from separate position reads."""
+
+    @given(name=st.sampled_from(zoo_names()), a=magnitudes(0.25, 2.0),
+           b=magnitudes(0.25, 2.0), lam=st.floats(-1.0, 1.0),
+           f=st.floats(0.0, 1.0), max_order=st.sampled_from((8, 4)))
+    @settings(max_examples=60)
+    def test_catalogue_mates(self, name, a, b, lam, f, max_order):
+        # a base cut to order 4 gets the finite-difference fallback mate
+        try:
+            c = get_example(name, a, b).curve
+            base = CurveJet(c.jet, c.domain, c.kind, max_order=max_order)
+            assert_pair_from_bundles(base, lam, f)
+        except (CurveLabError, ValueError):
+            reject()
+
+    @given(name=st.sampled_from(zoo_names()), lam=st.floats(-1.0, 1.0),
+           f=st.floats(0.0, 1.0))
+    @settings(max_examples=15)
+    def test_lattice_mates(self, name, lam, f):
+        entry = get_example(name)
+        lo, hi = entry.curve.domain
+        spacing = (hi - lo) / 256
+        rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
+                (entry.curve.position(lo + k * spacing) for k in range(257))]
+        try:
+            assert_pair_from_bundles(
+                make_lattice_curve(lo, lo + 256 * spacing, rows), lam, f)
+        except (CurveLabError, ValueError):
             reject()
 
 
