@@ -34,8 +34,9 @@ from .equiform import (EquiformData, NaturalClass, NaturalClassTag,
 from .errors import (CurveLabError, EmptyDomainError, EmptyGridError,
                      InadmissibleCurveError, JetOrderError,
                      LightlikeNormalError, MateInadmissibleError,
-                     NarrowDomainError, ParameterConstraintError,
-                     StepTooSmallError, UnknownCurveError)
+                     NarrowDomainError, NumericalInflectionError,
+                     ParameterConstraintError, StepTooSmallError,
+                     UnknownCurveError)
 from .frenet import (AdmissibilityReport, FrenetData, check_admissibility,
                      frenet_data, frenet_residual)
 from .series import DSeries
@@ -50,8 +51,8 @@ __all__ = [
     "EquiformData", "FrenetData", "InadmissibleCurveError", "JetKind",
     "JetOrderError", "LightlikeNormalError", "MateInadmissibleError",
     "NarrowDomainError", "NaturalClass", "NaturalClassTag",
-    "ParameterConstraintError", "PGVector", "SimilarityMotion",
-    "StepTooSmallError", "UnknownCurveError", "ZooEntry",
+    "NumericalInflectionError", "ParameterConstraintError", "PGVector",
+    "SimilarityMotion", "StepTooSmallError", "UnknownCurveError", "ZooEntry",
     "apply_homothety", "apply_similarity", "aw_residuals",
     "bertrand_mate", "bertrand_nature",
     "check_admissibility", "classify", "derivative_vectors", "det3",

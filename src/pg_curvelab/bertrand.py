@@ -38,13 +38,11 @@ from typing import Callable, NamedTuple, Sequence
 from .algebra import PGVector, pg_dot
 from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_fn, _row_source
 from .equiform import (
-    EquiformData,
     NaturalClassTag,
-    _equiform_of,
     _mean,
     _natural_class_of,
-    _needs_order_4,
     _spread,
+    _sweep,
     natural_class,
 )
 from .errors import (
@@ -53,7 +51,7 @@ from .errors import (
     NarrowDomainError,
     StepTooSmallError,
 )
-from .frenet import _one_character, frenet_data, normal_character
+from .frenet import _overflow, frenet_data, normal_character
 from .series import DSeries
 
 OffsetFn = Callable[[float], float]
@@ -78,10 +76,13 @@ def _offset_jets(base: CurveJet, lam: float, s: float, first: int,
     orders min(first, 2)..last+2 and one normal series of length last+1."""
     low = min(first, 2)
     jets = base.jets(s, low, last + 2)
-    ny, nz = _normal_series(jets[2 - low:], s)
-    return tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
-                 for k, j in enumerate(jets[first - low:last - low + 1],
-                                       first))
+    try:
+        ny, nz = _normal_series(jets[2 - low:], s)
+        return tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
+                     for k, j in enumerate(jets[first - low:last - low + 1],
+                                           first))
+    except (ValueError, ArithmeticError) as exc:
+        raise _overflow(s, jets[2 - low], exc)
 
 
 def _probe_mate(mate: CurveJet, offset: float) -> None:
@@ -199,20 +200,6 @@ class BertrandPair(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _sweep(c: CurveJet, grid: Sequence[float]
-           ) -> tuple[list[PGVector], list[EquiformData]]:
-    """Positions and equiform data over the grid, from one bundle of the
-    jets of orders 0-4 per point; raises as ``equiform_grid`` does."""
-    _needs_order_4(c)
-    positions, datas = [], []
-    for s in grid:
-        p, *jets = c.jets(s, 0, 4)
-        positions.append(p)
-        datas.append(_equiform_of(s, *jets))
-    _one_character(datas)
-    return positions, datas
-
-
 def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
                          offset_fn: OffsetFn | float,
                          grid: Sequence[float],
@@ -223,9 +210,10 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     ``offset_fn`` is the claimed offset, a constant or a function of the
     parameter; a non-constant claim fails verification even if the two
     curves are geometrically a pair at some constant offset.  Each curve
-    is swept once, the base first, with one bundle of the jets of orders
-    0-4 per grid point: the position and the equiform data; ``nature``
-    is :func:`bertrand_nature` of the base, read from the same sweep.
+    is swept once, the base first, by the equiform sweep of
+    :func:`equiform_grid` with one bundle of the jets of orders 0-4 per
+    grid point: the position and the equiform data; ``nature`` is
+    :func:`bertrand_nature` of the base, read from the same sweep.
     """
     if len(grid) < 5:
         raise ValueError("verification needs a grid of at least 5 points")
@@ -236,8 +224,8 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     else:
         claimed = [float(offset_fn)] * len(grid)
 
-    xb, db = _sweep(base, grid)
-    xm, dm = _sweep(mate, grid)
+    xb, db = _sweep(base, grid, 0)
+    xm, dm = _sweep(mate, grid, 0)
 
     flat_sup = max(max(abs(d.curvature) for d in db),
                    max(abs(d.curvature) for d in dm))

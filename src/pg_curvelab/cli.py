@@ -244,13 +244,15 @@ _EVAL_HEADER = (
 
 
 def _eval_rows(res: _Resolved) -> list[list[float]]:
-    """One row per grid point.  A grid point's Frenet and equiform data
-    come from one jet bundle of orders 1-4.  A residual neighbour s +- h
-    (h the FD step on a lattice, looked up through ``curve.snap`` so that
-    a lattice neighbour is the grid point it lands on) that is not a grid
-    point is read for its frames alone, from the jets of orders 1-2
-    (``equiform._frames_at``): 9 jet calls per point off the grid.  Each
-    record is kept while the ascending grid can still read it."""
+    """One row per grid point.  A grid point's position, Frenet and
+    equiform data come from one jet bundle of orders 0-4.  A residual
+    neighbour s +- h (h the FD step on a lattice, looked up through
+    ``curve.snap`` so that a lattice neighbour is the grid point it lands
+    on) that is not a grid point is read for its frames alone, from the
+    jets of orders 1-2 (``equiform._frames_at``): 3 bundles and 9 jet
+    orders per point off the grid.  Each record, (Frenet, equiform,
+    position) at a grid point and the two frames elsewhere, is kept
+    while the ascending grid can still read it."""
     curve, snap = res.curve, res.curve.snap
     h = curve.residual_step
     lo, hi = curve.domain
@@ -261,8 +263,8 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
         rec = window.get(s)
         if rec is None:
             if s in on_grid:
-                jets = curve.jets(s, 1, 4)
-                rec = _frenet_of(s, *jets[:3]), _equiform_of(s, *jets)
+                p, *jets = curve.jets(s, 0, 4)
+                rec = _frenet_of(s, *jets[:3]), _equiform_of(s, *jets), p
             else:
                 rec = _frames_at(curve, s)
             window[s] = rec
@@ -272,10 +274,9 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
     for s in res.grid:
         below, above = snap(s - h), snap(s + h)
         window = {k: v for k, v in window.items() if k >= below}
-        p = curve.jet(s, 0)
-        fr, eq = apparatus(s)
+        fr, eq, p = apparatus(s)
         if lo <= s - h and s + h <= hi:
-            (frm, eqm), (frp, eqp) = apparatus(below), apparatus(above)
+            (frm, eqm), (frp, eqp) = apparatus(below)[:2], apparatus(above)[:2]
             r1 = _frenet_residual_of(frm, fr, frp, h)
             r2 = _equiform_residual_of(eqm, eq, eqp, h)
         else:
@@ -372,14 +373,9 @@ def _cmd_zoo_list(args: argparse.Namespace) -> _Report:
 
 def _cmd_figure(args: argparse.Namespace) -> _Report:
     entry = get_example(_FIGURES[args.figure_number])
-    lo, hi = entry.domain
-    step = (hi - lo) / (_FIGURE_SAMPLES - 1)
-    rows = []
-    for i in range(_FIGURE_SAMPLES):
-        s = lo + i * step
-        p = entry.curve.jet(s, 0)
-        rows.append((s, p.x1, p.x2, p.x3))
-    return _Report(None, ("s", "x", "y", "z"), rows)
+    return _Report(None, ("s", "x", "y", "z"),
+                   [(s, *entry.curve.position(s).as_tuple())
+                    for s in _grid_points((*entry.domain, _FIGURE_SAMPLES))])
 
 
 # ---------------------------------------------------------------------------

@@ -56,15 +56,15 @@ class CurveJet:
     non-fatal construction diagnostics (e.g. inconsistent supplied
     derivatives), never errors.
 
-    ``jet_fn(s, order)`` returns one derivative vector and
-    ``jets_fn(s, first, last)`` orders first..last at once.  Pass either
-    (the other may be None) and the other is built from it; a curve whose
-    orders share work (a normal-offset mate builds one derivative series
-    for all of them) passes ``jets_fn``.
+    ``jets_fn(s, first, last)`` returns the derivative vectors of orders
+    first..last at once; it is the one view the curve stores, so every
+    read, ``jet(s, k)`` included, is one checked bundle.  A curve whose
+    orders share no work may pass ``jet_fn(s, order)`` instead, read
+    once per order of a bundle.
     """
 
     __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
-                 "_jet_fn", "_jets_fn")
+                 "_jets_fn")
 
     def __init__(self, jet_fn: Callable[[float, int], PGVector] | None,
                  domain: tuple[float, float], kind: JetKind,
@@ -77,15 +77,11 @@ class CurveJet:
         if jets_fn is None:
             def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
                 return tuple(jet_fn(s, k) for k in range(first, last + 1))
-        elif jet_fn is None:
-            def jet_fn(s: float, order: int) -> PGVector:
-                return jets_fn(s, order, order)[0]
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))
         object.__setattr__(self, "warnings", tuple(warnings))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_jet_fn", jet_fn)
         object.__setattr__(self, "_jets_fn", jets_fn)
 
     def __setattr__(self, *_):
@@ -102,12 +98,11 @@ class CurveJet:
             raise ValueError(f"parameter {s} outside domain [{lo}, {hi}]")
 
     def jet(self, s: float, order: int = 0) -> PGVector:
-        self._check(s, order, order)
-        return self._jet_fn(s, order)
+        return self.jets(s, order, order)[0]
 
     def jets(self, s: float, first: int, last: int) -> tuple[PGVector, ...]:
         """The derivative vectors of orders first..last at s, checked
-        once.  Each equals ``jet(s, k)`` bit for bit."""
+        once."""
         if first > last:
             raise JetOrderError(f"empty order range {first}..{last}")
         self._check(s, first, last)

@@ -27,7 +27,8 @@ from typing import NamedTuple, Sequence
 from .algebra import PGVector
 from .curves import CurveJet, jet_errors
 from .errors import EmptyGridError, JetOrderError
-from .frenet import Frame, _neighbour, _one_character, normal_character
+from .frenet import (Frame, _neighbour, _one_character, _overflow,
+                     normal_character)
 from .series import DSeries
 
 
@@ -77,35 +78,38 @@ def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
                  j4: PGVector) -> EquiformData:
     """:func:`equiform_data` from the jets of orders 1-4 at s."""
     eps = normal_character(s, j1, j2)
-    errs = jet_errors(j2, j3, j4)
-    y2 = DSeries((j2.x2, j3.x2, j4.x2), errs)
-    z2 = DSeries((j2.x3, j3.x3, j4.x3), errs)
-    absw3 = eps * (y2 * y2 - z2 * z2)              # series of kappa^2 > 0
-    rho3 = absw3.sqrt().reciprocal()               # (rho, K, dK/ds)
-    rho = rho3[0]
-    curvature = rho3[1]
-    curvature_rate = rho3[2]
+    try:
+        errs = jet_errors(j2, j3, j4)
+        y2 = DSeries((j2.x2, j3.x2, j4.x2), errs)
+        z2 = DSeries((j2.x3, j3.x3, j4.x3), errs)
+        absw3 = eps * (y2 * y2 - z2 * z2)              # series of kappa^2 > 0
+        rho3 = absw3.sqrt().reciprocal()               # (rho, K, dK/ds)
+        rho = rho3[0]
+        curvature = rho3[1]
+        curvature_rate = rho3[2]
 
-    num_errs = None
-    if errs is not None:
-        e2, e3, e4 = errs
-        a2 = abs(j2.x2) + abs(j2.x3)
-        num_errs = (e3 * a2 + e2 * (abs(j3.x2) + abs(j3.x3)),
-                    e4 * a2 + e2 * (abs(j4.x2) + abs(j4.x3)))
-    num2 = DSeries((j2.x2 * j3.x3 - j3.x2 * j2.x3,
-                    j2.x2 * j4.x3 - j4.x2 * j2.x3), num_errs)
-    tau2 = num2 / absw3.truncate(2)                # (tau, dtau/ds)
-    torsion2 = rho3.truncate(2) * tau2             # (T, dT/ds)
-    torsion = torsion2[0]
-    torsion_rate = torsion2[1]
-    errors = None
-    if errs is not None:
-        errors = (rho3.errs[0], rho3.errs[1], torsion2.errs[0],
-                  rho3.errs[2], torsion2.errs[1])
+        num_errs = None
+        if errs is not None:
+            e2, e3, e4 = errs
+            a2 = abs(j2.x2) + abs(j2.x3)
+            num_errs = (e3 * a2 + e2 * (abs(j3.x2) + abs(j3.x3)),
+                        e4 * a2 + e2 * (abs(j4.x2) + abs(j4.x3)))
+        num2 = DSeries((j2.x2 * j3.x3 - j3.x2 * j2.x3,
+                        j2.x2 * j4.x3 - j4.x2 * j2.x3), num_errs)
+        tau2 = num2 / absw3.truncate(2)                # (tau, dtau/ds)
+        torsion2 = rho3.truncate(2) * tau2             # (T, dT/ds)
+        torsion = torsion2[0]
+        torsion_rate = torsion2[1]
+        errors = None
+        if errs is not None:
+            errors = (rho3.errs[0], rho3.errs[1], torsion2.errs[0],
+                      rho3.errs[2], torsion2.errs[1])
 
-    return EquiformData(s, eps, rho, curvature, torsion, curvature_rate,
-                        torsion_rate, *_equiform_frame(j1, j2, eps, rho),
-                        errors)
+        return EquiformData(s, eps, rho, curvature, torsion, curvature_rate,
+                            torsion_rate, *_equiform_frame(j1, j2, eps, rho),
+                            errors)
+    except (ValueError, ArithmeticError) as exc:
+        raise _overflow(s, j2, exc)
 
 
 def _equiform_frame(j1: PGVector, j2: PGVector, eps: int, rho: float
@@ -122,8 +126,11 @@ def _frames_at(c: CurveJet, s: float) -> tuple[Frame, Frame]:
     one read of the jets of orders 1-2 (``frenet._neighbour``).  rho =
     1/kappa is bit for bit entry 0 of the series pass's rho."""
     fr, kappa, j1, j2 = _neighbour(c, s)
-    return fr, Frame(s, fr.epsilon,
-                     *_equiform_frame(j1, j2, fr.epsilon, 1.0 / kappa))
+    try:
+        return fr, Frame(s, fr.epsilon,
+                         *_equiform_frame(j1, j2, fr.epsilon, 1.0 / kappa))
+    except (ValueError, ArithmeticError) as exc:
+        raise _overflow(s, j2, exc)
 
 
 def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
@@ -133,11 +140,26 @@ def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
     cone, where none of the invariants are continuous; such curves are
     inadmissible as a whole.
     """
+    return _sweep(c, grid, 1)[1]
+
+
+def _sweep(c: CurveJet, grid: Sequence[float], first: int
+           ) -> tuple[list[PGVector], list[EquiformData]]:
+    """The one equiform sweep: one bundle of the jets of orders first..4
+    per grid point (``first`` is 1, or 0 to read the positions too) and
+    the equiform data of its orders 1-4, each point tested before the
+    next is read, then the flip check.  Returns the order-``first`` jets
+    (the positions when ``first`` is 0) and the data."""
     if len(grid) == 0:
         raise EmptyGridError("equiform sweep needs a non-empty grid")
-    datas = [equiform_data(c, s) for s in grid]
+    _needs_order_4(c)
+    heads, datas = [], []
+    for s in grid:
+        jets = c.jets(s, first, 4)
+        heads.append(jets[0])
+        datas.append(_equiform_of(s, *jets[-4:]))
     _one_character(datas)
-    return datas
+    return heads, datas
 
 
 def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:

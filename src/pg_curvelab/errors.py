@@ -43,6 +43,11 @@ class InadmissibleCurveError(CurveLabError):
         self.param = param
 
 
+class NumericalInflectionError(InadmissibleCurveError):
+    """rho = 1/kappa overflows at :attr:`param`: kappa is finite but so
+    small that the per-point arithmetic leaves the floating-point range."""
+
+
 class MateInadmissibleError(InadmissibleCurveError):
     """A constructed Bertrand mate fails the admissibility conditions."""
 

@@ -15,12 +15,13 @@ binormal has the opposite character.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import isfinite, sqrt
 from typing import NamedTuple, Sequence
 
 from .algebra import PGVector
 from .curves import CurveJet
-from .errors import EmptyGridError, InadmissibleCurveError
+from .errors import (EmptyGridError, InadmissibleCurveError,
+                     NumericalInflectionError)
 
 LIGHTLIKE_TOL = 1e-10
 
@@ -57,6 +58,20 @@ def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
         raise InadmissibleCurveError(
             f"lightlike acceleration at s={s:.6g}: y''^2 - z''^2 ~ 0", param=s)
     return 1 if w > 0.0 else -1
+
+
+def _overflow(s: float, j2: PGVector, exc: Exception) -> Exception:
+    """What a per-point kernel at s raises for ``exc``, an overflow in
+    its arithmetic: :class:`NumericalInflectionError` when rho = 1/kappa
+    drives it, ``exc`` itself when kappa^2 overflows (parameters beyond
+    a family's range)."""
+    if not isfinite(j2.x2 * j2.x2 + j2.x3 * j2.x3):
+        return exc
+    err = NumericalInflectionError(
+        f"numerically an inflection: rho = 1/kappa overflows at s={s:.6g} "
+        f"({exc})", param=s)
+    err.__cause__ = exc
+    return err
 
 
 class AdmissibilityReport(NamedTuple):

@@ -156,16 +156,12 @@ def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
         ch, sh = math.cosh(b * s), math.sinh(b * s)
         return PGVector(0.0, -ch, -sh) if mirrored else PGVector(0.0, sh, ch)
 
-    def e1(s: float) -> PGVector:
-        j = jet(s, 1)
-        return PGVector(1.0, j.x2, j.x3)
-
     tau_val = -b if mirrored else b
     oracle = OracleForms(
         kappa=lambda s: math.exp(-a * s),
         tau=lambda s: tau_val,
         epsilon=-1 if mirrored else 1,
-        tangent=e1, normal=e2, binormal=e3,
+        tangent=partial(jet, k=1), normal=e2, binormal=e3,
         equiform_curvature=lambda s: a * math.exp(a * s),
         equiform_torsion=lambda s: tau_val * math.exp(a * s),
     )
@@ -227,16 +223,12 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
         ch, sh = math.cosh(uu(s)), math.sinh(uu(s))
         return PGVector(0.0, sh, ch) if mirrored else PGVector(0.0, -ch, -sh)
 
-    def e1(s: float) -> PGVector:
-        j = jet(s, 1)
-        return PGVector(1.0, j.x2, j.x3)
-
     tau_sign = 1.0 if mirrored else -1.0
     oracle = OracleForms(
         kappa=lambda s: a / s,
         tau=lambda s: tau_sign * b / (a * s),
         epsilon=1 if mirrored else -1,
-        tangent=e1, normal=e2, binormal=e3,
+        tangent=partial(jet, k=1), normal=e2, binormal=e3,
         equiform_curvature=lambda s: 1.0 / a,
         equiform_torsion=lambda s: tau_sign * b / (a * a),
     )

@@ -18,6 +18,42 @@ from pg_curvelab.zoo import (
 )
 
 
+class JetLog:
+    """The reads of a curve wrapped by the ``counting`` fixture: each
+    ``jets`` call as (s, first, last) in ``bundles``, each order it
+    served as (s, k) in ``orders``."""
+
+    def __init__(self):
+        self.bundles: list[tuple[float, int, int]] = []
+        self.orders: list[tuple[float, int]] = []
+
+    def clear(self) -> None:
+        self.bundles.clear()
+        self.orders.clear()
+
+
+@pytest.fixture(scope="session")
+def counting():
+    """Wrapper ``counting(curve, max_order=None) -> (curve, log)``: the
+    same curve through the public constructor, optionally cut to
+    ``max_order``, logging its reads in a :class:`JetLog`."""
+
+    def _counting(curve: CurveJet, max_order: int | None = None):
+        log = JetLog()
+
+        def jets_fn(s: float, first: int, last: int):
+            log.bundles.append((s, first, last))
+            log.orders.extend((s, k) for k in range(first, last + 1))
+            return curve.jets(s, first, last)
+
+        return CurveJet(None, curve.domain, curve.kind,
+                        max_order=curve.max_order if max_order is None
+                        else max_order, warnings=curve.warnings,
+                        jets_fn=jets_fn, nodes=curve.nodes), log
+
+    return _counting
+
+
 @pytest.fixture(scope="session")
 def uniform():
     """Grid builder: n equally spaced points covering [lo, hi]."""

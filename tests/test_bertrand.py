@@ -19,7 +19,7 @@ from pg_curvelab.curves import (CurveJet, JetKind, apply_similarity,
                                  make_sampled_curve)
 from pg_curvelab.equiform import equiform_data
 from pg_curvelab.errors import (InadmissibleCurveError, MateInadmissibleError,
-                                 NarrowDomainError)
+                                 NarrowDomainError, StepTooSmallError)
 from pg_curvelab.frenet import frenet_data
 from pg_curvelab.zoo import get_example
 
@@ -215,6 +215,16 @@ class TestFiniteDifferenceFallback:
         with pytest.raises(NarrowDomainError, match="mate stencils"):
             bertrand_mate(base, 0.3)
 
+    def test_step_below_round_off_rejected(self):
+        # kappa = 1e12 shrinks the mate's difference step eps^(1/6)/kappa
+        # below 64 ulps of the domain scale
+        c = get_example("bertrand_helix", 1e12, 1.0).curve
+        base = CurveJet(c.jet, c.domain, c.kind, max_order=4)
+        with pytest.raises(StepTooSmallError, match=(
+                r"mate difference step 2\.559\d*e-15 is below the round-off "
+                "guard")):
+            bertrand_mate(base, 0.3)
+
 
 class TestSweepOrder:
     """Each curve is swept whole, the base first, so where both sweeps
@@ -256,21 +266,6 @@ def bits(v: PGVector) -> tuple[str, ...]:
     return tuple(x.hex() for x in v.as_tuple())
 
 
-def counting(curve: CurveJet, max_order: int | None = None):
-    """The same curve through the public constructor, logging every
-    (s, order) its jet function is asked for."""
-    calls: list[tuple[float, int]] = []
-
-    def jet_fn(s: float, order: int) -> PGVector:
-        calls.append((s, order))
-        return curve.jet(s, order)
-
-    wrapped = CurveJet(jet_fn, curve.domain, curve.kind,
-                       max_order=curve.max_order if max_order is None
-                       else max_order, warnings=curve.warnings)
-    return wrapped, calls
-
-
 class TestMateJetBundles:
     @pytest.mark.parametrize("fixture, lam, params", [
         ("helix_fixture", 1.0, (-0.8, 0.0, 0.55)),
@@ -294,17 +289,20 @@ class TestMateJetBundles:
             assert [bits(v) for v in mate.jets(s, 1, 4)] == \
                 [bits(v) for v in bundle[1:5]]
 
-    def test_equiform_point_reads_six_base_jets(self, helix_fixture):
+    def test_equiform_point_reads_six_base_jets(self, helix_fixture,
+                                                counting):
         base, calls = counting(helix_fixture.curve)
         mate = bertrand_mate(base, 0.5)
         calls.clear()
         equiform_data(mate, 0.3)
-        assert sorted(calls) == [(0.3, k) for k in range(1, 7)]
+        assert sorted(calls.orders) == [(0.3, k) for k in range(1, 7)]
+        assert calls.bundles == [(0.3, 1, 6)]
 
     def test_verification_sweeps_each_base_point_once(self, helix_fixture,
-                                                      uniform, monkeypatch):
+                                                      uniform, monkeypatch,
+                                                      counting):
         base, calls = counting(helix_fixture.curve)
-        mate = bertrand_mate(base, 0.5)
+        mate, mate_calls = counting(bertrand_mate(base, 0.5))
         grid = uniform(-0.9, 0.9, 11)
         calls.clear()
         series_at: list[float] = []
@@ -321,15 +319,21 @@ class TestMateJetBundles:
         # would add base order 0 and, for the mate, base orders 0-2 and a
         # second normal series
         per_point = {s: 0 for s in grid}
-        for s, _ in calls:
+        for s, _ in calls.orders:
             per_point[s] += 1
         assert per_point == {s: 5 + 7 for s in grid}
-        assert sorted(calls) == sorted(
+        assert sorted(calls.orders) == sorted(
             [(s, k) for s in grid for k in range(5)]
             + [(s, k) for s in grid for k in range(7)])
         assert series_at == grid
+        # one bundle per curve and point: the base's sweep, then the
+        # mate's, whose bundles each read the base once
+        assert mate_calls.bundles == [(s, 0, 4) for s in grid]
+        assert calls.bundles == [(s, 0, 4) for s in grid] + \
+            [(s, 0, 6) for s in grid]
 
-    def test_fallback_bundle_matches_single_orders(self, helix_fixture):
+    def test_fallback_bundle_matches_single_orders(self, helix_fixture,
+                                                   counting):
         base, _ = counting(helix_fixture.curve, max_order=4)
         mate = bertrand_mate(base, 1.0)
         assert mate.kind is JetKind.FINITE_DIFFERENCE
@@ -341,18 +345,20 @@ class TestMateJetBundles:
                 [bits(v) for v in bundle[2:4]]
 
     def test_fallback_exact_orders_use_right_length_series(self,
-                                                           helix_fixture):
+                                                           helix_fixture,
+                                                           counting):
         base, calls = counting(helix_fixture.curve, max_order=4)
         mate = bertrand_mate(base, 1.0)
         calls.clear()
         mate.jets(0.2, 0, 2)
-        assert sorted(calls) == [(0.2, k) for k in range(5)]
+        assert sorted(calls.orders) == [(0.2, k) for k in range(5)]
         calls.clear()
         mate.jet(0.2, 0)
-        assert sorted(calls) == [(0.2, k) for k in range(3)]
+        assert sorted(calls.orders) == [(0.2, k) for k in range(3)]
 
     @pytest.mark.parametrize("max_order", [8, 4])
-    def test_flattening_offset_is_rejected(self, helix_fixture, max_order):
+    def test_flattening_offset_is_rejected(self, helix_fixture, max_order,
+                                           counting):
         base, _ = counting(helix_fixture.curve, max_order=max_order)
         with pytest.raises(MateInadmissibleError, match="inadmissible mate"):
             bertrand_mate(base, -1.0)

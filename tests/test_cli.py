@@ -32,7 +32,7 @@ from pg_curvelab.cli import (
     _snap_grid,
     main,
 )
-from pg_curvelab.curves import CurveJet, JetKind, make_lattice_curve
+from pg_curvelab.curves import JetKind, make_lattice_curve
 from pg_curvelab.equiform import equiform_residual, natural_class
 from pg_curvelab.errors import InadmissibleCurveError
 from pg_curvelab.frenet import frenet_residual
@@ -856,72 +856,59 @@ class TestFrozenEvalClassifyBits:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def counted(curve):
-    """The same curve, recording the order of every jet evaluation and,
-    in ``calls.at``, its (s, order)."""
-    calls = CallLog()
-
-    def jet_fn(s, order):
-        calls.append(order)
-        calls.at.append((s, order))
-        return curve.jet(s, order)
-
-    return CurveJet(jet_fn, curve.domain, curve.kind,
-                    max_order=curve.max_order, warnings=curve.warnings,
-                    nodes=curve.nodes), calls
-
-
-class CallLog(list):
-    """Jet orders in call order; ``at`` holds the (s, order) pairs."""
-
-    def __init__(self):
-        super().__init__()
-        self.at = []
-
-
 class TestWorkCounts:
-    """Jet evaluations per grid point of the CLI's eval and classify."""
+    """Jet bundles and orders per grid point of the CLI's eval and
+    classify."""
 
-    def test_eval_reads_each_stencil_point_once(self, helix_fixture):
+    def test_eval_reads_each_stencil_point_once(self, helix_fixture,
+                                                counting):
         # residual step 1e-4, grid spacing 0.09: s - h and s + h are off
-        # the grid, so each point reads its position, its orders 1-4, and
-        # the orders 1-2 at each neighbour (the frames, nothing more)
-        curve, calls = counted(helix_fixture.curve)
+        # the grid, so each point reads one bundle of its position and
+        # orders 1-4, and one of the orders 1-2 at each neighbour (the
+        # frames, nothing more)
+        curve, calls = counting(helix_fixture.curve)
         grid = _grid_points((-0.9, 0.9, 21))
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
-        assert len(calls) == (1 + 4 + 2 * 2) * len(grid)
-        assert len(set(calls.at)) == len(calls.at)
-        high = sorted(s for s, k in calls.at if k >= 3)
+        assert len(calls.orders) == (1 + 4 + 2 * 2) * len(grid)
+        assert len(set(calls.orders)) == len(calls.orders)
+        high = sorted(s for s, k in calls.orders if k >= 3)
         assert high == sorted(grid + grid)
+        assert len(calls.bundles) == 3 * len(grid)
+        assert [b for b in calls.bundles if b[1] == 0] == \
+            [(s, 0, 4) for s in grid]
 
-    def test_eval_shares_neighbours_when_spacing_is_h(self, parabola):
+    def test_eval_shares_neighbours_when_spacing_is_h(self, parabola,
+                                                      counting):
         # dyadic lattice of spacing h/2 and a grid of spacing h: s + h is
         # the next grid point exactly, so each point reads its position
-        # and orders 1-4 once; the two neighbours beyond the grid's ends
-        # read orders 1-2 alone
+        # and orders 1-4 once, in one bundle; the two neighbours beyond
+        # the grid's ends read orders 1-2 alone
         h = 2.0 ** -6
         rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
                 (parabola.curve.jet(-1.0 + i * h / 2, 0) for i in range(257))]
         grid = [k * h for k in range(-20, 21)]
-        curve, calls = counted(make_lattice_curve(-1.0, 1.0, rows))
+        curve, calls = counting(make_lattice_curve(-1.0, 1.0, rows))
         assert curve.nodes == (-1.0, h / 2)
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
-        assert len(calls) == 5 * len(grid) + 2 * 2
-        assert calls.count(3) == calls.count(4) == len(grid)
+        orders = [k for _, k in calls.orders]
+        assert len(orders) == 5 * len(grid) + 2 * 2
+        assert orders.count(3) == orders.count(4) == len(grid)
+        assert len(calls.bundles) == len(grid) + 2
 
-    def test_classify_sweeps_once(self, helix_fixture):
-        curve, calls = counted(helix_fixture.curve)
+    def test_classify_sweeps_once(self, helix_fixture, counting):
+        curve, calls = counting(helix_fixture.curve)
         grid = _grid_points((-0.9, 0.9, 21))
         report, nat = _classify(
             _Resolved(curve=curve, label="", params={}, grid=grid),
             argparse.Namespace(tol_class=None, tol_zero=1e-9,
                                tol_const=1e-6))
         assert nat.tag.value == "circular-helix"
-        assert len(calls) == 4 * len(grid)
-        assert sorted(set(calls)) == [1, 2, 3, 4]
+        assert len(calls.orders) == 4 * len(grid)
+        assert sorted({k for _, k in calls.orders}) == [1, 2, 3, 4]
+        assert calls.bundles == [(s, 1, 4) for s in grid]
 
     def test_eval_snaps_neighbours_on_a_non_dyadic_lattice(
-            self, tmp_path, helix_fixture):
+            self, tmp_path, helix_fixture, counting):
         # spacing 0.01 and grid spacing h = 0.02: s + h, formed in floating
         # point, misses the next grid point by an ulp at some points unless
         # it is snapped onto the lattice
@@ -932,9 +919,10 @@ class TestWorkCounts:
         count = round((hi - lo) / (2 * lattice.nodes[1])) + 1
         grid = _snap_grid(_grid_points((lo, hi, count)), lattice)
         assert len(grid) == count
-        curve, calls = counted(lattice)
+        curve, calls = counting(lattice)
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
-        assert len(calls) == 5 * len(grid)
+        assert len(calls.orders) == 5 * len(grid)
+        assert calls.bundles == [(s, 0, 4) for s in grid]
 
 
 @pytest.fixture(scope="module")
@@ -1297,6 +1285,26 @@ class TestErrorExits:
         assert rejected(capsys, "classify", "--curve", "bertrand_helix",
                         "--a", "1e160", "--b", "1", "--grid", "0.5:1:5") == (
             "PGVector components must be finite, got nan")
+
+    @pytest.mark.parametrize("a, s", [("180", "2"), ("200", "1.8")])
+    @pytest.mark.parametrize("command", [
+        ("eval",), ("classify",), ("bertrand", "--lambda", "0.3")])
+    def test_overflow_names_its_point(self, capsys, command, a, s):
+        # kappa = e^(-a s) is finite, but rho = 1/kappa leaves the double
+        # range before s = 2
+        rc, out, err = invoke(
+            capsys, *command, "--curve", "timelike_general_helix",
+            "--a", a, "--b", "1", "--grid", "0:2:21")
+        error, prefix = "NumericalInflectionError", ""
+        if command[0] == "bertrand" and a == "200":
+            # the mate's admissibility probe meets it first, at its own s
+            error, s = "MateInadmissibleError", "1.832"
+            prefix = "offset 0.3 produces an inadmissible mate: "
+        doc = json.loads(err)
+        assert (rc, out, doc["error"]) == (3, "", error)
+        assert doc["message"].startswith(
+            f"{prefix}numerically an inflection: rho = 1/kappa overflows "
+            f"at s={s} (")
 
 
 def exits_cleanly(capsys, *argv) -> None:

@@ -18,8 +18,10 @@ from pg_curvelab.errors import (
     EmptyGridError,
     InadmissibleCurveError,
     JetOrderError,
+    NumericalInflectionError,
 )
 from pg_curvelab.frenet import frenet_data
+from pg_curvelab.zoo import get_example
 
 
 class TestEquiformData:
@@ -120,6 +122,16 @@ class TestEquiformResidual:
         # the stencil straddles s = 1, where eps flips from -1 to +1
         with pytest.raises(InadmissibleCurveError, match="flips near"):
             equiform_residual(light_cone_crossing_curve, 1.00005, h=1e-4)
+
+    def test_overflowing_neighbour_names_its_point(self):
+        # kappa = e^(-200 s): rho^2 fits a double at s = 1.7, not at 1.8;
+        # a read outside the domain keeps its own error
+        c = get_example("timelike_general_helix", 200.0, 1.0).curve
+        with pytest.raises(NumericalInflectionError, match="at s=1.8 ") as exc:
+            equiform_residual(c, 1.7, h=0.1)
+        assert exc.value.param == 1.8
+        with pytest.raises(ValueError, match="outside domain"):
+            equiform_residual(c, 1.7, h=1.0)
 
 
 class TestNaturalClass:

@@ -13,9 +13,10 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from pg_curvelab import bertrand
 from pg_curvelab.algebra import PGVector, SimilarityMotion, pg_dot
 from pg_curvelab.aw import classify
-from pg_curvelab.bertrand import bertrand_mate, verify_bertrand_pair
+from pg_curvelab.bertrand import (BertrandNature, bertrand_mate,
+                                  verify_bertrand_pair)
 from pg_curvelab.curves import (CurveJet, JetKind, apply_similarity,
-                                make_lattice_curve)
+                                make_analytic_curve, make_lattice_curve)
 from pg_curvelab.equiform import _frames_at, equiform_data, equiform_grid
 from pg_curvelab.errors import (CurveLabError, InadmissibleCurveError,
                                  ParameterConstraintError)
@@ -287,7 +288,8 @@ def pair_outcome(base: CurveJet, mate: CurveJet, lam: float,
             p.is_pair, p.nature, p.failures)
 
 
-def separate_position_reads(c: CurveJet, grid: list[float]) -> tuple:
+def separate_position_reads(c: CurveJet, grid: list[float],
+                            first: int) -> tuple:
     """The reference sweep: ``equiform_grid``, then one position read
     per point."""
     datas = equiform_grid(c, grid)
@@ -342,6 +344,95 @@ class TestVerifyBundles:
                 make_lattice_curve(lo, lo + 256 * spacing, rows), lam, f)
         except (CurveLabError, ValueError):
             reject()
+
+
+def curve_of(yz, timelike: bool) -> CurveJet:
+    """The exact curve (s, y, z) on [-1, 1], with jets to order 6 from
+    ``yz(s, k)``, the k-th derivatives of y and z; ``timelike`` swaps y
+    and z, which flips the character of the normal."""
+    def order(k: int):
+        def jet(s: float) -> PGVector:
+            y, z = yz(s, k)
+            return PGVector((s, 1.0)[k] if k < 2 else 0.0,
+                            *((z, y) if timelike else (y, z)))
+        return jet
+    fns = [order(k) for k in range(7)]
+    return make_analytic_curve(*fns[:5], domain=(-1.0, 1.0), higher=fns[5:])
+
+
+def helix(a: float, b: float):
+    """(a/b^2)(cosh bs, sinh bs): kappa = |a| and tau = +-b."""
+    def yz(s: float, k: int) -> tuple[float, float]:
+        ch, sh, c = math.cosh(b * s), math.sinh(b * s), a * b ** (k - 2)
+        return (c * ch, c * sh) if k % 2 == 0 else (c * sh, c * ch)
+    return yz
+
+
+def witness(kappa: float):
+    """y'' = kappa sqrt(1 + s^2), z'' = kappa s: constant kappa and
+    tau = 1/sqrt(1 + s^2)."""
+    def yz(s: float, k: int) -> tuple[float, float]:
+        q = 1.0 + s * s
+        r = math.sqrt(q)
+        y = ((r * q / 3 + s * math.asinh(s) - r) / 2,
+             (s * r + math.asinh(s)) / 2, r, s / r, 1 / (r * q),
+             -3 * s / (r * q * q), -3 * (1 - 4 * s * s) / (r * q ** 3))[k]
+        z = (s ** 3 / 6, s * s / 2, s, 1.0, 0.0, 0.0, 0.0)[k]
+        return kappa * y, kappa * z
+    return yz
+
+
+def holding(c: CurveJet, grid: list[float]) -> set[str]:
+    return {n for n, v in classify(c, grid).verdicts.items() if v.holds}
+
+
+class TestBertrandTheorem:
+    """The paper's Bertrand claims on exact curves of either normal
+    character: the mate of a circular helix at offset lam keeps K = 0,
+    tau and the AW verdicts, with kappa* = kappa |1 + lam T^2| and
+    T* = T / |1 + lam T^2|; a curve of constant kappa whose tau varies
+    has no mate at any offset |lam| >= 0.1."""
+
+    GRID = [-0.8 + 0.16 * i for i in range(11)]
+
+    @given(a=magnitudes(0.2, 5.0), b=magnitudes(0.2, 5.0),
+           lam=st.floats(-3.0, 3.0), timelike=st.booleans())
+    @settings(max_examples=30)
+    def test_helix_mates(self, a, b, lam, timelike):
+        t2 = (b / a) ** 2                   # T = tau / kappa
+        # 1 + lam T^2 = 0 flattens the mate; within round-off of it the
+        # mate is numerically an inflection
+        assume(abs(1.0 + lam * t2) > 1e-3)
+        factor = abs(1.0 + lam * t2)
+        base = curve_of(helix(a, b), timelike)
+        mate = bertrand_mate(base, lam)
+        for s in self.GRID[::5]:
+            fb, fm = frenet_data(base, s), frenet_data(mate, s)
+            eb, em = equiform_data(base, s), equiform_data(mate, s)
+            # round-off grows with the offset's share of the mate's jets
+            # and with (y''^2 + z''^2) / kappa^2 = cosh 2bs
+            tol = 1e-12 * (1.0 + abs(lam) * t2) / factor * math.cosh(2 * b * s)
+            assert max(abs(eb.curvature), abs(em.curvature)) <= \
+                tol * max(1.0, abs(em.torsion))
+            assert abs(fm.tau - fb.tau) <= tol * abs(fb.tau)
+            assert abs(fm.kappa - fb.kappa * factor) <= tol * fm.kappa
+            assert abs(em.torsion * factor - eb.torsion) <= \
+                tol * abs(eb.torsion)
+        assert holding(mate, self.GRID) == holding(base, self.GRID) == \
+            {"AW3", "WeakAW3"}
+
+    @given(kappa=magnitudes(0.2, 5.0), lam=magnitudes(0.1, 3.0),
+           timelike=st.booleans())
+    @settings(max_examples=20)
+    def test_no_mate_when_torsion_varies(self, kappa, lam, timelike):
+        base = curve_of(witness(kappa), timelike)
+        try:
+            pair = verify_bertrand_pair(base, bertrand_mate(base, lam), lam,
+                                        self.GRID)
+        except InadmissibleCurveError:
+            return      # an offset that makes the curve inadmissible fails
+        assert not pair.is_pair
+        assert pair.nature is BertrandNature.NOT_BERTRAND
 
 
 class TestSeriesProperties:

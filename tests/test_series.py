@@ -28,6 +28,8 @@ class TestBasics:
         assert len(s) == 3
         assert s[1] == 2.0
         assert repr(s) == "DSeries(1.0, 2.0, 3.0)"
+        assert repr(DSeries((1.0, 2.0), (0.5, 0.25))) == \
+            "DSeries((1.0, 2.0), errs=(0.5, 0.25))"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -41,6 +43,8 @@ class TestBasics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
             DSeries((1.0, 2.0)) + DSeries((1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="errs and vals lengths differ"):
+            DSeries((1.0, 2.0), (0.5,))
 
     def test_add_sub_neg_scalar(self):
         a = DSeries((1.0, 2.0, 3.0))
