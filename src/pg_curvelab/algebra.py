@@ -32,8 +32,7 @@ class PGVector:
 
     def __init__(self, x1: float, x2: float, x3: float):
         if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-            bad = next(c for c in (x1, x2, x3) if not isfinite(c))
-            raise ValueError(f"PGVector components must be finite, got {bad!r}")
+            _finite(x1, x2, x3)
         _set_x1(self, x1)
         _set_x2(self, x2)
         _set_x3(self, x3)
@@ -89,6 +88,16 @@ class PGVector:
 # the slot setters, which the immutable class's own __setattr__ refuses
 _set_x1, _set_x2, _set_x3 = (PGVector.x1.__set__, PGVector.x2.__set__,
                              PGVector.x3.__set__)
+
+
+def _finite(*xs: float) -> tuple[float, ...]:
+    """``xs``, the components of vectors in the order they are built, once
+    all are finite; else :class:`PGVector`'s error at the first that is not."""
+    if not isfinite(sum(xs)):
+        for x in xs:
+            if not isfinite(x):
+                raise ValueError(f"PGVector components must be finite, got {x!r}")
+    return xs
 
 
 def pg_dot(u: PGVector, v: PGVector) -> float:

@@ -25,7 +25,8 @@ five classification conditions constrain d4:
 where det = K^2 T - K T' + T K' - T^3.  Scalar residuals divide |u|, |v|
 and |det| by a magnitude floor built from K, T and their rates, so a
 condition "holds" when its normalized residual is below tolerance.  The
-vector forms of the same conditions are implemented independently and
+vector forms of the same conditions are computed independently, in the
+plane (d2, d3 and d4 have x = 0, so the product is y1*y2 - z1*z2), and
 used as a cross-check.
 
 For exact jets the floor is 1e-30.  For finite-difference jets it is
@@ -40,25 +41,13 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .algebra import PGVector, pg_dot
+from .algebra import PGVector, _finite
 from .curves import CurveJet, JetKind
 from .equiform import EquiformData, equiform_data, equiform_grid
 from .errors import LightlikeNormalError
 
 _OMEGA_FLOOR = 1e-30
 _CONDITIONS = ("AW1", "AW2", "AW3", "WeakAW2", "WeakAW3")
-
-
-def _u_coeff(K: float, Tq: float, Kp: float) -> float:
-    return 2.0 * K * K + Tq * Tq - Kp
-
-
-def _v_coeff(K: float, Tq: float, Tqp: float) -> float:
-    return Tqp - 3.0 * K * Tq
-
-
-def _det_coeff(K: float, Tq: float, Kp: float, Tqp: float) -> float:
-    return K * K * Tq - K * Tqp + Tq * Kp - Tq * Tq * Tq
 
 
 class AWResiduals(NamedTuple):
@@ -96,9 +85,9 @@ def aw_residuals(K: float, Tq: float, Kp: float, Tqp: float,
     |K'| <= e_K' and |T'| <= e_T' the point is resolution-limited: all
     residuals read 0.0, as they do for exactly vanishing invariants.
     """
-    u = _u_coeff(K, Tq, Kp)
-    v = _v_coeff(K, Tq, Tqp)
-    det = _det_coeff(K, Tq, Kp, Tqp)
+    u = 2.0 * K * K + Tq * Tq - Kp
+    v = Tqp - 3.0 * K * Tq
+    det = K * K * Tq - K * Tqp + Tq * Kp - Tq * Tq * Tq
     omega = max(K * K, Tq * Tq, abs(Kp), abs(Tqp), _OMEGA_FLOOR)
     if resolution is not None:
         e_k, e_t, e_kp, e_tp = resolution
@@ -155,26 +144,35 @@ def omega_resolution(d: EquiformData
 
 
 def derivative_vectors(c: CurveJet, s: float) -> DerivativeVectors:
-    return _vectors(equiform_data(c, s))
+    d = equiform_data(c, s)
+    res = aw_residuals(d.curvature, d.torsion, *sigma_rates(d))
+    a, yz = _plane(d, res.u, res.v)
+    d2, d3, d4 = (PGVector(0.0, *yz[i:i + 2]) for i in (0, 2, 4))
+    return DerivativeVectors(d.s, d, d2, d3, d4, *a)
 
 
-def _vectors(d: EquiformData) -> DerivativeVectors:
+def _plane(d: EquiformData, u: float, v: float
+           ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The coefficients (a11, a12, a21, a22) and the (y, z) components of
+    d2, d3 and d4 (whose x-components are 0), given u and v at d."""
     rho = d.rho
     r2 = rho * rho
     r3 = r2 * rho
     r4 = r3 * rho
-    K, Tq = d.curvature, d.torsion
-    Kp, Tqp = sigma_rates(d)
-    a11 = -K / r3
-    a12 = Tq / r3
-    a21 = _u_coeff(K, Tq, Kp) / r4
-    a22 = _v_coeff(K, Tq, Tqp) / r4
-    return DerivativeVectors(
-        s=d.s, frame=d,
-        d2=(1.0 / r2) * d.normal,
-        d3=a11 * d.normal + a12 * d.binormal,
-        d4=a21 * d.normal + a22 * d.binormal,
-        a11=a11, a12=a12, a21=a21, a22=a22)
+    a = (-d.curvature / r3, d.torsion / r3, u / r4, v / r4)
+    n, b, c = d.normal, d.binormal, 1.0 / r2
+    return a, (_finite(c * 0.0, c * n.x2, c * n.x3)[1:]
+               + _lin(a[0], n.x2, n.x3, a[1], b.x2, b.x3)
+               + _lin(a[2], n.x2, n.x3, a[3], b.x2, b.x3))
+
+
+def _lin(a: float, uy: float, uz: float, b: float, vy: float, vz: float,
+         sign: float = 1.0) -> tuple[float, float]:
+    """a*u + sign*b*v for u = (uy, uz) and v = (vy, vz) in the isotropic
+    plane, checked as its vector form builds a*u, b*v and the result."""
+    au, av, bu, bv = a * uy, a * uz, b * vy, b * vz
+    return _finite(a * 0.0, au, av, b * 0.0, bu, bv,
+                   au + sign * bu, av + sign * bv)[-2:]
 
 
 class UnitDirections(NamedTuple):
@@ -190,27 +188,29 @@ class UnitDirections(NamedTuple):
 
 
 def unit_directions(dv: DerivativeVectors) -> UnitDirections:
-    d2, d3 = dv.d2, dv.d3
-    g11 = pg_dot(d2, d2)
-    scale = d2.max_abs()
+    units = _units(dv.s, dv.d2.x2, dv.d2.x3, dv.d3.x2, dv.d3.x3)
+    return UnitDirections(*(q and PGVector(0.0, *q) for q in units))
+
+
+def _units(s: float, y2: float, z2: float, y3: float, z3: float
+           ) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
+    """:func:`unit_directions` on the plane: q1 and q2 as (y, z)."""
+    g11 = y2 * y2 - z2 * z2
+    scale = max(abs(y2), abs(z2))
     if scale == 0.0 or abs(g11) <= 1e-14 * scale * scale:
         raise LightlikeNormalError(
-            f"second derivative at s={dv.s:.6g} is numerically lightlike; "
+            f"second derivative at s={s:.6g} is numerically lightlike; "
             "no unit direction exists")
-    q1 = d2 / abs(g11) ** 0.5
+    n = abs(g11) ** 0.5
+    q1 = _finite(y2 / n, z2 / n)
     e1 = 1.0 if g11 > 0.0 else -1.0          # <q1, q1> = e1
-    w = d3 - (pg_dot(d3, q1) / e1) * q1
-    g22 = pg_dot(w, w)
-    wscale = w.max_abs()
+    wy, wz = _lin(1.0, y3, z3, (y3 * q1[0] - z3 * q1[1]) / e1, *q1, -1.0)
+    g22 = wy * wy - wz * wz
+    wscale = max(abs(wy), abs(wz))
     if wscale == 0.0 or abs(g22) <= 1e-14 * wscale * wscale:
-        return UnitDirections(q1=q1, q2=None)
-    return UnitDirections(q1=q1, q2=w / abs(g22) ** 0.5)
-
-
-def _safe_div(num: float, *scales: float) -> float:
-    if num == 0.0:
-        return 0.0
-    return num / max(*scales, _OMEGA_FLOOR)
+        return q1, None
+    n = abs(g22) ** 0.5
+    return q1, _finite(wy / n, wz / n)
 
 
 def vector_identity_residuals(dv: DerivativeVectors) -> dict[str, float]:
@@ -219,41 +219,32 @@ def vector_identity_residuals(dv: DerivativeVectors) -> dict[str, float]:
     Each residual is the sup-norm of the defining vector equation's
     defect, normalized by the largest term entering it, and exactly 0.0
     when the defect vector is exactly zero.  Conditions whose unit
-    direction does not exist are reported as NaN.
+    direction does not exist are reported as NaN.  Reads (y, z) only.
     """
-    d2, d3, d4 = dv.d2, dv.d3, dv.d4
-    out: dict[str, float] = {}
+    return _residuals(dv.s, dv.d2.x2, dv.d2.x3, dv.d3.x2, dv.d3.x3,
+                      dv.d4.x2, dv.d4.x3)
 
-    out["AW1"] = _safe_div(d4.max_abs(),
-                           d3.max_abs(), d2.max_abs())
 
-    # parallelism of d3 and d4: <d3,d3>*d4 - <d4,d3>*d3
-    g33 = pg_dot(d3, d3)
-    g43 = pg_dot(d4, d3)
-    defect = g33 * d4 - g43 * d3
-    out["AW2"] = _safe_div(defect.max_abs(),
-                           abs(g33) * d4.max_abs(), abs(g43) * d3.max_abs())
-
-    # <d2,d2>*d4 - <d4,d2>*d2
-    g22 = pg_dot(d2, d2)
-    g42 = pg_dot(d4, d2)
-    defect = g22 * d4 - g42 * d2
-    out["AW3"] = _safe_div(defect.max_abs(),
-                           abs(g22) * d4.max_abs(), abs(g42) * d2.max_abs())
-
-    units = unit_directions(dv)
-    if units.q2 is None:
-        out["WeakAW2"] = float("nan")
-    else:
-        q2 = units.q2
-        e2 = 1.0 if pg_dot(q2, q2) > 0.0 else -1.0
-        defect = d4 - (pg_dot(d4, q2) / e2) * q2
-        out["WeakAW2"] = _safe_div(defect.max_abs(), d4.max_abs())
-
-    q1 = units.q1
-    e1 = 1.0 if pg_dot(q1, q1) > 0.0 else -1.0
-    defect = d4 - (pg_dot(d4, q1) / e1) * q1
-    out["WeakAW3"] = _safe_div(defect.max_abs(), d4.max_abs())
+def _residuals(s: float, y2: float, z2: float, y3: float, z3: float,
+               y4: float, z4: float) -> dict[str, float]:
+    """:func:`vector_identity_residuals` on the plane: <u,v> = y1y2 - z1z2."""
+    m2, m3 = max(abs(y2), abs(z2)), max(abs(y3), abs(z3))
+    m4 = max(abs(y4), abs(z4))
+    g33, g43 = y3 * y3 - z3 * z3, y4 * y3 - z4 * z3
+    g22, g42 = y2 * y2 - z2 * z2, y4 * y2 - z4 * z2
+    aw2 = max(map(abs, _lin(g33, y4, z4, g43, y3, z3, -1.0)))
+    aw3 = max(map(abs, _lin(g22, y4, z4, g42, y2, z2, -1.0)))
+    out = {"AW1": m4 / max(m3, m2, _OMEGA_FLOOR),
+           "AW2": aw2 / max(abs(g33) * m4, abs(g43) * m3, _OMEGA_FLOOR),
+           "AW3": aw3 / max(abs(g22) * m4, abs(g42) * m2, _OMEGA_FLOOR),
+           "WeakAW2": float("nan")}                 # unless q2 exists
+    q1, q2 = _units(s, y2, z2, y3, z3)
+    m4 = max(m4, _OMEGA_FLOOR)
+    for name, q in ("WeakAW2", q2), ("WeakAW3", q1):    # d4 off q's line
+        if q is not None:
+            e = 1.0 if q[0] * q[0] - q[1] * q[1] > 0.0 else -1.0
+            c = (y4 * q[0] - z4 * q[1]) / e
+            out[name] = max(map(abs, _lin(1.0, y4, z4, c, *q, -1.0))) / m4
     return out
 
 
@@ -326,7 +317,7 @@ def _classify_of(datas: Sequence[EquiformData], kind: JetKind,
         if res.resolution_limited:
             limited.append(s)
             continue
-        vectors = vector_identity_residuals(_vectors(d))
+        vectors = _residuals(s, *_plane(d, res.u, res.v)[1])
         for name in _CONDITIONS:
             rv = vectors[name]
             if rv != rv:                      # NaN: unit direction missing

@@ -49,6 +49,7 @@ from .errors import (
     InadmissibleCurveError,
     MateInadmissibleError,
     NarrowDomainError,
+    NumericalInflectionError,
     StepTooSmallError,
 )
 from .frenet import _overflow, frenet_data, normal_character
@@ -78,11 +79,20 @@ def _offset_jets(base: CurveJet, lam: float, s: float, first: int,
     jets = base.jets(s, low, last + 2)
     try:
         ny, nz = _normal_series(jets[2 - low:], s)
-        return tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
-                     for k, j in enumerate(jets[first - low:last - low + 1],
-                                           first))
+        out = tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
+                    for k, j in enumerate(jets[first - low:last - low + 1],
+                                          first))
     except (ValueError, ArithmeticError) as exc:
         raise _overflow(s, jets[2 - low], exc)
+    if first <= 2 <= last:      # gamma'' + lam * N'' cancels to round-off
+        j, m = jets[2 - low], out[2 - first]
+        if (abs(m.x2) <= 8 * math.ulp(abs(j.x2) + abs(lam * ny[2]))
+                and abs(m.x3) <= 8 * math.ulp(abs(j.x3) + abs(lam * nz[2]))):
+            normal_character(s, None, m)    # an exact zero or lightlike
+            raise NumericalInflectionError(
+                f"numerically an inflection: the acceleration cancels to "
+                f"round-off at s={s:.6g}", param=s)
+    return out
 
 
 def _probe_mate(mate: CurveJet, offset: float) -> None:

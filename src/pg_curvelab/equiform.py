@@ -27,8 +27,8 @@ from typing import NamedTuple, Sequence
 from .algebra import PGVector
 from .curves import CurveJet, jet_errors
 from .errors import EmptyGridError, JetOrderError
-from .frenet import (Frame, _neighbour, _one_character, _overflow,
-                     normal_character)
+from .frenet import (Frame, _frame_defect, _neighbour, _one_character,
+                     _overflow, normal_character)
 from .series import DSeries
 
 
@@ -184,16 +184,10 @@ def _equiform_residual_of(dm: Frame | EquiformData, d0: EquiformData,
                           dp: Frame | EquiformData, h: float) -> float:
     """:func:`equiform_residual` from the data at s - h, s and s + h."""
     _one_character((dm, d0, dp), d0.s)
-    scale = d0.rho * 0.5 / h
-    dT = (dp.tangent - dm.tangent) * scale
-    dN = (dp.normal - dm.normal) * scale
-    dB = (dp.binormal - dm.binormal) * scale
-
-    K, T = d0.curvature, d0.torsion
-    r1 = (dT - (K * d0.tangent + d0.normal)).max_abs()
-    r2 = (dN - (K * d0.normal + T * d0.binormal)).max_abs()
-    r3 = (dB - (T * d0.normal + K * d0.binormal)).max_abs()
-    return max(r1, r2, r3) / (d0.rho * max(1.0, abs(K), abs(T)))
+    K, T, n, b = d0.curvature, d0.torsion, d0.normal, d0.binormal
+    rhs = (K, d0.tangent, 1.0, n), (K, n, T, b), (T, n, K, b)    # 1.0*n is n
+    return (_frame_defect(dm, dp, d0.rho * 0.5 / h, rhs)
+            / (d0.rho * max(1.0, abs(K), abs(T))))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ class InadmissibleCurveError(CurveLabError):
 
 
 class NumericalInflectionError(InadmissibleCurveError):
-    """rho = 1/kappa overflows at :attr:`param`: kappa is finite but so
-    small that the per-point arithmetic leaves the floating-point range."""
+    """kappa is finite at :attr:`param` but numerically zero: rho = 1/kappa
+    overflows, or a mate's acceleration cancels to within a few ulps."""
 
 
 class MateInadmissibleError(InadmissibleCurveError):

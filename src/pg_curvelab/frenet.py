@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import isfinite, sqrt
 from typing import NamedTuple, Sequence
 
-from .algebra import PGVector
+from .algebra import PGVector, _finite
 from .curves import CurveJet
 from .errors import (EmptyGridError, InadmissibleCurveError,
                      NumericalInflectionError)
@@ -194,12 +194,28 @@ def _frenet_residual_of(fm: Frame | FrenetData, f0: FrenetData,
                         fp: Frame | FrenetData, h: float) -> float:
     """:func:`frenet_residual` from the data at s - h, s and s + h."""
     _one_character((fm, f0, fp), f0.s)
-    inv = 0.5 / h
-    de1 = (fp.tangent - fm.tangent) * inv
-    de2 = (fp.normal - fm.normal) * inv
-    de3 = (fp.binormal - fm.binormal) * inv
+    k, t, n = f0.kappa, f0.tau, f0.normal
+    rhs = (k, n, None, None), (t, f0.binormal, None, None), (t, n, None, None)
+    return _frame_defect(fm, fp, 0.5 / h, rhs) / max(1.0, k, abs(t))
 
-    r1 = (de1 - f0.kappa * f0.normal).max_abs()
-    r2 = (de2 - f0.tau * f0.binormal).max_abs()
-    r3 = (de3 - f0.tau * f0.normal).max_abs()
-    return max(r1, r2, r3) / max(1.0, f0.kappa, abs(f0.tau))
+
+def _frame_defect(fm: Frame, fp: Frame, scale: float, rhs: tuple) -> float:
+    """max |(fp - fm) * scale - rhs| over the tangent, normal and binormal
+    equations, where ``rhs`` gives each as (c, v, c2, v2): c*v + c2*v2, or
+    c*v when c2 is None; checked in the order the vector forms build."""
+    diffs, rest, defects = [], [], []
+    for p, m, (c, v, c2, v2) in zip((fp.tangent, fp.normal, fp.binormal),
+                                    (fm.tangent, fm.normal, fm.binormal), rhs):
+        d1, d2, d3 = p.x1 - m.x1, p.x2 - m.x2, p.x3 - m.x3
+        e1, e2, e3 = d1 * scale, d2 * scale, d3 * scale
+        diffs += d1, d2, d3, e1, e2, e3
+        r = (c * v.x1, c * v.x2, c * v.x3)
+        if c2 is not None:
+            w = (c2 * v2.x1, c2 * v2.x2, c2 * v2.x3)
+            rest += r + w
+            r = (r[0] + w[0], r[1] + w[1], r[2] + w[2])
+        g = (e1 - r[0], e2 - r[1], e3 - r[2])
+        rest += r + g
+        defects += g
+    _finite(*diffs, *rest)
+    return max(map(abs, defects))

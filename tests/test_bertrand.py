@@ -66,6 +66,22 @@ class TestExactMate:
         with pytest.raises(MateInadmissibleError, match="inadmissible mate"):
             bertrand_mate(helix_fixture.curve, -1.0)
 
+    @pytest.mark.parametrize("a", [0.2, 0.3, 0.5])
+    def test_flattening_offset_with_a_round_off_residue(self, a):
+        # T = b/a = 1 and lam = -1, so 1 + lam T^2 = 0 exactly; the mate's
+        # acceleration is a residue of a few ulps of its summands, not an
+        # exact zero, and is rejected as a numerical inflection
+        base = get_example("bertrand_helix", a, a).curve
+        with pytest.raises(MateInadmissibleError) as info:
+            bertrand_mate(base, -1.0)
+        assert str(info.value).startswith(
+            "offset -1 produces an inadmissible mate: numerically an "
+            "inflection: the acceleration cancels to round-off at s=")
+        assert info.value.param == base.domain[0] + 0.1 * (
+            base.domain[1] - base.domain[0])
+        # an offset near the flattening one still gives a mate
+        assert bertrand_mate(base, -0.999).max_order == 6
+
     def test_lightlike_base_fails_the_shared_predicate(self):
         # y'' = z'' everywhere: the base normal is lightlike, and the
         # normal series rejects it with the apparatus's own message

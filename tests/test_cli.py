@@ -679,6 +679,22 @@ class TestBertrandCommand:
         assert rc == 3
         assert json.loads(err)["error"] == "MateInadmissibleError"
 
+    @pytest.mark.parametrize("a, reason", [
+        ("1", "lightlike acceleration at s=-0.832: y''^2 - z''^2 ~ 0"),
+        ("0.2", "numerically an inflection: the acceleration cancels to "
+                "round-off at s=-0.832"),
+    ])
+    def test_flattening_offset_names_the_offset(self, capsys, a, reason):
+        # 1 + lam T^2 = 0 at T = b/a = 1; at a = 0.2 the acceleration
+        # cancels to a residue of round-off, which used to pass the probe
+        rc, _, err = invoke(capsys, "bertrand", "--curve", "bertrand_helix",
+                            "--a", a, "--b", a, "--lambda", "-1",
+                            "--grid", "-0.9:0.9:21")
+        assert rc == 3
+        assert json.loads(err) == {
+            "schema": "pg-curvelab/1", "error": "MateInadmissibleError",
+            "message": f"offset -1 produces an inadmissible mate: {reason}"}
+
     @pytest.mark.parametrize("lattice, nature", [
         ("helix_csv", "circular-helix"),
         ("parabola_csv", "isotropic-circle"),
@@ -835,6 +851,25 @@ class TestFrozenEvalClassifyBits:
         rc, out, _ = invoke(capsys, command, *argv, "--format", fmt)
         assert rc == 0
         out = out.replace(parabola_csv, "LATTICE")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # a tolerance between the scalar and the vector residual of a
+    # condition, so that the span cross-check's mismatch diagnostics (and,
+    # on the torsion-free spiral, its degenerate-point count) are output
+    @pytest.mark.parametrize("argv, digest", [
+        (("--curve", "timelike_log_spiral", "--grid", "0.5:3.5:21",
+          "--tol", "1"),
+         "572b1f42f42a3d72a7e82ec17191cd30807887036cb5b3a21f3d3fab077db11a"),
+        (("--curve", "timelike_general_helix", "--a", "1", "--b", "2",
+          "--grid", "0.2:1.8:21", "--tol", "1.1"),
+         "4e22e98a164ecdd7096e34981bf4e3157e5fa8bf2aa7469c727d45a15073a88b"),
+    ])
+    def test_frozen_cross_check_bits(self, capsys, argv, digest):
+        rc, out, _ = invoke(capsys, "classify", *argv, "--format", "json")
+        assert rc == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert sum("fall on opposite sides of tol" in d
+                   for d in diagnostics) == 5
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # a lattice whose x column is s + 0.25, and one far from s = 0
