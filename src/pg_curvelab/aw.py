@@ -159,6 +159,9 @@ def _plane(d: EquiformData, u: float, v: float
     r2 = rho * rho
     r3 = r2 * rho
     r4 = r3 * rho
+    if r4 == 0.0:                       # kappa^4 overflows, kappa^2 need not
+        raise ValueError(f"the span coefficients divide by rho^4, which "
+                         f"underflows to 0 at s={d.s:.6g} (rho = {rho:.6g})")
     a = (-d.curvature / r3, d.torsion / r3, u / r4, v / r4)
     n, b, c = d.normal, d.binormal, 1.0 / r2
     return a, (_finite(c * 0.0, c * n.x2, c * n.x3)[1:]

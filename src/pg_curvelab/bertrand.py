@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 from .algebra import PGVector, pg_dot
 from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_fn, _row_source
 from .equiform import (
+    MIN_GRID_POINTS,
     NaturalClassTag,
     _mean,
     _natural_class_of,
@@ -225,8 +226,9 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     grid point: the position and the equiform data; ``nature`` is
     :func:`bertrand_nature` of the base, read from the same sweep.
     """
-    if len(grid) < 5:
-        raise ValueError("verification needs a grid of at least 5 points")
+    if len(grid) < MIN_GRID_POINTS:
+        raise ValueError("verification needs a grid of at least "
+                         f"{MIN_GRID_POINTS} points")
     if tol is None:
         tol = max(base.kind.tolerance, mate.kind.tolerance)
     if callable(offset_fn):

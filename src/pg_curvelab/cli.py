@@ -43,8 +43,9 @@ from typing import Callable, NamedTuple, Sequence
 from . import aw
 from .bertrand import bertrand_mate, verify_bertrand_pair
 from .curves import LATTICE_MIN_ROWS, CurveJet, make_lattice_curve
-from .equiform import (NaturalClass, _equiform_of, _equiform_residual_of,
-                       _frames_at, _natural_class_of, equiform_grid)
+from .equiform import (MIN_GRID_POINTS, TOL_CONST, TOL_ZERO, NaturalClass,
+                       _equiform_of, _equiform_residual_of, _frames_at,
+                       _natural_class_of, equiform_grid)
 from .errors import CurveLabError, InadmissibleCurveError
 from .frenet import _frenet_of, _frenet_residual_of
 from .zoo import (
@@ -342,9 +343,9 @@ def _cmd_bertrand(args: argparse.Namespace) -> _Report:
     mate = bertrand_mate(res.curve, args.offset)
     grid = [s for s in res.grid
             if mate.domain[0] <= s <= mate.domain[1]]
-    if len(grid) < 5:
-        raise ConfigError(
-            "need at least 5 grid points inside the mate domain")
+    if len(grid) < MIN_GRID_POINTS:
+        raise ConfigError(f"need at least {MIN_GRID_POINTS} grid points "
+                          "inside the mate domain")
     pair = verify_bertrand_pair(res.curve, mate, args.offset, grid,
                                 tol=args.tol_class)
     items = {
@@ -424,12 +425,12 @@ def _build_parser() -> _Parser:
     pc.add_argument("--tol", dest="tol_class", type=float,
                     help="classification tolerance (default by tier)")
     pc.add_argument("--tol-zero", dest="tol_zero", type=float,
-                    default=1e-9,
+                    default=TOL_ZERO,
                     help="threshold below which an invariant counts "
                          "as identically zero; --input points also "
                          "allow their FD error bound (default 1e-9)")
     pc.add_argument("--tol-const", dest="tol_const", type=float,
-                    default=1e-6,
+                    default=TOL_CONST,
                     help="relative spread below which an invariant "
                          "counts as constant (default 1e-6)")
     pb = sub.add_parser("bertrand")

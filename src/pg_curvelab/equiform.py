@@ -194,6 +194,12 @@ def _equiform_residual_of(dm: Frame | EquiformData, d0: EquiformData,
 # classification by constancy of the invariants
 
 
+# natural-class thresholds, and the fewest points a grid classification reads
+TOL_ZERO = 1e-9
+TOL_CONST = 1e-6
+MIN_GRID_POINTS = 5
+
+
 class NaturalClassTag(Enum):
     ISOTROPIC_LOG_SPIRAL = "isotropic-logarithmic-spiral"
     CIRCULAR_HELIX = "circular-helix"
@@ -229,8 +235,8 @@ def _is_const(vals: Sequence[float], tol: float) -> bool:
 
 
 def natural_class(c: CurveJet, grid: Sequence[float],
-                  tol_const: float = 1e-6,
-                  tol_zero: float = 1e-9) -> NaturalClass:
+                  tol_const: float = TOL_CONST,
+                  tol_zero: float = TOL_ZERO) -> NaturalClass:
     """Classify a curve by constancy of K and T over the grid.
 
     Writing "zero" for |value| <= max(tol_zero, its error bound) at every
@@ -245,16 +251,19 @@ def natural_class(c: CurveJet, grid: Sequence[float],
     * Everything else — including both invariants constant and nonzero —
       is OTHER.
 
-    Needs at least 5 grid points, checked after the sweep.
+    Needs at least ``MIN_GRID_POINTS`` grid points, checked after the
+    sweep.
     """
     return _natural_class_of(equiform_grid(c, grid), tol_const, tol_zero)
 
 
-def _natural_class_of(datas: Sequence[EquiformData], tol_const: float = 1e-6,
-                      tol_zero: float = 1e-9) -> NaturalClass:
+def _natural_class_of(datas: Sequence[EquiformData],
+                      tol_const: float = TOL_CONST,
+                      tol_zero: float = TOL_ZERO) -> NaturalClass:
     """:func:`natural_class` of an already evaluated grid sweep."""
-    if len(datas) < 5:
-        raise ValueError("classification needs a grid of at least 5 points")
+    if len(datas) < MIN_GRID_POINTS:
+        raise ValueError("classification needs a grid of at least "
+                         f"{MIN_GRID_POINTS} points")
     Ks = [d.curvature for d in datas]
     Ts = [d.torsion for d in datas]
 

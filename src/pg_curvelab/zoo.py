@@ -35,7 +35,8 @@ self-consistent value and the entry's ``notes`` record the discrepancy.
 
 Curves are built on a domain slightly wider (2% per side, clipped to the
 validity region) than the entry's nominal domain, so that difference
-stencils centered at the nominal endpoints stay evaluable.
+stencils centered at the nominal endpoints stay evaluable.  A family's
+jet, with x = s exactly, is the curve's jet function; nothing probes it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .algebra import PGVector
-from .curves import CurveJet, make_analytic_curve
+from .curves import CurveJet, JetKind
 from .errors import ParameterConstraintError, UnknownCurveError
 
 MAX_JET_ORDER = 8
@@ -431,10 +432,8 @@ def get_example(name: str, a: float | None = None, b: float | None = None,
             + ", ".join(f"{k}={v}" for k, v in params.items()))
     (lo, hi), (valid_lo, valid_hi), jet, oracle = fam.build(a, b, domain)
     pad = 0.02 * (hi - lo)
-    fns = [lambda s, k=k: jet(s, k) for k in range(MAX_JET_ORDER + 1)]
-    curve = make_analytic_curve(
-        fns[0], fns[1], fns[2], fns[3], fns[4],
-        (max(lo - pad, valid_lo), min(hi + pad, valid_hi)), higher=fns[5:])
+    curve = CurveJet(jet, (max(lo - pad, valid_lo), min(hi + pad, valid_hi)),
+                     JetKind.ANALYTIC, max_order=MAX_JET_ORDER)
     return ZooEntry(name=name, params=params, domain=(lo, hi), curve=curve,
                     oracle=oracle, notes=fam.notes)
 

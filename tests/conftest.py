@@ -1,8 +1,7 @@
 """Shared fixtures: catalogue curves at their reference parameters.
 
-Entries are session-scoped because building one runs the constructor's
-derivative cross-checks; the curves themselves are immutable, so sharing
-is safe.
+Entries are session-scoped; the curves are immutable, so sharing is
+safe.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from pg_curvelab.curves import apply_homothety, make_sampled_curve
 from pg_curvelab.equiform import EquiformData, equiform_data
 from pg_curvelab.errors import LightlikeNormalError
 from pg_curvelab.frenet import FrenetData
+from pg_curvelab.zoo import get_example
 
 ALL = {"AW1", "AW2", "AW3", "WeakAW2", "WeakAW3"}
 
@@ -253,3 +254,14 @@ class TestClassify:
         report = classify(helix_fixture.curve, uniform(-0.9, 0.9, 7),
                           notes=("context note",))
         assert "context note" in report.diagnostics
+
+
+@pytest.mark.parametrize("name, a, b", [("isotropic_circle", 1e90, None),
+                                        ("bertrand_helix", 1e90, 1.0)])
+def test_underflowing_rho4_names_its_point(name, a, b):
+    # kappa^2 is finite, so the equiform data exist, but rho^4 is 0.0
+    curve = get_example(name, a, b).curve
+    with pytest.raises(ValueError, match=r"underflows to 0 at s=0\.25 "):
+        derivative_vectors(curve, 0.25)
+    with pytest.raises(ValueError, match=r"underflows to 0 at s=-0\.5 "):
+        classify(curve, [-0.5, -0.25, 0.0, 0.25, 0.5])

@@ -1321,6 +1321,33 @@ class TestErrorExits:
                         "--a", "1e160", "--b", "1", "--grid", "0.5:1:5") == (
             "PGVector components must be finite, got nan")
 
+    @pytest.mark.parametrize("curve", [("isotropic_circle",),
+                                       ("bertrand_helix", "--b", "1")])
+    def test_underflowing_rho4_names_its_point(self, capsys, curve):
+        # kappa^2 = 1e180 is finite, so no admissibility or overflow rule
+        # fires, but the span coefficients divide by rho^4 = 1e-360 -> 0;
+        # eval and bertrand never divide by it
+        argv = ("--curve", curve[0], "--a", "1e90", *curve[1:],
+                "--grid", "-0.5:0.5:5")
+        assert rejected(capsys, "classify", *argv) == (
+            "the span coefficients divide by rho^4, which underflows to 0 "
+            "at s=-0.5 (rho = 1e-90)")
+        assert invoke(capsys, "eval", *argv)[0] == 0
+        assert invoke(capsys, "bertrand", "--lambda", "0.3", *argv)[0] == 0
+
+    def test_extreme_parameters_fail_where_the_apparatus_does(self, capsys):
+        # building a catalogue curve evaluates no jet, so the closed forms
+        # are only read at grid points
+        rc, out, err = invoke(capsys, "eval", "--curve",
+                              "timelike_general_helix", "--a", "1", "--b",
+                              "1000", "--grid", "0:2:11")
+        doc = json.loads(err)
+        assert (rc, out, doc["error"]) == (3, "", "InadmissibleCurveError")
+        assert doc["message"].startswith("lightlike acceleration at s=0.2")
+        rc, _, err = invoke(capsys, "eval", "--curve", "timelike_log_spiral",
+                            "--a", "1e90", "--b", "1", "--grid", "0:4:11")
+        assert (rc, err) == (0, "")
+
     @pytest.mark.parametrize("a, s", [("180", "2"), ("200", "1.8")])
     @pytest.mark.parametrize("command", [
         ("eval",), ("classify",), ("bertrand", "--lambda", "0.3")])

@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+from pg_curvelab import zoo
+from pg_curvelab.curves import make_analytic_curve
 from pg_curvelab.equiform import equiform_data
 from pg_curvelab.errors import (
     JetOrderError,
@@ -15,6 +17,7 @@ from pg_curvelab.errors import (
 from pg_curvelab.frenet import frenet_data
 from pg_curvelab.zoo import (
     MAX_JET_ORDER,
+    REFERENCE_PARAMS,
     describe_constraints,
     get_example,
     zoo_names,
@@ -29,6 +32,43 @@ NAMES = [
     "bertrand_helix",
     "isotropic_circle",
 ]
+
+
+MAGNITUDES = (0.03, 0.3, 1.0, 3.0, 30.0)
+
+
+def admissible_draws(name):
+    """Entries of a family at its reference (a, b) and at every |a|, |b|
+    in MAGNITUDES with each sign its constraints allow.  Circular helices
+    take the domain a*s in [0.5, 3] (their default for a = 1) and skip
+    |b/a| > 100, where cosh((b/a) ln(a s)) leaves the double range."""
+    seen = set()
+    for a, b in [REFERENCE_PARAMS[name]] + [
+            (sa * ma, sb * mb) for ma in MAGNITUDES for mb in MAGNITUDES
+            for sa in (1.0, -1.0) for sb in (1.0, -1.0)]:
+        domain = None
+        if "circular_helix" in name:
+            if abs(b / a) > 100.0:
+                continue
+            domain = tuple(sorted((0.5 / a, 3.0 / a)))
+        try:
+            entry = get_example(name, a, b, domain)
+        except ParameterConstraintError:
+            continue
+        key = tuple(entry.params.values())
+        if key not in seen:
+            seen.add(key)
+            yield entry
+
+
+def logged(curve, k, reads):
+    """The order-k jet of ``curve`` as a function of s, logging each read
+    as (s, k, x-component) in ``reads``."""
+    def jet(s):
+        j = curve.jet(s, k)
+        reads.append((s, k, j.x1))
+        return j
+    return jet
 
 
 def close(got, want, tol=1e-9):
@@ -64,11 +104,24 @@ class TestOracleConsistency:
                 vec_close(d.normal, o.equiform_normal(s))
                 vec_close(d.binormal, o.equiform_binormal(s))
 
-    def test_no_construction_warnings(self, zoo_entries):
-        # every supplied derivative agrees with a difference of the one
-        # below it at the probe points, or the jet tables are wrong
-        for entry in zoo_entries:
-            assert entry.curve.warnings == ()
+    def test_jet_tables_agree_with_differences(self):
+        # catalogue curves are built without the constructor's probe, so
+        # the tables are checked here over each family's parameter region:
+        # every order agrees with a difference of the one below it, and
+        # the x-components are exactly s, 1 and 0 (no x-shift applies)
+        for name in zoo_names():
+            drawn = 0
+            for entry in admissible_draws(name):
+                reads: list[tuple[float, int, float]] = []
+                fns = [logged(entry.curve, k, reads)
+                       for k in range(MAX_JET_ORDER + 1)]
+                checked = make_analytic_curve(*fns[:5], entry.curve.domain,
+                                              higher=fns[5:])
+                assert checked.warnings == (), (name, entry.params)
+                assert all(x == (s if k == 0 else float(k == 1))
+                           for s, k, x in reads), (name, entry.params)
+                drawn += 1
+            assert drawn >= 5, name
 
 
 class TestMirrorPairs:
@@ -189,6 +242,26 @@ class TestCurveConstruction:
             lo, hi = entry.domain
             plo, phi = entry.curve.domain
             assert plo < lo and hi < phi
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_building_an_entry_evaluates_no_jet(self, monkeypatch, name):
+        # the family's jet is the curve's jet_fn; nothing probes it
+        reads = []
+        family = zoo._FAMILIES[name]
+
+        def build(a, b, domain):
+            nominal, valid, jet, oracle = family.build(a, b, domain)
+
+            def counted(s, k):
+                reads.append(k)
+                return jet(s, k)
+            return nominal, valid, counted, oracle
+
+        monkeypatch.setitem(zoo._FAMILIES, name, family._replace(build=build))
+        entry = get_example(name)
+        assert reads == []
+        entry.curve.jets(sum(entry.domain) / 2, 0, MAX_JET_ORDER)
+        assert reads == list(range(MAX_JET_ORDER + 1))
 
     def test_padding_clips_to_the_validity_region(self):
         entry = get_example("timelike_circular_helix", 1.0, 2.0, (0.001, 3.0))
