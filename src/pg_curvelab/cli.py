@@ -73,14 +73,6 @@ class ConfigError(ValueError):
     """A command line that violates the CLI's own invariants."""
 
 
-def _grid_points(grid: tuple[float, float, int]) -> list[float]:
-    start, stop, count = grid
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # external position samples
 
@@ -132,22 +124,6 @@ def _lattice_curve(path: str) -> CurveJet:
     return make_lattice_curve(s0, s_end, [r[1] for r in rows])
 
 
-def _snap_grid(pts: Sequence[float], curve: CurveJet) -> list[float]:
-    """Distinct lattice nodes of the ascending grid points, each of which
-    must snap into the usable range (within half a spacing of it)."""
-    snap, (lo, hi) = curve.snap, curve.domain
-    out: list[float] = []
-    for p in pts:
-        snapped = snap(p)
-        if snap(min(max(snapped, lo), hi)) != snapped:
-            raise ConfigError(
-                f"grid point {p:g} is outside the usable sample range "
-                f"[{lo:g}, {hi:g}]")
-        if not out or snapped > out[-1]:
-            out.append(snapped)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # resolving the configured curve
 
@@ -161,20 +137,13 @@ class _Resolved(NamedTuple):
 
 
 def _resolve(args: argparse.Namespace) -> _Resolved:
-    pts = _grid_points(args.grid)
     if args.input_path is not None:
         curve = _lattice_curve(args.input_path)
         return _Resolved(curve=curve, label=f"sampled:{args.input_path}",
-                         params={}, grid=_snap_grid(pts, curve))
+                         params={}, grid=curve.grid(*args.grid))
     entry = get_example(args.curve, args.a, args.b)
-    lo, hi = entry.curve.domain
-    for p in pts:
-        if not lo <= p <= hi:
-            raise ConfigError(
-                f"grid point {p:g} is outside the curve domain "
-                f"[{lo:g}, {hi:g}]")
     return _Resolved(curve=entry.curve, label=entry.name, params=entry.params,
-                     grid=pts, notes=entry.notes)
+                     grid=entry.curve.grid(*args.grid), notes=entry.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +345,7 @@ def _cmd_figure(args: argparse.Namespace) -> _Report:
     entry = get_example(_FIGURES[args.figure_number])
     return _Report(None, ("s", "x", "y", "z"),
                    [(s, *entry.curve.position(s).as_tuple())
-                    for s in _grid_points((*entry.domain, _FIGURE_SAMPLES))])
+                    for s in entry.curve.grid(*entry.domain, _FIGURE_SAMPLES)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import random
 from enum import Enum
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import PGVector, SimilarityMotion
 from .errors import (
@@ -60,7 +60,8 @@ class CurveJet:
     first..last at once; it is the one view the curve stores, so every
     read, ``jet(s, k)`` included, is one checked bundle.  A curve whose
     orders share no work may pass ``jet_fn(s, order)`` instead, read
-    once per order of a bundle.
+    once per order of a bundle; an ``OverflowError`` or ``ValueError``
+    it raises leaves with " at s=..." appended to its message.
     """
 
     __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
@@ -76,7 +77,10 @@ class CurveJet:
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
         if jets_fn is None:
             def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-                return tuple(jet_fn(s, k) for k in range(first, last + 1))
+                try:
+                    return tuple(jet_fn(s, k) for k in range(first, last + 1))
+                except (OverflowError, ValueError) as exc:
+                    raise type(exc)(f"{exc} at s={s:.6g}") from exc
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))
@@ -123,6 +127,29 @@ class CurveJet:
             return t
         first, spacing = self.nodes
         return first + round((t - first) / spacing) * spacing
+
+    def grid(self, start: float, stop: float, count: int) -> list[float]:
+        """The request grid: ``count`` uniform points from start to stop
+        (start alone when count is 1), each replaced by its ``snap``,
+        ascending with repeats dropped.  A snapped point must lie in
+        ``domain`` or be the node a domain end snaps to, so a lattice's
+        end nodes take points up to half a spacing beyond them; the first
+        point that does neither raises ``ValueError`` naming it."""
+        if count == 1:
+            points: Iterable[float] = (start,)
+        else:
+            step = (stop - start) / (count - 1)
+            points = (start + i * step for i in range(count))
+        snap, (lo, hi) = self.snap, self.domain
+        out: list[float] = []
+        for p in points:
+            s = snap(p)
+            if not lo <= s <= hi and snap(min(max(s, lo), hi)) != s:
+                raise ValueError(f"grid point {p:g} is outside the curve "
+                                 f"domain [{lo:g}, {hi:g}]")
+            if not out or s > out[-1]:
+                out.append(s)
+        return out
 
 
 # ---------------------------------------------------------------------------

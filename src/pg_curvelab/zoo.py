@@ -191,10 +191,11 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
     _require(a != b and a != -b,
              "parameters must satisfy a != +-b (the closed form divides "
              "by b*(b^2 - a^2))")
-    default = (0.5 / a, 3.0) if a > 0 else None
+    default = (0.5 / a, 3.0) if 6.0 * a > 1.0 else None
     if domain is None and default is None:
         raise ParameterConstraintError(
-            "no default domain exists for a < 0; pass one with a*s > 0")
+            "no default domain exists for a <= 1/6 ([1/(2a), 3] needs "
+            "a > 1/6); pass one with a*s > 0")
     lo, hi = _check_domain(domain, default or (0.0, 0.0))
     _require(min(a * lo, a * hi) >= _MARGIN,
              f"domain must keep a*s >= {_MARGIN} (logarithm argument)")
@@ -368,11 +369,11 @@ _FAMILIES: dict[str, _Family] = {
          "timelike_general_helix; its tabulated equiform-torsion sign "
          "-b*exp(a*s) agrees with the definitional value torsion/curvature",)),
     "timelike_circular_helix": _Family(
-        _circular_helix, _CIRCULAR, "[1/(2a), 3] for a > 0", (1.0, 2.0),
+        _circular_helix, _CIRCULAR, "[1/(2a), 3] for a > 1/6", (1.0, 2.0),
         (_BINORMAL_NOTE.format("with"),)),
     "spacelike_circular_helix": _Family(
         partial(_circular_helix, mirrored=True), _CIRCULAR,
-        "[1/(2a), 3] for a > 0", (1.0, 2.0),
+        "[1/(2a), 3] for a > 1/6", (1.0, 2.0),
         (_BINORMAL_NOTE.format("without"),)),
     "timelike_log_spiral": _Family(
         _log_spiral, "a, b nonzero; a*s + b > 0 on domain", "[0, 4]",

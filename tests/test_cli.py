@@ -9,9 +9,11 @@ import inspect
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -24,15 +26,13 @@ from pg_curvelab.cli import (
     _check,
     _classify,
     _eval_rows,
-    _grid_points,
     _lattice_curve,
     _merge_option_values,
     _parse_grid,
     _Resolved,
-    _snap_grid,
     main,
 )
-from pg_curvelab.curves import JetKind, make_lattice_curve
+from pg_curvelab.curves import CurveJet, JetKind, make_lattice_curve
 from pg_curvelab.equiform import equiform_residual, natural_class
 from pg_curvelab.errors import InadmissibleCurveError
 from pg_curvelab.frenet import frenet_residual
@@ -204,9 +204,9 @@ class TestConfigValidation:
 
     def test_grid_count_ceiling(self, capsys, monkeypatch):
         # rejected before any grid point is built
-        def no_grid(grid):
+        def no_grid(*args):
             raise AssertionError("grid built before the count was checked")
-        monkeypatch.setattr("pg_curvelab.cli._grid_points", no_grid)
+        monkeypatch.setattr("pg_curvelab.curves.CurveJet.grid", no_grid)
         for command in ("eval", "classify"):
             assert rejected(capsys, command, *self.CURVE,
                             "--grid", "0:1:100000000000") == \
@@ -272,8 +272,9 @@ class TestArgvHelpers:
             ["eval", "--curve", "-1e-3"]
 
     def test_grid_points(self):
-        assert _grid_points((0.5, 0.5, 1)) == [0.5]
-        pts = _grid_points((0.0, 1.0, 5))
+        curve = get_example("bertrand_helix").curve
+        assert curve.grid(0.5, 0.5, 1) == [0.5]
+        pts = curve.grid(0.0, 1.0, 5)
         assert pts[0] == 0.0 and pts[-1] == 1.0 and len(pts) == 5
 
 
@@ -726,7 +727,7 @@ class TestBertrandCommand:
         probed = rows.reads
         assert probed > 0
         lo, hi = mate.domain
-        grid = [s for s in _snap_grid(_grid_points((-0.8, 0.8, 21)), base)
+        grid = [s for s in base.grid(-0.8, 0.8, 21)
                 if lo <= s <= hi]
         pair = verify_bertrand_pair(base, mate, 0.3, grid)
         assert pair.is_pair, pair.failures
@@ -902,7 +903,7 @@ class TestWorkCounts:
         # orders 1-4, and one of the orders 1-2 at each neighbour (the
         # frames, nothing more)
         curve, calls = counting(helix_fixture.curve)
-        grid = _grid_points((-0.9, 0.9, 21))
+        grid = curve.grid(-0.9, 0.9, 21)
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
         assert len(calls.orders) == (1 + 4 + 2 * 2) * len(grid)
         assert len(set(calls.orders)) == len(calls.orders)
@@ -932,7 +933,7 @@ class TestWorkCounts:
 
     def test_classify_sweeps_once(self, helix_fixture, counting):
         curve, calls = counting(helix_fixture.curve)
-        grid = _grid_points((-0.9, 0.9, 21))
+        grid = curve.grid(-0.9, 0.9, 21)
         report, nat = _classify(
             _Resolved(curve=curve, label="", params={}, grid=grid),
             argparse.Namespace(tol_class=None, tol_zero=1e-9,
@@ -952,7 +953,7 @@ class TestWorkCounts:
         lattice = _lattice_curve(path)
         lo, hi = lattice.domain
         count = round((hi - lo) / (2 * lattice.nodes[1])) + 1
-        grid = _snap_grid(_grid_points((lo, hi, count)), lattice)
+        grid = lattice.grid(lo, hi, count)
         assert len(grid) == count
         curve, calls = counting(lattice)
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
@@ -1080,11 +1081,50 @@ class TestPositionReads:
         rows = CountingRows((p.x1, p.x2, p.x3, p.max_abs()) for p in
                             map(general_helix.curve.position, svals))
         curve = make_lattice_curve(svals[0], svals[-1], rows)
-        grid = _snap_grid(_grid_points((lo, hi, 1001)), curve)
+        grid = curve.grid(lo, hi, 1001)
         _classify(_Resolved(curve=curve, label="", params={}, grid=grid),
                   argparse.Namespace(tol_class=None, tol_zero=1e-9,
                                      tol_const=1e-6))
         assert rows.reads / 1001 <= self.SEPARATE_STENCIL_READS / 2
+
+
+class TestGridSource:
+    """Every command reads its grid through ``CurveJet.grid``: a wrapped
+    method that drops the last point shows in the output."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        calls = []
+        grid = CurveJet.grid
+
+        def last_dropped(curve, start, stop, count):
+            calls.append((start, stop, count))
+            return grid(curve, start, stop, count)[:-1]
+
+        monkeypatch.setattr(CurveJet, "grid", last_dropped)
+        return calls
+
+    @pytest.mark.parametrize("command", ["eval", "classify", "bertrand"])
+    @pytest.mark.parametrize("source", ["curve", "input"])
+    def test_grid_commands(self, capsys, helix_csv, grids, command, source):
+        src = (("--curve", "bertrand_helix") if source == "curve"
+               else ("--input", str(helix_csv)))
+        offset = ("--lambda", "0.3") if command == "bertrand" else ()
+        rc, out, _ = invoke(capsys, command, *src, *offset,
+                            "--grid", "-0.8:0.8:21", "--format", "json")
+        assert rc == 0
+        assert grids == [(-0.8, 0.8, 21)]
+        doc = json.loads(out)
+        assert doc["grid"]["points"] == 20
+        if command == "eval":
+            assert doc["rows"][-1][0] < 0.8
+
+    def test_figure(self, capsys, grids):
+        rc, out, _ = invoke(capsys, "figure", "1")
+        assert rc == 0
+        lo, hi = get_example("timelike_general_helix").domain
+        assert grids == [(lo, hi, 256)]
+        assert len(out.splitlines()) == 1 + 255
 
 
 class TestFigure:
@@ -1124,9 +1164,9 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("argv, digest", [
         (("zoo-list",),
-         "fea63da2d77a0a32b46ed3a226a302a9c643ccc72e057389f4e29b194e2f2387"),
+         "266df5d299d2dfdad1bb9148bb1a29a80c55738d1031108fe9177158d58f573d"),
         (("zoo-list", "--format", "json"),
-         "8767d8f0eecb0ab4c056e588b6d24323a5d6f3da6c61b43276a4b3860953d278"),
+         "94bfd247f1ecdcdfa5b5e5943321f28241c93f4c4fa2e6d97ce7574bc0045dad"),
         (("figure", "1"),
          "81f2d35c70c42335d357eab928eaf5772fba2795bdaebae67aaa4680915075d8"),
         (("figure", "2"),
@@ -1284,17 +1324,15 @@ class TestErrorExits:
     @pytest.mark.parametrize("command", ["eval", "classify"])
     def test_input_grid_outside_the_usable_range(self, capsys, helix_csv,
                                                  command):
-        # the lattice spans [-1, 1], so its usable range is [-0.9375, 0.9375]
+        # the lattice spans [-1, 1], so its curve domain is [-0.9375, 0.9375]
         # (8 spacings of 2^-7 in from each end); --curve rejects the same
-        # grid against the curve domain
+        # grid against its own domain, by the same rule and message
         assert rejected(capsys, command, "--input", str(helix_csv),
                         "--grid", "5:6:11") == \
-            "grid point 5 is outside the usable sample range " \
-            "[-0.9375, 0.9375]"
+            "grid point 5 is outside the curve domain [-0.9375, 0.9375]"
         assert rejected(capsys, command, "--input", str(helix_csv),
                         "--grid", "-0.95:0.5:11") == \
-            "grid point -0.95 is outside the usable sample range " \
-            "[-0.9375, 0.9375]"
+            "grid point -0.95 is outside the curve domain [-0.9375, 0.9375]"
         assert "outside the curve domain" in rejected(
             capsys, command, "--curve", "bertrand_helix", "--grid", "5:6:11")
 
@@ -1313,6 +1351,25 @@ class TestErrorExits:
         assert rejected(capsys, "bertrand", "--curve", "bertrand_helix",
                         "--lambda", offset, "--grid", "-0.9:0.9:21") == (
             f"offset must be finite, got {float(offset)}")
+
+    def test_overflowing_closed_form_names_its_point(self, capsys):
+        # cosh(1000 s) leaves the double range for |s| > 0.71
+        rc, _, err = invoke(capsys, "eval", "--curve", "bertrand_helix",
+                            "--a", "0.01", "--b", "1000", "--grid", "-1:1:11")
+        assert rc == 2
+        assert json.loads(err)["error"] == "OverflowError"
+        assert json.loads(err)["message"] == "math range error at s=-1"
+
+    @pytest.mark.parametrize("a", ["0.1", repr(1 / 6)])
+    def test_circular_helix_without_a_default_domain(self, capsys, a):
+        rc, _, err = invoke(capsys, "eval", "--curve",
+                            "timelike_circular_helix", "--a", a, "--b", "2",
+                            "--grid", "1:2:5")
+        assert rc == 2
+        doc = json.loads(err)
+        assert doc["error"] == "ParameterConstraintError"
+        assert doc["message"].startswith(
+            "no default domain exists for a <= 1/6")
 
     def test_non_finite_internal_vector(self, capsys):
         # the parameters are finite; the apparatus overflows to nan, and only
@@ -1437,7 +1494,12 @@ class TestCommandLineFuzz:
 
 
 def test_module_entry_point():
+    # the child interpreter finds the package on PYTHONPATH, whatever the
+    # parent's sys.path holds
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     res = subprocess.run([sys.executable, "-m", "pg_curvelab.cli", "zoo-list"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert res.returncode == 0
     assert len(res.stdout.strip().split("\n")) == 8

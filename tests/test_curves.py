@@ -154,6 +154,25 @@ class TestCurveJet:
             CurveJet(lambda s, k: PGVector(s, 0.0, 0.0), (1.0, 1.0),
                      JetKind.ANALYTIC)
 
+    def test_jet_function_errors_name_their_point(self):
+        # a closed form that leaves the double range, or its own domain,
+        # keeps its error class and names the parameter it was read at
+        def jet_fn(s, k):
+            if k == 1:
+                return PGVector(1.0, math.log(s), 0.0)
+            return PGVector(s if k == 0 else 0.0, math.exp(1000.0 * s), 0.0)
+
+        c = CurveJet(jet_fn, (-1.0, 1.0), JetKind.ANALYTIC)
+        with pytest.raises(OverflowError) as exc:
+            c.jets(0.75, 0, 0)
+        assert type(exc.value) is OverflowError
+        assert str(exc.value) == "math range error at s=0.75"
+        with pytest.raises(ValueError) as exc:
+            c.jet(-0.5, 1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "math domain error at s=-0.5"
+        assert c.jet(0.5, 1).x2 == math.log(0.5)
+
 
 class TestAnalyticConstructor:
     def test_empty_domain_rejected(self):
@@ -428,6 +447,58 @@ class TestLatticeConstructor:
             c.jet(c.snap(0.5), 0)
         with pytest.raises(ValueError, match="must be finite"):
             c.jet(c.snap(0.5), 2)
+
+
+class TestRequestGrid:
+    """``CurveJet.grid``: the points a request reads."""
+
+    def test_analytic_grid_is_the_uniform_grid(self):
+        c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
+        step = (1.9 - 0.1) / 6
+        assert c.grid(0.1, 1.9, 7) == [0.1 + i * step for i in range(7)]
+        assert c.grid(0.0, 2.0, 5) == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_one_point_grid(self):
+        c = make_analytic_curve(*cubic_jets(), domain=(-1.0, 1.0))
+        assert c.grid(0.25, 0.25, 1) == [0.25]
+        (s,) = c.grid(-0.0, -0.0, 1)
+        assert s == 0.0 and math.copysign(1.0, s) == -1.0
+
+    def test_analytic_grid_outside_the_domain_names_its_first_point(self):
+        c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
+        with pytest.raises(ValueError) as exc:
+            c.grid(1.0, 3.0, 5)
+        assert str(exc.value) == \
+            "grid point 2.5 is outside the curve domain [0, 2]"
+        with pytest.raises(ValueError, match="grid point -1 is outside"):
+            c.grid(-1.0, 3.0, 5)
+
+    def test_lattice_grid_snaps_onto_nodes(self):
+        c = lattice_curve(0.0, 2.0 ** -6, 129)
+        assert c.grid(0.2, 1.0, 5) == [k / 64 for k in (13, 26, 38, 51, 64)]
+
+    def test_lattice_ends_take_points_within_half_a_spacing(self):
+        # domain [8/64, 120/64]: a point less than half a spacing outside
+        # snaps onto the end node, one more than half a spacing does not
+        c = lattice_curve(0.0, 2.0 ** -6, 129)
+        d = 2.0 ** -6
+        assert c.domain == (8 * d, 120 * d)
+        assert c.grid(8 * d - 0.4 * d, 120 * d + 0.4 * d, 2) == \
+            [8 * d, 120 * d]
+        below = 8 * d - 0.6 * d
+        with pytest.raises(ValueError) as exc:
+            c.grid(below, 1.0, 3)
+        assert str(exc.value) == (f"grid point {below:g} is outside the "
+                                  "curve domain [0.125, 1.875]")
+        with pytest.raises(ValueError,
+                           match=r"grid point 1\.8843\d is outside"):
+            c.grid(1.0, 120 * d + 0.6 * d, 3)
+
+    def test_lattice_grid_drops_repeated_nodes(self):
+        # 21 points 0.005 apart on nodes 1/64 apart: each node between
+        # snap(0.5) and snap(0.6) once, ascending
+        c = lattice_curve(0.0, 2.0 ** -6, 129)
+        assert c.grid(0.5, 0.6, 21) == [k / 64 for k in range(32, 39)]
 
 
 class TestFDVectorValueType:

@@ -174,6 +174,19 @@ class TestConstraints:
         with pytest.raises(ParameterConstraintError, match="no default domain"):
             get_example("timelike_circular_helix", -1.0, 2.0)
 
+    @pytest.mark.parametrize("name", ["timelike_circular_helix",
+                                      "spacelike_circular_helix"])
+    @pytest.mark.parametrize("a", [0.1, 1 / 6])
+    def test_circular_helix_default_domain_needs_a_above_a_sixth(self, name,
+                                                                 a):
+        # the default [1/(2a), 3] is empty for a <= 1/6
+        with pytest.raises(ParameterConstraintError,
+                           match=r"no default domain exists for a <= 1/6"):
+            get_example(name, a, 2.0)
+        assert get_example(name, a, 2.0, (6.0, 7.0)).domain == (6.0, 7.0)
+        lo, hi = get_example(name, 0.17, 2.0).domain
+        assert (lo, hi) == (0.5 / 0.17, 3.0) and lo < hi
+
     def test_logarithm_arguments_guarded(self):
         with pytest.raises(ParameterConstraintError, match="logarithm"):
             get_example("timelike_circular_helix", 1.0, 2.0, (-1.0, 3.0))
