@@ -146,7 +146,7 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
         h = (_EPS ** (1 / 6)) * scale / freq
         if base.nodes is not None:      # steps h and h/2 land on nodes
             h = max(1, round(h / (2 * base.nodes[1]))) * 2 * base.nodes[1]
-        if h < 64.0 * _EPS * scale:
+        if not h >= 64.0 * _EPS * scale:
             raise StepTooSmallError(
                 f"mate difference step {h} is below the round-off guard")
         if hi - lo <= 8.0 * h:

@@ -131,13 +131,27 @@ class CurveJet:
     def grid(self, start: float, stop: float, count: int) -> list[float]:
         """The request grid: ``count`` uniform points from start to stop
         (start alone when count is 1), each replaced by its ``snap``,
-        ascending with repeats dropped.  A snapped point must lie in
-        ``domain`` or be the node a domain end snaps to, so a lattice's
-        end nodes take points up to half a spacing beyond them; the first
-        point that does neither raises ``ValueError`` naming it."""
+        ascending with repeats dropped.  Before any point is built,
+        ``ValueError`` unless count >= 1, start, stop and stop - start are
+        finite, and start == stop for one point, start < stop otherwise.
+        A snapped point must lie in ``domain`` or be the node a domain end
+        snaps to, so a lattice's end nodes take points up to half a
+        spacing beyond them; the first point that does neither raises
+        ``ValueError`` naming it."""
+        if count < 1:
+            raise ValueError("grid count must be at least 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"grid start and stop must be finite, got "
+                             f"{start}:{stop}")
+        if not math.isfinite(stop - start):
+            raise ValueError(f"grid span {start}:{stop} overflows a double")
         if count == 1:
+            if start != stop:
+                raise ValueError("a single-point grid needs start == stop")
             points: Iterable[float] = (start,)
         else:
+            if not start < stop:
+                raise ValueError("grid start must be below stop")
             step = (stop - start) / (count - 1)
             points = (start + i * step for i in range(count))
         snap, (lo, hi) = self.snap, self.domain
@@ -479,6 +493,9 @@ def make_lattice_curve(first: float, last: float,
     stay on the ``nodes`` (first, spacing); a read between them raises.
     It needs ``LATTICE_MIN_ROWS`` rows."""
     n = len(rows)
+    if n < LATTICE_MIN_ROWS:
+        raise NarrowDomainError(f"need at least {LATTICE_MIN_ROWS} samples "
+                                f"to rebuild derivatives, got {n}")
     spacing = (last - first) / (n - 1)
 
     def row_at(t: float) -> Row:
@@ -502,7 +519,7 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
     if h is None:
         h = _BALANCED * scale
     h = float(h)
-    if h <= 0.0 or h < 64.0 * _EPS * scale:
+    if not h >= 64.0 * _EPS * scale:
         raise StepTooSmallError(f"step {h} is below the round-off guard")
     # the slack forgives the rounding of a lattice's ends (8h is exact)
     if hi - lo < 8.0 * h - 8.0 * _EPS * scale:

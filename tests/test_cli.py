@@ -1259,6 +1259,18 @@ class TestErrorExits:
         assert rc == 2
         assert json.loads(err)["error"] == "ParameterConstraintError"
 
+    @pytest.mark.parametrize("source, error", [
+        ("--curve", "UnknownCurveError"), ("--input", "FileNotFoundError")])
+    def test_source_is_reported_before_the_grid_shape(self, capsys, tmp_path,
+                                                      source, error):
+        # the grid's shape is the curve's to check, so a bad source fails
+        # first
+        name = "nope" if source == "--curve" else str(tmp_path / "nope.csv")
+        rc, _, err = invoke(capsys, "classify", source, name,
+                            "--grid", "1:0:5")
+        assert rc == 2
+        assert json.loads(err)["error"] == error
+
     def test_grid_outside_domain(self, capsys):
         rc, _, err = invoke(capsys, "eval", "--curve", "bertrand_helix",
                             "--grid", "0:5:11")
@@ -1308,7 +1320,7 @@ class TestErrorExits:
         rc, _, err = invoke(capsys, "classify", *src, "--grid", grid)
         assert rc == 2
         doc = json.loads(err)
-        assert doc["error"] == "ConfigError"
+        assert doc["error"] == "ValueError"
         assert doc["message"].startswith("grid start and stop must be finite")
 
     @pytest.mark.parametrize("command", ["eval", "classify"])

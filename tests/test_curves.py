@@ -345,6 +345,12 @@ class TestSampledConstructor:
             make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (0.0, 1.0),
                                h=1e-15)
 
+    def test_nan_step_is_below_the_roundoff_guard(self):
+        with pytest.raises(StepTooSmallError) as exc:
+            make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (0.0, 1.0),
+                               h=math.nan)
+        assert str(exc.value) == "step nan is below the round-off guard"
+
     def test_domain_too_short_for_stencils(self):
         with pytest.raises(NarrowDomainError):
             make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (0.0, 0.1),
@@ -436,6 +442,14 @@ class TestLatticeConstructor:
         with pytest.raises(ValueError, match="off-lattice evaluation at s="):
             c.jets(s, 1, 4)
 
+    @pytest.mark.parametrize("n", [0, 1, 32])
+    def test_too_few_rows(self, n):
+        rows = [lattice_row(i / 64) for i in range(n)]
+        with pytest.raises(NarrowDomainError) as exc:
+            make_lattice_curve(0.0, (n - 1) / 64, rows)
+        assert str(exc.value) == \
+            f"need at least 33 samples to rebuild derivatives, got {n}"
+
     def test_overflowing_shift_raises(self):
         # x = -1e308 at the left domain end and +1e308 elsewhere: the
         # x-shift, 1e308 below, overflows every other row
@@ -449,8 +463,42 @@ class TestLatticeConstructor:
             c.jet(c.snap(0.5), 2)
 
 
+# (start, stop, count) that break a grid-shape rule, with the message
+SHAPE_ERRORS = [
+    ((2.0, 0.0, 101), "grid start must be below stop"),
+    ((0.0, 1.0, 0), "grid count must be at least 1"),
+    ((0.0, 2.0, 1), "a single-point grid needs start == stop"),
+    ((math.nan, 1.0, 5), "grid start and stop must be finite, got nan:1.0"),
+    ((-1e308, 1e308, 5), "grid span -1e+308:1e+308 overflows a double"),
+]
+
+
 class TestRequestGrid:
     """``CurveJet.grid``: the points a request reads."""
+
+    @pytest.mark.parametrize("source", ["analytic", "lattice"])
+    @pytest.mark.parametrize("shape, message", SHAPE_ERRORS)
+    def test_shape_rules(self, source, shape, message):
+        c = (make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
+             if source == "analytic" else lattice_curve(0.0, 2.0 ** -6, 129))
+        with pytest.raises(ValueError) as exc:
+            c.grid(*shape)
+        assert str(exc.value) == message
+
+    def test_shape_is_checked_before_any_point(self, monkeypatch):
+        snapped = []
+
+        def snap(self, t):
+            snapped.append(t)
+            return t
+
+        monkeypatch.setattr(CurveJet, "snap", snap)
+        c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
+        for shape, _ in SHAPE_ERRORS:
+            with pytest.raises(ValueError):
+                c.grid(*shape)
+        assert snapped == []
+        assert c.grid(0.0, 2.0, 3) == snapped == [0.0, 1.0, 2.0]
 
     def test_analytic_grid_is_the_uniform_grid(self):
         c = make_analytic_curve(*cubic_jets(), domain=(0.0, 2.0))
