@@ -38,15 +38,16 @@ import io
 import json
 import math
 import sys
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from . import aw
 from .bertrand import bertrand_mate, verify_bertrand_pair
-from .curves import LATTICE_MIN_ROWS, CurveJet, make_lattice_curve
+from .curves import CurveJet, make_lattice_curve
 from .equiform import (MIN_GRID_POINTS, TOL_CONST, TOL_ZERO, NaturalClass,
                        _equiform_of, _equiform_residual_of, _frames_at,
                        _natural_class_of, equiform_grid)
-from .errors import CurveLabError, InadmissibleCurveError
+from .errors import CurveLabError, InadmissibleCurveError, NarrowDomainError
 from .frenet import _frenet_of, _frenet_residual_of
 from .zoo import (
     describe_constraints,
@@ -79,9 +80,9 @@ class ConfigError(ValueError):
 
 def _lattice_curve(path: str) -> CurveJet:
     """``curves.make_lattice_curve`` of an s,x,y,z file, read as UTF-8
-    with or without a byte-order mark.  As with ``csv.DictReader``,
-    blank rows are skipped, the last of duplicate column names wins and
-    a row that stops before it lacks that column."""
+    with or without a byte-order mark; its errors name the file.  As with
+    ``csv.DictReader``, blank rows are skipped, the last of duplicate
+    column names wins and a row that stops before it lacks that column."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -91,7 +92,7 @@ def _lattice_curve(path: str) -> CurveJet:
         cols = [max(i for i, name in enumerate(header) if name == key)
                 for key in "sxyz"]
         width = max(cols) + 1
-        rows = []
+        samples = []
         for r in reader:
             if not r:
                 continue
@@ -99,29 +100,18 @@ def _lattice_curve(path: str) -> CurveJet:
             if len(r) < width:
                 raise ConfigError(f"{path}: line {line} lacks one of s,x,y,z")
             try:
-                s, x, y, z = [float(r[i]) for i in cols]
+                sample = [float(r[i]) for i in cols]
             except ValueError:
                 raise ConfigError(
                     f"{path}: line {line} has a non-numeric value") from None
-            if not math.isfinite(s + x + y + z) and not all(
-                    map(math.isfinite, (s, x, y, z))):
+            if not math.isfinite(sum(sample)) and not all(
+                    map(math.isfinite, sample)):
                 raise ConfigError(f"{path}: line {line} has a non-finite value")
-            rows.append((s, (x, y, z, max(abs(x), abs(y), abs(z))), line))
-    if len(rows) < LATTICE_MIN_ROWS:
-        raise ConfigError(
-            f"{path}: need at least {LATTICE_MIN_ROWS} samples to rebuild "
-            f"derivatives, got {len(rows)}")
-    rows.sort(key=lambda r: r[0])
-    s0, s_end = rows[0][0], rows[-1][0]
-    delta = (s_end - s0) / (len(rows) - 1)
-    if not delta > 0.0:
-        raise ConfigError(f"{path}: sample parameters must be distinct")
-    for i, (s, _, line) in enumerate(rows):
-        if abs(s - (s0 + i * delta)) > 1e-9 * max(1.0, abs(s)):
-            raise ConfigError(
-                f"{path}: samples must lie on a uniform lattice "
-                f"(line {line} is off by more than 1e-9)")
-    return make_lattice_curve(s0, s_end, [r[1] for r in rows])
+            samples.append(sample)
+    try:
+        return make_lattice_curve(samples)
+    except (ValueError, NarrowDomainError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +348,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@cache     # once per process, on first use: parse_args leaves it as it is
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pg-curvelab",
                      description="invariants, span-condition classification "

@@ -21,7 +21,7 @@ import math
 import random
 from enum import Enum
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .algebra import PGVector, SimilarityMotion
@@ -308,14 +308,14 @@ def _weights(order: int, first: int, count: int
     return offsets, weights, denom, sum(abs(w) for w in weights)
 
 
-Row = tuple[float, float, float, float]      # x, y, z, max |component|
-RowFn = Callable[[float], Row]
-Rows = Callable[[float, float, tuple[int, ...]], list[Row]]
+_Row = tuple[float, float, float, float]      # x, y, z, max |component|
+RowFn = Callable[[float], _Row]
+Rows = Callable[[float, float, tuple[int, ...]], list[_Row]]
 
 
 def _row_fn(position: PositionFn) -> RowFn:
     """The row (x, y, z, max |component|) of the position at t."""
-    def row_at(t: float) -> Row:
+    def row_at(t: float) -> _Row:
         p = position(t)
         return p.x1, p.x2, p.x3, p.max_abs()
     return row_at
@@ -326,10 +326,10 @@ def _row_source(row_at: RowFn) -> Rows:
     abscissa read once while the source (one jet bundle) lives: the
     coarse nodes j*H equal the fine nodes 2j*(H/2) bit for bit, and
     nodes that several orders or step trials share come from one read."""
-    seen: dict[float, Row] = {}
+    seen: dict[float, _Row] = {}
     get = seen.get
 
-    def rows(s: float, step: float, offsets: tuple[int, ...]) -> list[Row]:
+    def rows(s: float, step: float, offsets: tuple[int, ...]) -> list[_Row]:
         out = []
         for j in offsets:
             t = s + j * step
@@ -485,20 +485,31 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
 LATTICE_MIN_ROWS = 8 + 16 + 8 + 1
 
 
-def make_lattice_curve(first: float, last: float,
-                       rows: Sequence[Row]) -> CurveJet:
-    """:func:`make_sampled_curve` of the s-sorted rows (x, y, z, max
-    |component|) of positions on the uniform lattice first, ..., last, at
+def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
+    """:func:`make_sampled_curve` of the (s, x, y, z) ``samples``, in any
+    order, of positions on a uniform lattice first, ..., last, at
     h = 2 * spacing on the lattice less 8 spacings at each end: stencils
     stay on the ``nodes`` (first, spacing); a read between them raises.
-    It needs ``LATTICE_MIN_ROWS`` rows."""
-    n = len(rows)
+    It needs ``LATTICE_MIN_ROWS`` samples (else ``NarrowDomainError``) of
+    distinct s, each within 1e-9 * max(1, |s|) of its node (else
+    ``ValueError``)."""
+    samples = sorted(samples, key=itemgetter(0))
+    n = len(samples)
     if n < LATTICE_MIN_ROWS:
         raise NarrowDomainError(f"need at least {LATTICE_MIN_ROWS} samples "
                                 f"to rebuild derivatives, got {n}")
+    first, last = samples[0][0], samples[-1][0]
     spacing = (last - first) / (n - 1)
+    if not spacing > 0.0:
+        raise ValueError("sample parameters must be distinct")
+    rows = []
+    for i, (s, x, y, z) in enumerate(samples):
+        if abs(s - (first + i * spacing)) > 1e-9 * max(1.0, abs(s)):
+            raise ValueError(f"samples must lie on a uniform lattice "
+                             f"(s={s!r} is off by more than 1e-9)")
+        rows.append((x, y, z, max(abs(x), abs(y), abs(z))))
 
-    def row_at(t: float) -> Row:
+    def row_at(t: float) -> _Row:
         i = round((t - first) / spacing)
         if i < 0 or i >= n or abs(t - (first + i * spacing)) > 1e-6 * spacing:
             raise ValueError(f"off-lattice evaluation at s={t!r}")
@@ -530,7 +541,7 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
     if dx != 0.0:
         unshifted = row_at
 
-        def row_at(t: float) -> Row:
+        def row_at(t: float) -> _Row:
             x, y, z, _ = unshifted(t)
             if not math.isfinite(x - dx):
                 PGVector(x - dx, y, z)      # an overflowing shift raises

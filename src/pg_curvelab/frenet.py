@@ -15,7 +15,7 @@ binormal has the opposite character.
 
 from __future__ import annotations
 
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from typing import NamedTuple, Sequence
 
 from .algebra import PGVector, _finite
@@ -43,7 +43,9 @@ def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
 
     Raises :class:`InadmissibleCurveError` unless |x' - 1| <= 1e-6 (arc
     length; skipped when ``j1`` is None), y''^2 + z''^2 > 0 (no
-    inflection) and |y''^2 - z''^2| > LIGHTLIKE_TOL * (y''^2 + z''^2).
+    inflection) and |y''^2 - z''^2| > LIGHTLIKE_TOL * (y''^2 + z''^2),
+    and ``OverflowError`` where y''^2 + z''^2 overflows, which says
+    nothing about the light cone.
     """
     if j1 is not None and abs(j1.x1 - 1.0) > 1e-6:
         raise InadmissibleCurveError(
@@ -51,7 +53,9 @@ def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
             param=s)
     w = j2.x2 * j2.x2 - j2.x3 * j2.x3
     mag = j2.x2 * j2.x2 + j2.x3 * j2.x3
-    if mag == 0.0:
+    if not 0.0 < mag < inf:
+        if mag:
+            raise OverflowError(f"y''^2 + z''^2 overflows at s={s:.6g}")
         raise InadmissibleCurveError(
             f"inflection point at s={s:.6g}: second derivative vanishes", param=s)
     if abs(w) <= LIGHTLIKE_TOL * mag:
@@ -62,14 +66,19 @@ def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
 
 def _overflow(s: float, j2: PGVector, exc: Exception) -> Exception:
     """What a per-point kernel at s raises for ``exc``, an overflow in
-    its arithmetic: :class:`NumericalInflectionError` when rho = 1/kappa
-    drives it, ``exc`` itself when kappa^2 overflows (parameters beyond
-    a family's range)."""
+    its arithmetic: ``exc`` itself when y''^2 + z''^2 overflows
+    (:func:`normal_character` has named s), else
+    :class:`NumericalInflectionError` when rho = 1/kappa > 1 can drive
+    it (|y''^2 - z''^2| < 1), else ``exc`` with s named (parameters
+    beyond a family's range)."""
     if not isfinite(j2.x2 * j2.x2 + j2.x3 * j2.x3):
         return exc
-    err = NumericalInflectionError(
-        f"numerically an inflection: rho = 1/kappa overflows at s={s:.6g} "
-        f"({exc})", param=s)
+    if abs(j2.x2 * j2.x2 - j2.x3 * j2.x3) < 1.0:
+        err: Exception = NumericalInflectionError(
+            f"numerically an inflection: rho = 1/kappa overflows at "
+            f"s={s:.6g} ({exc})", param=s)
+    else:
+        err = type(exc)(f"{exc} at s={s:.6g}")
     err.__cause__ = exc
     return err
 

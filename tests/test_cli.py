@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from pg_curvelab.algebra import PGVector
 from pg_curvelab.bertrand import bertrand_mate, verify_bertrand_pair
 from pg_curvelab.cli import (
     SCHEMA,
@@ -32,7 +33,8 @@ from pg_curvelab.cli import (
     _Resolved,
     main,
 )
-from pg_curvelab.curves import CurveJet, JetKind, make_lattice_curve
+from pg_curvelab.curves import (CurveJet, JetKind, make_lattice_curve,
+                                make_sampled_curve)
 from pg_curvelab.equiform import equiform_residual, natural_class
 from pg_curvelab.errors import InadmissibleCurveError
 from pg_curvelab.frenet import frenet_residual
@@ -117,16 +119,6 @@ def far_csv(tmp_path_factory):
         f"{s!r},{s!r},{(s - s0) ** 2 / 2e3!r},{(s - s0) ** 3 / 6e7!r}\n"
         for s in (s0 + i * d for i in range(n))))
     return str(path)
-
-
-class CountingRows(list):
-    """Lattice rows that count their reads."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return list.__getitem__(self, i)
 
 
 def lattice_with_cell(path, column, value) -> str:
@@ -583,10 +575,10 @@ class TestLatticeInput:
         rc, _, err = invoke(capsys, "classify", "--input", str(path),
                             "--grid", "1:1.5:7")
         assert rc == 2
-        # the jittered sample is the 8th data row, on file line 9
-        message = json.loads(err)["message"]
-        assert "uniform lattice" in message
-        assert "(line 9 is off by more than 1e-9)" in message
+        # the jittered sample is named by its s
+        assert json.loads(err)["message"] == (
+            f"{path}: samples must lie on a uniform lattice "
+            f"(s={0.1 * 7 + 1e-4!r} is off by more than 1e-9)")
 
     def test_coincident_samples_rejected(self, tmp_path, capsys):
         path = tmp_path / "same.csv"
@@ -712,26 +704,25 @@ class TestBertrandCommand:
         assert doc["is_pair"] is True, doc["failures"]
         assert doc["nature"] == nature
 
-    def test_lattice_mate_reads_only_nodes(self, helix_fixture):
-        # the rows of helix_csv, counted: a read between nodes would
-        # raise, so every abscissa the mate and the verification read
-        # is a node
+    def test_lattice_mate_reads_only_nodes(self, helix_fixture, counting):
+        # the lattice of helix_csv, its reads counted: a read between
+        # nodes would raise, so every abscissa the mate and the
+        # verification read is a node
         first, spacing, n = -1.0, 2.0 ** -7, 257
-        rows = CountingRows(
-            (p.x1, p.x2, p.x3, p.max_abs()) for p in
-            (helix_fixture.curve.position(first + i * spacing)
-             for i in range(n)))
-        base = make_lattice_curve(first, first + (n - 1) * spacing, rows)
+        base, calls = counting(make_lattice_curve(
+            (s, *helix_fixture.curve.position(s).as_tuple())
+            for s in (first + i * spacing for i in range(n))))
         mate = bertrand_mate(base, 0.3)
         assert mate.nodes == base.nodes
-        probed = rows.reads
+        probed = len(calls.orders)
         assert probed > 0
         lo, hi = mate.domain
         grid = [s for s in base.grid(-0.8, 0.8, 21)
                 if lo <= s <= hi]
         pair = verify_bertrand_pair(base, mate, 0.3, grid)
         assert pair.is_pair, pair.failures
-        assert rows.reads > probed
+        assert len(calls.orders) > probed
+        assert all(base.snap(s) == s for s, _ in calls.orders)
 
     def test_sparse_grid_rejected(self, capsys):
         rc, _, err = invoke(capsys, "bertrand", "--curve", "bertrand_helix",
@@ -920,10 +911,10 @@ class TestWorkCounts:
         # and orders 1-4 once, in one bundle; the two neighbours beyond
         # the grid's ends read orders 1-2 alone
         h = 2.0 ** -6
-        rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
-                (parabola.curve.jet(-1.0 + i * h / 2, 0) for i in range(257))]
         grid = [k * h for k in range(-20, 21)]
-        curve, calls = counting(make_lattice_curve(-1.0, 1.0, rows))
+        curve, calls = counting(make_lattice_curve(
+            (s, *parabola.curve.position(s).as_tuple())
+            for s in (-1.0 + i * h / 2 for i in range(257))))
         assert curve.nodes == (-1.0, h / 2)
         _eval_rows(_Resolved(curve=curve, label="", params={}, grid=grid))
         orders = [k for _, k in calls.orders]
@@ -1074,18 +1065,32 @@ class TestPositionReads:
 
     def test_classify_input_reads_half_the_positions(self, general_helix):
         # 2017 rows at half the spacing of the 1001-point grid, 8 rows
-        # beyond each end, as the benchmark writes its lattices
+        # beyond each end, as the benchmark writes its lattices.  The
+        # lattice curve reads its rows through the FD builder that
+        # make_sampled_curve shares, so the sampled curve of a counting
+        # position function over the same samples, at the lattice's
+        # domain and step, makes the same reads and gives the same bits
         lo, hi = general_helix.domain
         delta = (hi - lo) / 2000
-        svals = [lo - 8 * delta + i * delta for i in range(2017)]
-        rows = CountingRows((p.x1, p.x2, p.x3, p.max_abs()) for p in
-                            map(general_helix.curve.position, svals))
-        curve = make_lattice_curve(svals[0], svals[-1], rows)
-        grid = curve.grid(lo, hi, 1001)
+        samples = [(s, *general_helix.curve.position(s).as_tuple())
+                   for s in (lo - 8 * delta + i * delta for i in range(2017))]
+        lattice = make_lattice_curve(samples)
+        first, spacing = lattice.nodes
+        reads = []
+
+        def position(t):
+            reads.append(t)
+            return PGVector(*samples[round((t - first) / spacing)][1:])
+
+        curve = make_sampled_curve(position, lattice.domain, 2 * spacing)
+        grid = lattice.grid(lo, hi, 1001)
+        for s in (grid[0], grid[500], grid[-1]):
+            assert curve.jets(s, 0, 4) == lattice.jets(s, 0, 4)
+        reads.clear()
         _classify(_Resolved(curve=curve, label="", params={}, grid=grid),
                   argparse.Namespace(tol_class=None, tol_zero=1e-9,
                                      tol_const=1e-6))
-        assert rows.reads / 1001 <= self.SEPARATE_STENCIL_READS / 2
+        assert len(reads) / 1001 <= self.SEPARATE_STENCIL_READS / 2
 
 
 class TestGridSource:
@@ -1225,6 +1230,15 @@ class TestReferenceDefaults:
         _, other, _ = invoke(capsys, *argv, "--a", "1", "--b", "3")
         assert default == explicit
         assert json.loads(other)["params"] == {"a": 1.0, "b": 3.0}
+
+
+def test_parser_is_built_once(capsys):
+    # main reuses one argparse tree, which parsing leaves as it was
+    argv = ("classify", "--curve", "bertrand_helix", "--grid", "0:1:5")
+    first = invoke(capsys, *argv)
+    assert invoke(capsys, "eval", "--bogus")[0] == 2
+    assert invoke(capsys, *argv) == first
+    assert _build_parser() is _build_parser()
 
 
 def test_option_defaults_are_the_library_defaults():
@@ -1384,11 +1398,47 @@ class TestErrorExits:
             "no default domain exists for a <= 1/6")
 
     def test_non_finite_internal_vector(self, capsys):
-        # the parameters are finite; the apparatus overflows to nan, and only
-        # the finiteness check of an internal vector stops it
+        # the parameters are finite; y''^2 + z''^2 overflows, which the
+        # admissibility test reports as an overflow at s, not as a nan
+        # or a light cone.  A span cross-check that overflows is still
+        # stopped by the finiteness check of an internal vector
         assert rejected(capsys, "classify", "--curve", "bertrand_helix",
                         "--a", "1e160", "--b", "1", "--grid", "0.5:1:5") == (
-            "PGVector components must be finite, got nan")
+            "y''^2 + z''^2 overflows at s=0.5")
+        assert rejected(capsys, "classify", "--curve", "timelike_log_spiral",
+                        "--a", "1e100", "--b", "0.01", "--grid", "0:4:5") == (
+            "PGVector components must be finite, got inf")
+
+    @pytest.mark.parametrize("curve, a", [("isotropic_circle", "1e155"),
+                                          ("bertrand_helix", "1e155"),
+                                          ("bertrand_helix", "1e154")])
+    def test_overflowing_acceleration_is_not_a_light_cone(self, capsys,
+                                                          curve, a):
+        # y''^2 + z''^2 = inf used to read as a lightlike acceleration
+        # (exit 3), or let a nan through to an internal vector; at a = 1e154
+        # the mate's acceleration overflows.  Each names s once
+        argv = ("--curve", curve, "--a", a, "--grid", "-0.5:0.5:5")
+        for command, s in ((("eval",), "-0.5"), (("classify",), "-0.5"),
+                           (("bertrand", "--lambda", "0.3"), "-0.832")):
+            if command[0] != "bertrand" and a == "1e154":
+                continue
+            rc, out, err = invoke(capsys, *command, *argv)
+            assert (rc, out) == (2, "")
+            assert json.loads(err) == {
+                "schema": SCHEMA, "error": "OverflowError",
+                "message": f"y''^2 + z''^2 overflows at s={s}"}
+
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_overflow_with_a_small_rho_is_not_an_inflection(self, capsys,
+                                                            command):
+        # rho = 1e-154 here: an fsum of the series pass overflows, which is
+        # no inflection, so it exits 2 naming s
+        rc, out, err = invoke(capsys, command, "--curve", "bertrand_helix",
+                              "--a", "1e154", "--grid", "-0.5:0.5:5")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "schema": SCHEMA, "error": "OverflowError",
+            "message": "intermediate overflow in fsum at s=-0.5"}
 
     @pytest.mark.parametrize("curve", [("isotropic_circle",),
                                        ("bertrand_helix", "--b", "1")])

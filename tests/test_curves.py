@@ -382,16 +382,14 @@ class TestSampledConstructor:
             [(0.0, 0.0, 0.0)] * 2
 
 
-def lattice_row(s: float, shift: float = 0.0) -> tuple:
-    x, y, z = s + shift, math.cosh(s), math.sinh(s)
-    return x, y, z, max(abs(x), abs(y), abs(z))
+def lattice_sample(s: float, shift: float = 0.0) -> tuple:
+    return s, s + shift, math.cosh(s), math.sinh(s)
 
 
 def lattice_curve(first: float, spacing: float, n: int, shift: float = 0.0):
     """The lattice curve of (s + shift, cosh s, sinh s) on n nodes."""
-    svals = [first + i * spacing for i in range(n)]
-    return make_lattice_curve(first, svals[-1],
-                              [lattice_row(s, shift) for s in svals])
+    return make_lattice_curve(lattice_sample(first + i * spacing, shift)
+                              for i in range(n))
 
 
 class TestLatticeConstructor:
@@ -400,13 +398,13 @@ class TestLatticeConstructor:
         # the reference: make_sampled_curve reading the same rows through a
         # position function, at the domain and step the lattice rule sets
         first, n = -1.0, 201
-        rows = [lattice_row(first + i * 0.01, shift) for i in range(n)]
-        last = first + (n - 1) * 0.01
-        c = make_lattice_curve(first, last, rows)
+        samples = [lattice_sample(first + i * 0.01, shift) for i in range(n)]
+        last = samples[-1][0]
+        c = make_lattice_curve(samples)
         d = (last - first) / (n - 1)
 
         def position(t):
-            return PGVector(*rows[round((t - first) / d)][:3])
+            return PGVector(*samples[round((t - first) / d)][1:])
 
         ref = make_sampled_curve(position, (first + 8 * d, last - 8 * d),
                                  h=2 * d)
@@ -420,8 +418,8 @@ class TestLatticeConstructor:
     def test_nodes_and_snap_far_from_zero(self):
         first, n = 17412.45260415335, 942
         svals = [first + i * 0.9196491627865294 for i in range(n)]
-        c = make_lattice_curve(first, svals[-1], [
-            (s, (s - first) ** 2 / 2e3, 0.0, s) for s in svals])
+        c = make_lattice_curve((s, s, (s - first) ** 2 / 2e3, 0.0)
+                               for s in svals)
         d = (svals[-1] - first) / (n - 1)
         assert c.nodes == (first, d)
         assert c.snap(first + 100.3 * d) == first + 100 * d
@@ -444,9 +442,9 @@ class TestLatticeConstructor:
 
     @pytest.mark.parametrize("n", [0, 1, 32])
     def test_too_few_rows(self, n):
-        rows = [lattice_row(i / 64) for i in range(n)]
+        samples = [lattice_sample(i / 64) for i in range(n)]
         with pytest.raises(NarrowDomainError) as exc:
-            make_lattice_curve(0.0, (n - 1) / 64, rows)
+            make_lattice_curve(samples)
         assert str(exc.value) == \
             f"need at least 33 samples to rebuild derivatives, got {n}"
 
@@ -454,13 +452,50 @@ class TestLatticeConstructor:
         # x = -1e308 at the left domain end and +1e308 elsewhere: the
         # x-shift, 1e308 below, overflows every other row
         first, d, n = 0.0, 2.0 ** -6, 65
-        rows = [(-1e308 if i == 8 else 1e308, 0.0, 0.0, 1e308)
-                for i in range(n)]
-        c = make_lattice_curve(first, first + (n - 1) * d, rows)
+        c = make_lattice_curve((first + i * d, -1e308 if i == 8 else 1e308,
+                                0.0, 0.0) for i in range(n))
         with pytest.raises(ValueError, match="must be finite"):
             c.jet(c.snap(0.5), 0)
         with pytest.raises(ValueError, match="must be finite"):
             c.jet(c.snap(0.5), 2)
+
+    def test_sample_order_does_not_matter(self):
+        samples = [lattice_sample(-1.0 + i * 0.01, 0.25) for i in range(201)]
+        c, r = make_lattice_curve(samples), make_lattice_curve(samples[::-1])
+        assert (r.nodes, r.domain) == (c.nodes, c.domain)
+        for s in (c.snap(0.123), *c.domain):
+            assert [bits(v) for v in r.jets(s, 0, 4)] == \
+                [bits(v) for v in c.jets(s, 0, 4)]
+
+    def test_jittered_sample_is_named(self):
+        samples = [lattice_sample(0.1 * i) for i in range(40)]
+        s = 0.1 * 7 + 1e-4
+        samples[7] = lattice_sample(s)
+        with pytest.raises(ValueError) as exc:
+            make_lattice_curve(samples)
+        assert str(exc.value) == ("samples must lie on a uniform lattice "
+                                  f"(s={s!r} is off by more than 1e-9)")
+
+    def test_coincident_samples_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^sample parameters must be distinct$"):
+            make_lattice_curve([lattice_sample(0.5)] * 33)
+
+    def test_magnitudes_come_from_the_samples(self):
+        # the round-off part of every FD error bound scales with each
+        # row's max |component|, which the constructor derives: the
+        # parabola lattice's bounds are the position-function reference's,
+        # and they keep every point of the classify grid resolution-limited
+        from pg_curvelab.aw import classify
+        d = 2.0 ** -7
+        c = make_lattice_curve((s, s, s * s / 2, 0.0)
+                               for s in (-1.0 + i * d for i in range(257)))
+        ref = make_sampled_curve(lambda s: PGVector(s, s * s / 2, 0.0),
+                                 c.domain, h=2 * d)
+        assert bits(c.jet(0.0, 4)) == bits(ref.jet(0.0, 4))
+        assert c.jet(0.0, 4).err > 0.0
+        grid = c.grid(-0.5, 0.5, 21)
+        assert len(classify(c, grid).resolution_limited_points) == 21
 
 
 # (start, stop, count) that break a grid-shape rule, with the message

@@ -9,7 +9,8 @@ import pytest
 from pg_curvelab.algebra import PGVector, det3
 from pg_curvelab.curves import CurveJet, JetKind, make_analytic_curve
 from pg_curvelab.errors import InadmissibleCurveError
-from pg_curvelab.frenet import frenet_data, frenet_residual
+from pg_curvelab.frenet import (frenet_data, frenet_residual,
+                                normal_character)
 
 
 def tuple_approx(v, expected, **kw):
@@ -93,6 +94,15 @@ class TestFrenetData:
             domain=(0.0, 1.0))
         with pytest.raises(InadmissibleCurveError, match="lightlike"):
             frenet_data(c, 0.5)
+
+    @pytest.mark.parametrize("j2", [PGVector(0.0, 1e155, 0.0),
+                                    PGVector(0.0, 1e155, 1e155),
+                                    PGVector(0.0, 1.5e154, 1.5e154)])
+    def test_overflowing_acceleration_is_an_overflow(self, j2):
+        # neither a light cone (inf <= tol * inf) nor a nan epsilon
+        with pytest.raises(OverflowError) as exc:
+            normal_character(0.25, PGVector(1.0, 0.0, 0.0), j2)
+        assert str(exc.value) == "y''^2 + z''^2 overflows at s=0.25"
 
 
 class TestFrenetResidual:

@@ -266,9 +266,9 @@ class TestNeighbourFrames:
         entry = get_example(name)
         lo, hi = entry.curve.domain
         spacing = (hi - lo) / 256
-        rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
-                (entry.curve.position(lo + k * spacing) for k in range(257))]
-        c = make_lattice_curve(lo, lo + 256 * spacing, rows)
+        c = make_lattice_curve(
+            (s, *entry.curve.position(s).as_tuple())
+            for s in (lo + k * spacing for k in range(257)))
         try:
             assert_same_frames(c, c.snap(lo + i * spacing))
         except InadmissibleCurveError:
@@ -337,11 +337,10 @@ class TestVerifyBundles:
         entry = get_example(name)
         lo, hi = entry.curve.domain
         spacing = (hi - lo) / 256
-        rows = [(p.x1, p.x2, p.x3, p.max_abs()) for p in
-                (entry.curve.position(lo + k * spacing) for k in range(257))]
+        samples = [(s, *entry.curve.position(s).as_tuple())
+                   for s in (lo + k * spacing for k in range(257))]
         try:
-            assert_pair_from_bundles(
-                make_lattice_curve(lo, lo + 256 * spacing, rows), lam, f)
+            assert_pair_from_bundles(make_lattice_curve(samples), lam, f)
         except (CurveLabError, ValueError):
             reject()
 
