@@ -1409,24 +1409,26 @@ class TestErrorExits:
                         "--a", "1e100", "--b", "0.01", "--grid", "0:4:5") == (
             "PGVector components must be finite, got inf")
 
-    @pytest.mark.parametrize("curve, a", [("isotropic_circle", "1e155"),
-                                          ("bertrand_helix", "1e155"),
-                                          ("bertrand_helix", "1e154")])
+    @pytest.mark.parametrize("command, curve, a, s", [
+        (("eval",), "isotropic_circle", "1e155", "-0.5"),
+        (("classify",), "isotropic_circle", "1e155", "-0.5"),
+        (("eval",), "bertrand_helix", "1e155", "-0.5"),
+        (("classify",), "bertrand_helix", "1e155", "-0.5"),
+        (("bertrand", "--lambda", "0.3"), "bertrand_helix", "1e155", "-0.832"),
+        (("bertrand", "--lambda", "0.3"), "bertrand_helix", "1e154", "-0.832"),
+    ])
     def test_overflowing_acceleration_is_not_a_light_cone(self, capsys,
-                                                          curve, a):
+                                                          command, curve, a,
+                                                          s):
         # y''^2 + z''^2 = inf used to read as a lightlike acceleration
-        # (exit 3), or let a nan through to an internal vector; at a = 1e154
-        # the mate's acceleration overflows.  Each names s once
-        argv = ("--curve", curve, "--a", a, "--grid", "-0.5:0.5:5")
-        for command, s in ((("eval",), "-0.5"), (("classify",), "-0.5"),
-                           (("bertrand", "--lambda", "0.3"), "-0.832")):
-            if command[0] != "bertrand" and a == "1e154":
-                continue
-            rc, out, err = invoke(capsys, *command, *argv)
-            assert (rc, out) == (2, "")
-            assert json.loads(err) == {
-                "schema": SCHEMA, "error": "OverflowError",
-                "message": f"y''^2 + z''^2 overflows at s={s}"}
+        # (exit 3) or let a nan through to an internal vector; the mate
+        # probe meets it first at s = -0.832.  Each names s once
+        rc, out, err = invoke(capsys, *command, "--curve", curve, "--a", a,
+                              "--grid", "-0.5:0.5:5")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "schema": SCHEMA, "error": "OverflowError",
+            "message": f"y''^2 + z''^2 overflows at s={s}"}
 
     @pytest.mark.parametrize("command", ["eval", "classify"])
     def test_overflow_with_a_small_rho_is_not_an_inflection(self, capsys,
