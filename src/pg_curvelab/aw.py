@@ -145,8 +145,11 @@ def omega_resolution(d: EquiformData
 
 def derivative_vectors(c: CurveJet, s: float) -> DerivativeVectors:
     d = equiform_data(c, s)
-    res = aw_residuals(d.curvature, d.torsion, *sigma_rates(d))
-    a, yz = _plane(d, res.u, res.v)
+    try:
+        res = aw_residuals(d.curvature, d.torsion, *sigma_rates(d))
+        a, yz = _plane(d, res.u, res.v)
+    except (ValueError, ArithmeticError) as exc:
+        raise type(exc)(f"{exc} at s={d.s:.6g}") from exc
     d2, d3, d4 = (PGVector(0.0, *yz[i:i + 2]) for i in (0, 2, 4))
     return DerivativeVectors(d.s, d, d2, d3, d4, *a)
 
@@ -161,7 +164,7 @@ def _plane(d: EquiformData, u: float, v: float
     r4 = r3 * rho
     if r4 == 0.0:                       # kappa^4 overflows, kappa^2 need not
         raise ValueError(f"the span coefficients divide by rho^4, which "
-                         f"underflows to 0 at s={d.s:.6g} (rho = {rho:.6g})")
+                         f"underflows to 0 (rho = {rho:.6g})")
     a = (-d.curvature / r3, d.torsion / r3, u / r4, v / r4)
     n, b, c = d.normal, d.binormal, 1.0 / r2
     return a, (_finite(c * 0.0, c * n.x2, c * n.x3)[1:]
@@ -311,16 +314,20 @@ def _classify_of(datas: Sequence[EquiformData], kind: JetKind,
     mismatches = 0
     for d in datas:
         s = d.s
-        Kp, Tqp = sigma_rates(d)
-        res = aw_residuals(d.curvature, d.torsion, Kp, Tqp,
-                           omega_resolution(d))
+        try:
+            Kp, Tqp = sigma_rates(d)
+            res = aw_residuals(d.curvature, d.torsion, Kp, Tqp,
+                               omega_resolution(d))
+            vectors = (None if res.resolution_limited
+                       else _residuals(s, *_plane(d, res.u, res.v)[1]))
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"{exc} at s={s:.6g}") from exc
         scalars = res.as_dict()
         for name in _CONDITIONS:
             sup[name] = max(sup[name], scalars[name])
-        if res.resolution_limited:
+        if vectors is None:
             limited.append(s)
             continue
-        vectors = _residuals(s, *_plane(d, res.u, res.v)[1])
         for name in _CONDITIONS:
             rv = vectors[name]
             if rv != rv:                      # NaN: unit direction missing

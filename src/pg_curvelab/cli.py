@@ -37,6 +37,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
@@ -47,7 +48,7 @@ from .curves import CurveJet, make_lattice_curve
 from .equiform import (MIN_GRID_POINTS, TOL_CONST, TOL_ZERO, NaturalClass,
                        _equiform_of, _equiform_residual_of, _frames_at,
                        _natural_class_of, equiform_grid)
-from .errors import CurveLabError, InadmissibleCurveError, NarrowDomainError
+from .errors import CurveLabError, InadmissibleCurveError
 from .frenet import _frenet_of, _frenet_residual_of
 from .zoo import (
     describe_constraints,
@@ -68,6 +69,8 @@ _FIGURES: dict[int, str] = {
 _FIGURE_SAMPLES = 256
 # the most grid points a request may ask for: the grid is built in memory
 _GRID_MAX_COUNT = 10 ** 7
+# a value that argparse's negative-number rule would read as an option
+_NEGATIVE_VALUE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
 
 
 class ConfigError(ValueError):
@@ -110,7 +113,7 @@ def _lattice_curve(path: str) -> CurveJet:
             samples.append(sample)
     try:
         return make_lattice_curve(samples)
-    except (ValueError, NarrowDomainError) as exc:
+    except (ValueError, CurveLabError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -348,6 +351,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _grid(text: str) -> tuple[float, float, int]:
+    """``--grid start:stop:count``, at most ``_GRID_MAX_COUNT`` points;
+    ``CurveJet.grid`` checks the shape."""
+    try:
+        start, stop, count = text.split(":")
+        grid = float(start), float(stop), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:count, got {text!r}") from None
+    if grid[2] > _GRID_MAX_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"count must be at most {_GRID_MAX_COUNT}, got {grid[2]}")
+    return grid
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance option's value: a positive finite float."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not 0.0 < val < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return val
+
+
 @cache     # once per process, on first use: parse_args leaves it as it is
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pg-curvelab",
@@ -358,114 +388,68 @@ def _build_parser() -> _Parser:
 
     def add_common(p: argparse.ArgumentParser,
                    handler: Callable[[argparse.Namespace], _Report],
-                   with_grid: bool) -> None:
+                   with_grid: bool, formats: tuple[str, ...] = ("csv", "json")
+                   ) -> None:
         p.set_defaults(handler=handler)
         if with_grid:
-            p.add_argument("--curve", help="catalogue curve name")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--curve", help="catalogue curve name")
             p.add_argument("--a", type=float,
                            help="first curve parameter (default: the "
                                 "family's reference value)")
             p.add_argument("--b", type=float,
                            help="second curve parameter (default: the "
                                 "family's reference value)")
-            p.add_argument("--input", dest="input_path",
-                           help="CSV file with s,x,y,z position samples on "
-                                "a uniform lattice")
-            p.add_argument("--grid", required=True,
+            source.add_argument("--input", dest="input_path",
+                                help="CSV file with s,x,y,z position samples "
+                                     "on a uniform lattice")
+            p.add_argument("--grid", type=_grid, required=True,
                            help="evaluation grid start:stop:count, at most "
                                 f"{_GRID_MAX_COUNT} points")
         p.add_argument("--out", dest="out_path",
                        help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+        p.add_argument("--format", dest="fmt", choices=formats,
                        default="csv", help="output format (default csv)")
 
     add_common(sub.add_parser("eval"), _cmd_eval, with_grid=True)
     pc = sub.add_parser("classify")
     add_common(pc, _cmd_classify, with_grid=True)
-    pc.add_argument("--tol", dest="tol_class", type=float,
+    pc.add_argument("--tol", dest="tol_class", type=_tolerance,
                     help="classification tolerance (default by tier)")
-    pc.add_argument("--tol-zero", dest="tol_zero", type=float,
+    pc.add_argument("--tol-zero", dest="tol_zero", type=_tolerance,
                     default=TOL_ZERO,
                     help="threshold below which an invariant counts "
                          "as identically zero; --input points also "
-                         "allow their FD error bound (default 1e-9)")
-    pc.add_argument("--tol-const", dest="tol_const", type=float,
+                         "allow their FD error bound (default %(default)g)")
+    pc.add_argument("--tol-const", dest="tol_const", type=_tolerance,
                     default=TOL_CONST,
                     help="relative spread below which an invariant "
-                         "counts as constant (default 1e-6)")
+                         "counts as constant (default %(default)g)")
     pb = sub.add_parser("bertrand")
     pb.add_argument("--lambda", dest="offset", type=float, required=True,
                     help="constant normal-offset factor")
-    pb.add_argument("--tol", dest="tol_class", type=float,
+    pb.add_argument("--tol", dest="tol_class", type=_tolerance,
                     help="pair-verification tolerance (default by tier)")
     add_common(pb, _cmd_bertrand, with_grid=True)
     add_common(sub.add_parser("zoo-list"), _cmd_zoo_list, with_grid=False)
     pf = sub.add_parser("figure")
-    pf.add_argument("figure_number", type=int, metavar="N",
+    pf.add_argument("figure_number", type=int, choices=_FIGURES, metavar="N",
                     help="figure number 1..5")
-    add_common(pf, _cmd_figure, with_grid=False)
+    add_common(pf, _cmd_figure, with_grid=False, formats=("csv",))
     return parser
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be start:stop:count, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}: {exc}") from None
-
-
-def _check(args: argparse.Namespace) -> None:
-    """The rules argparse cannot state; parses ``args.grid`` in place."""
-    if args.command == "figure":
-        if args.figure_number not in _FIGURES:
-            raise ConfigError("figure number must be between 1 and 5")
-        if args.fmt != "csv":
-            raise ConfigError("the figure command only emits csv")
-    if args.command in ("zoo-list", "figure"):
-        return
-    args.grid = _parse_grid(args.grid)
-    for name in ("tol_class", "tol_zero", "tol_const"):
-        val = getattr(args, name, None)
-        if val is not None and not val > 0.0:
-            raise ConfigError(f"{name} must be positive, got {val}")
-        if val is not None and not math.isfinite(val):
-            raise ConfigError(f"{name} must be finite, got {val}")
-    count = args.grid[2]    # a size cap; CurveJet.grid checks the shape
-    if count > _GRID_MAX_COUNT:
-        raise ConfigError(f"grid count must be at most {_GRID_MAX_COUNT}, "
-                          f"got {count}")
-    if (args.curve is None) == (args.input_path is None):
-        raise ConfigError("exactly one of --curve and --input is required")
-
-
-# options whose float value may be written as -1e-3, which argparse's
-# negative-number rule would otherwise read as an option
-_FLOAT_OPTIONS = frozenset(("--a", "--b", "--lambda", "--tol", "--tol-zero",
-                            "--tol-const"))
-
-
-def _reads_as_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _merge_option_values(argv: Sequence[str]) -> list[str]:
-    """Join value-taking options with their values so values starting
-    with '-' survive option parsing: ``--grid`` always
-    (``--grid -1:1:101``), a float option when the next token reads as a
-    float (``--a -1e-3``).  A missing value is left to argparse."""
+    """Join an ``--option`` with the next token when argparse's
+    negative-number rule would read that token as an option: a '-'
+    followed by a digit, '.', 'inf' or 'nan' (``--a -1e-3``,
+    ``--grid -1:1:101``).  A missing value is left to argparse."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if i + 1 < len(argv) and (tok == "--grid" or (
-                tok in _FLOAT_OPTIONS and _reads_as_float(argv[i + 1]))):
+        if (i + 1 < len(argv) and tok.startswith("--") and "=" not in tok
+                and _NEGATIVE_VALUE.match(argv[i + 1])):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -480,7 +464,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_merge_option_values(argv))
     try:
-        _check(args)
         _write(args, args.handler(args))
         return 0
     except InadmissibleCurveError as exc:

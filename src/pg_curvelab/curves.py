@@ -60,7 +60,7 @@ class CurveJet:
     first..last at once; it is the one view the curve stores, so every
     read, ``jet(s, k)`` included, is one checked bundle.  A curve whose
     orders share no work may pass ``jet_fn(s, order)`` instead, read
-    once per order of a bundle; an ``OverflowError`` or ``ValueError``
+    once per order of a bundle; an ``ArithmeticError`` or ``ValueError``
     it raises leaves with " at s=..." appended to its message.
     """
 
@@ -79,7 +79,7 @@ class CurveJet:
             def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
                 try:
                     return tuple(jet_fn(s, k) for k in range(first, last + 1))
-                except (OverflowError, ValueError) as exc:
+                except (ArithmeticError, ValueError) as exc:
                     raise type(exc)(f"{exc} at s={s:.6g}") from exc
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
@@ -491,8 +491,8 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
     h = 2 * spacing on the lattice less 8 spacings at each end: stencils
     stay on the ``nodes`` (first, spacing); a read between them raises.
     It needs ``LATTICE_MIN_ROWS`` samples (else ``NarrowDomainError``) of
-    distinct s, each within 1e-9 * max(1, |s|) of its node (else
-    ``ValueError``)."""
+    distinct s, each within 1e-9 * max(1, |s|) of its node and within
+    1e-6 * spacing, the tolerance of a read (else ``ValueError``)."""
     samples = sorted(samples, key=itemgetter(0))
     n = len(samples)
     if n < LATTICE_MIN_ROWS:
@@ -504,9 +504,13 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
         raise ValueError("sample parameters must be distinct")
     rows = []
     for i, (s, x, y, z) in enumerate(samples):
-        if abs(s - (first + i * spacing)) > 1e-9 * max(1.0, abs(s)):
+        off = abs(s - (first + i * spacing))
+        if off > 1e-9 * max(1.0, abs(s)):
             raise ValueError(f"samples must lie on a uniform lattice "
                              f"(s={s!r} is off by more than 1e-9)")
+        if off > 1e-6 * spacing:
+            raise ValueError(f"samples must lie on a uniform lattice "
+                             f"(s={s!r} is off by more than 1e-6 spacings)")
         rows.append((x, y, z, max(abs(x), abs(y), abs(z))))
 
     def row_at(t: float) -> _Row:

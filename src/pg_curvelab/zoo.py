@@ -431,7 +431,13 @@ def get_example(name: str, a: float | None = None, b: float | None = None,
         raise ParameterConstraintError(
             "parameters must be finite, got "
             + ", ".join(f"{k}={v}" for k, v in params.items()))
-    (lo, hi), (valid_lo, valid_hi), jet, oracle = fam.build(a, b, domain)
+    try:
+        (lo, hi), (valid_lo, valid_hi), jet, oracle = fam.build(a, b, domain)
+    except ArithmeticError as exc:
+        raise ParameterConstraintError(
+            f"{name} cannot be built at "
+            + ", ".join(f"{k}={v}" for k, v in params.items())
+            + ": its closed form leaves the float range") from exc
     pad = 0.02 * (hi - lo)
     curve = CurveJet(jet, (max(lo - pad, valid_lo), min(hi + pad, valid_hi)),
                      JetKind.ANALYTIC, max_order=MAX_JET_ORDER)

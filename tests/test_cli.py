@@ -22,14 +22,12 @@ from pg_curvelab.algebra import PGVector
 from pg_curvelab.bertrand import bertrand_mate, verify_bertrand_pair
 from pg_curvelab.cli import (
     SCHEMA,
-    ConfigError,
     _build_parser,
-    _check,
     _classify,
     _eval_rows,
+    _grid,
     _lattice_curve,
     _merge_option_values,
-    _parse_grid,
     _Resolved,
     main,
 )
@@ -132,9 +130,8 @@ def lattice_with_cell(path, column, value) -> str:
 
 
 class TestConfigValidation:
-    """Each rule on the command line, through ``main``: the rules
-    argparse cannot state keep their exact messages, the ones argparse
-    enforces name the option."""
+    """Each rule on the command line, through ``main``: argparse states
+    every argument rule, and each message names the option as typed."""
 
     CURVE = ("--curve", "isotropic_circle")
 
@@ -147,13 +144,14 @@ class TestConfigValidation:
         grid = ("--grid", "0:1:5")
         assert rejected(capsys, "classify", *self.CURVE, *grid,
                         "--tol-zero", "0") == \
-            "tol_zero must be positive, got 0.0"
+            "argument --tol-zero: expected a positive finite number, got '0'"
         assert rejected(capsys, "classify", *self.CURVE, *grid,
                         "--tol=-1e-8") == \
-            "tol_class must be positive, got -1e-08"
+            "argument --tol: expected a positive finite number, got '-1e-8'"
         assert rejected(capsys, "classify", *self.CURVE, *grid,
                         "--tol-const=-1") == \
-            "tol_const must be positive, got -1.0"
+            "argument --tol-const: expected a positive finite number, " \
+            "got '-1'"
 
     @pytest.mark.parametrize("command, option, name", [
         ("classify", "--tol", "tol_class"),
@@ -163,10 +161,14 @@ class TestConfigValidation:
     ])
     def test_tolerances_must_be_finite(self, capsys, command, option, name):
         # an infinite tolerance would pass every check it gates
-        offset = ("--lambda", "0.3") if command == "bertrand" else ()
-        assert rejected(capsys, command, "--curve", "timelike_general_helix",
-                        "--grid", "0.2:1.8:21", *offset, option, "inf") == \
-            f"{name} must be finite, got inf"
+        argv = [command, "--curve", "timelike_general_helix",
+                "--grid", "0.2:1.8:21"]
+        if command == "bertrand":
+            argv += ["--lambda", "0.3"]
+        assert rejected(capsys, *argv, option, "inf") == \
+            f"argument {option}: expected a positive finite number, got 'inf'"
+        args = _build_parser().parse_args([*argv, option, "1e-3"])
+        assert getattr(args, name) == 1e-3
 
     @pytest.mark.parametrize("command, option", [
         ("eval", "--tol"), ("eval", "--tol-zero"), ("eval", "--tol-const"),
@@ -177,7 +179,7 @@ class TestConfigValidation:
         offset = ("--lambda", "0.3") if command == "bertrand" else ()
         assert rejected(capsys, command, "--curve", "bertrand_helix",
                         "--grid", "-0.5:0.5:5", *offset, option, "1e-3") == \
-            f"unrecognized arguments: {option}=1e-3"
+            f"unrecognized arguments: {option} 1e-3"
 
     def test_grid_shape(self, capsys):
         assert invoke(capsys, "eval", *self.CURVE, "--grid", "0:1:11")[0] == 0
@@ -190,9 +192,9 @@ class TestConfigValidation:
         assert rejected(capsys, "eval", *self.CURVE, "--grid", "1:0:5") == \
             "grid start must be below stop"
         assert rejected(capsys, "eval", *self.CURVE, "--grid", "0:1") == \
-            "grid must be start:stop:count, got '0:1'"
-        assert rejected(capsys, "eval", *self.CURVE, "--grid", "a:b:c") \
-            .startswith("bad grid 'a:b:c': ")
+            "argument --grid: expected start:stop:count, got '0:1'"
+        assert rejected(capsys, "eval", *self.CURVE, "--grid", "a:b:c") == \
+            "argument --grid: expected start:stop:count, got 'a:b:c'"
 
     def test_grid_count_ceiling(self, capsys, monkeypatch):
         # rejected before any grid point is built
@@ -202,22 +204,19 @@ class TestConfigValidation:
         for command in ("eval", "classify"):
             assert rejected(capsys, command, *self.CURVE,
                             "--grid", "0:1:100000000000") == \
-                "grid count must be at most 10000000, got 100000000000"
-        parser = _build_parser()
-        for count, ok in ((10 ** 7, True), (10 ** 7 + 1, False)):
-            args = parser.parse_args(["eval", *self.CURVE,
-                                      f"--grid=0:1:{count}"])
-            if ok:
-                _check(args)
-            else:
-                with pytest.raises(ConfigError, match="at most 10000000"):
-                    _check(args)
+                "argument --grid: count must be at most 10000000, " \
+                "got 100000000000"
+        assert _grid(f"0:1:{10 ** 7}") == (0.0, 1.0, 10 ** 7)
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="at most 10000000, got 10000001"):
+            _grid(f"0:1:{10 ** 7 + 1}")
 
     def test_curve_source_is_exclusive(self, capsys):
-        message = "exactly one of --curve and --input is required"
-        assert rejected(capsys, "eval", "--grid", "0:1:5") == message
+        assert rejected(capsys, "eval", "--grid", "0:1:5") == \
+            "one of the arguments --curve --input is required"
         assert rejected(capsys, "eval", *self.CURVE, "--input", "x.csv",
-                        "--grid", "0:1:5") == message
+                        "--grid", "0:1:5") == \
+            "argument --input: not allowed with argument --curve"
 
     def test_grid_required(self, capsys):
         assert "--grid" in rejected(capsys, "classify", *self.CURVE)
@@ -230,19 +229,19 @@ class TestConfigValidation:
     def test_figure_constraints(self, capsys):
         assert invoke(capsys, "figure", "3")[0] == 0
         assert rejected(capsys, "figure", "6") == \
-            "figure number must be between 1 and 5"
+            "argument N: invalid choice: 6 (choose from 1, 2, 3, 4, 5)"
         assert rejected(capsys, "figure", "1", "--format", "json") == \
-            "the figure command only emits csv"
+            "argument --format: invalid choice: 'json' (choose from 'csv')"
 
 
 class TestArgvHelpers:
     def test_parse_grid(self):
-        assert _parse_grid("0:1:11") == (0.0, 1.0, 11)
-        assert _parse_grid("-1.5:2.5:3") == (-1.5, 2.5, 3)
-        with pytest.raises(ConfigError, match="start:stop:count"):
-            _parse_grid("0:1")
-        with pytest.raises(ConfigError, match="bad grid"):
-            _parse_grid("a:b:c")
+        assert _grid("0:1:11") == (0.0, 1.0, 11)
+        assert _grid("-1.5:2.5:3") == (-1.5, 2.5, 3)
+        for text in ("0:1", "a:b:c", "0:1:2.5", "0:1:5:7"):
+            with pytest.raises(argparse.ArgumentTypeError,
+                               match="expected start:stop:count"):
+                _grid(text)
 
     def test_merge_grid_value(self):
         argv = ["classify", "--grid", "-1:1:5", "--format", "json"]
@@ -252,16 +251,19 @@ class TestArgvHelpers:
         assert _merge_option_values(["eval", "--grid"]) == ["eval", "--grid"]
 
     def test_merge_float_option_values(self):
-        # a float option is joined only with a token that reads as a float
+        # an option is joined only with a token that argparse's
+        # negative-number rule would read as an option
         assert _merge_option_values(
             ["eval", "--a", "-1e-3", "--b", "2", "--tol-zero", "-1E-9"]) == \
-            ["eval", "--a=-1e-3", "--b=2", "--tol-zero=-1E-9"]
+            ["eval", "--a=-1e-3", "--b", "2", "--tol-zero=-1E-9"]
         assert _merge_option_values(["bertrand", "--lambda", "-.5"]) == \
             ["bertrand", "--lambda=-.5"]
+        assert _merge_option_values(["eval", "--a", "-inf", "--b", "-NaN"]) \
+            == ["eval", "--a=-inf", "--b=-NaN"]
         assert _merge_option_values(["eval", "--a", "--grid", "0:1:5"]) == \
-            ["eval", "--a", "--grid=0:1:5"]
-        assert _merge_option_values(["eval", "--curve", "-1e-3"]) == \
-            ["eval", "--curve", "-1e-3"]
+            ["eval", "--a", "--grid", "0:1:5"]
+        assert _merge_option_values(["eval", "--a=1", "-2", "--b", "-x"]) \
+            == ["eval", "--a=1", "-2", "--b", "-x"]
 
     def test_grid_points(self):
         curve = get_example("bertrand_helix").curve
@@ -288,7 +290,7 @@ class TestExponentFormValues:
             "parameter a must be positive (a is the curvature)"
         assert rejected(capsys, "classify", "--curve", "bertrand_helix",
                         "--tol", "-1e-8", "--grid", "0:1:5") == \
-            "tol_class must be positive, got -1e-08"
+            "argument --tol: expected a positive finite number, got '-1e-8'"
 
     def test_missing_value_keeps_the_argparse_message(self, capsys):
         for argv in (("--a", "--grid", "0:1:5"), ("--grid", "0:1:5", "--a")):
@@ -579,6 +581,22 @@ class TestLatticeInput:
         assert json.loads(err)["message"] == (
             f"{path}: samples must lie on a uniform lattice "
             f"(s={0.1 * 7 + 1e-4!r} is off by more than 1e-9)")
+
+    def test_step_below_the_round_off_guard_names_the_file(self, tmp_path,
+                                                           capsys):
+        # s = 2^20 + i 2^-30 is exact, so the lattice is uniform, but its
+        # FD step 2^-29 is below the round-off guard at |s| = 2^20
+        path = tmp_path / "fine.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            f"{s!r},{s!r},{(s - 2.0 ** 20) ** 2 / 2!r},0\n"
+            for s in (2.0 ** 20 + i * 2.0 ** -30 for i in range(40))))
+        rc, out, err = invoke(capsys, "eval", "--input", str(path),
+                              "--grid", f"{2.0 ** 20!r}:{2.0 ** 20!r}:1")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "schema": SCHEMA, "error": "ConfigError",
+            "message": f"{path}: step {2.0 ** -29!r} is below the round-off "
+                       "guard"}
 
     def test_coincident_samples_rejected(self, tmp_path, capsys):
         path = tmp_path / "same.csv"
@@ -1400,14 +1418,26 @@ class TestErrorExits:
     def test_non_finite_internal_vector(self, capsys):
         # the parameters are finite; y''^2 + z''^2 overflows, which the
         # admissibility test reports as an overflow at s, not as a nan
-        # or a light cone.  A span cross-check that overflows is still
-        # stopped by the finiteness check of an internal vector
+        # or a light cone.  A span cross-check that overflows is stopped
+        # by the finiteness check of an internal vector, at its point
         assert rejected(capsys, "classify", "--curve", "bertrand_helix",
                         "--a", "1e160", "--b", "1", "--grid", "0.5:1:5") == (
             "y''^2 + z''^2 overflows at s=0.5")
         assert rejected(capsys, "classify", "--curve", "timelike_log_spiral",
                         "--a", "1e100", "--b", "0.01", "--grid", "0:4:5") == (
-            "PGVector components must be finite, got inf")
+            "PGVector components must be finite, got inf at s=0")
+
+    def test_overflowing_span_residual_names_its_point(self, capsys):
+        # T = b/a = 1e150, so omega^1.5 overflows in the scalar residuals;
+        # eval never forms them
+        argv = ("--curve", "bertrand_helix", "--a", "1e-150", "--b", "1",
+                "--grid", "-0.5:0.5:5")
+        rc, out, err = invoke(capsys, "classify", *argv)
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "schema": SCHEMA, "error": "OverflowError",
+            "message": "(34, 'Numerical result out of range') at s=-0.5"}
+        assert invoke(capsys, "eval", *argv)[0] == 0
 
     @pytest.mark.parametrize("command, curve, a, s", [
         (("eval",), "isotropic_circle", "1e155", "-0.5"),
@@ -1452,9 +1482,49 @@ class TestErrorExits:
                 "--grid", "-0.5:0.5:5")
         assert rejected(capsys, "classify", *argv) == (
             "the span coefficients divide by rho^4, which underflows to 0 "
-            "at s=-0.5 (rho = 1e-90)")
+            "(rho = 1e-90) at s=-0.5")
         assert invoke(capsys, "eval", *argv)[0] == 0
         assert invoke(capsys, "bertrand", "--lambda", "0.3", *argv)[0] == 0
+
+    def test_underflowing_closed_form_names_its_point(self, capsys):
+        # a * a underflows to 0 in the order-0 jet of the log spiral
+        rc, out, err = invoke(capsys, "eval", "--curve", "timelike_log_spiral",
+                              "--a", "1e-300", "--b", "1", "--grid", "0:4:5")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "schema": SCHEMA, "error": "ZeroDivisionError",
+            "message": "float division by zero at s=0"}
+
+    def test_extreme_parameter_sweep(self, capsys):
+        # every family, command and (a, b) of the grid below: an error
+        # names its point, or has a constraint or configuration class
+        grids = {"timelike_circular_helix": "0.6:3:5",
+                 "spacelike_circular_helix": "0.6:3:5",
+                 "timelike_log_spiral": "0:4:5",
+                 "timelike_general_helix": "0:2:5",
+                 "spacelike_general_helix": "0:2:5"}
+        unexplained = []
+        for name in zoo_names():
+            for a in ("1e-300", "1e-150", "1e-100", "1e-30", "1e-8", "0.5",
+                      "3", "30", "180", "1e8", "1e100", "1e154", "1e155",
+                      "1e160", "1e300", "-1e100", "-30", "-0.5"):
+                for b in ("1", "0.01", "1e100", "-2"):
+                    for command in (("eval",), ("classify",),
+                                    ("bertrand", "--lambda", "0.3")):
+                        argv = (*command, "--curve", name, "--a", a,
+                                "--b", b, "--grid",
+                                grids.get(name, "-0.5:0.5:5"))
+                        rc, _, err = invoke(capsys, *argv)
+                        if rc == 0:
+                            continue
+                        (line,) = err.splitlines()
+                        doc = json.loads(line)
+                        if not ("s=" in doc["message"]
+                                or "grid point" in doc["message"]
+                                or doc["error"] in ("ParameterConstraintError",
+                                                    "ConfigError")):
+                            unexplained.append((argv, doc))
+        assert unexplained == []
 
     def test_extreme_parameters_fail_where_the_apparatus_does(self, capsys):
         # building a catalogue curve evaluates no jet, so the closed forms

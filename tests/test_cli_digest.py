@@ -44,8 +44,9 @@ def test_run_captures_argparse_exits(cli_digest):
     rc, out, err = cli_digest.run(["figure", "6"])
     assert (rc, out) == (2, "")
     assert json.loads(err)["message"] == \
-        "figure number must be between 1 and 5"
-    rc, _, err = cli_digest.run(["eval", "--grid", "0:1:5", "--bad"])
+        "argument N: invalid choice: 6 (choose from 1, 2, 3, 4, 5)"
+    rc, _, err = cli_digest.run(["eval", "--curve", "bertrand_helix",
+                                 "--grid", "0:1:5", "--bad"])
     assert rc == 2 and "unrecognized arguments" in err
 
 

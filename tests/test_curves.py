@@ -476,6 +476,24 @@ class TestLatticeConstructor:
         assert str(exc.value) == ("samples must lie on a uniform lattice "
                                   f"(s={s!r} is off by more than 1e-9)")
 
+    def test_jitter_is_bounded_by_the_spacing(self):
+        # at s = 1e6, 1e-9 * |s| is a whole spacing; a sample 0.4 spacings
+        # off its node would read y'' = -107 there instead of 1.06
+        def sample(s: float) -> tuple:
+            u = s - 1e6
+            return s, s, u * u / 2 + u ** 3 / 10, 0.0
+
+        samples = [sample(1e6 + i * 1e-3) for i in range(201)]
+        node = samples[100][0]
+        j2 = make_lattice_curve(samples).jet(node, 2)
+        assert abs(j2.x2 - 1.06) <= j2.err
+        samples[100] = sample(node + 0.4e-3)
+        with pytest.raises(ValueError) as exc:
+            make_lattice_curve(samples)
+        assert str(exc.value) == (
+            "samples must lie on a uniform lattice "
+            f"(s={node + 0.4e-3!r} is off by more than 1e-6 spacings)")
+
     def test_coincident_samples_rejected(self):
         with pytest.raises(ValueError,
                            match="^sample parameters must be distinct$"):

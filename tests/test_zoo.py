@@ -193,6 +193,20 @@ class TestConstraints:
         with pytest.raises(ParameterConstraintError, match="logarithm"):
             get_example("timelike_log_spiral", 1.0, 1.0, (-2.0, 1.0))
 
+    @pytest.mark.parametrize("name, a, b", [
+        ("timelike_general_helix", 1.0, 1e100),
+        ("spacelike_general_helix", 1e100, 1.0),
+        ("timelike_circular_helix", 1e200, 1.0),
+    ])
+    def test_overflowing_closed_form_names_family_and_parameters(self, name,
+                                                                 a, b):
+        # (a^2 - b^2)^2 or a^3 leaves the float range while the curve is
+        # built, before any point is read
+        with pytest.raises(ParameterConstraintError) as exc:
+            get_example(name, a, b)
+        assert str(exc.value) == (f"{name} cannot be built at a={a}, b={b}: "
+                                  "its closed form leaves the float range")
+
     def test_fixture_parameters_guarded(self):
         with pytest.raises(ParameterConstraintError, match="positive"):
             get_example("bertrand_helix", -1.0, 1.0)
