@@ -24,9 +24,9 @@ of length last+1, e.g. 6 base jets for the orders 1-4 of
 :func:`equiform_data`, and base orders 0-6 once for a point of
 :func:`verify_bertrand_pair`.  When the base has order < 6 the exact bundle
 stops at order 2, orders three and four are finite differences of the
-exact second-derivative function (one read of it per node and bundle),
-and the mate's domain shrinks by the stencil reach.  The mate keeps the
-base's ``nodes``, and on a lattice its steps and probes land on them.
+exact second derivative at the FD tier's balanced step (one read of it
+per node and bundle), and the mate's domain shrinks by the stencil
+reach.  The mate keeps the base's ``nodes``, and reads the base there.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import PGVector, pg_dot
-from .curves import _EPS, CurveJet, JetKind, _fd_jet, _row_fn, _row_source
+from .curves import (_BALANCED, _EPS, CurveJet, JetKind, _fd_jet, _row_fn,
+                     _row_source)
 from .equiform import (
     MIN_GRID_POINTS,
     NaturalClassTag,
@@ -116,16 +117,17 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     when the base has order >= 6; otherwise it carries order-4 jets whose
     orders three and four are finite differences, at a step h, of the
     mate's exact second derivative m2, and its domain is the base's less
-    2h at each end.  There the centred stencils of m2, which reach 2h,
-    stay inside the base's domain.  Keeping the whole domain would
-    difference m2 with off-centre 5- and 6-node stencils at the ends: on
-    the benchmark's lattices (seeds 1 and 11; 21, 101 and 1001 points;
-    the seed's offset and 1) that raised the end-point equiform-curvature
-    flatness to 1.4e-5 to 7.1e-4 and turned 11 of 84 ``bertrand
-    --input`` pairs into non-pairs.  The mate is probed at five interior
-    points and :class:`MateInadmissibleError` is raised if the offset
-    flattens or degenerates it; a non-finite offset raises
-    ``ValueError``.
+    2h at each end, where the centred stencils of m2 reach.  h is the
+    FD tier's balanced step, eps^0.1 * max(1, |lo|, |hi|), as a multiple
+    of ``base.residual_step`` (a lattice's nodes) whose 8h fits the base
+    domain.  Keeping the whole domain would difference m2 with
+    off-centre 5- and 6-node stencils at the ends: on the benchmark's
+    lattices (seeds 1 and 11; 21, 101 and 1001 points; the seed's offset
+    and 1) that raised the flatness of 18 of the 24 ``bertrand --input``
+    pairs to 1.5e-5 to 5.0e-5, making them non-pairs.  The mate is
+    probed at five interior points and :class:`MateInadmissibleError`
+    is raised if the offset flattens or degenerates it; a non-finite
+    offset raises ``ValueError``.
     """
     lam = float(offset)
     if not math.isfinite(lam):
@@ -141,18 +143,16 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
         # exact jets to order 2, finite differences above
         lo, hi = base.domain
         scale = max(1.0, abs(lo), abs(hi))
-        fr = frenet_data(base, base.snap(0.5 * (lo + hi)))
-        freq = max(1.0, abs(fr.tau), fr.kappa)
-        h = (_EPS ** (1 / 6)) * scale / freq
-        if base.nodes is not None:      # steps h and h/2 land on nodes
-            h = max(1, round(h / (2 * base.nodes[1]))) * 2 * base.nodes[1]
+        h0 = base.residual_step
+        h = max(1, min(math.floor(_BALANCED * scale / h0),
+                       math.ceil((hi - lo) / (8.0 * h0)) - 1)) * h0
         if not h >= 64.0 * _EPS * scale:
             raise StepTooSmallError(
                 f"mate difference step {h} is below the round-off guard")
-        if hi - lo <= 8.0 * h:
+        if hi - lo <= 8.0 * h0:
             raise NarrowDomainError(
                 f"domain [{lo}, {hi}] too short for the mate stencils "
-                f"(8h = {8 * h})")
+                f"(8h = {8 * h0})")
 
         m2 = _row_fn(lambda s: _offset_jets(base, lam, s, 2, 2)[0])
 

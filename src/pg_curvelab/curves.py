@@ -402,6 +402,27 @@ def _node_range(order: int, s: float, step: float,
     return (-left, count) if left < 3 else (right - count + 1, count)
 
 
+def _fit(order: int, s: float, m: int, h: float,
+         window: tuple[float, float]) -> tuple[int, tuple[int, int]]:
+    """The largest multiple m' <= m of h whose order-3/4 stencil at s
+    fits the window, with its node range; m' = 1 and the centred
+    stencil, which reaches 3h, inside the 4h margin, when none fits.  A
+    stencil that fits at a step fits at every shorter one, so the
+    multiples below a first misfit are bisected."""
+    nodes = _node_range(order, s, m * h, window)
+    if nodes is not None:
+        return m, nodes
+    good, bad = 0, m
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        trial = _node_range(order, s, mid * h, window)
+        if trial is None:
+            bad = mid
+        else:
+            good, nodes = mid, trial
+    return max(good, 1), nodes or _CENTRED[order]
+
+
 def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
               window: tuple[float, float]
               ) -> tuple[float, float, float, float, float]:
@@ -417,15 +438,7 @@ def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
     steps are tried, and a prediction within 20% of the current step
     ends the search.  Multiples of h keep every node on s + (h/2) * Z.
     """
-    def fits(m: int) -> tuple[int, tuple[int, int]]:
-        nodes = _node_range(order, s, m * h, window)
-        while m > 1 and nodes is None:
-            m -= 1
-            nodes = _node_range(order, s, m * h, window)
-        # the centred stencil at m = 1 reaches 3h, inside the 4h margin
-        return m, nodes or _CENTRED[order]
-
-    m, nodes = fits(top)
+    m, nodes = _fit(order, s, top, h, window)
     best = _extrapolate(rows, s, order, m * h, *nodes)
     trunc, roundoff = best[3:]
     for _ in range(2):
@@ -434,7 +447,7 @@ def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
             nxt = round(m * ratio ** (1.0 / (order + 4)))
         else:
             nxt = 2 * top
-        nxt, nodes = fits(min(max(nxt, 1), 2 * top))
+        nxt, nodes = _fit(order, s, min(max(nxt, 1), 2 * top), h, window)
         if abs(nxt - m) <= 0.2 * m:
             break
         m = nxt

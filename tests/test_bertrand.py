@@ -190,16 +190,17 @@ class TestFiniteDifferenceFallback:
         assert mate.kind is JetKind.FINITE_DIFFERENCE
         assert mate.max_order == 4
         assert any("finite differences" in w for w in mate.warnings)
+        # the base's domain less 2H, H = 272 * 1e-4: the balanced step
+        # eps^0.1 * max(1, 0.9) in whole residual steps of 1e-4
         lo, hi = mate.domain
-        assert -0.9 < lo < hi < 0.9
+        assert (lo, hi) == (-0.9 + 2 * 272e-4, 0.9 - 2 * 272e-4)
 
-        pair = verify_bertrand_pair(base, mate, 1.0, uniform(-0.85, 0.85, 11),
-                                    tol=1e-4)
+        grid = uniform(lo, hi, 11)
+        pair = verify_bertrand_pair(base, mate, 1.0, grid, tol=1e-4)
         assert pair.is_pair
         assert pair.offset == pytest.approx(1.0, rel=1e-4)
 
-        strict = verify_bertrand_pair(base, mate, 1.0,
-                                      uniform(-0.85, 0.85, 11), tol=1e-8)
+        strict = verify_bertrand_pair(base, mate, 1.0, grid, tol=1e-8)
         assert not strict.is_pair
         assert any("equiform curvature" in f for f in strict.failures)
 
@@ -224,20 +225,23 @@ class TestFiniteDifferenceFallback:
         assert pair.offset == pytest.approx(exact.offset, rel=1e-12)
 
     def test_narrow_base_domain_rejected(self, helix_fixture):
-        # the mate's difference step is eps^(1/6) ~ 2.5e-3 here, so a base
-        # domain of width 0.01 cannot hold its 8-step stencils
-        base = CurveJet(helix_fixture.curve.jet, (0.0, 0.01),
-                        JetKind.ANALYTIC, max_order=4)
-        with pytest.raises(NarrowDomainError, match="mate stencils"):
+        # off a lattice the mate's step is a multiple of h0 = 1e-4, so a
+        # base domain must be wider than 8h0 to hold its stencils
+        jet = helix_fixture.curve.jet
+        base = CurveJet(jet, (0.0, 5e-4), JetKind.ANALYTIC, max_order=4)
+        with pytest.raises(NarrowDomainError, match=(
+                r"too short for the mate stencils \(8h = 0\.0008\)")):
             bertrand_mate(base, 0.3)
+        base = CurveJet(jet, (0.0, 1e-3), JetKind.ANALYTIC, max_order=4)
+        assert bertrand_mate(base, 0.3).domain == (2e-4, 1e-3 - 2e-4)
 
-    def test_step_below_round_off_rejected(self):
-        # kappa = 1e12 shrinks the mate's difference step eps^(1/6)/kappa
+    def test_step_below_round_off_rejected(self, parabola):
+        # at s ~ 1e10 a domain of width 1e-3 caps the step at h0 = 1e-4,
         # below 64 ulps of the domain scale
-        c = get_example("bertrand_helix", 1e12, 1.0).curve
-        base = CurveJet(c.jet, c.domain, c.kind, max_order=4)
+        base = CurveJet(parabola.curve.jet, (1e10, 1e10 + 1e-3),
+                        JetKind.ANALYTIC, max_order=4)
         with pytest.raises(StepTooSmallError, match=(
-                r"mate difference step 2\.559\d*e-15 is below the round-off "
+                r"mate difference step 0\.0001 is below the round-off "
                 "guard")):
             bertrand_mate(base, 0.3)
 

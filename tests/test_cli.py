@@ -152,6 +152,12 @@ class TestConfigValidation:
                         "--tol-const=-1") == \
             "argument --tol-const: expected a positive finite number, " \
             "got '-1'"
+        # a value float() cannot read fails the same rule
+        for value in ("abc", ""):
+            assert rejected(capsys, "classify", *self.CURVE, *grid,
+                            "--tol", value) == \
+                "argument --tol: expected a positive finite number, " \
+                f"got {value!r}"
 
     @pytest.mark.parametrize("command, option, name", [
         ("classify", "--tol", "tol_class"),
@@ -741,6 +747,33 @@ class TestBertrandCommand:
         assert pair.is_pair, pair.failures
         assert len(calls.orders) > probed
         assert all(base.snap(s) == s for s, _ in calls.orders)
+
+    def test_translated_lattice_pairs(self, tmp_path, capsys, helix_fixture):
+        # the lattice of helix_csv with s and x shifted by c, an isometry:
+        # the verdicts must not move.  The mate's step is capped so that
+        # 8 steps fit the base domain, so c = 1000 still pairs
+        verdicts = []
+        for c in (0.0, 8.0, 64.0, 1000.0):
+            path = tmp_path / f"helix{c:g}.csv"
+            path.write_text("s,x,y,z\n" + "".join(
+                f"{c + s!r},{p.x1 + c!r},{p.x2!r},{p.x3!r}\n"
+                for s, p in ((s, helix_fixture.curve.position(s)) for s in
+                             (-1.0 + i * 2.0 ** -7 for i in range(257)))))
+            opts = ("--grid", f"{c - 0.8!r}:{c + 0.8!r}:21",
+                    "--format", "json")
+            rc, out, err = invoke(capsys, "classify", "--input", str(path),
+                                  *opts)
+            assert (rc, err) == (0, "")
+            doc = json.loads(out)
+            verdicts.append(({k for k, v in doc["aw"].items() if v["holds"]},
+                             doc["natural_class"]["tag"]))
+            rc, out, err = invoke(capsys, "bertrand", "--input", str(path),
+                                  "--lambda", "0.3", *opts)
+            assert (rc, err) == (0, "")
+            doc = json.loads(out)["bertrand"]
+            assert doc["is_pair"] is True, (c, doc["failures"])
+            assert doc["nature"] == "circular-helix"
+        assert verdicts == [({"AW3", "WeakAW3"}, "circular-helix")] * 4
 
     def test_sparse_grid_rejected(self, capsys):
         rc, _, err = invoke(capsys, "bertrand", "--curve", "bertrand_helix",

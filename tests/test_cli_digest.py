@@ -1,8 +1,8 @@
 """``tools/cli_digest.py``: its request sets and its path-free digest.
 
 The full digest runs every request (≈ 20 s), so it is run by hand, not
-here; these tests only keep the tool working against ``bench/workload``
-and the CLI.
+here; these tests keep the tool working against ``bench/workload`` and
+the CLI, and pin the verdicts of some ``bertrand-input`` requests.
 """
 
 from __future__ import annotations
@@ -61,3 +61,51 @@ def test_digest_reads_the_lattice_directory_as_a_placeholder(cli_digest,
         hashes.append(cli_digest.digest([argv], str(workdir)))
     assert hashes[0] == hashes[1]
     assert cli_digest.digest([["figure", "6"]], str(tmp_path)) != hashes[0]
+
+
+@pytest.fixture(scope="module")
+def bertrand_input(cli_digest, tmp_path_factory):
+    """The ``bertrand-input`` requests, keyed by (seed directory, family,
+    points, offset)."""
+    workdir = str(tmp_path_factory.mktemp("digest"))
+    return {(Path(argv[2]).parent.name, Path(argv[2]).stem,
+             int(argv[4].rsplit(":", 1)[1]), argv[6]): argv
+            for argv in cli_digest.request_sets(workdir)["bertrand-input"]}
+
+
+NATURES = {"bertrand_helix": "circular-helix",
+           "isotropic_circle": "isotropic-circle"}
+
+
+def test_bertrand_family_lattices_pair(cli_digest, bertrand_input):
+    # the paper's theorem on sampled curves: every mate request over a
+    # circular-helix or isotropic-circle lattice, seeds 1 and 11, 21 and
+    # 101 points, the seed's offset and 1, is a pair of its nature
+    requests = {key: argv for key, argv in bertrand_input.items()
+                if key[1] in NATURES}
+    assert len(requests) == 16
+    for (_, family, points, _), argv in requests.items():
+        rc, out, err = cli_digest.run([*argv, "--format", "json"])
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        pair = doc["bertrand"]
+        assert pair["is_pair"] is True, (argv, pair["failures"])
+        assert pair["nature"] == NATURES[family]
+        # the mate domain, the base's less 2H = 52 lattice spacings at
+        # each end, keeps the interior points, where the mate is flat
+        assert doc["grid"]["points"] == {21: 19, 101: 95}[points]
+        assert pair["curvature_flatness_sup"] <= 2e-6
+
+
+def test_other_family_lattices_do_not_pair(cli_digest, bertrand_input):
+    # one request per other family: seed 1, 21 points, the seed's offset
+    requests = [argv for (seed, family, points, lam), argv
+                in bertrand_input.items() if family not in NATURES
+                and (seed, points) == ("seed1", 21) and lam != "1.0"]
+    assert len(requests) == 5
+    for argv in requests:
+        rc, out, err = cli_digest.run([*argv, "--format", "json"])
+        assert (rc, err) == (0, "")
+        pair = json.loads(out)["bertrand"]
+        assert pair["is_pair"] is False, argv
+        assert pair["nature"] == "not-bertrand"

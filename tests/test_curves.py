@@ -9,7 +9,9 @@ import pickle
 
 import pytest
 
+from pg_curvelab import curves
 from pg_curvelab.algebra import PGVector, SimilarityMotion
+from pg_curvelab.cli import main
 from pg_curvelab.curves import (
     CurveJet,
     FDVector,
@@ -514,6 +516,59 @@ class TestLatticeConstructor:
         assert c.jet(0.0, 4).err > 0.0
         grid = c.grid(-0.5, 0.5, 21)
         assert len(classify(c, grid).resolution_limited_points) == 21
+
+
+def far_samples(offset: float) -> list[tuple]:
+    """201 samples (s, s, cosh u, sinh u), u = i * 1e-3, s = offset + u:
+    far from s = 0 the balanced multiple of h = 2e-3 that orders 3-4
+    start from, top = floor(eps^0.1 * offset / h), overshoots the
+    lattice by far."""
+    return [(offset + i * 1e-3, offset + i * 1e-3, math.cosh(i * 1e-3),
+             math.sinh(i * 1e-3)) for i in range(201)]
+
+
+def walk(order, s, m, h, window):
+    """The reference step search: the multiple m of h, stepped down by
+    one until its stencil fits the window."""
+    nodes = curves._node_range(order, s, m * h, window)
+    while m > 1 and nodes is None:
+        m -= 1
+        nodes = curves._node_range(order, s, m * h, window)
+    return m, nodes or curves._CENTRED[order]
+
+
+class TestStepSearch:
+    """Orders 3-4 step down from the balanced multiple to the largest
+    multiple whose stencil fits, by bisection."""
+
+    def test_bisection_equals_the_walk(self, monkeypatch):
+        # at s ~ 1e3 top is 13600 and the walk still affordable
+        c = make_lattice_curve(far_samples(1e3))
+        points = (c.snap(1e3 + 0.1), *c.domain)
+        got = [[bits(v) for v in c.jets(s, 3, 4)] for s in points]
+        monkeypatch.setattr(curves, "_fit", walk)
+        assert got == [[bits(v) for v in c.jets(s, 3, 4)] for s in points]
+
+    def test_far_lattice_search_is_bounded(self, monkeypatch, tmp_path,
+                                           capsys):
+        # at s ~ 1e6 top is 1.4e7: the walk made 13.6 M _node_range calls
+        # (about 6 s) for this jet, and gave these bits
+        calls = []
+        node_range = curves._node_range
+        monkeypatch.setattr(curves, "_node_range",
+                            lambda *a: calls.append(a) or node_range(*a))
+        samples = far_samples(1e6)
+        c = make_lattice_curve(samples)
+        assert bits(c.jet(c.snap(1e6 + 0.1), 3)) == bits(FDVector(
+            -3.4046839445619575e-05, 0.10016675003893961, 1.0050041687575786,
+            0.0012841416763969766))
+        assert 0 < len(calls) <= 40
+        path = tmp_path / "far.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in samples))
+        assert main(["eval", "--input", str(path), "--grid",
+                     "1000000.01:1000000.19:21"]) == 0
+        capsys.readouterr()
 
 
 # (start, stop, count) that break a grid-shape rule, with the message
