@@ -24,9 +24,9 @@ of length last+1, e.g. 6 base jets for the orders 1-4 of
 :func:`equiform_data`, and base orders 0-6 once for a point of
 :func:`verify_bertrand_pair`.  When the base has order < 6 the exact bundle
 stops at order 2, orders three and four are finite differences of the
-exact second derivative at the FD tier's balanced step (one read of it
-per node and bundle), and the mate's domain shrinks by the stencil
-reach.  The mate keeps the base's ``nodes``, and reads the base there.
+exact second derivative at one step, the FD tier's balanced step capped
+by the mate's domain (one read of it per node and bundle), and the
+mate's domain shrinks by the stencil reach.  The mate keeps the base's ``nodes``, and reads the base there.
 """
 
 from __future__ import annotations
@@ -118,13 +118,16 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     orders three and four are finite differences, at a step h, of the
     mate's exact second derivative m2, and its domain is the base's less
     2h at each end, where the centred stencils of m2 reach.  h is the
-    FD tier's balanced step, eps^0.1 * max(1, |lo|, |hi|), as a multiple
-    of ``base.residual_step`` (a lattice's nodes) whose 8h fits the base
-    domain.  Keeping the whole domain would difference m2 with
-    off-centre 5- and 6-node stencils at the ends: on the benchmark's
-    lattices (seeds 1 and 11; 21, 101 and 1001 points; the seed's offset
-    and 1) that raised the flatness of 18 of the 24 ``bertrand --input``
-    pairs to 1.5e-5 to 5.0e-5, making them non-pairs.  The mate is
+    FD tier's balanced step, eps^0.1 * max(1, |lo|, |hi|) (eps^0.1 on a
+    lattice, which is read at node indices wherever it lies), rounded
+    down to a whole multiple (at least one) of ``base.residual_step``.
+    The mate's own domain rule caps it so that 8h < hi - lo, and a base
+    no wider than 8 * residual_step raises :class:`NarrowDomainError`.
+    Keeping the whole domain would difference m2 with off-centre 5- and
+    6-node stencils at the ends: on the benchmark's lattices (seeds 1
+    and 11; 21, 101 and 1001 points; the seed's offset and 1) that
+    raised the flatness of 18 of the 24 ``bertrand --input`` pairs to
+    1.5e-5 to 5.0e-5, making them non-pairs.  The mate is
     probed at five interior points and :class:`MateInadmissibleError`
     is raised if the offset flattens or degenerates it; a non-finite
     offset raises ``ValueError``.
@@ -144,7 +147,10 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
         lo, hi = base.domain
         scale = max(1.0, abs(lo), abs(hi))
         h0 = base.residual_step
-        h = max(1, min(math.floor(_BALANCED * scale / h0),
+        # a lattice is read at node indices, so where it lies along s
+        # must not move the step
+        reach = 1.0 if base.nodes else scale
+        h = max(1, min(math.floor(_BALANCED * reach / h0),
                        math.ceil((hi - lo) / (8.0 * h0)) - 1)) * h0
         if not h >= 64.0 * _EPS * scale:
             raise StepTooSmallError(

@@ -204,6 +204,20 @@ class TestFiniteDifferenceFallback:
         assert not strict.is_pair
         assert any("equiform curvature" in f for f in strict.failures)
 
+    @pytest.mark.parametrize("a", [1.0, 10.0])
+    def test_high_torsion_base(self, uniform, a):
+        # tau = 10 over an exact order-4 base: at H = 0.0272, tau * H =
+        # 0.27, the differenced mate is flat to 6.0e-8 (a = 1) and 4.2e-8
+        # (a = 10) over its domain; on the same points the earlier step,
+        # 2.5e-4, read 4.5e-6 and 2.5e-6, its round-off
+        jet = get_example("bertrand_helix", a, 10.0).curve.jet
+        base = CurveJet(jet, (-1.0, 1.0), JetKind.ANALYTIC, max_order=4)
+        mate = bertrand_mate(base, 0.3)
+        pair = verify_bertrand_pair(base, mate, 0.3,
+                                    uniform(*mate.domain, 101))
+        assert pair.is_pair, pair.failures
+        assert pair.curvature_flatness_sup < 1e-7
+
     @pytest.mark.parametrize("fixture", ["helix_fixture", "parabola"])
     def test_resampled_mate_matches_the_analytic_pair(self, request,
                                                       fixture, uniform):

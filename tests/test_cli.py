@@ -750,8 +750,9 @@ class TestBertrandCommand:
 
     def test_translated_lattice_pairs(self, tmp_path, capsys, helix_fixture):
         # the lattice of helix_csv with s and x shifted by c, an isometry:
-        # the verdicts must not move.  The mate's step is capped so that
-        # 8 steps fit the base domain, so c = 1000 still pairs
+        # the verdicts must not move, nor the points they verify.  On a
+        # lattice the mate's step does not grow with |s|, so its domain
+        # keeps all 21 points at every c
         verdicts = []
         for c in (0.0, 8.0, 64.0, 1000.0):
             path = tmp_path / f"helix{c:g}.csv"
@@ -770,10 +771,35 @@ class TestBertrandCommand:
             rc, out, err = invoke(capsys, "bertrand", "--input", str(path),
                                   "--lambda", "0.3", *opts)
             assert (rc, err) == (0, "")
-            doc = json.loads(out)["bertrand"]
+            doc = json.loads(out)
+            assert doc["grid"]["points"] == 21, c
+            doc = doc["bertrand"]
             assert doc["is_pair"] is True, (c, doc["failures"])
             assert doc["nature"] == "circular-helix"
         assert verdicts == [({"AW3", "WeakAW3"}, "circular-helix")] * 4
+
+    @pytest.mark.parametrize("a, b, flatness", [
+        (1.0, 3.0, 1e-6),       # tau = 3
+        (10.0, 1.0, 1e-8),      # kappa = 10
+    ])
+    def test_pair_on_a_fine_lattice(self, tmp_path, capsys, a, b, flatness):
+        # spacing 1e-3, so the mate's step is 13 residual steps, 0.026:
+        # neither a high torsion nor a high curvature needs a shorter one
+        # (the earlier step, 0.0025 / max(1, tau, kappa) on the nodes,
+        # read 9.2e-6 at tau = 3 and 1.0e-7 at kappa = 10)
+        path = write_lattice(tmp_path / "helix.csv",
+                             get_example("bertrand_helix", a, b).curve,
+                             -1.0, 1e-3, 2001)
+        rc, out, err = invoke(capsys, "bertrand", "--input", path,
+                              "--lambda", "0.3", "--grid", "-0.9:0.9:101",
+                              "--format", "json")
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["grid"]["points"] == 101
+        doc = doc["bertrand"]
+        assert doc["is_pair"] is True, doc["failures"]
+        assert doc["nature"] == "circular-helix"
+        assert doc["curvature_flatness_sup"] < flatness
 
     def test_sparse_grid_rejected(self, capsys):
         rc, _, err = invoke(capsys, "bertrand", "--curve", "bertrand_helix",
