@@ -14,13 +14,15 @@ The frame satisfies
     dT/dsigma = K*T + N,   dN/dsigma = K*N + T*B,   dB/dsigma = T*N + K*B.
 
 All quantities are produced by truncated derivative-series arithmetic on
-the curve jets, so a curve carrying exact order-4 jets yields K, T and
-their rates exact to round-off.
+the curve jets, written out as one float pass for the series lengths it
+needs (the arithmetic of :class:`~.series.DSeries`, bit for bit), so a
+curve carrying exact order-4 jets yields K, T and their rates exact to
+round-off.
 """
 
 from __future__ import annotations
 
-import math
+from math import fsum, sqrt
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -29,7 +31,6 @@ from .curves import CurveJet, jet_errors
 from .errors import EmptyGridError, JetOrderError
 from .frenet import (Frame, _frame_defect, _neighbour, _one_character,
                      _overflow, normal_character)
-from .series import DSeries
 
 
 class EquiformData(NamedTuple):
@@ -61,8 +62,8 @@ def equiform_data(c: CurveJet, s: float) -> EquiformData:
 
     Needs jets up to order 4 (the torsion rate sees the fourth
     derivative).  Raises where :func:`normal_character` does.  The error
-    bounds of finite-difference jets are carried through the series pass
-    into ``errors``.
+    bounds of finite-difference jets are carried through the float series
+    pass, to first order, into ``errors``.
     """
     _needs_order_4(c)
     return _equiform_of(s, *c.jets(s, 1, 4))
@@ -76,38 +77,87 @@ def _needs_order_4(c: CurveJet) -> None:
 
 def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
                  j4: PGVector) -> EquiformData:
-    """:func:`equiform_data` from the jets of orders 1-4 at s."""
+    """:func:`equiform_data` from the jets of orders 1-4 at s.
+
+    Truncated Taylor arithmetic (Griewank & Walther, *Evaluating
+    Derivatives*, ch. 13) written out for the lengths it needs, on the
+    (y, z) components of the jets of orders 2-4: the length-3 series of
+    w = eps (y''^2 - z''^2) = kappa^2, its square root and the
+    reciprocal (rho, K, dK/ds); then the length-2 quotient tau = num/w
+    and the product (T, dT/ds) = rho tau.  Each Leibniz sum is one
+    ``fsum`` over the terms c * a_i * b_j (an overflow raises there, and
+    -0.0 sums to 0.0), and the first-order bounds accumulate term by
+    term in the order of ``series._product_bounds`` and
+    ``series._recursion_bounds``, so every value, bound and error is
+    bit for bit that of the same pass in :class:`~.series.DSeries`.
+    """
     eps = normal_character(s, j1, j2)
     try:
         errs = jet_errors(j2, j3, j4)
-        y2 = DSeries((j2.x2, j3.x2, j4.x2), errs)
-        z2 = DSeries((j2.x3, j3.x3, j4.x3), errs)
-        absw3 = eps * (y2 * y2 - z2 * z2)              # series of kappa^2 > 0
-        rho3 = absw3.sqrt().reciprocal()               # (rho, K, dK/ds)
-        rho = rho3[0]
-        curvature = rho3[1]
-        curvature_rate = rho3[2]
+        y0, y1, y2 = j2.x2, j3.x2, j4.x2
+        z0, z1, z2 = j2.x3, j3.x3, j4.x3
+        p0 = fsum((y0 * y0,))                          # y''^2
+        p1 = fsum((y0 * y1, y1 * y0))
+        p2 = fsum((y0 * y2, 2.0 * y1 * y1, y2 * y0))
+        q0 = fsum((z0 * z0,))                          # z''^2
+        q1 = fsum((z0 * z1, z1 * z0))
+        q2 = fsum((z0 * z2, 2.0 * z1 * z1, z2 * z0))
+        w0, w1, w2 = eps * (p0 - q0), eps * (p1 - q1), eps * (p2 - q2)
+        if w0 <= 0.0:
+            raise ValueError("sqrt needs a positive leading value")
+        k0 = sqrt(w0)                                  # kappa = sqrt(w)
+        k1 = w1 / (2.0 * k0)
+        k2 = (w2 - fsum((2.0 * k1 * k1,))) / (2.0 * k0)
+        if k0 == 0.0:
+            raise ZeroDivisionError(
+                "division by a series with zero leading value")
+        r0 = 1.0 / k0                                  # (rho, K, dK/ds)
+        r1 = (0.0 - fsum((r0 * k1,))) / k0
+        r2 = (0.0 - fsum((r0 * k2, 2.0 * r1 * k1))) / k0
+        t0 = (y0 * z1 - y1 * z0) / w0                  # (tau, dtau/ds)
+        t1 = (y0 * z2 - y2 * z0 - fsum((t0 * w1,))) / w0
+        torsion = fsum((r0 * t0,))                     # (T, dT/ds)
+        torsion_rate = fsum((r0 * t1, r1 * t0))
 
-        num_errs = None
-        if errs is not None:
-            e2, e3, e4 = errs
-            a2 = abs(j2.x2) + abs(j2.x3)
-            num_errs = (e3 * a2 + e2 * (abs(j3.x2) + abs(j3.x3)),
-                        e4 * a2 + e2 * (abs(j4.x2) + abs(j4.x3)))
-        num2 = DSeries((j2.x2 * j3.x3 - j3.x2 * j2.x3,
-                        j2.x2 * j4.x3 - j4.x2 * j2.x3), num_errs)
-        tau2 = num2 / absw3.truncate(2)                # (tau, dtau/ds)
-        torsion2 = rho3.truncate(2) * tau2             # (T, dT/ds)
-        torsion = torsion2[0]
-        torsion_rate = torsion2[1]
         errors = None
         if errs is not None:
-            errors = (rho3.errs[0], rho3.errs[1], torsion2.errs[0],
-                      rho3.errs[2], torsion2.errs[1])
+            # bounds of w (those of y''^2 plus those of z''^2), kappa,
+            # (rho, K, dK/ds), tau and (T, dT/ds), in that order
+            e2, e3, e4 = errs
+            ay0, ay1, ay2, az0, az1, az2 = map(abs, (y0, y1, y2, z0, z1, z2))
+            we0 = ((0.0 + (ay0 * e2 + e2 * ay0))
+                   + (0.0 + (az0 * e2 + e2 * az0)))
+            we1 = ((0.0 + (ay0 * e3 + e2 * ay1) + (ay1 * e2 + e3 * ay0))
+                   + (0.0 + (az0 * e3 + e2 * az1) + (az1 * e2 + e3 * az0)))
+            we2 = ((0.0 + (ay0 * e4 + e2 * ay2) + 2.0 * (ay1 * e3 + e3 * ay1)
+                    + (ay2 * e2 + e4 * ay0))
+                   + (0.0 + (az0 * e4 + e2 * az2) + 2.0 * (az1 * e3 + e3 * az1)
+                      + (az2 * e2 + e4 * az0)))
+            g0, g1, g2 = abs(2.0 * k0), abs(2.0 * k1), abs(2.0 * k2)
+            ke0 = we0 / g0
+            ke1 = (we1 + ke0 * g1) / g0
+            ke2 = (we2 + ke0 * g2 + 2.0 * ke1 * g1) / g0
+            ak0, ak1, ak2, ar0, ar1 = map(abs, (k0, k1, k2, r0, r1))
+            re0 = (0.0 + (0.0 + (ar0 * ke0 + 0.0 * ak0))) / ak0
+            re1 = (0.0 + (0.0 + (ar0 * ke1 + 0.0 * ak1)
+                          + (ar1 * ke0 + 0.0 * ak0))
+                   + re0 * ak1) / ak0
+            re2 = (0.0 + (0.0 + (ar0 * ke2 + 0.0 * ak2)
+                          + 2.0 * (ar1 * ke1 + 0.0 * ak1)
+                          + (abs(r2) * ke0 + 0.0 * ak0))
+                   + re0 * ak2 + 2.0 * re1 * ak1) / ak0
+            a2 = ay0 + az0
+            aw0, aw1, at0, at1 = abs(w0), abs(w1), abs(t0), abs(t1)
+            te0 = ((e3 * a2 + e2 * (ay1 + az1))
+                   + (0.0 + (at0 * we0 + 0.0 * aw0))) / aw0
+            te1 = ((e4 * a2 + e2 * (ay2 + az2))
+                   + (0.0 + (at0 * we1 + 0.0 * aw1) + (at1 * we0 + 0.0 * aw0))
+                   + te0 * aw1) / aw0
+            errors = (re0, re1, 0.0 + (ar0 * te0 + re0 * at0), re2,
+                      0.0 + (ar0 * te1 + re0 * at1) + (ar1 * te0 + re1 * at0))
 
-        return EquiformData(s, eps, rho, curvature, torsion, curvature_rate,
-                            torsion_rate, *_equiform_frame(j1, j2, eps, rho),
-                            errors)
+        return EquiformData(s, eps, r0, r1, torsion, r2, torsion_rate,
+                            *_equiform_frame(j1, j2, eps, r0), errors)
     except (ValueError, ArithmeticError) as exc:
         raise _overflow(s, j2, exc)
 
@@ -222,7 +272,7 @@ def _spread(vals: Sequence[float]) -> float:
 
 
 def _mean(vals: Sequence[float]) -> float:
-    return math.fsum(vals) / len(vals)
+    return fsum(vals) / len(vals)
 
 
 def _is_zero(vals: Sequence[float], bounds: Sequence[float],

@@ -2,16 +2,18 @@
 
 A :class:`DSeries` holds the values (f, f', f'', ..., f^(n-1)) of a smooth
 scalar function at one point and propagates them through arithmetic with
-the Leibniz/chain rules.  This removes hand-derived quotient- and
-square-root-rule formulas from the geometric modules: e.g. the rate of the
-equiform curvature comes out of ``(1/sqrt(w))`` applied to the series of
-w = y''^2 - z''^2 instead of a page of algebra.
+the Leibniz/chain rules.  This removes hand-derived product- and
+quotient-rule formulas from the geometric modules: e.g. the derivatives
+of the mate's scale-invariant normal rho^2 * gamma'' come out of the
+reciprocal of the series of w = eps (y''^2 - z''^2) times the series of
+y'' and z'' instead of a page of algebra.
 
 Only what the package needs is implemented: +, -, *, /, sqrt, scalar ops
 and truncation.  Entries are plain floats; series in an expression must
 have equal length.  A series may carry absolute error bounds of its
-entries, which the operations propagate to first order; finite-difference
-jets enter the invariant kernels this way.
+entries, which the operations propagate to first order.  The equiform
+pass (``equiform._equiform_of``) writes this arithmetic out as float code
+for its fixed lengths, with the same ``fsum`` terms and bound order.
 """
 
 from __future__ import annotations

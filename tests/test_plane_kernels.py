@@ -1,12 +1,15 @@
-"""The plane-float kernels against their frozen PGVector forms.
+"""The float kernels against their frozen forms.
 
 The AW span cross-check (``aw._plane``, ``aw._residuals``,
-``aw._units``) and the two frame-equation residuals
+``aw._units``), the two frame-equation residuals
 (``frenet._frenet_residual_of``, ``equiform._equiform_residual_of``)
-work on plain floats.  The functions below are the vector forms they
-replaced, frozen as they were: every kernel must give their floats bit
-for bit, NaN in the same places, and the same error class and message.
-A counter pins how few vectors a CLI grid point now builds.
+and the equiform series pass (``equiform._equiform_of``) work on plain
+floats.  The functions below are the ``PGVector`` and ``DSeries`` forms
+they replaced, frozen as they were: every kernel must give their floats
+bit for bit, NaN in the same places, and the same error class, message
+and cause.  ``ref_equiform_of`` also keeps the public ``DSeries`` error
+bounds covered.  Counters pin how few vectors and series a CLI grid
+point now builds.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ from pg_curvelab.aw import (DerivativeVectors, UnitDirections,
                             derivative_vectors, sigma_rates, unit_directions,
                             vector_identity_residuals)
 from pg_curvelab.bertrand import bertrand_mate
-from pg_curvelab.curves import make_sampled_curve
-from pg_curvelab.equiform import (EquiformData, _equiform_residual_of,
+from pg_curvelab.curves import FDVector, jet_errors, make_sampled_curve
+from pg_curvelab.equiform import (EquiformData, _equiform_frame,
+                                  _equiform_of, _equiform_residual_of,
                                   _frames_at, equiform_data)
-from pg_curvelab.errors import CurveLabError, LightlikeNormalError
+from pg_curvelab.errors import (CurveLabError, LightlikeNormalError,
+                               NumericalInflectionError)
 from pg_curvelab.frenet import (Frame, FrenetData, _frenet_residual_of,
-                                _neighbour, _one_character, frenet_data)
+                                _neighbour, _one_character, _overflow,
+                                frenet_data, normal_character)
+from pg_curvelab.series import DSeries
 from pg_curvelab.zoo import get_example, zoo_names
 
 settings.register_profile("no_deadline", deadline=None)
@@ -140,6 +147,43 @@ def ref_equiform_residual_of(dm, d0, dp, h: float) -> float:
     return max(r1, r2, r3) / (d0.rho * max(1.0, abs(K), abs(T)))
 
 
+def ref_equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
+                    j4: PGVector) -> EquiformData:
+    eps = normal_character(s, j1, j2)
+    try:
+        errs = jet_errors(j2, j3, j4)
+        y2 = DSeries((j2.x2, j3.x2, j4.x2), errs)
+        z2 = DSeries((j2.x3, j3.x3, j4.x3), errs)
+        absw3 = eps * (y2 * y2 - z2 * z2)              # series of kappa^2 > 0
+        rho3 = absw3.sqrt().reciprocal()               # (rho, K, dK/ds)
+        rho = rho3[0]
+        curvature = rho3[1]
+        curvature_rate = rho3[2]
+
+        num_errs = None
+        if errs is not None:
+            e2, e3, e4 = errs
+            a2 = abs(j2.x2) + abs(j2.x3)
+            num_errs = (e3 * a2 + e2 * (abs(j3.x2) + abs(j3.x3)),
+                        e4 * a2 + e2 * (abs(j4.x2) + abs(j4.x3)))
+        num2 = DSeries((j2.x2 * j3.x3 - j3.x2 * j2.x3,
+                        j2.x2 * j4.x3 - j4.x2 * j2.x3), num_errs)
+        tau2 = num2 / absw3.truncate(2)                # (tau, dtau/ds)
+        torsion2 = rho3.truncate(2) * tau2             # (T, dT/ds)
+        torsion = torsion2[0]
+        torsion_rate = torsion2[1]
+        errors = None
+        if errs is not None:
+            errors = (rho3.errs[0], rho3.errs[1], torsion2.errs[0],
+                      rho3.errs[2], torsion2.errs[1])
+
+        return EquiformData(s, eps, rho, curvature, torsion, curvature_rate,
+                            torsion_rate, *_equiform_frame(j1, j2, eps, rho),
+                            errors)
+    except (ValueError, ArithmeticError) as exc:
+        raise _overflow(s, j2, exc)
+
+
 # --- comparison helpers ----------------------------------------------------
 
 
@@ -148,12 +192,25 @@ def bits(x: float):
     return "nan" if x != x else struct.pack("<d", x)
 
 
+def field_bits(f):
+    """An ``EquiformData`` field as bit patterns: eps and a missing
+    ``errors`` as they are, vectors and bounds component by component."""
+    if isinstance(f, PGVector):
+        return tuple(map(bits, f.as_tuple()))
+    if isinstance(f, tuple):
+        return tuple(map(bits, f))
+    return f if f is None or isinstance(f, int) else bits(f)
+
+
 def outcome(fn, *args):
-    """``fn(*args)`` as bit patterns, or the class and message it raised."""
+    """``fn(*args)`` as bit patterns, or the class, message and cause
+    class of what it raised."""
     try:
         out = fn(*args)
     except (CurveLabError, ValueError, ArithmeticError) as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), type(exc.__cause__)
+    if isinstance(out, EquiformData):
+        return tuple(map(field_bits, out))
     if isinstance(out, dict):
         return {k: bits(v) for k, v in out.items()}
     if isinstance(out, UnitDirections):
@@ -170,7 +227,11 @@ def outcome(fn, *args):
 def kind(out) -> str:
     """What an outcome is, for the hypothesis statistics."""
     if isinstance(out, tuple) and isinstance(out[0], type):
-        return out[0].__name__ + (": nan" if "got nan" in out[1] else "")
+        named = ": nan" if "got nan" in out[1] else ""
+        cause = "" if out[2] is type(None) else f" from {out[2].__name__}"
+        return out[0].__name__ + named + cause
+    if isinstance(out, tuple) and len(out) == len(EquiformData._fields):
+        return "value" + ("" if out[-1] is None else " with bounds")
     if isinstance(out, dict) and out["WeakAW2"] == "nan":
         return "WeakAW2 nan"
     return "value"
@@ -323,24 +384,155 @@ class TestOverflowPaths:
                 (_equiform_residual_of, ref_equiform_residual_of,
                  (e, d0, e, 0.5), "inf")):
             assert outcome(new, *args) == outcome(ref, *args) == (
-                ValueError, f"PGVector components must be finite, got {named}")
+                ValueError, f"PGVector components must be finite, got {named}",
+                type(None))
 
 
-# --- vectors built per grid point ----------------------------------------
+# --- the equiform series pass --------------------------------------------
 
 
-def vectors_per_point(*argv: str, points: int) -> float:
-    calls = [0]
-    init = PGVector.__init__
+def assert_equiform(s: float, *jets: PGVector) -> None:
+    """The float pass equals the frozen ``DSeries`` pass on the jets of
+    orders 1-4 at s: all 11 fields, or the error."""
+    got = outcome(_equiform_of, s, *jets)
+    event(f"equiform: {kind(got)}")
+    assert got == outcome(ref_equiform_of, s, *jets)
 
-    def counted(self, *args):
+
+def near(e: int):
+    return st.builds(lambda m: m * 10.0 ** e, st.floats(0.1, 10.0))
+
+
+def signed(*magnitudes):
+    return st.builds(lambda m, neg: -m if neg else m,
+                     st.one_of(*magnitudes), st.booleans())
+
+
+def raw_jets(component):
+    return st.one_of(
+        st.builds(PGVector, st.just(0.0), component, component),
+        st.builds(FDVector, st.just(0.0), component, component,
+                  st.sampled_from([0.0, 1e-300, 1e-8])))
+
+
+# signed zeros, subnormals, and magnitudes whose squares underflow
+# (1e-154) or overflow (1e154, 1e300) among moderate ones; the second
+# derivative mostly admissible, so that the pass itself runs
+moderate = st.floats(0.01, 100.0)
+component = signed(st.just(0.0), st.floats(5e-324, 2.2e-308), near(-154),
+                   moderate, near(10), near(154), near(300))
+leading = signed(st.just(0.0), near(-160), moderate, near(10), near(150))
+
+
+def jets_at(c, f: float):
+    """The jets of orders 1-4 at fraction f of the domain of c."""
+    s = inside(c, f, 0.0)
+    try:
+        return (s, *c.jets(s, 1, 4))
+    except (CurveLabError, ValueError):
+        reject()
+
+
+class TestEquiformPassBitForBit:
+    """Hypothesis draws the jets of orders 1-4 on all three tiers, and
+    raw jets with and without error bounds, where overflowed squares,
+    inflections and numerical inflections are among the draws.  Named
+    jets pin an overflow inside an ``fsum``, inf - inf in one and a
+    non-finite frame."""
+
+    @given(name=st.sampled_from(zoo_names()), a=st.floats(0.25, 2.0),
+           b=st.floats(0.25, 2.0), f=fractions)
+    @settings(max_examples=80)
+    def test_analytic(self, name, a, b, f):
+        try:
+            c = get_example(name, a, b).curve
+        except CurveLabError:
+            reject()
+        assert_equiform(*jets_at(c, f))
+
+    @given(name=st.sampled_from(zoo_names()), f=fractions)
+    @settings(max_examples=40)
+    def test_finite_difference(self, name, f):
+        assert_equiform(*jets_at(sampled(name), f))
+
+    @given(name=st.sampled_from(zoo_names()), a=st.floats(0.25, 2.0),
+           b=st.floats(0.25, 2.0), lam=st.floats(-1.0, 1.0), f=fractions)
+    @settings(max_examples=40)
+    def test_mates(self, name, a, b, lam, f):
+        try:
+            c = bertrand_mate(get_example(name, a, b).curve, lam)
+        except (CurveLabError, ValueError):
+            reject()
+        assert_equiform(*jets_at(c, f))
+
+    @given(s=st.floats(-2.0, 2.0), y1=component, z1=component,
+           j2=raw_jets(leading), j3=raw_jets(component),
+           j4=raw_jets(component))
+    @settings(max_examples=400)
+    def test_raw_jets(self, s, y1, z1, j2, j3, j4):
+        assert_equiform(s, PGVector(1.0, y1, z1), j2, j3, j4)
+
+    @pytest.mark.parametrize("y, named", [
+        ((1.0, 1e308, 0.0), (OverflowError,
+                             "intermediate overflow in fsum at s=0.5",
+                             OverflowError)),
+        ((1e10, 1e200, -1e300), (ValueError, "-inf + inf in fsum at s=0.5",
+                                 ValueError)),
+        ((1e-160, 0.0, 0.0), (NumericalInflectionError,
+                              "numerically an inflection: rho = 1/kappa "
+                              "overflows at s=0.5 (PGVector components "
+                              "must be finite, got inf)", ValueError))])
+    def test_named_errors(self, y, named):
+        jets = [PGVector(1.0, 0.0, 0.0)] + [FDVector(0.0, v, 0.0, 1e-8)
+                                            for v in y]
+        assert outcome(_equiform_of, 0.5, *jets) == \
+            outcome(ref_equiform_of, 0.5, *jets) == named
+
+    def test_subnormal_term(self):
+        # 2 y'''^2 is subnormal: 2.0 * y''' * y''' rounds it once, where
+        # 2.0 * (y''' * y''') would round the square first and move
+        # dK/ds
+        jets = (PGVector(1.0, 0.0, 0.0), PGVector(0.0, 1e-3, 0.0),
+                PGVector(0.0, 3.141681643827022e-159, 0.0),
+                PGVector(0.0, 0.0, 0.0))
+        got = outcome(_equiform_of, 0.5, *jets)
+        assert kind(got) == "value"
+        assert got == outcome(ref_equiform_of, 0.5, *jets)
+
+
+# --- vectors and series built per grid point -----------------------------
+
+
+def counted_method(method, calls: list[int]):
+    """``method`` (a function or a classmethod) bumping ``calls[0]``."""
+    if isinstance(method, classmethod):
+        return classmethod(counted_method(method.__func__, calls))
+
+    def counted(*args, **kwargs):
         calls[0] += 1
-        init(self, *args)
+        return method(*args, **kwargs)
 
-    with mock.patch.object(PGVector, "__init__", counted), \
-            contextlib.redirect_stdout(io.StringIO()):
+    return counted
+
+
+def built_per_point(cls, *argv: str, points: int = 101) -> float:
+    """Instances of ``cls`` built per grid point of ``cli.main(argv)``,
+    curve set-up included: its ``__init__`` calls, and for ``DSeries``
+    the unchecked ``_of`` too."""
+    calls = [0]
+    names = ["__init__", "_of"] if cls is DSeries else ["__init__"]
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(
+                cls, name, counted_method(cls.__dict__[name], calls)))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         assert cli.main(list(argv)) == 0
     return calls[0] / points
+
+
+def default_grid(name: str) -> tuple[str, str]:
+    lo, hi = get_example(name).domain
+    return "--grid", f"{lo}:{hi}:101"
 
 
 class TestVectorsPerPoint:
@@ -354,7 +546,48 @@ class TestVectorsPerPoint:
     @pytest.mark.parametrize("command, most", [("classify", 10),
                                                ("eval", 30)])
     def test_vectors_per_point(self, name, command, most):
-        lo, hi = get_example(name).domain
-        n = vectors_per_point(command, "--curve", name,
-                              "--grid", f"{lo}:{hi}:101", points=101)
+        n = built_per_point(PGVector, command, "--curve", name,
+                            *default_grid(name))
         assert n <= most
+
+
+@pytest.fixture(scope="module")
+def helix_lattice(tmp_path_factory) -> str:
+    """The a = b = 1 Bertrand helix sampled at 129 rows on [-1, 1]."""
+    c = get_example("bertrand_helix", 1.0, 1.0).curve
+    path = tmp_path_factory.mktemp("lattice") / "helix.csv"
+    rows = ["s,x,y,z"]
+    for i in range(129):
+        s = -1.0 + i * 2.0 ** -6
+        p = c.jet(s, 0)
+        rows.append(f"{s:.17g},{p.x1:.17g},{p.x2:.17g},{p.x3:.17g}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+class TestSeriesPerPoint:
+    """``DSeries`` constructions per grid point of the CLI on a 101-point
+    grid.  The series form of the equiform pass built 14 per point of
+    each sweep; ``bertrand`` sweeps base and mate, and the mate's normal
+    series keeps ``DSeries``: 38.5 per point before, less 2 x 14 now."""
+
+    @pytest.mark.parametrize("name", ["timelike_general_helix",
+                                      "timelike_log_spiral",
+                                      "bertrand_helix"])
+    @pytest.mark.parametrize("command", ["classify", "eval"])
+    def test_curve(self, name, command):
+        assert built_per_point(DSeries, command, "--curve", name,
+                               *default_grid(name)) == 0
+
+    @pytest.mark.parametrize("command", ["classify", "eval"])
+    def test_lattice(self, command, helix_lattice):
+        assert built_per_point(DSeries, command, "--input", helix_lattice,
+                               "--grid", "-0.8:0.8:101") == 0
+
+    @pytest.mark.parametrize("name, lam", [("bertrand_helix", "0.3"),
+                                           ("isotropic_circle", "0.5"),
+                                           ("timelike_general_helix", "0.3")])
+    def test_bertrand(self, name, lam):
+        n = built_per_point(DSeries, "bertrand", "--curve", name,
+                            "--lambda", lam, *default_grid(name))
+        assert n <= 38.5 - 2 * 14
