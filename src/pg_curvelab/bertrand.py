@@ -12,21 +12,19 @@ of curves is accepted as a mate pair when, over a verification grid,
     claimed offset function (which must itself be constant), and
   * the scalar product of the two scale-invariant tangents is constant.
 
-Mate jets are computed exactly through derivative-series arithmetic when
-the base curve carries jets of order >= 6.  Mate order k needs the
-normal series to order k only, that is base orders 2..k+2 in series of
-length k+1; entry k of a series product, quotient or square root
-depends on entries <= k alone, so this gives the bits a longer series
-would.  Mate jets are served in bundles (:meth:`CurveJet.jets`, which is
-how the Frenet and equiform kernels read a point): orders first..last
-take one fetch of the base orders min(first, 2)..last+2 and one series
-of length last+1, e.g. 6 base jets for the orders 1-4 of
+Mate jets are computed through derivative-series arithmetic from the
+base jets up to order 6, exact or finite-difference alike (the FD tier
+serves orders 5-6 too), so every mate has one construction.  Mate order
+k needs the normal series to order k only, that is base orders 2..k+2 in
+series of length k+1; entry k of a series product, quotient or square
+root depends on entries <= k alone, so this gives the bits a longer
+series would.  Mate jets are served in bundles (:meth:`CurveJet.jets`,
+which is how the Frenet and equiform kernels read a point): orders
+first..last take one fetch of the base orders min(first, 2)..last+2 and
+one series of length last+1, e.g. 6 base jets for the orders 1-4 of
 :func:`equiform_data`, and base orders 0-6 once for a point of
-:func:`verify_bertrand_pair`.  When the base has order < 6 the exact bundle
-stops at order 2, orders three and four are finite differences of the
-exact second derivative at one step, the FD tier's balanced step capped
-by the mate's domain (one read of it per node and bundle), and the
-mate's domain shrinks by the stencil reach.  The mate keeps the base's ``nodes``, and reads the base there.
+:func:`verify_bertrand_pair`.  The mate keeps the base's domain, kind,
+warnings and ``nodes``, and reads the base at its own parameters only.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import PGVector, pg_dot
-from .curves import (_BALANCED, _EPS, CurveJet, JetKind, _fd_jet, _row_fn,
-                     _row_source)
+from .curves import CurveJet
 from .equiform import (
     MIN_GRID_POINTS,
     NaturalClassTag,
@@ -50,10 +47,9 @@ from .equiform import (
 )
 from .errors import (
     InadmissibleCurveError,
+    JetOrderError,
     MateInadmissibleError,
-    NarrowDomainError,
     NumericalInflectionError,
-    StepTooSmallError,
 )
 from .frenet import _overflow, frenet_data, normal_character
 from .series import DSeries
@@ -113,70 +109,27 @@ def _probe_mate(mate: CurveJet, offset: float) -> None:
 def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     """Construct the normal-offset mate of ``base`` at constant ``offset``.
 
-    The returned curve carries order base.max_order - 2 jets (at least 4)
-    when the base has order >= 6; otherwise it carries order-4 jets whose
-    orders three and four are finite differences, at a step h, of the
-    mate's exact second derivative m2, and its domain is the base's less
-    2h at each end, where the centred stencils of m2 reach.  h is the
-    FD tier's balanced step, eps^0.1 * max(1, |lo|, |hi|) (eps^0.1 on a
-    lattice, which is read at node indices wherever it lies), rounded
-    down to a whole multiple (at least one) of ``base.residual_step``.
-    The mate's own domain rule caps it so that 8h < hi - lo, and a base
-    no wider than 8 * residual_step raises :class:`NarrowDomainError`.
-    Keeping the whole domain would difference m2 with off-centre 5- and
-    6-node stencils at the ends: on the benchmark's lattices (seeds 1
-    and 11; 21, 101 and 1001 points; the seed's offset and 1) that
-    raised the flatness of 18 of the 24 ``bertrand --input`` pairs to
-    1.5e-5 to 5.0e-5, making them non-pairs.  The mate is
-    probed at five interior points and :class:`MateInadmissibleError`
-    is raised if the offset flattens or degenerates it; a non-finite
-    offset raises ``ValueError``.
+    The returned curve carries order base.max_order - 2 jets, each from
+    one fetch of the base's jets (:func:`_offset_jets`), and keeps the
+    base's domain, kind, warnings and ``nodes``.  A non-finite offset
+    raises ``ValueError`` and a base below order 6 :class:`JetOrderError`,
+    both before any jet is read.  The mate is probed at five interior
+    points and :class:`MateInadmissibleError` is raised if the offset
+    flattens or degenerates it.
     """
     lam = float(offset)
     if not math.isfinite(lam):
         raise ValueError(f"offset must be finite, got {lam}")
+    if base.max_order < 6:
+        raise JetOrderError(f"a mate needs base jets of order 6, the base "
+                            f"carries {base.max_order}")
 
-    if base.max_order >= 6:
-        def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-            return _offset_jets(base, lam, s, first, last)
+    def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+        return _offset_jets(base, lam, s, first, last)
 
-        domain, kind, max_order = base.domain, base.kind, base.max_order - 2
-        warnings = base.warnings
-    else:
-        # exact jets to order 2, finite differences above
-        lo, hi = base.domain
-        scale = max(1.0, abs(lo), abs(hi))
-        h0 = base.residual_step
-        # a lattice is read at node indices, so where it lies along s
-        # must not move the step
-        reach = 1.0 if base.nodes else scale
-        h = max(1, min(math.floor(_BALANCED * reach / h0),
-                       math.ceil((hi - lo) / (8.0 * h0)) - 1)) * h0
-        if not h >= 64.0 * _EPS * scale:
-            raise StepTooSmallError(
-                f"mate difference step {h} is below the round-off guard")
-        if hi - lo <= 8.0 * h0:
-            raise NarrowDomainError(
-                f"domain [{lo}, {hi}] too short for the mate stencils "
-                f"(8h = {8 * h0})")
-
-        m2 = _row_fn(lambda s: _offset_jets(base, lam, s, 2, 2)[0])
-
-        def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-            exact = (_offset_jets(base, lam, s, first, min(last, 2))
-                     if first <= 2 else ())
-            rows = _row_source(m2)
-            return exact + tuple(_fd_jet(rows, s, k - 2, h)
-                                 for k in range(max(first, 3), last + 1))
-
-        domain, kind, max_order = ((lo + 2.0 * h, hi - 2.0 * h),
-                                   JetKind.FINITE_DIFFERENCE, 4)
-        warnings = base.warnings + (
-            f"mate jets of orders 3-4 are finite differences at step "
-            f"{h:.3e}; domain shrunk by twice the step on each side",)
-
-    mate = CurveJet(None, domain, kind, max_order=max_order,
-                    warnings=warnings, jets_fn=jets_fn, nodes=base.nodes)
+    mate = CurveJet(None, base.domain, base.kind,
+                    max_order=base.max_order - 2, warnings=base.warnings,
+                    jets_fn=jets_fn, nodes=base.nodes)
     _probe_mate(mate, lam)
     return mate
 

@@ -6,13 +6,14 @@ constructors are provided: one wrapping user-supplied analytic derivative
 functions, two that rebuild all derivatives with central finite differences
 from a position function or from positions on a uniform lattice.
 
-The finite-difference scheme uses the 5-point stencils for orders 1-2 and
-the 7-point stencils for orders 3-4 (all fourth-order accurate), followed
-by one Richardson extrapolation level combining steps H and H/2.  The
-combined rules annihilate polynomials up to degree 5 at every order, so
-polynomial test curves come back exact up to round-off.  Each jet carries
-an error bound, and orders 3-4 pick their own step by it when the given
-step is round-off-bound (see :func:`make_sampled_curve`).
+The finite-difference scheme uses the 5-point stencils for orders 1-2,
+the 7-point stencils for orders 3-4 and the 9-point stencils for orders
+5-6 (all fourth-order accurate), followed by one Richardson extrapolation
+level combining steps H and H/2.  The combined rules annihilate
+polynomials up to degree 5 at every order, so polynomial test curves come
+back exact up to round-off.  Each jet carries an error bound, and orders
+3-6 pick their own step by it when the given step is round-off-bound (see
+:func:`make_sampled_curve`).
 """
 
 from __future__ import annotations
@@ -239,10 +240,12 @@ def make_analytic_curve(position: PositionFn,
 
 _ROUNDOFF_ULPS = 4.0        # ulps of error trusted in each position sample
 _BALANCED = _EPS ** 0.1     # balances truncation and round-off at order 4
+_BALANCED_6 = _EPS ** (1 / 12)      # and at order 6
 
 # node ranges (first offset, count), in units of the step, of the centred
-# base stencils: 5 points for orders 1-2, 7 points for orders 3-4
-_CENTRED = {1: (-2, 5), 2: (-2, 5), 3: (-3, 7), 4: (-3, 7)}
+# base stencils: 5 points for orders 1-2, 7 for orders 3-4, 9 for 5-6
+_CENTRED = {1: (-2, 5), 2: (-2, 5), 3: (-3, 7), 4: (-3, 7), 5: (-4, 9),
+            6: (-4, 9)}
 
 
 class FDVector(PGVector):
@@ -288,7 +291,7 @@ def _weights(order: int, first: int, count: int
     computes; here it is done in exact integer arithmetic.  Returned as
     (offsets, integer weights, common denominator, sum of |weights|),
     nodes of zero weight dropped.  On the centred node sets these are
-    the classical 5- and 7-point stencils.
+    the classical 5-, 7- and 9-point stencils.
     """
     nodes = range(first, first + count)
     fracs: list[tuple[int, int]] = []
@@ -369,13 +372,12 @@ def _extrapolate(rows: Rows, s: float, order: int, h: float, first: int,
     return x, y, z, trunc, roundoff
 
 
-def _fd_jet(rows: Rows, s: float, order: int, h: float, top: int = 1,
-            window: tuple[float, float] = (-math.inf, math.inf)
-            ) -> FDVector:
+def _fd_jet(rows: Rows, s: float, order: int, h: float, top: int,
+            window: tuple[float, float]) -> FDVector:
     """Order-``order`` (>= 1) jet at s with its error bound: centred at
-    steps h and h/2 for orders 1-2 or when ``top`` is 1, otherwise at the
-    step :func:`_adaptive` picks."""
-    if order <= 2 or top == 1:
+    steps h and h/2 when ``top`` is 1, otherwise at the step
+    :func:`_adaptive` picks."""
+    if top == 1:
         x, y, z, trunc, roundoff = _extrapolate(rows, s, order, h,
                                                 *_CENTRED[order])
     else:
@@ -385,30 +387,32 @@ def _fd_jet(rows: Rows, s: float, order: int, h: float, top: int = 1,
 
 def _node_range(order: int, s: float, step: float,
                 window: tuple[float, float]) -> tuple[int, int] | None:
-    """Node range (first, count), in units of ``step``, of an order-3/4
-    stencil at s whose nodes all lie in ``window``.
+    """Node range (first, count), in units of ``step``, of an order-3 to
+    6 stencil at s whose nodes all lie in ``window``.
 
-    The centred 7 points when they fit; otherwise order + 4 consecutive
-    points (fourth-order accurate off centre) pushed away from the
-    nearer window end; None when the window is too short for the step.
+    The centred stencil (``_CENTRED``, reaching ``half`` steps) when it
+    fits; otherwise order + 4 consecutive points (fourth-order accurate
+    off centre) pushed away from the nearer window end; None when the
+    window is too short for the step.
     """
+    half = -_CENTRED[order][0]
     left = math.floor((s - window[0]) / step + 1e-9)
     right = math.floor((window[1] - s) / step + 1e-9)
-    if left >= 3 and right >= 3:
+    if left >= half and right >= half:
         return _CENTRED[order]
     count = order + 4
     if left + right + 1 < count:
         return None
-    return (-left, count) if left < 3 else (right - count + 1, count)
+    return (-left, count) if left < half else (right - count + 1, count)
 
 
 def _fit(order: int, s: float, m: int, h: float,
          window: tuple[float, float]) -> tuple[int, tuple[int, int]]:
-    """The largest multiple m' <= m of h whose order-3/4 stencil at s
+    """The largest multiple m' <= m of h whose order-3 to 6 stencil at s
     fits the window, with its node range; m' = 1 and the centred
-    stencil, which reaches 3h, inside the 4h margin, when none fits.  A
-    stencil that fits at a step fits at every shorter one, so the
-    multiples below a first misfit are bisected."""
+    stencil, which reaches 3h (4h at orders 5-6), inside the 4h margin,
+    when none fits.  A stencil that fits at a step fits at every shorter
+    one, so the multiples below a first misfit are bisected."""
     nodes = _node_range(order, s, m * h, window)
     if nodes is not None:
         return m, nodes
@@ -426,7 +430,7 @@ def _fit(order: int, s: float, m: int, h: float,
 def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
               window: tuple[float, float]
               ) -> tuple[float, float, float, float, float]:
-    """Order-3/4 jet at the step m*h, 1 <= m <= 2*top, whose error
+    """Order-3 to 6 jet at the step m*h, 1 <= m <= 2*top, whose error
     estimate is smallest among the steps tried, as :func:`_extrapolate`
     returns it.
 
@@ -460,7 +464,7 @@ def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
 
 def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
                        h: float | None = None) -> CurveJet:
-    """Build a curve whose derivatives, up to order 4, come from finite
+    """Build a curve whose derivatives, up to order 6, come from finite
     differences.
 
     Every jet is one Richardson level over the steps H and H/2 of a
@@ -477,13 +481,16 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     H = m*h with 1 <= m <= 2 * floor(balanced / h), the one with the
     smallest error estimate among at most three tried steps (see
     ``_adaptive``).  The estimate depends on the curve and on s, so the
-    step does too.
+    step does too.  Orders 5 and 6 do the same from the order-6 balance
+    eps^(1/12) * max(1, |lo|, |hi|), or eps^(1/12) on a lattice, whose
+    nodes are read by index wherever it lies along s.
 
     Window.  ``position`` is only read on the domain widened by 4h on
-    each side.  Centred stencils reach 2h (orders 1-2) and 3H (orders
-    3-4); where a centred order-3/4 stencil would leave the window, an
-    off-centre stencil of order + 4 consecutive nodes (see ``_weights``)
-    is used instead.  Every node is s + j * h/2 for an integer j.
+    each side.  Centred stencils reach 2h (orders 1-2), 3H (orders 3-4)
+    and 4H (orders 5-6); where a centred order-3 to 6 stencil would leave
+    the window, an off-centre stencil of order + 4 consecutive nodes (see
+    ``_weights``) is used instead.  Every node is s + j * h/2 for an
+    integer j.
 
     Bundles.  ``jets(s, first, last)`` reads each node once for all its
     orders and step trials (see ``_row_source``); ``jet(s, k)`` is the
@@ -564,16 +571,19 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
                 PGVector(x - dx, y, z)      # an overflowing shift raises
             return x - dx, y, z, max(abs(x - dx), abs(y), abs(z))
 
-    top = max(1, math.floor(_BALANCED * scale / h))
+    # the balanced multiple of h that each order's step search starts from
+    top4 = max(1, math.floor(_BALANCED * scale / h))
+    top6 = max(1, math.floor(_BALANCED_6 * (1.0 if nodes else scale) / h))
+    tops = (1, 1, 1, top4, top4, top6, top6)
     window = (lo - 4.0 * h, hi + 4.0 * h)
 
     def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
         rows = _row_source(row_at)
         return tuple(PGVector(*row_at(s)[:3]) if k == 0
-                     else _fd_jet(rows, s, k, h, top, window)
+                     else _fd_jet(rows, s, k, h, tops[k], window)
                      for k in range(first, last + 1))
 
-    return CurveJet(None, (lo, hi), JetKind.FINITE_DIFFERENCE,
+    return CurveJet(None, (lo, hi), JetKind.FINITE_DIFFERENCE, max_order=6,
                     jets_fn=jets_fn, nodes=nodes)
 
 

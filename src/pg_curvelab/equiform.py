@@ -102,15 +102,11 @@ def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
         q0 = fsum((z0 * z0,))                          # z''^2
         q1 = fsum((z0 * z1, z1 * z0))
         q2 = fsum((z0 * z2, 2.0 * z1 * z1, z2 * z0))
+        # normal_character has made w0 = |y''^2 - z''^2| > 0, finite
         w0, w1, w2 = eps * (p0 - q0), eps * (p1 - q1), eps * (p2 - q2)
-        if w0 <= 0.0:
-            raise ValueError("sqrt needs a positive leading value")
         k0 = sqrt(w0)                                  # kappa = sqrt(w)
         k1 = w1 / (2.0 * k0)
         k2 = (w2 - fsum((2.0 * k1 * k1,))) / (2.0 * k0)
-        if k0 == 0.0:
-            raise ZeroDivisionError(
-                "division by a series with zero leading value")
         r0 = 1.0 / k0                                  # (rho, K, dK/ds)
         r1 = (0.0 - fsum((r0 * k1,))) / k0
         r2 = (0.0 - fsum((r0 * k2, 2.0 * r1 * k1))) / k0
@@ -138,20 +134,20 @@ def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
             ke1 = (we1 + ke0 * g1) / g0
             ke2 = (we2 + ke0 * g2 + 2.0 * ke1 * g1) / g0
             ak0, ak1, ak2, ar0, ar1 = map(abs, (k0, k1, k2, r0, r1))
-            re0 = (0.0 + (0.0 + (ar0 * ke0 + 0.0 * ak0))) / ak0
+            re0 = (0.0 + (0.0 + ar0 * ke0)) / ak0
             re1 = (0.0 + (0.0 + (ar0 * ke1 + 0.0 * ak1)
-                          + (ar1 * ke0 + 0.0 * ak0))
+                          + ar1 * ke0)
                    + re0 * ak1) / ak0
             re2 = (0.0 + (0.0 + (ar0 * ke2 + 0.0 * ak2)
                           + 2.0 * (ar1 * ke1 + 0.0 * ak1)
-                          + (abs(r2) * ke0 + 0.0 * ak0))
+                          + abs(r2) * ke0)
                    + re0 * ak2 + 2.0 * re1 * ak1) / ak0
             a2 = ay0 + az0
             aw0, aw1, at0, at1 = abs(w0), abs(w1), abs(t0), abs(t1)
             te0 = ((e3 * a2 + e2 * (ay1 + az1))
-                   + (0.0 + (at0 * we0 + 0.0 * aw0))) / aw0
+                   + (0.0 + at0 * we0)) / aw0
             te1 = ((e4 * a2 + e2 * (ay2 + az2))
-                   + (0.0 + (at0 * we1 + 0.0 * aw1) + (at1 * we0 + 0.0 * aw0))
+                   + (0.0 + (at0 * we1 + 0.0 * aw1) + at1 * we0)
                    + te0 * aw1) / aw0
             errors = (re0, re1, 0.0 + (ar0 * te0 + re0 * at0), re2,
                       0.0 + (ar0 * te1 + re0 * at1) + (ar1 * te0 + re1 * at0))

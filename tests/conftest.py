@@ -107,14 +107,17 @@ def parabola() -> ZooEntry:
 
 @pytest.fixture(scope="session")
 def light_cone_crossing_curve() -> CurveJet:
-    """(s, s^3/6, s^2/2): y'' = s, z'' = 1, so eps flips at s = 1."""
+    """(s, s^3/6, s^2/2): y'' = s, z'' = 1, so eps flips at s = 1.  Its
+    exact zero orders 4-6 give it mates."""
+    def zero(s: float) -> PGVector:
+        return PGVector(0.0, 0.0, 0.0)
+
     return make_analytic_curve(
         lambda s: PGVector(s, s ** 3 / 6.0, 0.5 * s * s),
         lambda s: PGVector(1.0, 0.5 * s * s, s),
         lambda s: PGVector(0.0, s, 1.0),
         lambda s: PGVector(0.0, 1.0, 0.0),
-        lambda s: PGVector(0.0, 0.0, 0.0),
-        domain=(0.25, 2.0))
+        zero, domain=(0.25, 2.0), higher=(zero, zero))
 
 
 @pytest.fixture(scope="session")

@@ -16,10 +16,10 @@ from pg_curvelab.bertrand import (
     verify_bertrand_pair,
 )
 from pg_curvelab.curves import (CurveJet, JetKind, apply_similarity,
-                                 make_sampled_curve)
+                                 make_lattice_curve, make_sampled_curve)
 from pg_curvelab.equiform import equiform_data
-from pg_curvelab.errors import (InadmissibleCurveError, MateInadmissibleError,
-                                 NarrowDomainError, StepTooSmallError)
+from pg_curvelab.errors import (InadmissibleCurveError, JetOrderError,
+                                 MateInadmissibleError)
 from pg_curvelab.frenet import frenet_data
 from pg_curvelab.zoo import get_example
 
@@ -183,19 +183,20 @@ class TestNature:
 
 
 class TestFiniteDifferenceFallback:
+    """A finite-difference base carries jets to order 6, so its mate is
+    built as an exact base's is; a base below order 6 has no mate."""
+
     def test_low_order_base_gets_difference_jets(self, helix_fixture, uniform):
         base = make_sampled_curve(lambda s: helix_fixture.curve.jet(s, 0),
                                   (-0.9, 0.9))
         mate = bertrand_mate(base, 1.0)
+        assert base.max_order == 6
         assert mate.kind is JetKind.FINITE_DIFFERENCE
         assert mate.max_order == 4
-        assert any("finite differences" in w for w in mate.warnings)
-        # the base's domain less 2H, H = 272 * 1e-4: the balanced step
-        # eps^0.1 * max(1, 0.9) in whole residual steps of 1e-4
-        lo, hi = mate.domain
-        assert (lo, hi) == (-0.9 + 2 * 272e-4, 0.9 - 2 * 272e-4)
+        assert mate.warnings == ()
+        assert mate.domain == base.domain == (-0.9, 0.9)
 
-        grid = uniform(lo, hi, 11)
+        grid = uniform(*mate.domain, 11)
         pair = verify_bertrand_pair(base, mate, 1.0, grid, tol=1e-4)
         assert pair.is_pair
         assert pair.offset == pytest.approx(1.0, rel=1e-4)
@@ -204,19 +205,14 @@ class TestFiniteDifferenceFallback:
         assert not strict.is_pair
         assert any("equiform curvature" in f for f in strict.failures)
 
-    @pytest.mark.parametrize("a", [1.0, 10.0])
-    def test_high_torsion_base(self, uniform, a):
-        # tau = 10 over an exact order-4 base: at H = 0.0272, tau * H =
-        # 0.27, the differenced mate is flat to 6.0e-8 (a = 1) and 4.2e-8
-        # (a = 10) over its domain; on the same points the earlier step,
-        # 2.5e-4, read 4.5e-6 and 2.5e-6, its round-off
-        jet = get_example("bertrand_helix", a, 10.0).curve.jet
+    def test_order_four_base_is_rejected(self):
+        def jet(s, k):
+            raise AssertionError("the base was evaluated")
+
         base = CurveJet(jet, (-1.0, 1.0), JetKind.ANALYTIC, max_order=4)
-        mate = bertrand_mate(base, 0.3)
-        pair = verify_bertrand_pair(base, mate, 0.3,
-                                    uniform(*mate.domain, 101))
-        assert pair.is_pair, pair.failures
-        assert pair.curvature_flatness_sup < 1e-7
+        with pytest.raises(JetOrderError, match=(
+                "^a mate needs base jets of order 6, the base carries 4$")):
+            bertrand_mate(base, 0.3)
 
     @pytest.mark.parametrize("fixture", ["helix_fixture", "parabola"])
     def test_resampled_mate_matches_the_analytic_pair(self, request,
@@ -237,27 +233,6 @@ class TestFiniteDifferenceFallback:
         assert exact.is_pair and pair.is_pair, pair.failures
         assert pair.nature is exact.nature
         assert pair.offset == pytest.approx(exact.offset, rel=1e-12)
-
-    def test_narrow_base_domain_rejected(self, helix_fixture):
-        # off a lattice the mate's step is a multiple of h0 = 1e-4, so a
-        # base domain must be wider than 8h0 to hold its stencils
-        jet = helix_fixture.curve.jet
-        base = CurveJet(jet, (0.0, 5e-4), JetKind.ANALYTIC, max_order=4)
-        with pytest.raises(NarrowDomainError, match=(
-                r"too short for the mate stencils \(8h = 0\.0008\)")):
-            bertrand_mate(base, 0.3)
-        base = CurveJet(jet, (0.0, 1e-3), JetKind.ANALYTIC, max_order=4)
-        assert bertrand_mate(base, 0.3).domain == (2e-4, 1e-3 - 2e-4)
-
-    def test_step_below_round_off_rejected(self, parabola):
-        # at s ~ 1e10 a domain of width 1e-3 caps the step at h0 = 1e-4,
-        # below 64 ulps of the domain scale
-        base = CurveJet(parabola.curve.jet, (1e10, 1e10 + 1e-3),
-                        JetKind.ANALYTIC, max_order=4)
-        with pytest.raises(StepTooSmallError, match=(
-                r"mate difference step 0\.0001 is below the round-off "
-                "guard")):
-            bertrand_mate(base, 0.3)
 
 
 class TestSweepOrder:
@@ -366,9 +341,11 @@ class TestMateJetBundles:
         assert calls.bundles == [(s, 0, 4) for s in grid] + \
             [(s, 0, 6) for s in grid]
 
-    def test_fallback_bundle_matches_single_orders(self, helix_fixture,
-                                                   counting):
-        base, _ = counting(helix_fixture.curve, max_order=4)
+    def test_fallback_bundle_matches_single_orders(self, helix_fixture):
+        # a finite-difference base: its bundles and single orders agree
+        # bit for bit, error bounds included, and so do its mate's
+        base = make_sampled_curve(helix_fixture.curve.position, (-0.9, 0.9),
+                                  h=1e-3)
         mate = bertrand_mate(base, 1.0)
         assert mate.kind is JetKind.FINITE_DIFFERENCE
         for s in (-0.5, 0.1, 0.6):
@@ -381,7 +358,8 @@ class TestMateJetBundles:
     def test_fallback_exact_orders_use_right_length_series(self,
                                                            helix_fixture,
                                                            counting):
-        base, calls = counting(helix_fixture.curve, max_order=4)
+        base, calls = counting(make_sampled_curve(
+            helix_fixture.curve.position, (-0.9, 0.9)))
         mate = bertrand_mate(base, 1.0)
         calls.clear()
         mate.jets(0.2, 0, 2)
@@ -393,6 +371,27 @@ class TestMateJetBundles:
     @pytest.mark.parametrize("max_order", [8, 4])
     def test_flattening_offset_is_rejected(self, helix_fixture, max_order,
                                            counting):
-        base, _ = counting(helix_fixture.curve, max_order=max_order)
-        with pytest.raises(MateInadmissibleError, match="inadmissible mate"):
+        base, calls = counting(helix_fixture.curve, max_order=max_order)
+        error, message = ((MateInadmissibleError, "inadmissible mate")
+                          if max_order == 8 else (JetOrderError, "order 6"))
+        with pytest.raises(error, match=message):
             bertrand_mate(base, -1.0)
+        # a base cut to order 4 has no mate and is never read
+        assert bool(calls.orders) is (max_order == 8)
+
+    def test_fd_mate_reads_each_base_point_once(self, helix_fixture,
+                                                counting):
+        # the mate of the 257-row helix lattice: one base bundle of orders
+        # 0-6 per point of its sweep, and no other read
+        c = helix_fixture.curve
+        d = 2.0 ** -7
+        base, calls = counting(make_lattice_curve(
+            (s, *c.position(s).as_tuple())
+            for s in (-1.0 + i * d for i in range(257))))
+        mate = bertrand_mate(base, 0.3)
+        grid = base.grid(-0.8, 0.8, 21)
+        calls.clear()
+        pair = verify_bertrand_pair(base, mate, 0.3, grid)
+        assert pair.is_pair, pair.failures
+        assert calls.bundles == [(s, 0, 4) for s in grid] + \
+            [(s, 0, 6) for s in grid]

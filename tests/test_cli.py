@@ -717,7 +717,7 @@ class TestBertrandCommand:
         ("parabola_csv", "isotropic-circle"),
     ])
     def test_pair_on_a_lattice(self, request, capsys, lattice, nature):
-        # on helix_csv the mate's curvature flatness, 9.8e-6, sits just
+        # on helix_csv the mate's curvature flatness is 6.6e-7, 15 times
         # inside the FD tolerance; the parabola's is exactly 0
         path = request.getfixturevalue(lattice)
         rc, out, err = invoke(capsys, "bertrand", "--input", path,
@@ -727,6 +727,22 @@ class TestBertrandCommand:
         doc = json.loads(out)["bertrand"]
         assert doc["is_pair"] is True, doc["failures"]
         assert doc["nature"] == nature
+
+    @pytest.mark.parametrize("lam", ["0.3", "1"])
+    def test_coarse_lattice_pairs_on_a_fine_grid(self, capsys, helix_csv,
+                                                  lam):
+        # spacing 2^-7, 101 points: the mate's orders 3-4 come from the
+        # lattice's FD orders 5-6, and its flatness is 6.6e-7 (lam = 0.3)
+        # and 9.3e-7 (lam = 1) on every point
+        rc, out, err = invoke(capsys, "bertrand", "--input", helix_csv,
+                              "--lambda", lam, "--grid", "-0.8:0.8:101",
+                              "--format", "json")
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["grid"]["points"] == 101
+        assert doc["bertrand"]["is_pair"] is True, doc["bertrand"]["failures"]
+        assert doc["bertrand"]["nature"] == "circular-helix"
+        assert doc["bertrand"]["curvature_flatness_sup"] <= 1e-6
 
     def test_lattice_mate_reads_only_nodes(self, helix_fixture, counting):
         # the lattice of helix_csv, its reads counted: a read between
@@ -750,9 +766,10 @@ class TestBertrandCommand:
 
     def test_translated_lattice_pairs(self, tmp_path, capsys, helix_fixture):
         # the lattice of helix_csv with s and x shifted by c, an isometry:
-        # the verdicts must not move, nor the points they verify.  On a
-        # lattice the mate's step does not grow with |s|, so its domain
-        # keeps all 21 points at every c
+        # the verdicts must not move, nor the points they verify.  The
+        # mate keeps the base's domain, and on a lattice the steps of
+        # orders 5-6 do not grow with |s|: the flatness is 6.6e-7 at c = 0
+        # and 1.1e-6 at c = 1000
         verdicts = []
         for c in (0.0, 8.0, 64.0, 1000.0):
             path = tmp_path / f"helix{c:g}.csv"
@@ -783,10 +800,9 @@ class TestBertrandCommand:
         (10.0, 1.0, 1e-8),      # kappa = 10
     ])
     def test_pair_on_a_fine_lattice(self, tmp_path, capsys, a, b, flatness):
-        # spacing 1e-3, so the mate's step is 13 residual steps, 0.026:
-        # neither a high torsion nor a high curvature needs a shorter one
-        # (the earlier step, 0.0025 / max(1, tau, kappa) on the nodes,
-        # read 9.2e-6 at tau = 3 and 1.0e-7 at kappa = 10)
+        # spacing 1e-3: the mate's orders 3-4 come from the lattice's
+        # orders 5-6, whose step search starts at 24 residual steps; the
+        # flatness is 6.2e-7 at tau = 3 and 4.5e-10 at kappa = 10
         path = write_lattice(tmp_path / "helix.csv",
                              get_example("bertrand_helix", a, b).curve,
                              -1.0, 1e-3, 2001)

@@ -91,9 +91,8 @@ def test_bertrand_family_lattices_pair(cli_digest, bertrand_input):
         pair = doc["bertrand"]
         assert pair["is_pair"] is True, (argv, pair["failures"])
         assert pair["nature"] == NATURES[family]
-        # the mate domain, the base's less 2H = 52 lattice spacings at
-        # each end, keeps the interior points, where the mate is flat
-        assert doc["grid"]["points"] == {21: 19, 101: 95}[points]
+        # the mate keeps the base's domain, so every grid point is verified
+        assert doc["grid"]["points"] == points
         assert pair["curvature_flatness_sup"] <= 2e-6
 
 

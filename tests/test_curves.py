@@ -16,6 +16,7 @@ from pg_curvelab.curves import (
     CurveJet,
     FDVector,
     JetKind,
+    LATTICE_MIN_ROWS,
     _weights,
     apply_homothety,
     apply_similarity,
@@ -537,6 +538,39 @@ def walk(order, s, m, h, window):
     return m, nodes or curves._CENTRED[order]
 
 
+class TestOrdersFiveSix:
+    """FD orders 5-6: centred 9-node stencils, off centre near the
+    window ends, at steps searched from the order-6 balance."""
+
+    @pytest.mark.parametrize("spacing, n", [(2.0 ** -7, 257), (1e-3, 2001)])
+    def test_jets_lie_within_their_bounds(self, helix_fixture, spacing, n):
+        # every node of the domain, ends included, on a dyadic and a
+        # non-dyadic lattice; the worst deviation is 0.16 of the bound
+        exact = helix_fixture.curve
+        c = make_lattice_curve((s, *exact.position(s).as_tuple()) for s in
+                               (-1.0 + i * spacing for i in range(n)))
+        assert c.max_order == 6
+        grid = c.grid(*c.domain, n - 16)
+        assert len(grid) == n - 16
+        for s in grid:
+            for k, got in enumerate(c.jets(s, 5, 6), 5):
+                want = exact.jet(s, k)
+                assert max(abs(got.x2 - want.x2),
+                           abs(got.x3 - want.x3)) <= got.err, (s, k)
+
+    def test_shortest_lattice_serves_order_six_at_its_ends(self):
+        # 33 rows: the domain is 8h wide, and an off-centre 10-node
+        # stencil of step h fits the lattice at either end
+        c = lattice_curve(0.0, 2.0 ** -6, LATTICE_MIN_ROWS)
+        for s in c.domain:
+            jets = c.jets(s, 0, 6)
+            # (cosh s, sinh s) has the odd derivative (sinh s, cosh s)
+            for got, want in ((jets[5], (math.sinh(s), math.cosh(s))),
+                              (jets[6], (math.cosh(s), math.sinh(s)))):
+                assert max(abs(got.x2 - want[0]),
+                           abs(got.x3 - want[1])) <= got.err
+
+
 class TestStepSearch:
     """Orders 3-4 step down from the balanced multiple to the largest
     multiple whose stencil fits, by bisection."""
@@ -714,10 +748,11 @@ class TestSampledBundle:
 
     @staticmethod
     def assert_bundles_match(c: CurveJet, points) -> None:
+        orders = c.max_order + 1
         for s in points:
-            single = [bits(c.jet(s, k)) for k in range(5)]
-            for first in range(5):
-                for last in range(first, 5):
+            single = [bits(c.jet(s, k)) for k in range(orders)]
+            for first in range(orders):
+                for last in range(first, orders):
                     got = [bits(v) for v in c.jets(s, first, last)]
                     assert got == single[first:last + 1], (s, first, last)
 
