@@ -12,25 +12,28 @@ of curves is accepted as a mate pair when, over a verification grid,
     claimed offset function (which must itself be constant), and
   * the scalar product of the two scale-invariant tangents is constant.
 
-Mate jets are computed through derivative-series arithmetic from the
-base jets up to order 6, exact or finite-difference alike (the FD tier
-serves orders 5-6 too), so every mate has one construction.  Mate order
-k needs the normal series to order k only, that is base orders 2..k+2 in
-series of length k+1; entry k of a series product, quotient or square
-root depends on entries <= k alone, so this gives the bits a longer
-series would.  Mate jets are served in bundles (:meth:`CurveJet.jets`,
-which is how the Frenet and equiform kernels read a point): orders
-first..last take one fetch of the base orders min(first, 2)..last+2 and
-one series of length last+1, e.g. 6 base jets for the orders 1-4 of
-:func:`equiform_data`, and base orders 0-6 once for a point of
-:func:`verify_bertrand_pair`.  The mate keeps the base's domain, kind,
-warnings and ``nodes``, and reads the base at its own parameters only.
+Mate jets are computed from the base jets up to order 6, exact or
+finite-difference alike (the FD tier serves orders 5-6 too), so every
+mate has one construction: the derivative series of the normal, in
+truncated Taylor arithmetic written out as float code
+(:func:`_normal_series`).  Mate order k needs the normal series to order
+k only, that is base orders 2..k+2 in series of length k+1; entry k of a
+series product or reciprocal depends on entries <= k alone, so this
+gives the bits a longer series would.  A mate carries orders up to 6.
+Mate jets are served in bundles (:meth:`CurveJet.jets`, which is how the
+Frenet and equiform kernels read a point): orders first..last take one
+fetch of the base orders min(first, 2)..last+2 and one series of length
+last+1, e.g. 6 base jets for the orders 1-4 of :func:`equiform_data`,
+and base orders 0-6 once for a point of :func:`verify_bertrand_pair`.
+The mate keeps the base's domain, kind, warnings and ``nodes``, and
+reads the base at its own parameters only.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from math import fsum
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import PGVector, pg_dot
@@ -52,22 +55,106 @@ from .errors import (
     NumericalInflectionError,
 )
 from .frenet import _overflow, frenet_data, normal_character
-from .series import DSeries
 
 OffsetFn = Callable[[float], float]
 
 
 def _normal_series(jets: Sequence[PGVector], s: float
-                   ) -> tuple[DSeries, DSeries]:
+                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Derivative series of the two isotropic components of the
     scale-invariant normal rho^2 * gamma'' from the base jets of orders
-    2, 3, ...: n jets give series of length n.  Raises where
-    :func:`normal_character` rejects the base's acceleration."""
+    2, 3, ...: n <= 7 jets give series of length n.  Raises where
+    :func:`normal_character` rejects the base's acceleration.
+
+    Truncated Taylor arithmetic (Griewank & Walther, *Evaluating
+    Derivatives*, ch. 13) on floats, in the stages and order of the
+    ``DSeries`` form: y''^2, z''^2, the reciprocal of w = eps (y''^2 -
+    z''^2), then rho^2 y'' and rho^2 z''.  So every value, and the first
+    ``fsum`` to overflow, is that of :class:`~.series.DSeries`; an
+    order-by-order pass would give the same values but could meet
+    another failing ``fsum`` first.  w_0 needs no zero test:
+    :func:`normal_character` has made |y''^2 - z''^2| > 0.
+    """
     eps = normal_character(s, None, jets[0])
-    y2 = DSeries(j.x2 for j in jets)
-    z2 = DSeries(j.x3 for j in jets)
-    rho2 = (eps * (y2 * y2 - z2 * z2)).reciprocal()
-    return rho2 * y2, rho2 * z2
+    y = [j.x2 for j in jets]
+    z = [j.x3 for j in jets]
+    rho2 = _reciprocal(_product(y, y), _product(z, z), eps)
+    return _product(rho2, y), _product(rho2, z)
+
+
+def _product(a: Sequence[float], b: Sequence[float]) -> tuple[float, ...]:
+    """The Leibniz product of two series of one length n <= 7: entry k
+    is one ``fsum`` of the terms C(k, i) * a_i * b_(k-i), i = 0..k, each
+    evaluated left to right (a C of 1 is left out, which is exact)."""
+    n = len(a)
+    a0, b0 = a[0], b[0]
+    c0 = fsum((a0 * b0,))
+    if n == 1:
+        return (c0,)
+    a1, b1 = a[1], b[1]
+    c1 = fsum((a0 * b1, a1 * b0))
+    if n == 2:
+        return c0, c1
+    a2, b2 = a[2], b[2]
+    c2 = fsum((a0 * b2, 2.0 * a1 * b1, a2 * b0))
+    if n == 3:
+        return c0, c1, c2
+    a3, b3 = a[3], b[3]
+    c3 = fsum((a0 * b3, 3.0 * a1 * b2, 3.0 * a2 * b1, a3 * b0))
+    if n == 4:
+        return c0, c1, c2, c3
+    a4, b4 = a[4], b[4]
+    c4 = fsum((a0 * b4, 4.0 * a1 * b3, 6.0 * a2 * b2, 4.0 * a3 * b1,
+               a4 * b0))
+    if n == 5:
+        return c0, c1, c2, c3, c4
+    a5, b5 = a[5], b[5]
+    c5 = fsum((a0 * b5, 5.0 * a1 * b4, 10.0 * a2 * b3, 10.0 * a3 * b2,
+               5.0 * a4 * b1, a5 * b0))
+    if n == 6:
+        return c0, c1, c2, c3, c4, c5
+    a6, b6 = a[6], b[6]
+    c6 = fsum((a0 * b6, 6.0 * a1 * b5, 15.0 * a2 * b4, 20.0 * a3 * b3,
+               15.0 * a4 * b2, 6.0 * a5 * b1, a6 * b0))
+    return c0, c1, c2, c3, c4, c5, c6
+
+
+def _reciprocal(p: Sequence[float], q: Sequence[float], eps: int
+                ) -> tuple[float, ...]:
+    """The series of 1/w, w = eps (p - q), for a length n <= 7 and w_0
+    nonzero: r_0 = 1/w_0 and r_k = (0 - fsum of C(k, i) r_i w_(k-i),
+    i < k) / w_0."""
+    n = len(p)
+    w0 = eps * (p[0] - q[0])
+    r0 = 1.0 / w0
+    if n == 1:
+        return (r0,)
+    w1 = eps * (p[1] - q[1])
+    r1 = (0.0 - fsum((r0 * w1,))) / w0
+    if n == 2:
+        return r0, r1
+    w2 = eps * (p[2] - q[2])
+    r2 = (0.0 - fsum((r0 * w2, 2.0 * r1 * w1))) / w0
+    if n == 3:
+        return r0, r1, r2
+    w3 = eps * (p[3] - q[3])
+    r3 = (0.0 - fsum((r0 * w3, 3.0 * r1 * w2, 3.0 * r2 * w1))) / w0
+    if n == 4:
+        return r0, r1, r2, r3
+    w4 = eps * (p[4] - q[4])
+    r4 = (0.0 - fsum((r0 * w4, 4.0 * r1 * w3, 6.0 * r2 * w2,
+                      4.0 * r3 * w1))) / w0
+    if n == 5:
+        return r0, r1, r2, r3, r4
+    w5 = eps * (p[5] - q[5])
+    r5 = (0.0 - fsum((r0 * w5, 5.0 * r1 * w4, 10.0 * r2 * w3,
+                      10.0 * r3 * w2, 5.0 * r4 * w1))) / w0
+    if n == 6:
+        return r0, r1, r2, r3, r4, r5
+    w6 = eps * (p[6] - q[6])
+    r6 = (0.0 - fsum((r0 * w6, 6.0 * r1 * w5, 15.0 * r2 * w4,
+                      20.0 * r3 * w3, 15.0 * r4 * w2, 6.0 * r5 * w1))) / w0
+    return r0, r1, r2, r3, r4, r5, r6
 
 
 def _offset_jets(base: CurveJet, lam: float, s: float, first: int,
@@ -109,13 +196,14 @@ def _probe_mate(mate: CurveJet, offset: float) -> None:
 def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     """Construct the normal-offset mate of ``base`` at constant ``offset``.
 
-    The returned curve carries order base.max_order - 2 jets, each from
-    one fetch of the base's jets (:func:`_offset_jets`), and keeps the
-    base's domain, kind, warnings and ``nodes``.  A non-finite offset
-    raises ``ValueError`` and a base below order 6 :class:`JetOrderError`,
-    both before any jet is read.  The mate is probed at five interior
-    points and :class:`MateInadmissibleError` is raised if the offset
-    flattens or degenerates it.
+    The returned curve carries the jets of orders up to base.max_order -
+    2, at most 6, each from one fetch of the base's jets
+    (:func:`_offset_jets`), and keeps the base's domain, kind, warnings
+    and ``nodes``.  A non-finite offset raises ``ValueError`` and a base
+    below order 6 :class:`JetOrderError`, both before any jet is read.
+    The mate is probed at five interior points and
+    :class:`MateInadmissibleError` is raised if the offset flattens or
+    degenerates it.
     """
     lam = float(offset)
     if not math.isfinite(lam):
@@ -128,8 +216,8 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
         return _offset_jets(base, lam, s, first, last)
 
     mate = CurveJet(None, base.domain, base.kind,
-                    max_order=base.max_order - 2, warnings=base.warnings,
-                    jets_fn=jets_fn, nodes=base.nodes)
+                    max_order=min(base.max_order, 8) - 2,
+                    warnings=base.warnings, jets_fn=jets_fn, nodes=base.nodes)
     _probe_mate(mate, lam)
     return mate
 

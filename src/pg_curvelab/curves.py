@@ -50,6 +50,18 @@ class JetKind(Enum):
         return 1e-8 if self is JetKind.ANALYTIC else 1e-5
 
 
+def _naming_s(jets_fn: JetsFn) -> JetsFn:
+    """``jets_fn`` with an ``ArithmeticError`` or ``ValueError`` it raises
+    leaving with " at s=..." appended to its message: the view of closed
+    forms, whose errors do not name their point."""
+    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+        try:
+            return jets_fn(s, first, last)
+        except (ArithmeticError, ValueError) as exc:
+            raise type(exc)(f"{exc} at s={s:.6g}") from exc
+    return jets
+
+
 class CurveJet:
     """Evaluator of a curve's position and derivatives up to ``max_order``.
 
@@ -77,11 +89,9 @@ class CurveJet:
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
         if jets_fn is None:
-            def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-                try:
-                    return tuple(jet_fn(s, k) for k in range(first, last + 1))
-                except (ArithmeticError, ValueError) as exc:
-                    raise type(exc)(f"{exc} at s={s:.6g}") from exc
+            def orders(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+                return tuple(jet_fn(s, k) for k in range(first, last + 1))
+            jets_fn = _naming_s(orders)
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))

@@ -1,19 +1,24 @@
-"""Truncated derivative-series arithmetic.
+"""Truncated derivative-series arithmetic: the reference form.
 
 A :class:`DSeries` holds the values (f, f', f'', ..., f^(n-1)) of a smooth
 scalar function at one point and propagates them through arithmetic with
-the Leibniz/chain rules.  This removes hand-derived product- and
-quotient-rule formulas from the geometric modules: e.g. the derivatives
-of the mate's scale-invariant normal rho^2 * gamma'' come out of the
-reciprocal of the series of w = eps (y''^2 - z''^2) times the series of
-y'' and z'' instead of a page of algebra.
+the Leibniz/chain rules (Griewank & Walther, *Evaluating Derivatives*,
+ch. 13), e.g. the derivatives of the mate's scale-invariant normal
+rho^2 * gamma'' as the reciprocal of the series of w = eps (y''^2 -
+z''^2) times the series of y'' and z''.
 
-Only what the package needs is implemented: +, -, *, /, sqrt, scalar ops
-and truncation.  Entries are plain floats; series in an expression must
-have equal length.  A series may carry absolute error bounds of its
-entries, which the operations propagate to first order.  The equiform
-pass (``equiform._equiform_of``) writes this arithmetic out as float code
-for its fixed lengths, with the same ``fsum`` terms and bound order.
+No per-point kernel of the package builds a ``DSeries``: the equiform
+pass (``equiform._equiform_of``) and the mate's normal series
+(``bertrand._normal_series``) write this arithmetic out as float code
+for the lengths they need, with the same ``fsum`` terms, stages and
+bound order.  This module is the reference they are checked against bit
+for bit in the tests, and the arithmetic the benchmark's series
+microbenchmarks time.
+
+Only +, -, *, /, sqrt, scalar ops and truncation are implemented.
+Entries are plain floats; series in an expression must have equal
+length.  A series may carry absolute error bounds of its entries, which
+the operations propagate to first order.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ zero equiform curvature and are the curves that admit normal-offset
 mates.
 
 Each family is one row of ``_FAMILIES``: a builder, which maps (a, b,
-domain) to the nominal domain, the validity region, the jet and the
+domain) to the nominal domain, the validity region, the jets and the
 oracle, and the family's constraints, default domain, reference (a, b),
 notes and the parameters it uses.  :func:`get_example` is the one place
 that reads a row.
@@ -36,7 +36,12 @@ self-consistent value and the entry's ``notes`` record the discrepancy.
 Curves are built on a domain slightly wider (2% per side, clipped to the
 validity region) than the entry's nominal domain, so that difference
 stencils centered at the nominal endpoints stay evaluable.  A family's
-jet, with x = s exactly, is the curve's jet function; nothing probes it.
+``jets(s, first, last)``, with x = s exactly, is the curve's bundle view
+(``CurveJet``'s ``jets_fn``), and nothing probes it.  A helix evaluates
+its transcendentals once per bundle (exp, cosh and sinh; or one log,
+then cosh and sinh), and every order comes from its own closed form, so
+a bundle equals its orders read one at a time.  An ``ArithmeticError``
+or ``ValueError`` of a closed form names s.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .algebra import PGVector
-from .curves import CurveJet, JetKind
+from .curves import CurveJet, JetKind, JetsFn, _naming_s
 from .errors import ParameterConstraintError, UnknownCurveError
 
 MAX_JET_ORDER = 8
@@ -89,9 +94,8 @@ class ZooEntry(NamedTuple):
     notes: tuple[str, ...]
 
 
-JetFn = Callable[[float, int], PGVector]
-# (nominal domain, validity region, jet, oracle) of one family member
-Shape = tuple[tuple[float, float], tuple[float, float], JetFn, OracleForms]
+# (nominal domain, validity region, jets, oracle) of one family member
+Shape = tuple[tuple[float, float], tuple[float, float], JetsFn, OracleForms]
 _ANYWHERE = (-math.inf, math.inf)
 
 
@@ -140,14 +144,18 @@ def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
     if mirrored:
         ycoef, zcoef = zcoef, ycoef
 
-    def jet(s: float, k: int) -> PGVector:
+    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
         e = math.exp(-a * s)
         ch = math.cosh(b * s)
         sh = math.sinh(b * s)
-        x = s if k == 0 else (1.0 if k == 1 else 0.0)
-        py, qy = ycoef[k]
-        pz, qz = zcoef[k]
-        return PGVector(x, e * (py * ch + qy * sh), e * (pz * ch + qz * sh))
+        out = []
+        for k in range(first, last + 1):
+            py, qy = ycoef[k]
+            pz, qz = zcoef[k]
+            out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
+                                e * (py * ch + qy * sh),
+                                e * (pz * ch + qz * sh)))
+        return tuple(out)
 
     def e2(s: float) -> PGVector:
         ch, sh = math.cosh(b * s), math.sinh(b * s)
@@ -162,11 +170,11 @@ def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
         kappa=lambda s: math.exp(-a * s),
         tau=lambda s: tau_val,
         epsilon=-1 if mirrored else 1,
-        tangent=partial(jet, k=1), normal=e2, binormal=e3,
+        tangent=lambda s: jets(s, 1, 1)[0], normal=e2, binormal=e3,
         equiform_curvature=lambda s: a * math.exp(a * s),
         equiform_torsion=lambda s: tau_val * math.exp(a * s),
     )
-    return (lo, hi), _ANYWHERE, jet, oracle
+    return (lo, hi), _ANYWHERE, jets, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +217,18 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
     def uu(s: float) -> float:
         return (b / a) * math.log(a * s)
 
-    def jet(s: float, k: int) -> PGVector:
-        ch, sh = math.cosh(uu(s)), math.sinh(uu(s))
-        x = s if k == 0 else (1.0 if k == 1 else 0.0)
-        m, py, qy = ycoef[k]
-        _, pz, qz = zcoef[k]
-        sc = s ** (-m)
-        return PGVector(x, sc * (py * ch + qy * sh), sc * (pz * ch + qz * sh))
+    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+        u = uu(s)
+        ch, sh = math.cosh(u), math.sinh(u)
+        out = []
+        for k in range(first, last + 1):
+            m, py, qy = ycoef[k]
+            _, pz, qz = zcoef[k]
+            sc = s ** (-m)
+            out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
+                                sc * (py * ch + qy * sh),
+                                sc * (pz * ch + qz * sh)))
+        return tuple(out)
 
     def e2(s: float) -> PGVector:
         ch, sh = math.cosh(uu(s)), math.sinh(uu(s))
@@ -230,12 +243,12 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
         kappa=lambda s: a / s,
         tau=lambda s: tau_sign * b / (a * s),
         epsilon=1 if mirrored else -1,
-        tangent=partial(jet, k=1), normal=e2, binormal=e3,
+        tangent=lambda s: jets(s, 1, 1)[0], normal=e2, binormal=e3,
         equiform_curvature=lambda s: 1.0 / a,
         equiform_torsion=lambda s: tau_sign * b / (a * a),
     )
     valid = (_MARGIN / a, math.inf) if a > 0 else (-math.inf, _MARGIN / a)
-    return (lo, hi), valid, jet, oracle
+    return (lo, hi), valid, jets, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +262,18 @@ def _log_spiral(a: float, b: float,
     _require(min(a * lo + b, a * hi + b) >= _MARGIN,
              f"domain must keep a*s + b >= {_MARGIN} (logarithm argument)")
 
-    def jet(s: float, k: int) -> PGVector:
+    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
         g = a * s + b
-        if k == 0:
-            return PGVector(s, g / (a * a) * (math.log(g) - 1.0), 0.0)
-        if k == 1:
-            return PGVector(1.0, math.log(g) / a, 0.0)
-        y = (-1.0) ** k * math.factorial(k - 2) * a ** (k - 2) / g ** (k - 1)
-        return PGVector(0.0, y, 0.0)
+        out = []
+        for k in range(first, last + 1):
+            if k == 0:
+                out.append(PGVector(s, g / (a * a) * (math.log(g) - 1.0), 0.0))
+            elif k == 1:
+                out.append(PGVector(1.0, math.log(g) / a, 0.0))
+            else:
+                out.append(PGVector(0.0, (-1.0) ** k * math.factorial(k - 2)
+                                    * a ** (k - 2) / g ** (k - 1), 0.0))
+        return tuple(out)
 
     oracle = OracleForms(
         kappa=lambda s: 1.0 / (a * s + b),
@@ -270,7 +287,7 @@ def _log_spiral(a: float, b: float,
     )
     edge = (_MARGIN - b) / a
     valid = (edge, math.inf) if a > 0 else (-math.inf, edge)
-    return (lo, hi), valid, jet, oracle
+    return (lo, hi), valid, jets, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +305,16 @@ def _bertrand_helix(a: float, b: float,
     _require(b != 0.0, "parameter b must be nonzero")
     lo, hi = _check_domain(domain, (-1.0, 1.0))
 
-    def jet(s: float, k: int) -> PGVector:
+    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
         ch, sh = math.cosh(b * s), math.sinh(b * s)
-        x = s if k == 0 else (1.0 if k == 1 else 0.0)
-        amp = a * b ** (k - 2)
-        even = k % 2 == 0
-        return PGVector(x, amp * (ch if even else sh), amp * (sh if even else ch))
+        out = []
+        for k in range(first, last + 1):
+            amp = a * b ** (k - 2)
+            even = k % 2 == 0
+            out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
+                                amp * (ch if even else sh),
+                                amp * (sh if even else ch)))
+        return tuple(out)
 
     oracle = OracleForms(
         kappa=lambda s: a,
@@ -306,7 +327,7 @@ def _bertrand_helix(a: float, b: float,
         equiform_curvature=lambda s: 0.0,
         equiform_torsion=lambda s: b / a,
     )
-    return (lo, hi), _ANYWHERE, jet, oracle
+    return (lo, hi), _ANYWHERE, jets, oracle
 
 
 def _isotropic_circle(a: float, b: float,
@@ -317,12 +338,11 @@ def _isotropic_circle(a: float, b: float,
     _require(a > 0.0, "parameter a must be positive (a is the curvature)")
     lo, hi = _check_domain(domain, (-1.0, 1.0))
 
-    def jet(s: float, k: int) -> PGVector:
-        if k == 0:
-            return PGVector(s, 0.5 * a * s * s, 0.0)
-        if k == 1:
-            return PGVector(1.0, a * s, 0.0)
-        return PGVector(0.0, a if k == 2 else 0.0, 0.0)
+    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+        return tuple(PGVector(s, 0.5 * a * s * s, 0.0) if k == 0 else
+                     PGVector(1.0, a * s, 0.0) if k == 1 else
+                     PGVector(0.0, a if k == 2 else 0.0, 0.0)
+                     for k in range(first, last + 1))
 
     oracle = OracleForms(
         kappa=lambda s: a,
@@ -334,7 +354,7 @@ def _isotropic_circle(a: float, b: float,
         equiform_curvature=lambda s: 0.0,
         equiform_torsion=lambda s: 0.0,
     )
-    return (lo, hi), _ANYWHERE, jet, oracle
+    return (lo, hi), _ANYWHERE, jets, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +452,16 @@ def get_example(name: str, a: float | None = None, b: float | None = None,
             "parameters must be finite, got "
             + ", ".join(f"{k}={v}" for k, v in params.items()))
     try:
-        (lo, hi), (valid_lo, valid_hi), jet, oracle = fam.build(a, b, domain)
+        (lo, hi), (valid_lo, valid_hi), jets, oracle = fam.build(a, b, domain)
     except ArithmeticError as exc:
         raise ParameterConstraintError(
             f"{name} cannot be built at "
             + ", ".join(f"{k}={v}" for k, v in params.items())
             + ": its closed form leaves the float range") from exc
     pad = 0.02 * (hi - lo)
-    curve = CurveJet(jet, (max(lo - pad, valid_lo), min(hi + pad, valid_hi)),
-                     JetKind.ANALYTIC, max_order=MAX_JET_ORDER)
+    curve = CurveJet(None, (max(lo - pad, valid_lo), min(hi + pad, valid_hi)),
+                     JetKind.ANALYTIC, max_order=MAX_JET_ORDER,
+                     jets_fn=_naming_s(jets))
     return ZooEntry(name=name, params=params, domain=(lo, hi), curve=curve,
                     oracle=oracle, notes=fam.notes)
 

@@ -31,6 +31,23 @@ class TestExactMate:
         assert mate.max_order == 6
         assert mate.domain == helix_fixture.curve.domain
 
+    def test_mate_order_is_at_most_six(self, helix_fixture):
+        # the normal series is written out to length 7: a base of order
+        # 10 gives a mate of order 6, with the bits of the order-8 base's
+        base = helix_fixture.curve
+        zero = PGVector(0.0, 0.0, 0.0)
+
+        def jets_fn(s, first, last):
+            return tuple(base.jet(s, k) if k <= 8 else zero
+                         for k in range(first, last + 1))
+
+        deep = CurveJet(None, base.domain, base.kind, max_order=10,
+                        jets_fn=jets_fn)
+        mate = bertrand_mate(deep, 1.0)
+        assert mate.max_order == 6
+        assert list(map(bits, mate.jets(0.3, 0, 6))) == \
+            list(map(bits, bertrand_mate(base, 1.0).jets(0.3, 0, 6)))
+
     def test_mate_stays_in_arclength_form(self, helix_fixture):
         mate = bertrand_mate(helix_fixture.curve, 2.0)
         for s in (-0.7, 0.0, 0.4):

@@ -2,12 +2,13 @@
 
 The AW span cross-check (``aw._plane``, ``aw._residuals``,
 ``aw._units``), the two frame-equation residuals
-(``frenet._frenet_residual_of``, ``equiform._equiform_residual_of``)
-and the equiform series pass (``equiform._equiform_of``) work on plain
-floats.  The functions below are the ``PGVector`` and ``DSeries`` forms
-they replaced, frozen as they were: every kernel must give their floats
-bit for bit, NaN in the same places, and the same error class, message
-and cause.  ``ref_equiform_of`` also keeps the public ``DSeries`` error
+(``frenet._frenet_residual_of``, ``equiform._equiform_residual_of``),
+the equiform series pass (``equiform._equiform_of``) and the mate's
+normal series (``bertrand._normal_series``) work on plain floats.  The
+functions below are the ``PGVector`` and ``DSeries`` forms they
+replaced, frozen as they were: every kernel must give their floats bit
+for bit, NaN in the same places, and the same error class, message and
+cause.  ``ref_equiform_of`` also keeps the public ``DSeries`` error
 bounds covered.  Counters pin how few vectors and series a CLI grid
 point now builds.
 """
@@ -23,13 +24,14 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, reject, settings, strategies as st
 
-from pg_curvelab import aw, cli
+from pg_curvelab import aw, bertrand, cli
 from pg_curvelab.algebra import PGVector, pg_dot
 from pg_curvelab.aw import (DerivativeVectors, UnitDirections,
                             derivative_vectors, sigma_rates, unit_directions,
                             vector_identity_residuals)
-from pg_curvelab.bertrand import bertrand_mate
-from pg_curvelab.curves import FDVector, jet_errors, make_sampled_curve
+from pg_curvelab.bertrand import _normal_series, _offset_jets, bertrand_mate
+from pg_curvelab.curves import (CurveJet, FDVector, JetKind, jet_errors,
+                                make_sampled_curve)
 from pg_curvelab.equiform import (EquiformData, _equiform_frame,
                                   _equiform_of, _equiform_residual_of,
                                   _frames_at, equiform_data)
@@ -182,6 +184,14 @@ def ref_equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
                             errors)
     except (ValueError, ArithmeticError) as exc:
         raise _overflow(s, j2, exc)
+
+
+def ref_normal_series(jets, s: float) -> tuple[DSeries, DSeries]:
+    eps = normal_character(s, None, jets[0])
+    y2 = DSeries(j.x2 for j in jets)
+    z2 = DSeries(j.x3 for j in jets)
+    rho2 = (eps * (y2 * y2 - z2 * z2)).reciprocal()
+    return rho2 * y2, rho2 * z2
 
 
 # --- comparison helpers ----------------------------------------------------
@@ -500,6 +510,147 @@ class TestEquiformPassBitForBit:
         assert got == outcome(ref_equiform_of, 0.5, *jets)
 
 
+# --- the mate's normal series ----------------------------------------------
+
+
+def hexes(fn, *args):
+    """``fn(*args)``, a pair of series or a tuple of vectors, as
+    ``float.hex`` strings (so signed zeros count), or the class, message
+    and cause class of what it raised."""
+    try:
+        out = fn(*args)
+    except (CurveLabError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+    if isinstance(out[0], PGVector):
+        return tuple(tuple(map(float.hex, v.as_tuple())) for v in out)
+    return tuple(tuple(map(float.hex, series)) for series in out)
+
+
+def hex_kind(out) -> str:
+    """What a ``hexes`` outcome is, for the hypothesis statistics."""
+    return out[0].__name__ if isinstance(out[0], type) else "value"
+
+
+def assert_normal_series(jets, s: float) -> None:
+    """The float kernel equals the frozen ``DSeries`` form on the base
+    jets of orders 2..len(jets)+1: both series, or the error."""
+    got = hexes(_normal_series, jets, s)
+    event(f"normal series: {hex_kind(got)}")
+    assert got == hexes(ref_normal_series, jets, s)
+
+
+def assert_offset_jets(base: CurveJet, lam: float, s: float, first: int,
+                       last: int) -> None:
+    """``_offset_jets`` gives the same mate jets or error with the float
+    kernel as with the frozen form, its ``_overflow`` and cancellation
+    paths included."""
+    got = hexes(_offset_jets, base, lam, s, first, last)
+    with mock.patch.object(bertrand, "_normal_series", ref_normal_series):
+        ref = hexes(_offset_jets, base, lam, s, first, last)
+    event(f"offset jets: {hex_kind(got)}")
+    assert got == ref
+
+
+def raw_base(jets) -> CurveJet:
+    """A curve on [-2, 2] whose every bundle is a slice of ``jets``, the
+    jets of orders 0..8."""
+    return CurveJet(None, (-2.0, 2.0), JetKind.ANALYTIC, max_order=8,
+                    jets_fn=lambda s, first, last: tuple(jets[first:last + 1]))
+
+
+lengths = st.integers(1, 7)
+# the second derivative: zero (an inflection), subnormal, underflowing
+# and overflowing squares, and moderate values
+acceleration = signed(st.just(0.0), st.floats(5e-324, 2.2e-308),
+                      near(-160), near(-154), moderate, near(10), near(150),
+                      near(154))
+
+
+class TestNormalSeriesBitForBit:
+    """Hypothesis draws the base jets of series lengths 1-7 on the seven
+    families and of lengths 1-5 on the FD tier, raw jets with signed
+    zeros, subnormals and magnitudes whose squares underflow or overflow,
+    and the mate jets of ``_offset_jets`` on raw bases and at flattening
+    offsets.  Outputs are compared by ``float.hex``, errors by class,
+    message and cause."""
+
+    @given(name=st.sampled_from(zoo_names()), a=st.floats(0.25, 2.0),
+           b=st.floats(0.25, 2.0), f=fractions, n=lengths)
+    @settings(max_examples=100)
+    def test_analytic(self, name, a, b, f, n):
+        try:
+            c = get_example(name, a, b).curve
+        except CurveLabError:
+            reject()
+        s = inside(c, f, 0.0)
+        assert_normal_series(c.jets(s, 2, n + 1), s)
+
+    @given(name=st.sampled_from(zoo_names()), f=fractions,
+           n=st.integers(1, 5))
+    @settings(max_examples=40)
+    def test_finite_difference(self, name, f, n):
+        c = sampled(name)
+        s = inside(c, f, 0.0)
+        assert_normal_series(c.jets(s, 2, n + 1), s)
+
+    @given(s=st.floats(-2.0, 2.0), n=lengths, j2=raw_jets(acceleration),
+           rest=st.lists(raw_jets(component), min_size=6, max_size=6))
+    @settings(max_examples=500)
+    def test_raw_jets(self, s, n, j2, rest):
+        assert_normal_series([j2, *rest][:n], s)
+
+    @given(s=st.floats(-2.0, 2.0),
+           lam=signed(moderate, near(10), near(150), near(300)),
+           j2=raw_jets(acceleration),
+           rest=st.lists(raw_jets(component), min_size=6, max_size=6),
+           first=st.integers(0, 6), span=st.integers(0, 6))
+    @settings(max_examples=300)
+    def test_offset_jets(self, s, lam, j2, rest, first, span):
+        jets = [PGVector(s, 0.0, 0.0), PGVector(1.0, 0.0, 0.0), j2, *rest]
+        assert_offset_jets(raw_base(jets), lam, s, first,
+                           min(first + span, 6))
+
+    @given(a=st.floats(0.1, 3.0), b=st.floats(0.1, 3.0),
+           s=st.floats(-1.0, 1.0), last=st.integers(2, 6))
+    @settings(max_examples=60)
+    def test_flattening_offsets(self, a, b, s, last):
+        # lam = -a^2/b^2 cancels the helix's acceleration to an exact
+        # zero or a round-off residue, an inflection either way
+        base = get_example("bertrand_helix", a, b).curve
+        assert_offset_jets(base, -(a * a) / (b * b), s, 0, last)
+
+    @pytest.mark.parametrize("ys, zs, named", [
+        # entry 1 of y''^2, y'' y''' + y''' y'', overflows inside its
+        # fsum, whose terms are finite
+        ((2.0, 8e307), (1.0, 0.0),
+         (OverflowError, "intermediate overflow in fsum", type(None))),
+        # +inf and -inf terms in entry 3 of y''^2
+        ((-10.0, 1e200, 0.0, 1e308), (1.0, 0.0, 0.0, 0.0),
+         (ValueError, "-inf + inf in fsum", type(None))),
+        # the first fsum to fail in the order of the stages: an entry of
+        # y''^2 (-inf + inf), not the earlier entry of rho^2 y'' that an
+        # order-by-order pass would reach first (intermediate overflow)
+        ((53.10030847559971, -86.12591844466527, -7.483106568839778e+154,
+          63.376913769453296, 3.559555875028168e+250, -25.94249197028176),
+         (-38.922372534564325, 89893007992.07391, 63337860510.176834,
+          8.478053859350798e+300, -6.881821070522389e+154,
+          5.95805039425329e-309),
+         (ValueError, "-inf + inf in fsum", type(None))),
+    ])
+    def test_named_errors(self, ys, zs, named):
+        jets = [PGVector(0.0, y, z) for y, z in zip(ys, zs)]
+        assert hexes(_normal_series, jets, 0.5) == \
+            hexes(ref_normal_series, jets, 0.5) == named
+
+    def test_subnormal_square(self):
+        # y''^2 is subnormal and admissible: rho^2 = 1/w overflows to
+        # inf without an error, in both forms
+        jets = [PGVector(0.0, 1.5e-155, 0.0)]
+        got = hexes(_normal_series, jets, 0.5)
+        assert got == hexes(ref_normal_series, jets, 0.5) == (("inf",),
+                                                              ("nan",))
+
+
 # --- vectors and series built per grid point -----------------------------
 
 
@@ -567,9 +718,9 @@ def helix_lattice(tmp_path_factory) -> str:
 
 class TestSeriesPerPoint:
     """``DSeries`` constructions per grid point of the CLI on a 101-point
-    grid.  The series form of the equiform pass built 14 per point of
-    each sweep; ``bertrand`` sweeps base and mate, and the mate's normal
-    series keeps ``DSeries``: 38.5 per point before, less 2 x 14 now."""
+    grid: none.  The series form of the equiform pass built 14 per point
+    of each sweep, and that of the mate's normal 10.5 per ``bertrand``
+    point, which sweeps base and mate: 38.5 in all."""
 
     @pytest.mark.parametrize("name", ["timelike_general_helix",
                                       "timelike_log_spiral",
@@ -584,10 +735,14 @@ class TestSeriesPerPoint:
         assert built_per_point(DSeries, command, "--input", helix_lattice,
                                "--grid", "-0.8:0.8:101") == 0
 
+    def test_bertrand_lattice(self, helix_lattice):
+        assert built_per_point(DSeries, "bertrand", "--input", helix_lattice,
+                               "--lambda", "0.3",
+                               "--grid", "-0.8:0.8:101") == 0
+
     @pytest.mark.parametrize("name, lam", [("bertrand_helix", "0.3"),
                                            ("isotropic_circle", "0.5"),
                                            ("timelike_general_helix", "0.3")])
     def test_bertrand(self, name, lam):
-        n = built_per_point(DSeries, "bertrand", "--curve", name,
-                            "--lambda", lam, *default_grid(name))
-        assert n <= 38.5 - 2 * 14
+        assert built_per_point(DSeries, "bertrand", "--curve", name,
+                               "--lambda", lam, *default_grid(name)) == 0

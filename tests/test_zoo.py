@@ -272,23 +272,55 @@ class TestCurveConstruction:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_building_an_entry_evaluates_no_jet(self, monkeypatch, name):
-        # the family's jet is the curve's jet_fn; nothing probes it
-        reads = []
+        # the family's bundle is the curve's jets_fn; nothing probes it,
+        # and a read of orders 0-8 is one bundle
+        bundles = []
         family = zoo._FAMILIES[name]
 
         def build(a, b, domain):
-            nominal, valid, jet, oracle = family.build(a, b, domain)
+            nominal, valid, jets, oracle = family.build(a, b, domain)
 
-            def counted(s, k):
-                reads.append(k)
-                return jet(s, k)
+            def counted(s, first, last):
+                bundles.append((first, last))
+                return jets(s, first, last)
             return nominal, valid, counted, oracle
 
         monkeypatch.setitem(zoo._FAMILIES, name, family._replace(build=build))
         entry = get_example(name)
-        assert reads == []
+        assert bundles == []
         entry.curve.jets(sum(entry.domain) / 2, 0, MAX_JET_ORDER)
-        assert reads == list(range(MAX_JET_ORDER + 1))
+        assert bundles == [(0, MAX_JET_ORDER)]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_bundle_equals_single_orders(self, zoo_entries, name):
+        # one evaluation of the transcendentals per bundle gives every
+        # order the bits of its own single-order read
+        entry = next(e for e in zoo_entries if e.name == name)
+        lo, hi = entry.domain
+        for f in (0.2, 0.5, 0.8):
+            s = lo + f * (hi - lo)
+            bundle = entry.curve.jets(s, 0, MAX_JET_ORDER)
+            singles = [entry.curve.jets(s, k, k)[0]
+                       for k in range(MAX_JET_ORDER + 1)]
+            assert [tuple(map(float.hex, v.as_tuple())) for v in bundle] == \
+                [tuple(map(float.hex, v.as_tuple())) for v in singles]
+
+    @pytest.mark.parametrize("name, a, b, s, message", [
+        ("bertrand_helix", 1.0, 1.0, 800.0, "math range error at s=800"),
+        ("timelike_general_helix", 1.0, 2.0, -800.0,
+         "math range error at s=-800"),
+        ("timelike_circular_helix", 1.0, 2.0, 1e300,
+         "math range error at s=1e+300"),
+        ("timelike_log_spiral", 1.0, 1.0, 1e308,
+         "PGVector components must be finite, got inf at s=1e+308"),
+    ])
+    def test_closed_form_leaving_the_float_range_names_s(self, name, a, b,
+                                                         s, message):
+        curve = get_example(name, a, b, (min(s, 1.0), max(s, 2.0))).curve
+        with pytest.raises((ArithmeticError, ValueError)) as exc:
+            curve.jets(s, 0, MAX_JET_ORDER)
+        assert str(exc.value) == message
+        assert exc.value.__cause__ is not None
 
     def test_padding_clips_to_the_validity_region(self):
         entry = get_example("timelike_circular_helix", 1.0, 2.0, (0.001, 3.0))
