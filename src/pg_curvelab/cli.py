@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import aw
 from .bertrand import bertrand_mate, verify_bertrand_pair
-from .curves import CurveJet, make_lattice_curve
+from .curves import CurveJet, bundle_reader, make_lattice_curve
 from .equiform import (MIN_GRID_POINTS, TOL_CONST, TOL_ZERO, NaturalClass,
                        _equiform_of, _equiform_residual_of, _frames_at,
                        _natural_class_of, equiform_grid)
@@ -207,39 +207,53 @@ _EVAL_HEADER = (
 
 
 def _eval_rows(res: _Resolved) -> list[list[float]]:
-    """One row per grid point.  A grid point's position, Frenet and
-    equiform data come from one jet bundle of orders 0-4.  A residual
+    """One row per grid point, from two grid calls
+    (``curves.bundle_reader``).  A grid point's position, Frenet and
+    equiform data come from its bundle of orders 0-4.  A residual
     neighbour s +- h (h the FD step on a lattice, looked up through
     ``curve.snap`` so that a lattice neighbour is the grid point it lands
-    on) that is not a grid point is read for its frames alone, from the
-    jets of orders 1-2 (``equiform._frames_at``): 3 bundles and 9 jet
-    orders per point off the grid.  Each record, (Frenet, equiform,
-    position) at a grid point and the two frames elsewhere, is kept
-    while the ascending grid can still read it."""
-    curve, snap = res.curve, res.curve.snap
+    on) that is not a grid point is read for its frames alone, from its
+    bundle of orders 1-2 (``equiform._frames_at``): 3 bundles and 9 jet
+    orders per point off the grid.  Each point's record, (Frenet,
+    equiform, position) at a grid point and the two frames elsewhere, is
+    built when the ascending sweep first needs it and kept while the
+    sweep can still read it: kept longer, a 1001-point grid holds 3003
+    records and the collector walks them all."""
+    curve, grid, snap = res.curve, res.grid, res.curve.snap
     h = curve.residual_step
     lo, hi = curve.domain
-    on_grid = set(res.grid)
-    window: dict[float, tuple] = {}
+    pairs = [(snap(s - h), snap(s + h)) if lo <= s - h and s + h <= hi
+             else None for s in grid]
+    on_grid = {s: i for i, s in enumerate(grid)}
+    off_grid: dict[float, int] = {}
+    for pair in filter(None, pairs):
+        for t in pair:
+            if t not in on_grid:
+                off_grid.setdefault(t, len(off_grid))
+    at, near = (bundle_reader(curve, grid, 0, 4),
+                bundle_reader(curve, list(off_grid), 1, 2))
+    records: dict[float, tuple] = {}
 
     def apparatus(s: float) -> tuple:
-        rec = window.get(s)
+        rec = records.get(s)
         if rec is None:
             if s in on_grid:
-                p, *jets = curve.jets(s, 0, 4)
+                p, *jets = at(on_grid[s])
                 rec = _frenet_of(s, *jets[:3]), _equiform_of(s, *jets), p
             else:
-                rec = _frames_at(curve, s)
-            window[s] = rec
+                rec = _frames_at(s, *near(off_grid[s]))
+            records[s] = rec
         return rec
 
     rows = []
-    for s in res.grid:
-        below, above = snap(s - h), snap(s + h)
-        window = {k: v for k, v in window.items() if k >= below}
+    for s, pair in zip(grid, pairs):
+        below = snap(s - h)
+        for t in [t for t in records if t < below]:
+            del records[t]
         fr, eq, p = apparatus(s)
-        if lo <= s - h and s + h <= hi:
-            (frm, eqm), (frp, eqp) = apparatus(below)[:2], apparatus(above)[:2]
+        if pair:
+            (frm, eqm), (frp, eqp) = (apparatus(pair[0])[:2],
+                                      apparatus(pair[1])[:2])
             r1 = _frenet_residual_of(frm, fr, frp, h)
             r2 = _equiform_residual_of(eqm, eq, eqp, h)
         else:

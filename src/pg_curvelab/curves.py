@@ -14,6 +14,13 @@ polynomials up to degree 5 at every order, so polynomial test curves come
 back exact up to round-off.  Each jet carries an error bound, and orders
 3-6 pick their own step by it when the given step is round-off-bound (see
 :func:`make_sampled_curve`).
+
+A curve evaluates a list of points in one grid call,
+:meth:`CurveJet.bundles`.  The finite-difference tier runs it order by
+order for all the points at once: the points that share a stencil (step
+and node range) form one group, whose stencil sums are C-level ``fsum``
+passes over node columns, and its per-point ``jets`` is the grid call of
+one point.  Closed-form curves loop over the points.
 """
 
 from __future__ import annotations
@@ -22,11 +29,14 @@ import math
 import random
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
+from math import fsum, isfinite
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .algebra import PGVector, SimilarityMotion
 from .errors import (
+    CurveLabError,
     EmptyDomainError,
     JetOrderError,
     NarrowDomainError,
@@ -37,6 +47,8 @@ _EPS = 2.220446049250313e-16
 
 PositionFn = Callable[[float], PGVector]
 JetsFn = Callable[[float, int, int], tuple[PGVector, ...]]
+BundlesFn = Callable[[Sequence[float], int, int],
+                     list[tuple[PGVector, ...]]]
 
 
 class JetKind(Enum):
@@ -74,21 +86,29 @@ class CurveJet:
     read, ``jet(s, k)`` included, is one checked bundle.  A curve whose
     orders share no work may pass ``jet_fn(s, order)`` instead, read
     once per order of a bundle; an ``ArithmeticError`` or ``ValueError``
-    it raises leaves with " at s=..." appended to its message.
+    it raises leaves with " at s=..." appended to its message.  A curve
+    that evaluates many points faster together passes
+    ``bundles_fn(points, first, last)``, the bundles of all the points
+    (see :meth:`bundles`); its one-point call is then ``jets_fn``.
     """
 
     __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
-                 "_jets_fn")
+                 "_jets_fn", "_bundles_fn")
 
     def __init__(self, jet_fn: Callable[[float, int], PGVector] | None,
                  domain: tuple[float, float], kind: JetKind,
                  max_order: int = 4, warnings: tuple[str, ...] = (),
                  jets_fn: JetsFn | None = None,
-                 nodes: tuple[float, float] | None = None):
+                 nodes: tuple[float, float] | None = None,
+                 bundles_fn: BundlesFn | None = None):
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
-        if jets_fn is None:
+        if jets_fn is None and bundles_fn is not None:
+            def jets_fn(s: float, first: int, last: int
+                        ) -> tuple[PGVector, ...]:
+                return bundles_fn((s,), first, last)[0]
+        elif jets_fn is None:
             def orders(s: float, first: int, last: int) -> tuple[PGVector, ...]:
                 return tuple(jet_fn(s, k) for k in range(first, last + 1))
             jets_fn = _naming_s(orders)
@@ -98,19 +118,23 @@ class CurveJet:
         object.__setattr__(self, "warnings", tuple(warnings))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_jets_fn", jets_fn)
+        object.__setattr__(self, "_bundles_fn", bundles_fn)
 
     def __setattr__(self, *_):
         raise AttributeError("CurveJet is immutable")
 
-    def _check(self, s: float, first: int, last: int) -> None:
+    def _check(self, points: Iterable[float], first: int, last: int) -> None:
+        if first > last:
+            raise JetOrderError(f"empty order range {first}..{last}")
         if first < 0 or last > self.max_order:
             order = first if first < 0 else last
             raise JetOrderError(
                 f"order {order} not available (curve carries orders 0..{self.max_order})")
         lo, hi = self.domain
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if not lo - slack <= s <= hi + slack:
-            raise ValueError(f"parameter {s} outside domain [{lo}, {hi}]")
+        for s in points:
+            if not lo - slack <= s <= hi + slack:
+                raise ValueError(f"parameter {s} outside domain [{lo}, {hi}]")
 
     def jet(self, s: float, order: int = 0) -> PGVector:
         return self.jets(s, order, order)[0]
@@ -118,10 +142,25 @@ class CurveJet:
     def jets(self, s: float, first: int, last: int) -> tuple[PGVector, ...]:
         """The derivative vectors of orders first..last at s, checked
         once."""
-        if first > last:
-            raise JetOrderError(f"empty order range {first}..{last}")
-        self._check(s, first, last)
+        self._check((s,), first, last)
         return self._jets_fn(s, first, last)
+
+    @property
+    def batched(self) -> bool:
+        """Whether the curve has a grid call of its own (``bundles_fn``)."""
+        return self._bundles_fn is not None
+
+    def bundles(self, points: Sequence[float], first: int, last: int
+                ) -> list[tuple[PGVector, ...]]:
+        """``[self.jets(s, first, last) for s in points]``, bit for bit:
+        that loop, or one grid call on a curve with a ``bundles_fn`` (the
+        finite-difference tier's).  A grid call is all or nothing: where
+        the loop raises, it raises too, though not always the loop's
+        error (see :func:`bundle_reader`)."""
+        if self._bundles_fn is None or not points:
+            return [self.jets(s, first, last) for s in points]
+        self._check(points, first, last)
+        return self._bundles_fn(points, first, last)
 
     def position(self, s: float) -> PGVector:
         return self.jet(s, 0)
@@ -175,6 +214,25 @@ class CurveJet:
             if not out or s > out[-1]:
                 out.append(s)
         return out
+
+
+def bundle_reader(c: CurveJet, points: Sequence[float], first: int,
+                  last: int) -> Callable[[int], tuple[PGVector, ...]]:
+    """``read(i)``, the bundle of orders first..last at ``points[i]``,
+    for a consumer that tests each point before it reads the next: from
+    one grid call (:meth:`CurveJet.bundles`) where the curve has one and
+    it returns; otherwise from ``c.jets`` at each point as the consumer
+    first reads it, so the first failure the consumer meets is the one a
+    point-by-point sweep meets.  That holds for the failures of the FD
+    tier and its row reads, an ``ArithmeticError``, ``ValueError`` or
+    :class:`~.errors.CurveLabError`; anything else a position function
+    raises leaves the grid call as it is."""
+    if c.batched:
+        try:
+            return c.bundles(points, first, last).__getitem__
+        except (ArithmeticError, ValueError, CurveLabError):
+            pass
+    return lambda i: c.jets(points[i], first, last)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +381,12 @@ def _weights(order: int, first: int, count: int
 
 _Row = tuple[float, float, float, float]      # x, y, z, max |component|
 RowFn = Callable[[float], _Row]
-Rows = Callable[[float, float, tuple[int, ...]], list[_Row]]
+# columns(offsets, step, k): for each j of ``offsets``, the node
+# s + j * step, d = j * k half-steps (h/2) from s, at each of a group's
+# points, as (its x, then y, then z column joined in one sequence, its
+# max |component| column)
+Columns = Callable[[Sequence[int], float, int],
+                   list[tuple[Sequence[float], Sequence[float]]]]
 
 
 def _row_fn(position: PositionFn) -> RowFn:
@@ -334,65 +397,150 @@ def _row_fn(position: PositionFn) -> RowFn:
     return row_at
 
 
-def _row_source(row_at: RowFn) -> Rows:
-    """``rows(s, step, offsets)``: the row at each s + j * step, each
-    abscissa read once while the source (one jet bundle) lives: the
-    coarse nodes j*H equal the fine nodes 2j*(H/2) bit for bit, and
-    nodes that several orders or step trials share come from one read."""
-    seen: dict[float, _Row] = {}
-    get = seen.get
+class _RowReads:
+    """The nodes of a batch's points read through ``row_at``, each
+    abscissa once per point while the batch lives: the coarse nodes j*H
+    equal the fine nodes 2j*(H/2) bit for bit, and nodes that several
+    orders or step trials share come from one read."""
 
-    def rows(s: float, step: float, offsets: tuple[int, ...]) -> list[_Row]:
-        out = []
-        for j in offsets:
-            t = s + j * step
-            row = get(t)
-            if row is None:
-                row = seen[t] = row_at(t)
-            out.append(row)
-        return out
+    __slots__ = ("row_at", "points", "seen")
 
-    return rows
+    def __init__(self, row_at: RowFn, points: Sequence[float]):
+        self.row_at, self.points = row_at, points
+        self.seen: list[dict[float, _Row]] = [{} for _ in points]
+
+    def positions(self) -> list[PGVector]:
+        return [PGVector(*self.row_at(s)[:3]) for s in self.points]
+
+    def columns(self, sel: Sequence[int]) -> Columns:
+        """The node columns of the points numbered ``sel``."""
+        row_at = self.row_at
+        pts = [(self.points[p], self.seen[p]) for p in sel]
+
+        def columns(offsets: Sequence[int], step: float, k: int) -> list:
+            out = []
+            for j in offsets:
+                rows = []
+                for s, seen in pts:
+                    t = s + j * step
+                    row = seen.get(t)
+                    if row is None:
+                        row = seen[t] = row_at(t)
+                    rows.append(row)
+                x, y, z, mag = zip(*rows)
+                out.append((x + y + z, mag))
+            return out
+
+        return columns
 
 
-def _extrapolate(rows: Rows, s: float, order: int, h: float, first: int,
-                 count: int) -> tuple[float, float, float, float, float]:
-    """One Richardson level over steps h and h/2 on the node range
-    (first, count): the jet's components, its truncation estimate and
-    its round-off bound.  The jet's error bound is their sum."""
-    offsets, weights, denom, wsum = _weights(order, first, count)
-    fsum = math.fsum
-    sums = []
-    for step in (h, 0.5 * h):
-        xs, ys, zs, mags = zip(*rows(s, step, offsets))
+class _LatticeReads:
+    """The nodes of a batch's points on a lattice of spacing h/2, read
+    by index from its row columns: node s + j*step of the point at row
+    i is row i + d, d = j * step / (h/2)."""
+
+    __slots__ = ("rows", "index")
+
+    def __init__(self, rows: tuple[list[float], ...], index: list[int]):
+        self.rows, self.index = rows, index
+
+    def positions(self) -> list[PGVector]:
+        x, y, z, _ = self.rows
+        return [PGVector(x[i], y[i], z[i]) for i in self.index]
+
+    def columns(self, sel: Sequence[int]) -> Columns:
+        """The node columns of the points numbered ``sel``, each read
+        once per group: a slice when their rows are evenly spaced."""
+        x, y, z, mag = self.rows
+        idx = [self.index[p] for p in sel]
+        start, stop = idx[0], idx[-1] + 1
+        stride = idx[1] - start if len(idx) > 1 else 1
+        if stride > 0 and idx == list(range(start, stop, stride)):
+            def read(d: int) -> tuple:
+                a, b = start + d, stop + d
+                return (x[a:b:stride] + y[a:b:stride] + z[a:b:stride],
+                        mag[a:b:stride])
+        else:
+            def read(d: int) -> tuple:
+                get = itemgetter(*[i + d for i in idx])
+                return get(x) + get(y) + get(z), get(mag)
+        seen: dict[int, tuple] = {}
+
+        def columns(offsets: Sequence[int], step: float, k: int) -> list:
+            out = []
+            for j in offsets:
+                col = seen.get(j * k)
+                if col is None:
+                    col = seen[j * k] = read(j * k)
+                out.append(col)
+            return out
+
+        return columns
+
+
+_Reads = _RowReads | _LatticeReads
+_Jet = tuple[float, float, float, float, float]
+
+
+@lru_cache(maxsize=None)
+def _float_weights(order: int, first: int, count: int) -> tuple[float, ...]:
+    """``_weights``' integer weights as floats, exact: w * x is the
+    product int * float gives."""
+    return tuple(map(float, _weights(order, first, count)[1]))
+
+
+def _extrapolate(columns: Columns, order: int, m: int, h: float,
+                 first: int, count: int) -> list[_Jet]:
+    """One Richardson level over the steps H = m*h and H/2 on the node
+    range (first, count), for every point of ``columns``: its jet's
+    components, truncation estimate and round-off bound, whose sum is
+    the jet's error bound.  Each stencil sum is one ``fsum`` per point
+    over the terms w_j * node_j in node order, taken for all the points
+    at once: coarse x, y, z, then fine x, y, z, then each point's
+    finiteness check, the order a point alone meets them in."""
+    offsets, _, denom, wsum = _weights(order, first, count)
+    weights = _float_weights(order, first, count)
+    big = m * h
+    sums: list[Sequence[float]] = []
+    for step, k in ((big, 2 * m), (0.5 * big, m)):
+        nodes = columns(offsets, step, k)
         scale = denom * step ** order
-        sums.append((fsum(map(mul, weights, xs)) / scale,
-                     fsum(map(mul, weights, ys)) / scale,
-                     fsum(map(mul, weights, zs)) / scale, max(mags)))
-    (cx, cy, cz, cmag), (fx, fy, fz, fmag) = sums
-    half = 0.5 * h
-    trunc = max(abs(fx - cx), abs(fy - cy), abs(fz - cz)) / 15.0
-    roundoff = (_ROUNDOFF_ULPS * _EPS * wsum / denom
-                * (16.0 * fmag / half ** order + cmag / h ** order) / 15.0)
-    x = (16.0 * fx - cx) / 15.0
-    y = (16.0 * fy - cy) / 15.0
-    z = (16.0 * fz - cz) / 15.0
-    if not math.isfinite(x + y + z):
-        FDVector(x, y, z)       # a non-finite component raises here
-    return x, y, z, trunc, roundoff
+        terms = map(map, repeat(mul), repeat(weights),
+                    zip(*[node[0] for node in nodes]))
+        xyz = [v / scale for v in map(fsum, terms)]
+        n = len(nodes[0][1])
+        sums += (xyz[:n], xyz[n:2 * n], xyz[2 * n:],
+                 list(map(max, *[node[1] for node in nodes])))
+    bound = _ROUNDOFF_ULPS * _EPS * wsum / denom
+    fine_pow, coarse_pow = (0.5 * big) ** order, big ** order
+
+    def combine(cx: float, cy: float, cz: float, cmag: float, fx: float,
+                fy: float, fz: float, fmag: float) -> _Jet:
+        trunc = max(abs(fx - cx), abs(fy - cy), abs(fz - cz)) / 15.0
+        roundoff = bound * (16.0 * fmag / fine_pow + cmag / coarse_pow) / 15.0
+        x = (16.0 * fx - cx) / 15.0
+        y = (16.0 * fy - cy) / 15.0
+        z = (16.0 * fz - cz) / 15.0
+        if not isfinite(x + y + z):
+            PGVector(x, y, z)       # a non-finite component raises here
+        return x, y, z, trunc, roundoff
+
+    return list(map(combine, *sums))
 
 
-def _fd_jet(rows: Rows, s: float, order: int, h: float, top: int,
-            window: tuple[float, float]) -> FDVector:
-    """Order-``order`` (>= 1) jet at s with its error bound: centred at
-    steps h and h/2 when ``top`` is 1, otherwise at the step
-    :func:`_adaptive` picks."""
-    if top == 1:
-        x, y, z, trunc, roundoff = _extrapolate(rows, s, order, h,
-                                                *_CENTRED[order])
-    else:
-        x, y, z, trunc, roundoff = _adaptive(rows, s, order, h, top, window)
-    return FDVector(x, y, z, trunc + roundoff)
+def _tries(reads: _Reads, order: int, h: float,
+           trial: dict[int, tuple[int, tuple[int, int]]]) -> dict[int, _Jet]:
+    """:func:`_extrapolate` of each point p of ``trial`` at its step
+    multiple and node range trial[p], the points that share both in one
+    group."""
+    groups: dict[tuple[int, tuple[int, int]], list[int]] = {}
+    for p, key in trial.items():
+        groups.setdefault(key, []).append(p)
+    out: dict[int, _Jet] = {}
+    for (m, nodes), sel in groups.items():
+        out.update(zip(sel, _extrapolate(reads.columns(sel), order, m, h,
+                                         *nodes)))
+    return out
 
 
 def _node_range(order: int, s: float, step: float,
@@ -437,12 +585,11 @@ def _fit(order: int, s: float, m: int, h: float,
     return max(good, 1), nodes or _CENTRED[order]
 
 
-def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
-              window: tuple[float, float]
-              ) -> tuple[float, float, float, float, float]:
-    """Order-3 to 6 jet at the step m*h, 1 <= m <= 2*top, whose error
-    estimate is smallest among the steps tried, as :func:`_extrapolate`
-    returns it.
+def _adaptive(reads: _Reads, points: Sequence[float], order: int, h: float,
+              top: int, window: tuple[float, float]) -> list[_Jet]:
+    """Order-3 to 6 jet at each point, at the step m*h, 1 <= m <= 2*top,
+    whose error estimate is smallest among the steps tried there, as
+    :func:`_extrapolate` returns it.
 
     The first try is the balanced step top*h, or the largest step below
     it whose stencil fits the window.  The estimate t + r (truncation
@@ -451,25 +598,58 @@ def _adaptive(rows: Rows, s: float, order: int, h: float, top: int,
     multiple of h that fits the window, is tried next.  At most three
     steps are tried, and a prediction within 20% of the current step
     ends the search.  Multiples of h keep every node on s + (h/2) * Z.
+    Each try runs for all the points still searching at once.
     """
-    m, nodes = _fit(order, s, top, h, window)
-    best = _extrapolate(rows, s, order, m * h, *nodes)
-    trunc, roundoff = best[3:]
+    trial = {p: _fit(order, s, top, h, window) for p, s in enumerate(points)}
+    steps = {p: m for p, (m, _) in trial.items()}
+    latest = _tries(reads, order, h, trial)
+    best = dict(latest)
     for _ in range(2):
-        if trunc > 0.0:
-            ratio = order * roundoff / (4.0 * trunc)
-            nxt = round(m * ratio ** (1.0 / (order + 4)))
-        else:
-            nxt = 2 * top
-        nxt, nodes = _fit(order, s, min(max(nxt, 1), 2 * top), h, window)
-        if abs(nxt - m) <= 0.2 * m:
+        trial = {}
+        for p, (_, _, _, trunc, roundoff) in latest.items():
+            m = steps[p]
+            if trunc > 0.0:
+                ratio = order * roundoff / (4.0 * trunc)
+                nxt = round(m * ratio ** (1.0 / (order + 4)))
+            else:
+                nxt = 2 * top
+            nxt, nodes = _fit(order, points[p], min(max(nxt, 1), 2 * top), h,
+                              window)
+            if abs(nxt - m) > 0.2 * m:
+                steps[p] = nxt
+                trial[p] = nxt, nodes
+        if not trial:
             break
-        m = nxt
-        jet = _extrapolate(rows, s, order, m * h, *nodes)
-        trunc, roundoff = jet[3:]
-        if trunc + roundoff < best[3] + best[4]:
-            best = jet
-    return best
+        latest = _tries(reads, order, h, trial)
+        for p, jet in latest.items():
+            if jet[3] + jet[4] < best[p][3] + best[p][4]:
+                best[p] = jet
+    return [best[p] for p in range(len(points))]
+
+
+def _fd_bundles(reads: _Reads, points: Sequence[float], first: int,
+                last: int, h: float, tops: tuple[int, ...],
+                window: tuple[float, float]) -> list[tuple[PGVector, ...]]:
+    """The jets of orders first..last at every point, order by order for
+    all the points at once: the positions, then each order's
+    :class:`FDVector` jets, centred at steps h and h/2 when its ``tops``
+    entry is 1 (one group of all the points, whose node columns every
+    such order shares), otherwise at the step :func:`_adaptive` picks."""
+    orders = []
+    shared = None
+    for k in range(first, last + 1):
+        if k == 0:
+            orders.append(reads.positions())
+            continue
+        if tops[k] == 1:
+            if shared is None:
+                shared = reads.columns(range(len(points)))
+            jets = _extrapolate(shared, k, 1, h, *_CENTRED[k])
+        else:
+            jets = _adaptive(reads, points, k, h, tops[k], window)
+        orders.append([FDVector(x, y, z, trunc + roundoff)
+                       for x, y, z, trunc, roundoff in jets])
+    return list(zip(*orders))
 
 
 def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
@@ -502,10 +682,14 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     ``_weights``) is used instead.  Every node is s + j * h/2 for an
     integer j.
 
-    Bundles.  ``jets(s, first, last)`` reads each node once for all its
-    orders and step trials (see ``_row_source``); ``jet(s, k)`` is the
-    bundle of order k alone, so both give the same bits.  Nothing is
-    kept between calls: evaluation is pure.
+    Bundles.  ``bundles(points, first, last)`` evaluates every point in
+    one pass, order by order: orders 1-2 as one group of all the points,
+    and each step trial of orders 3-6 with the points grouped by step
+    and node range (``_adaptive``).  Every point reads each node once for
+    all its orders and step trials (``_RowReads``), and its jets are
+    those it gets alone, ``jets(s, first, last)`` being the one-point
+    grid call; ``jet(s, k)`` is the bundle of order k alone, so all give
+    the same bits.  Nothing is kept between calls: evaluation is pure.
     """
     return _fd_curve(_row_fn(position), domain, h)
 
@@ -522,7 +706,11 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
     stay on the ``nodes`` (first, spacing); a read between them raises.
     It needs ``LATTICE_MIN_ROWS`` samples (else ``NarrowDomainError``) of
     distinct s, each within 1e-9 * max(1, |s|) of its node and within
-    1e-6 * spacing, the tolerance of a read (else ``ValueError``)."""
+    1e-6 * spacing, the tolerance of a read (else ``ValueError``).  The
+    rows are kept as x, y, z and max |component| columns, shifted once
+    if x != s, and a grid call reads the stencil nodes of points on
+    domain nodes by index (``_LatticeReads``); other points read rows
+    one by one through the read check."""
     samples = sorted(samples, key=itemgetter(0))
     n = len(samples)
     if n < LATTICE_MIN_ROWS:
@@ -532,8 +720,8 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
     spacing = (last - first) / (n - 1)
     if not spacing > 0.0:
         raise ValueError("sample parameters must be distinct")
-    rows = []
-    for i, (s, x, y, z) in enumerate(samples):
+    x, y, z = [], [], []
+    for i, (s, xi, yi, zi) in enumerate(samples):
         off = abs(s - (first + i * spacing))
         if off > 1e-9 * max(1.0, abs(s)):
             raise ValueError(f"samples must lie on a uniform lattice "
@@ -541,21 +729,28 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
         if off > 1e-6 * spacing:
             raise ValueError(f"samples must lie on a uniform lattice "
                              f"(s={s!r} is off by more than 1e-6 spacings)")
-        rows.append((x, y, z, max(abs(x), abs(y), abs(z))))
+        x.append(xi)
+        y.append(yi)
+        z.append(zi)
+    mag = list(map(max, map(abs, x), map(abs, y), map(abs, z)))
 
     def row_at(t: float) -> _Row:
         i = round((t - first) / spacing)
         if i < 0 or i >= n or abs(t - (first + i * spacing)) > 1e-6 * spacing:
             raise ValueError(f"off-lattice evaluation at s={t!r}")
-        return rows[i]
+        return x[i], y[i], z[i], mag[i]
 
     return _fd_curve(row_at, (first + 8 * spacing, last - 8 * spacing),
-                     2 * spacing, (first, spacing))
+                     2 * spacing, (first, spacing), (x, y, z, mag))
 
 
 def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
-              nodes: tuple[float, float] | None = None) -> CurveJet:
-    """:func:`make_sampled_curve` of the rows ``row_at(t)``."""
+              nodes: tuple[float, float] | None = None,
+              rows: tuple[list[float], ...] | None = None) -> CurveJet:
+    """:func:`make_sampled_curve` of the rows ``row_at(t)``; on a lattice
+    ``nodes`` (first, spacing) and its row columns ``rows`` (x, y, z,
+    max |component|), from which a grid call reads every point on a
+    domain node by index."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (lo < hi):
         raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
@@ -581,20 +776,43 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
                 PGVector(x - dx, y, z)      # an overflowing shift raises
             return x - dx, y, z, max(abs(x - dx), abs(y), abs(z))
 
+        if rows is not None:
+            x, y, z, _ = rows
+            x = [v - dx for v in x]
+            # a row whose shift overflows raises where a read meets it
+            rows = ((x, y, z, list(map(max, map(abs, x), map(abs, y),
+                                       map(abs, z))))
+                    if all(map(isfinite, x)) else None)
+
     # the balanced multiple of h that each order's step search starts from
     top4 = max(1, math.floor(_BALANCED * scale / h))
     top6 = max(1, math.floor(_BALANCED_6 * (1.0 if nodes else scale) / h))
     tops = (1, 1, 1, top4, top4, top6, top6)
     window = (lo - 4.0 * h, hi + 4.0 * h)
 
-    def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-        rows = _row_source(row_at)
-        return tuple(PGVector(*row_at(s)[:3]) if k == 0
-                     else _fd_jet(rows, s, k, h, tops[k], window)
-                     for k in range(first, last + 1))
+    # Index reads need every node s + j * step of a point s on node i to
+    # pass the lattice's read check at row i + d: its rounding, a few
+    # ulps of the largest node, must stay far inside 1e-6 spacings
+    if rows is not None:
+        origin, spacing = nodes
+        count = len(rows[0])
+        if 64.0 * _EPS * max(abs(origin), abs(origin + count * spacing)) \
+                > 1e-6 * spacing:
+            rows = None
+
+    def bundles_fn(points: Sequence[float], first: int, last: int
+                   ) -> list[tuple[PGVector, ...]]:
+        reads: _Reads | None = None
+        if rows is not None:
+            index = [round((s - origin) / spacing) for s in points]
+            if all(8 <= i < count - 8 and s == origin + i * spacing
+                   for s, i in zip(points, index)):
+                reads = _LatticeReads(rows, index)
+        return _fd_bundles(reads or _RowReads(row_at, points), points, first,
+                           last, h, tops, window)
 
     return CurveJet(None, (lo, hi), JetKind.FINITE_DIFFERENCE, max_order=6,
-                    jets_fn=jets_fn, nodes=nodes)
+                    nodes=nodes, bundles_fn=bundles_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .algebra import PGVector
-from .curves import CurveJet, jet_errors
+from .curves import CurveJet, bundle_reader, jet_errors
 from .errors import EmptyGridError, JetOrderError
 from .frenet import (Frame, _frame_defect, _neighbour, _one_character,
                      _overflow, normal_character)
@@ -167,11 +167,11 @@ def _equiform_frame(j1: PGVector, j2: PGVector, eps: int, rho: float
             PGVector(0.0, eps * rho2 * j2.x3, eps * rho2 * j2.x2))
 
 
-def _frames_at(c: CurveJet, s: float) -> tuple[Frame, Frame]:
+def _frames_at(s: float, j1: PGVector, j2: PGVector) -> tuple[Frame, Frame]:
     """The Frenet and the equiform frame at a residual neighbour s, from
-    one read of the jets of orders 1-2 (``frenet._neighbour``).  rho =
-    1/kappa is bit for bit entry 0 of the series pass's rho."""
-    fr, kappa, j1, j2 = _neighbour(c, s)
+    the jets of orders 1-2 there (``frenet._neighbour``).  rho = 1/kappa
+    is bit for bit entry 0 of the series pass's rho."""
+    fr, kappa = _neighbour(s, j1, j2)
     try:
         return fr, Frame(s, fr.epsilon,
                          *_equiform_frame(j1, j2, fr.epsilon, 1.0 / kappa))
@@ -191,17 +191,20 @@ def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
 
 def _sweep(c: CurveJet, grid: Sequence[float], first: int
            ) -> tuple[list[PGVector], list[EquiformData]]:
-    """The one equiform sweep: one bundle of the jets of orders first..4
-    per grid point (``first`` is 1, or 0 to read the positions too) and
-    the equiform data of its orders 1-4, each point tested before the
-    next is read, then the flip check.  Returns the order-``first`` jets
-    (the positions when ``first`` is 0) and the data."""
+    """The one equiform sweep: one grid call for the jets of orders
+    first..4 at every grid point (``first`` is 1, or 0 to read the
+    positions too) and the equiform data of each point's orders 1-4, in
+    grid order, then the flip check; when the grid call fails, each point
+    is read and tested before the next (``curves.bundle_reader``).
+    Returns the order-``first`` jets (the positions when ``first`` is 0)
+    and the data."""
     if len(grid) == 0:
         raise EmptyGridError("equiform sweep needs a non-empty grid")
     _needs_order_4(c)
     heads, datas = [], []
-    for s in grid:
-        jets = c.jets(s, first, 4)
+    read = bundle_reader(c, grid, first, 4)
+    for i, s in enumerate(grid):
+        jets = read(i)
         heads.append(jets[0])
         datas.append(_equiform_of(s, *jets[-4:]))
     _one_character(datas)
@@ -222,7 +225,8 @@ def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     """
     h = c.residual_step if h is None else h
     d0 = equiform_data(c, s)
-    dm, dp = _frames_at(c, s - h)[1], _frames_at(c, s + h)[1]
+    dm = _frames_at(s - h, *c.jets(s - h, 1, 2))[1]
+    dp = _frames_at(s + h, *c.jets(s + h, 1, 2))[1]
     return _equiform_residual_of(dm, d0, dp, h)
 
 

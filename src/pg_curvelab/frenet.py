@@ -19,7 +19,7 @@ from math import inf, isfinite, sqrt
 from typing import NamedTuple, Sequence
 
 from .algebra import PGVector, _finite
-from .curves import CurveJet
+from .curves import CurveJet, bundle_reader
 from .errors import (EmptyGridError, InadmissibleCurveError,
                      NumericalInflectionError)
 
@@ -104,8 +104,9 @@ def check_admissibility(c: CurveJet, grid: Sequence[float]
     infl: list[float] = []
     light: list[float] = []
     failing: list[float] = []
-    for s in grid:
-        j1, j2 = c.jets(s, 1, 2)
+    read = bundle_reader(c, grid, 1, 2)
+    for i, s in enumerate(grid):
+        j1, j2 = read(i)
         mag = j2.x2 * j2.x2 + j2.x3 * j2.x3
         infl.append(max(abs(j2.x2), abs(j2.x3)))
         light.append(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3) / mag if mag else 0.0)
@@ -152,15 +153,13 @@ class Frame(NamedTuple):
     binormal: PGVector
 
 
-def _neighbour(c: CurveJet, s: float
-               ) -> tuple[Frame, float, PGVector, PGVector]:
-    """The Frenet frame at a residual neighbour s, with kappa and the
-    jets of orders 1-2 it was built from (one read); raises where
-    :func:`normal_character` does."""
-    j1, j2 = c.jets(s, 1, 2)
+def _neighbour(s: float, j1: PGVector, j2: PGVector) -> tuple[Frame, float]:
+    """The Frenet frame at a residual neighbour s, with kappa, from the
+    jets of orders 1-2 there; raises where :func:`normal_character`
+    does."""
     eps = normal_character(s, j1, j2)
     kappa = sqrt(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3))
-    return Frame(s, eps, *_frenet_frame(j1, j2, eps, kappa)), kappa, j1, j2
+    return Frame(s, eps, *_frenet_frame(j1, j2, eps, kappa)), kappa
 
 
 def _one_character(datas: Sequence, stencil_at: float | None = None) -> None:
@@ -195,7 +194,8 @@ def frenet_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     """
     h = c.residual_step if h is None else h
     f0 = frenet_data(c, s)
-    fm, fp = _neighbour(c, s - h)[0], _neighbour(c, s + h)[0]
+    fm = _neighbour(s - h, *c.jets(s - h, 1, 2))[0]
+    fp = _neighbour(s + h, *c.jets(s + h, 1, 2))[0]
     return _frenet_residual_of(fm, f0, fp, h)
 
 

@@ -1027,6 +1027,42 @@ class TestWorkCounts:
         assert sorted({k for _, k in calls.orders}) == [1, 2, 3, 4]
         assert calls.bundles == [(s, 1, 4) for s in grid]
 
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_lattice_sweeps_in_grid_calls(self, helix_csv, counting,
+                                          monkeypatch, command):
+        # the 257-row helix lattice, h = 2^-6 and grid spacing 0.08: eval
+        # reads orders 0-4 at every grid point in one grid call and
+        # orders 1-2 at each neighbour s -+ h in a second, in the order
+        # the sweep first needs them; classify reads orders 1-4 once
+        curve, calls = counting(_lattice_curve(helix_csv))
+        assert curve.batched
+        grid_calls = []
+        bundles = CurveJet.bundles
+
+        def logged(c, points, first, last):
+            grid_calls.append((len(points), first, last))
+            return bundles(c, points, first, last)
+
+        monkeypatch.setattr(CurveJet, "bundles", logged)
+        grid = curve.grid(-0.8, 0.8, 21)
+        res = _Resolved(curve=curve, label="", params={}, grid=grid)
+        if command == "classify":
+            _classify(res, argparse.Namespace(tol_class=None, tol_zero=1e-9,
+                                              tol_const=1e-6))
+            assert calls.bundles == [(s, 1, 4) for s in grid]
+            # each call twice: the counted curve's and the lattice's
+            assert grid_calls == [(len(grid), 1, 4)] * 2
+            return
+        _eval_rows(res)
+        h = curve.residual_step
+        assert curve.domain[0] < grid[0] - h and grid[-1] + h < \
+            curve.domain[1]
+        near = [t for s in grid for t in (s - h, s + h)]
+        assert calls.bundles == [(s, 0, 4) for s in grid] + \
+            [(curve.snap(t), 1, 2) for t in near]
+        assert grid_calls == [(len(grid), 0, 4)] * 2 + \
+            [(len(near), 1, 2)] * 2
+
     def test_eval_snaps_neighbours_on_a_non_dyadic_lattice(
             self, tmp_path, helix_fixture, counting):
         # spacing 0.01 and grid spacing h = 0.02: s + h, formed in floating
@@ -1146,6 +1182,73 @@ class TestBertrandErrorOrder:
         doc = json.loads(err)
         assert (doc["error"], doc["message"]) == \
             ("InadmissibleCurveError", message)
+
+
+def write_bad_row_lattice(path, curve, first, count, bad=None):
+    """``count`` rows of ``curve`` at spacing 2^-7 from ``first``, with
+    y of row i replaced by v where ``bad`` is (i, v)."""
+    with open(path, "w") as fh:
+        fh.write("s,x,y,z\n")
+        for i in range(count):
+            s = first + i * 2.0 ** -7
+            p = curve.jet(s, 0)
+            y = bad[1] if bad and i == bad[0] else p.x2
+            fh.write(f"{s!r},{p.x1!r},{y!r},{p.x3!r}\n")
+    return str(path)
+
+
+class TestBatchErrorOrder:
+    """A grid call that fails anywhere leaves the sweep to read point by
+    point, so the first failure reported, status and message, is the one
+    a point-by-point sweep meets.  A row of y = 1e308 makes the stencil
+    sums that meet it overflow, 1e303 makes a jet non-finite, 1e300
+    overflows only the admissibility test; the cone lattice flips its
+    normal character at s = 1."""
+
+    CASES = {
+        "overflow": ("helix", -1.0, 257, (130, 1e308), "-0.9:0.9:101"),
+        "non-finite": ("helix", -1.0, 257, (130, 1e303), "-0.9:0.9:101"),
+        "kernel-overflow": ("helix", -1.0, 257, (130, 1e300),
+                            "-0.9:0.9:101"),
+        "flip": ("cone", 0.25, 225, None, "0.35:1.9:100"),
+        "flip-then-overflow": ("cone", 0.25, 225, (200, 1e308),
+                               "0.35:1.9:100"),
+    }
+    FINITE = ("ValueError", "PGVector components must be finite, got {}")
+    FLIP_NEAR = ("InadmissibleCurveError", "normal character flips near "
+                 "s=0.992188; the curve crosses the light cone inside the "
+                 "difference stencil")
+
+    @pytest.mark.parametrize("case, command, rc, error, message", [
+        ("overflow", "eval", 2, *FINITE[:1], FINITE[1].format("inf")),
+        ("overflow", "classify", 2, *FINITE[:1], FINITE[1].format("inf")),
+        ("non-finite", "eval", 2, *FINITE[:1], FINITE[1].format("-inf")),
+        ("non-finite", "classify", 2, *FINITE[:1], FINITE[1].format("-inf")),
+        ("kernel-overflow", "eval", 2, "OverflowError",
+         "y''^2 + z''^2 overflows at s=-0.015625"),
+        ("kernel-overflow", "classify", 2, "OverflowError",
+         "y''^2 + z''^2 overflows at s=-0.015625"),
+        ("flip", "eval", 3, *FLIP_NEAR),
+        ("flip", "classify", 3, "InadmissibleCurveError",
+         "normal character flips between s=0.351562 and s=1.00781; the "
+         "curve crosses the light cone"),
+        # eval meets the flip before the bad row; classify sweeps every
+        # point before its flip check, and meets the bad row first
+        ("flip-then-overflow", "eval", 3, *FLIP_NEAR),
+        ("flip-then-overflow", "classify", 2, *FINITE[:1],
+         FINITE[1].format("-inf")),
+    ])
+    def test_first_failure_is_reported(self, tmp_path, capsys, helix_fixture,
+                                       light_cone_crossing_curve, case,
+                                       command, rc, error, message):
+        name, first, count, bad, grid = self.CASES[case]
+        curve = (helix_fixture.curve if name == "helix"
+                 else light_cone_crossing_curve)
+        path = write_bad_row_lattice(tmp_path / f"{case}.csv", curve, first,
+                                     count, bad)
+        got = invoke(capsys, command, "--input", path, "--grid", grid)
+        assert got == (rc, "", json.dumps(
+            {"schema": SCHEMA, "error": error, "message": message}) + "\n")
 
 
 class TestPositionReads:

@@ -267,8 +267,9 @@ def assert_point(c, s: float, h: float, full_neighbours: bool) -> None:
             fm, fp = frenet_data(c, s - h), frenet_data(c, s + h)
             dm, dp = equiform_data(c, s - h), equiform_data(c, s + h)
         else:
-            fm, fp = _neighbour(c, s - h)[0], _neighbour(c, s + h)[0]
-            dm, dp = _frames_at(c, s - h)[1], _frames_at(c, s + h)[1]
+            below, above = c.jets(s - h, 1, 2), c.jets(s + h, 1, 2)
+            fm, fp = _neighbour(s - h, *below)[0], _neighbour(s + h, *above)[0]
+            dm, dp = _frames_at(s - h, *below)[1], _frames_at(s + h, *above)[1]
     except (CurveLabError, ValueError):
         reject()
     ref = ref_vectors(d)

@@ -233,7 +233,7 @@ def assert_same_frames(c: CurveJet, s: float) -> None:
     """The frames a residual neighbour reads at s (jets of orders 1-2)
     are those of ``frenet_data`` and ``equiform_data`` bit for bit, and
     the equiform tangent's first component is their rho."""
-    fr, eq = _frames_at(c, s)
+    fr, eq = _frames_at(s, *c.jets(s, 1, 2))
     full = frenet_data(c, s), equiform_data(c, s)
     for frame, data in zip((fr, eq), full):
         assert (frame.s, frame.epsilon) == (data.s, data.epsilon)
