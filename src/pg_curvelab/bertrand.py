@@ -25,8 +25,6 @@ Frenet and equiform kernels read a point): orders first..last take one
 fetch of the base orders min(first, 2)..last+2 and one series of length
 last+1, e.g. 6 base jets for the orders 1-4 of :func:`equiform_data`,
 and base orders 0-6 once for a point of :func:`verify_bertrand_pair`.
-On a base with a grid call (:meth:`CurveJet.bundles`, the FD tier's)
-the mate's grid call reads those bundles in one grid call of the base.
 The mate keeps the base's domain, kind, warnings and ``nodes``, and
 reads the base at its own parameters only.
 """
@@ -163,15 +161,8 @@ def _offset_jets(base: CurveJet, lam: float, s: float, first: int,
                  last: int) -> tuple[PGVector, ...]:
     """Exact mate jets of orders first..last: one fetch of the base
     orders min(first, 2)..last+2 and one normal series of length last+1."""
-    return _offset_of(base.jets(s, min(first, 2), last + 2), lam, s, first,
-                      last)
-
-
-def _offset_of(jets: Sequence[PGVector], lam: float, s: float, first: int,
-               last: int) -> tuple[PGVector, ...]:
-    """:func:`_offset_jets` from ``jets``, the base orders
-    min(first, 2)..last+2 at s."""
     low = min(first, 2)
+    jets = base.jets(s, low, last + 2)
     try:
         ny, nz = _normal_series(jets[2 - low:], s)
         out = tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
@@ -208,12 +199,11 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     The returned curve carries the jets of orders up to base.max_order -
     2, at most 6, each from one fetch of the base's jets
     (:func:`_offset_jets`), and keeps the base's domain, kind, warnings
-    and ``nodes``.  On a base with a grid call (the FD tier's) the mate
-    has one too, which reads the base's once for all its points.  A
-    non-finite offset raises ``ValueError`` and a base below order 6
-    :class:`JetOrderError`, both before any jet is read.  The mate is
-    probed at five interior points and :class:`MateInadmissibleError`
-    is raised if the offset flattens or degenerates it.
+    and ``nodes``.  A non-finite offset raises ``ValueError`` and a base
+    below order 6 :class:`JetOrderError`, both before any jet is read.
+    The mate is probed at five interior points and
+    :class:`MateInadmissibleError` is raised if the offset flattens or
+    degenerates it.
     """
     lam = float(offset)
     if not math.isfinite(lam):
@@ -225,15 +215,9 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
         return _offset_jets(base, lam, s, first, last)
 
-    def bundles_fn(points: Sequence[float], first: int, last: int
-                   ) -> list[tuple[PGVector, ...]]:
-        return [_offset_of(jets, lam, s, first, last) for s, jets in
-                zip(points, base.bundles(points, min(first, 2), last + 2))]
-
     mate = CurveJet(None, base.domain, base.kind,
                     max_order=min(base.max_order, 8) - 2,
-                    warnings=base.warnings, jets_fn=jets_fn, nodes=base.nodes,
-                    bundles_fn=bundles_fn if base.batched else None)
+                    warnings=base.warnings, jets_fn=jets_fn, nodes=base.nodes)
     _probe_mate(mate, lam)
     return mate
 

@@ -19,8 +19,9 @@ A curve evaluates a list of points in one grid call,
 :meth:`CurveJet.bundles`.  The finite-difference tier runs it order by
 order for all the points at once: the points that share a stencil (step
 and node range) form one group, whose stencil sums are C-level ``fsum``
-passes over node columns, and its per-point ``jets`` is the grid call of
-one point.  Closed-form curves loop over the points.
+passes over the group's nodes, read point by point, and its per-point
+``jets`` is the grid call of one point.  Closed-form curves loop over
+the points.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import math
 import random
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from math import fsum, isfinite
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
@@ -381,12 +381,12 @@ def _weights(order: int, first: int, count: int
 
 _Row = tuple[float, float, float, float]      # x, y, z, max |component|
 RowFn = Callable[[float], _Row]
-# columns(offsets, step, k): for each j of ``offsets``, the node
-# s + j * step, d = j * k half-steps (h/2) from s, at each of a group's
-# points, as (its x, then y, then z column joined in one sequence, its
-# max |component| column)
-Columns = Callable[[Sequence[int], float, int],
-                   list[tuple[Sequence[float], Sequence[float]]]]
+# nodes(offsets, step, k): the nodes s + j * step, j of ``offsets``, at
+# each of a group's points s, d = j * k half-steps (h/2) from s, point by
+# point: (every x, then every y, then every z, in one sequence; every
+# max |component|)
+Nodes = Callable[[Sequence[int], float, int],
+                 tuple[Sequence[float], Sequence[float]]]
 
 
 def _row_fn(position: PositionFn) -> RowFn:
@@ -412,32 +412,30 @@ class _RowReads:
     def positions(self) -> list[PGVector]:
         return [PGVector(*self.row_at(s)[:3]) for s in self.points]
 
-    def columns(self, sel: Sequence[int]) -> Columns:
-        """The node columns of the points numbered ``sel``."""
+    def nodes(self, sel: Sequence[int]) -> Nodes:
+        """The nodes of the points numbered ``sel``."""
         row_at = self.row_at
         pts = [(self.points[p], self.seen[p]) for p in sel]
 
-        def columns(offsets: Sequence[int], step: float, k: int) -> list:
-            out = []
-            for j in offsets:
-                rows = []
-                for s, seen in pts:
+        def nodes(offsets: Sequence[int], step: float, k: int) -> tuple:
+            rows = []
+            for s, seen in pts:
+                for j in offsets:
                     t = s + j * step
                     row = seen.get(t)
                     if row is None:
                         row = seen[t] = row_at(t)
                     rows.append(row)
-                x, y, z, mag = zip(*rows)
-                out.append((x + y + z, mag))
-            return out
+            x, y, z, mag = zip(*rows)
+            return x + y + z, mag
 
-        return columns
+        return nodes
 
 
 class _LatticeReads:
     """The nodes of a batch's points on a lattice of spacing h/2, read
     by index from its row columns: node s + j*step of the point at row
-    i is row i + d, d = j * step / (h/2)."""
+    i is row i + j*k."""
 
     __slots__ = ("rows", "index")
 
@@ -448,34 +446,16 @@ class _LatticeReads:
         x, y, z, _ = self.rows
         return [PGVector(x[i], y[i], z[i]) for i in self.index]
 
-    def columns(self, sel: Sequence[int]) -> Columns:
-        """The node columns of the points numbered ``sel``, each read
-        once per group: a slice when their rows are evenly spaced."""
+    def nodes(self, sel: Sequence[int]) -> Nodes:
+        """The nodes of the points numbered ``sel``."""
         x, y, z, mag = self.rows
-        idx = [self.index[p] for p in sel]
-        start, stop = idx[0], idx[-1] + 1
-        stride = idx[1] - start if len(idx) > 1 else 1
-        if stride > 0 and idx == list(range(start, stop, stride)):
-            def read(d: int) -> tuple:
-                a, b = start + d, stop + d
-                return (x[a:b:stride] + y[a:b:stride] + z[a:b:stride],
-                        mag[a:b:stride])
-        else:
-            def read(d: int) -> tuple:
-                get = itemgetter(*[i + d for i in idx])
-                return get(x) + get(y) + get(z), get(mag)
-        seen: dict[int, tuple] = {}
+        rows = [self.index[p] for p in sel]
 
-        def columns(offsets: Sequence[int], step: float, k: int) -> list:
-            out = []
-            for j in offsets:
-                col = seen.get(j * k)
-                if col is None:
-                    col = seen[j * k] = read(j * k)
-                out.append(col)
-            return out
+        def nodes(offsets: Sequence[int], step: float, k: int) -> tuple:
+            get = itemgetter(*[i + j * k for i in rows for j in offsets])
+            return get(x) + get(y) + get(z), get(mag)
 
-        return columns
+        return nodes
 
 
 _Reads = _RowReads | _LatticeReads
@@ -483,39 +463,43 @@ _Jet = tuple[float, float, float, float, float]
 
 
 @lru_cache(maxsize=None)
-def _float_weights(order: int, first: int, count: int) -> tuple[float, ...]:
-    """``_weights``' integer weights as floats, exact: w * x is the
-    product int * float gives."""
-    return tuple(map(float, _weights(order, first, count)[1]))
+def _stencil(order: int, first: int, count: int
+             ) -> tuple[tuple[int, ...], tuple[float, ...], int, float]:
+    """``_weights`` as a sum reads it: offsets, the integer weights as
+    floats (exact: w * x is the product int * float gives), the common
+    denominator and the round-off factor 4 ulps * sum|w| / denominator."""
+    offsets, weights, denom, wsum = _weights(order, first, count)
+    return (offsets, tuple(map(float, weights)), denom,
+            _ROUNDOFF_ULPS * _EPS * wsum / denom)
 
 
-def _extrapolate(columns: Columns, order: int, m: int, h: float,
-                 first: int, count: int) -> list[_Jet]:
+def _extrapolate(nodes: Nodes, order: int, m: int, h: float, first: int,
+                 count: int) -> list[_Jet]:
     """One Richardson level over the steps H = m*h and H/2 on the node
-    range (first, count), for every point of ``columns``: its jet's
+    range (first, count), for every point of ``nodes``: its jet's
     components, truncation estimate and round-off bound, whose sum is
     the jet's error bound.  Each stencil sum is one ``fsum`` per point
     over the terms w_j * node_j in node order, taken for all the points
     at once: coarse x, y, z, then fine x, y, z, then each point's
     finiteness check, the order a point alone meets them in."""
-    offsets, _, denom, wsum = _weights(order, first, count)
-    weights = _float_weights(order, first, count)
+    offsets, weights, denom, bound = _stencil(order, first, count)
+    width = len(offsets)
     big = m * h
     sums: list[Sequence[float]] = []
     for step, k in ((big, 2 * m), (0.5 * big, m)):
-        nodes = columns(offsets, step, k)
-        scale = denom * step ** order
-        terms = map(map, repeat(mul), repeat(weights),
-                    zip(*[node[0] for node in nodes]))
-        xyz = [v / scale for v in map(fsum, terms)]
-        n = len(nodes[0][1])
+        xyz, mag = nodes(offsets, step, k)
+        n = len(mag) // width
+        xyz = list(map(fsum, zip(*[map(mul, weights * (3 * n), xyz)]
+                                 * width)))
         sums += (xyz[:n], xyz[n:2 * n], xyz[2 * n:],
-                 list(map(max, *[node[1] for node in nodes])))
-    bound = _ROUNDOFF_ULPS * _EPS * wsum / denom
-    fine_pow, coarse_pow = (0.5 * big) ** order, big ** order
+                 list(map(max, zip(*[iter(mag)] * width))))
+    coarse_pow, fine_pow = big ** order, (0.5 * big) ** order
+    coarse, fine = denom * coarse_pow, denom * fine_pow
 
     def combine(cx: float, cy: float, cz: float, cmag: float, fx: float,
                 fy: float, fz: float, fmag: float) -> _Jet:
+        cx, cy, cz = cx / coarse, cy / coarse, cz / coarse
+        fx, fy, fz = fx / fine, fy / fine, fz / fine
         trunc = max(abs(fx - cx), abs(fy - cy), abs(fz - cz)) / 15.0
         roundoff = bound * (16.0 * fmag / fine_pow + cmag / coarse_pow) / 15.0
         x = (16.0 * fx - cx) / 15.0
@@ -528,19 +512,21 @@ def _extrapolate(columns: Columns, order: int, m: int, h: float,
     return list(map(combine, *sums))
 
 
-def _tries(reads: _Reads, order: int, h: float,
-           trial: dict[int, tuple[int, tuple[int, int]]]) -> dict[int, _Jet]:
-    """:func:`_extrapolate` of each point p of ``trial`` at its step
-    multiple and node range trial[p], the points that share both in one
-    group."""
+def _tries(reads: _Reads, order: int, h: float, sel: Sequence[int],
+           fits: Sequence[tuple[int, tuple[int, int]]]) -> list[_Jet]:
+    """:func:`_extrapolate` of each point sel[i] at its step multiple and
+    node range fits[i], the points that share both in one group."""
+    if fits.count(fits[0]) == len(fits):
+        m, nodes = fits[0]
+        return _extrapolate(reads.nodes(sel), order, m, h, *nodes)
     groups: dict[tuple[int, tuple[int, int]], list[int]] = {}
-    for p, key in trial.items():
-        groups.setdefault(key, []).append(p)
+    for i, key in enumerate(fits):
+        groups.setdefault(key, []).append(i)
     out: dict[int, _Jet] = {}
-    for (m, nodes), sel in groups.items():
-        out.update(zip(sel, _extrapolate(reads.columns(sel), order, m, h,
-                                         *nodes)))
-    return out
+    for (m, nodes), group in groups.items():
+        nodes_of = reads.nodes([sel[i] for i in group])
+        out.update(zip(group, _extrapolate(nodes_of, order, m, h, *nodes)))
+    return [out[i] for i in range(len(sel))]
 
 
 def _node_range(order: int, s: float, step: float,
@@ -600,13 +586,14 @@ def _adaptive(reads: _Reads, points: Sequence[float], order: int, h: float,
     ends the search.  Multiples of h keep every node on s + (h/2) * Z.
     Each try runs for all the points still searching at once.
     """
-    trial = {p: _fit(order, s, top, h, window) for p, s in enumerate(points)}
-    steps = {p: m for p, (m, _) in trial.items()}
-    latest = _tries(reads, order, h, trial)
-    best = dict(latest)
+    fits = [_fit(order, s, top, h, window) for s in points]
+    steps = [m for m, _ in fits]
+    sel: Sequence[int] = range(len(points))
+    latest = _tries(reads, order, h, sel, fits)
+    best = list(latest)
     for _ in range(2):
-        trial = {}
-        for p, (_, _, _, trunc, roundoff) in latest.items():
+        searching, fits = [], []
+        for p, (_, _, _, trunc, roundoff) in zip(sel, latest):
             m = steps[p]
             if trunc > 0.0:
                 ratio = order * roundoff / (4.0 * trunc)
@@ -617,14 +604,16 @@ def _adaptive(reads: _Reads, points: Sequence[float], order: int, h: float,
                               window)
             if abs(nxt - m) > 0.2 * m:
                 steps[p] = nxt
-                trial[p] = nxt, nodes
-        if not trial:
+                searching.append(p)
+                fits.append((nxt, nodes))
+        if not searching:
             break
-        latest = _tries(reads, order, h, trial)
-        for p, jet in latest.items():
+        sel = searching
+        latest = _tries(reads, order, h, sel, fits)
+        for p, jet in zip(sel, latest):
             if jet[3] + jet[4] < best[p][3] + best[p][4]:
                 best[p] = jet
-    return [best[p] for p in range(len(points))]
+    return best
 
 
 def _fd_bundles(reads: _Reads, points: Sequence[float], first: int,
@@ -633,18 +622,16 @@ def _fd_bundles(reads: _Reads, points: Sequence[float], first: int,
     """The jets of orders first..last at every point, order by order for
     all the points at once: the positions, then each order's
     :class:`FDVector` jets, centred at steps h and h/2 when its ``tops``
-    entry is 1 (one group of all the points, whose node columns every
-    such order shares), otherwise at the step :func:`_adaptive` picks."""
+    entry is 1 (one group of all the points), otherwise at the step
+    :func:`_adaptive` picks."""
     orders = []
-    shared = None
+    every = reads.nodes(range(len(points)))
     for k in range(first, last + 1):
         if k == 0:
             orders.append(reads.positions())
             continue
         if tops[k] == 1:
-            if shared is None:
-                shared = reads.columns(range(len(points)))
-            jets = _extrapolate(shared, k, 1, h, *_CENTRED[k])
+            jets = _extrapolate(every, k, 1, h, *_CENTRED[k])
         else:
             jets = _adaptive(reads, points, k, h, tops[k], window)
         orders.append([FDVector(x, y, z, trunc + roundoff)
@@ -685,11 +672,12 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     Bundles.  ``bundles(points, first, last)`` evaluates every point in
     one pass, order by order: orders 1-2 as one group of all the points,
     and each step trial of orders 3-6 with the points grouped by step
-    and node range (``_adaptive``).  Every point reads each node once for
-    all its orders and step trials (``_RowReads``), and its jets are
-    those it gets alone, ``jets(s, first, last)`` being the one-point
-    grid call; ``jet(s, k)`` is the bundle of order k alone, so all give
-    the same bits.  Nothing is kept between calls: evaluation is pure.
+    and node range (``_adaptive``).  Every point reads ``position`` once
+    per node for all its orders and step trials (``_RowReads``), and its
+    jets are those it gets alone, ``jets(s, first, last)`` being the
+    one-point grid call; ``jet(s, k)`` is the bundle of order k alone,
+    so all give the same bits.  Nothing is kept between calls:
+    evaluation is pure.
     """
     return _fd_curve(_row_fn(position), domain, h)
 
@@ -707,10 +695,10 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
     It needs ``LATTICE_MIN_ROWS`` samples (else ``NarrowDomainError``) of
     distinct s, each within 1e-9 * max(1, |s|) of its node and within
     1e-6 * spacing, the tolerance of a read (else ``ValueError``).  The
-    rows are kept as x, y, z and max |component| columns, shifted once
-    if x != s, and a grid call reads the stencil nodes of points on
-    domain nodes by index (``_LatticeReads``); other points read rows
-    one by one through the read check."""
+    rows are kept as x, y, z and max |component| columns, x shifted once
+    if x != s at the first domain node; a grid call reads the stencil
+    nodes of points on domain nodes by index (``_LatticeReads``), and
+    other points read rows one by one through the read check."""
     samples = sorted(samples, key=itemgetter(0))
     n = len(samples)
     if n < LATTICE_MIN_ROWS:
@@ -732,25 +720,39 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
         x.append(xi)
         y.append(yi)
         z.append(zi)
+    lo = first + 8 * spacing
+    dx = x[8] - lo
+    if dx != 0.0:
+        x = [v - dx for v in x]
     mag = list(map(max, map(abs, x), map(abs, y), map(abs, z)))
+    # a row whose shift overflows raises where a read meets it
+    overflows = dx != 0.0 and not all(map(isfinite, x))
 
     def row_at(t: float) -> _Row:
         i = round((t - first) / spacing)
         if i < 0 or i >= n or abs(t - (first + i * spacing)) > 1e-6 * spacing:
             raise ValueError(f"off-lattice evaluation at s={t!r}")
+        if overflows and not isfinite(x[i]):
+            PGVector(x[i], y[i], z[i])
         return x[i], y[i], z[i], mag[i]
 
-    return _fd_curve(row_at, (first + 8 * spacing, last - 8 * spacing),
-                     2 * spacing, (first, spacing), (x, y, z, mag))
+    # Index reads need every node s + j * step of a point s on node i to
+    # pass the read check at row i + j * k: its rounding, a few ulps of
+    # the largest node, must stay far inside 1e-6 spacings
+    exact = (64.0 * _EPS * max(abs(first), abs(first + n * spacing))
+             <= 1e-6 * spacing)
+    return _fd_curve(row_at, (lo, last - 8 * spacing), 2 * spacing,
+                     (first, spacing),
+                     (x, y, z, mag) if exact and not overflows else None)
 
 
 def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
               nodes: tuple[float, float] | None = None,
               rows: tuple[list[float], ...] | None = None) -> CurveJet:
     """:func:`make_sampled_curve` of the rows ``row_at(t)``; on a lattice
-    ``nodes`` (first, spacing) and its row columns ``rows`` (x, y, z,
-    max |component|), from which a grid call reads every point on a
-    domain node by index."""
+    ``nodes`` (first, spacing), whose rows come shifted to x = s, and
+    its row columns ``rows`` (x, y, z, max |component|), from which a
+    grid call reads every point on a domain node by index."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (lo < hi):
         raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
@@ -765,8 +767,8 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
     if hi - lo < 8.0 * h - 8.0 * _EPS * scale:
         raise NarrowDomainError(f"domain [{lo}, {hi}] is shorter than 8h = {8 * h}")
 
-    # probe the left endpoint, which on a lattice is a node
-    dx = row_at(lo)[0] - lo
+    # probe the left endpoint of a position function
+    dx = 0.0 if nodes else row_at(lo)[0] - lo
     if dx != 0.0:
         unshifted = row_at
 
@@ -776,36 +778,19 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
                 PGVector(x - dx, y, z)      # an overflowing shift raises
             return x - dx, y, z, max(abs(x - dx), abs(y), abs(z))
 
-        if rows is not None:
-            x, y, z, _ = rows
-            x = [v - dx for v in x]
-            # a row whose shift overflows raises where a read meets it
-            rows = ((x, y, z, list(map(max, map(abs, x), map(abs, y),
-                                       map(abs, z))))
-                    if all(map(isfinite, x)) else None)
-
     # the balanced multiple of h that each order's step search starts from
     top4 = max(1, math.floor(_BALANCED * scale / h))
     top6 = max(1, math.floor(_BALANCED_6 * (1.0 if nodes else scale) / h))
     tops = (1, 1, 1, top4, top4, top6, top6)
     window = (lo - 4.0 * h, hi + 4.0 * h)
-
-    # Index reads need every node s + j * step of a point s on node i to
-    # pass the lattice's read check at row i + d: its rounding, a few
-    # ulps of the largest node, must stay far inside 1e-6 spacings
-    if rows is not None:
-        origin, spacing = nodes
-        count = len(rows[0])
-        if 64.0 * _EPS * max(abs(origin), abs(origin + count * spacing)) \
-                > 1e-6 * spacing:
-            rows = None
+    origin, spacing = nodes or (0.0, 0.0)
 
     def bundles_fn(points: Sequence[float], first: int, last: int
                    ) -> list[tuple[PGVector, ...]]:
         reads: _Reads | None = None
         if rows is not None:
             index = [round((s - origin) / spacing) for s in points]
-            if all(8 <= i < count - 8 and s == origin + i * spacing
+            if all(8 <= i < len(rows[0]) - 8 and s == origin + i * spacing
                    for s, i in zip(points, index)):
                 reads = _LatticeReads(rows, index)
         return _fd_bundles(reads or _RowReads(row_at, points), points, first,

@@ -23,7 +23,6 @@ import pytest
 
 from pg_curvelab import curves
 from pg_curvelab.algebra import PGVector
-from pg_curvelab.bertrand import bertrand_mate
 from pg_curvelab.curves import (FDVector, _fit, _weights, bundle_reader,
                                 make_lattice_curve, make_sampled_curve)
 from pg_curvelab.errors import CurveLabError
@@ -283,6 +282,17 @@ class TestLatticeBatch:
         for points in grids(curve, (1, 2, 21, 101)):
             assert_batch(curve, ref, points)
 
+    def test_overflowing_shift_fails_like_the_reference(self):
+        # x = s + 1e308 shifts by about 1e308; the one row at x = -1e308
+        # overflows when shifted, and the points whose stencils meet it
+        # raise where the reference does
+        samples = lattice(family(random.Random(13)), -1.0, 2.0 ** -7, 257)
+        samples = [(s, x + 1e308, y, z) for s, x, y, z in samples]
+        samples[140] = (samples[140][0], -1e308, *samples[140][2:])
+        curve, ref = make_lattice_curve(samples), ref_lattice_jets(samples)
+        for points in grids(curve, (1, 2, 21, 101)):
+            assert_batch(curve, ref, points)
+
 
 class TestSampledBatch:
     @pytest.mark.parametrize("h", [None, 1e-3, 2e-4])
@@ -327,17 +337,6 @@ class TestGridCalls:
         assert outcome(lambda: curve.bundles(points, 0, 6)) == \
             [[jet_bits(v) for v in curve.jets(s, 0, 6)] for s in points]
         assert curve.bundles([], 0, 9) == []
-
-    def test_mate_batches_where_its_base_does(self, helix_fixture):
-        c = helix_fixture.curve
-        base = make_lattice_curve(lattice(c.position, -1.0, 2.0 ** -7, 257))
-        mate = bertrand_mate(base, 0.3)
-        assert mate.batched and not bertrand_mate(c, 0.3).batched
-        points = base.grid(-0.8, 0.8, 41)
-        for first, last in ((0, 4), (1, 2), (3, 4)):
-            assert outcome(lambda: mate.bundles(points, first, last)) == [
-                [jet_bits(v) for v in mate.jets(s, first, last)]
-                for s in points]
 
     def test_reader_falls_back_point_by_point(self, counting):
         # the grid call raises for the points near the bad row; the
