@@ -49,7 +49,7 @@ from .equiform import (MIN_GRID_POINTS, TOL_CONST, TOL_ZERO, NaturalClass,
                        _equiform_of, _equiform_residual_of, _frames_at,
                        _natural_class_of, equiform_grid)
 from .errors import CurveLabError, InadmissibleCurveError
-from .frenet import _frenet_of, _frenet_residual_of
+from .frenet import _frenet_of, _frenet_residual_of, _stencil_character
 from .zoo import (
     describe_constraints,
     get_example,
@@ -214,11 +214,12 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
     ``curve.snap`` so that a lattice neighbour is the grid point it lands
     on) that is not a grid point is read for its frames alone, from its
     bundle of orders 1-2 (``equiform._frames_at``): 3 bundles and 9 jet
-    orders per point off the grid.  Each point's record, (Frenet,
-    equiform, position) at a grid point and the two frames elsewhere, is
-    built when the ascending sweep first needs it and kept while the
-    sweep can still read it: kept longer, a 1001-point grid holds 3003
-    records and the collector walks them all."""
+    orders per point off the grid.  Each point's record, eps and the
+    Frenet and equiform frames as floats, with kappa, tau, rho, K, T and
+    the position at a grid point, is built when the ascending sweep
+    first needs it and kept while the sweep can still read it: kept
+    longer, a 1001-point grid holds 3003 records and the collector walks
+    them all."""
     curve, grid, snap = res.curve, res.grid, res.curve.snap
     h = curve.residual_step
     lo, hi = curve.domain
@@ -238,8 +239,11 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
         rec = records.get(s)
         if rec is None:
             if s in on_grid:
-                p, *jets = at(on_grid[s])
-                rec = _frenet_of(s, *jets[:3]), _equiform_of(s, *jets), p
+                p, j1, j2, j3, j4 = at(on_grid[s])
+                eps, kappa, tau, fr = _frenet_of(s, j1, j2, j3)
+                (rho, K, T, _, _, _), eq = _equiform_of(s, eps, j1, j2, j3,
+                                                        j4)
+                rec = eps, fr, eq, kappa, tau, rho, K, T, p
             else:
                 rec = _frames_at(s, *near(off_grid[s]))
             records[s] = rec
@@ -250,20 +254,17 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
         below = snap(s - h)
         for t in [t for t in records if t < below]:
             del records[t]
-        fr, eq, p = apparatus(s)
+        eps, fr, eq, kappa, tau, rho, K, T, p = apparatus(s)
         if pair:
-            (frm, eqm), (frp, eqp) = (apparatus(pair[0])[:2],
-                                      apparatus(pair[1])[:2])
-            r1 = _frenet_residual_of(frm, fr, frp, h)
-            r2 = _equiform_residual_of(eqm, eq, eqp, h)
+            em, frm, eqm = apparatus(pair[0])[:3]
+            ep, frp, eqp = apparatus(pair[1])[:3]
+            _stencil_character(s, em, eps, ep)
+            r1 = _frenet_residual_of(frm, fr, frp, kappa, tau, h)
+            r2 = _equiform_residual_of(eqm, eq, eqp, rho, K, T, h)
         else:
             r1 = r2 = math.nan
-        rows.append([
-            s, p.x1, p.x2, p.x3, fr.kappa, fr.tau, float(fr.epsilon),
-            eq.curvature, eq.torsion,
-            *fr.tangent.as_tuple(), *fr.normal.as_tuple(),
-            *fr.binormal.as_tuple(), r1, r2,
-        ])
+        rows.append([s, p.x1, p.x2, p.x3, kappa, tau, float(eps), K, T,
+                     *fr, r1, r2])
     return rows
 
 

@@ -18,6 +18,14 @@ the curve jets, written out as one float pass for the series lengths it
 needs (the arithmetic of :class:`~.series.DSeries`, bit for bit), so a
 curve carrying exact order-4 jets yields K, T and their rates exact to
 round-off.
+
+The kernels pass the frame as nine floats (``frenet.Frame``), each
+finite, checked in the order of its components (``algebra._finite``):
+``_equiform_of`` gives the series values and the frame at a point,
+``_frames_at`` the Frenet and equiform frames at a residual neighbour
+and ``_equiform_residual_of`` reads the frames at s - h, s and s + h.
+:func:`equiform_data` and the grid sweep wrap the same pass into
+:class:`EquiformData` records.
 """
 
 from __future__ import annotations
@@ -26,11 +34,12 @@ from math import fsum, sqrt
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .algebra import PGVector
+from .algebra import PGVector, _finite
 from .curves import CurveJet, bundle_reader, jet_errors
 from .errors import EmptyGridError, JetOrderError
-from .frenet import (Frame, _frame_defect, _neighbour, _one_character,
-                     _overflow, normal_character)
+from .frenet import (Frame, _frame_defect, _frame_vectors, _neighbour,
+                     _one_character, _overflow, _residual_step,
+                     _stencil_character, normal_character)
 
 
 class EquiformData(NamedTuple):
@@ -66,7 +75,7 @@ def equiform_data(c: CurveJet, s: float) -> EquiformData:
     pass, to first order, into ``errors``.
     """
     _needs_order_4(c)
-    return _equiform_of(s, *c.jets(s, 1, 4))
+    return _equiform_record(s, *c.jets(s, 1, 4))
 
 
 def _needs_order_4(c: CurveJet) -> None:
@@ -75,9 +84,20 @@ def _needs_order_4(c: CurveJet) -> None:
             f"equiform apparatus needs order-4 jets, curve carries {c.max_order}")
 
 
-def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
-                 j4: PGVector) -> EquiformData:
-    """:func:`equiform_data` from the jets of orders 1-4 at s.
+def _equiform_record(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
+                     j4: PGVector) -> EquiformData:
+    """:func:`equiform_data` from the jets of orders 1-4 at s."""
+    eps = normal_character(s, j1, j2)
+    (rho, K, T, K1, T1, errors), frame = _equiform_of(s, eps, j1, j2, j3, j4)
+    return EquiformData(s, eps, rho, K, T, K1, T1, *_frame_vectors(frame),
+                        errors)
+
+
+def _equiform_of(s: float, eps: int, j1: PGVector, j2: PGVector,
+                 j3: PGVector, j4: PGVector) -> tuple[tuple, Frame]:
+    """The series values (rho, K, T, dK/ds, dT/ds, errors) and the frame
+    at s, from the jets of orders 1-4 there, once
+    :func:`normal_character` has given eps.
 
     Truncated Taylor arithmetic (Griewank & Walther, *Evaluating
     Derivatives*, ch. 13) written out for the lengths it needs, on the
@@ -90,8 +110,8 @@ def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
     term in the order of ``series._product_bounds`` and
     ``series._recursion_bounds``, so every value, bound and error is
     bit for bit that of the same pass in :class:`~.series.DSeries`.
+    The frame is built last, from rho.
     """
-    eps = normal_character(s, j1, j2)
     try:
         errs = jet_errors(j2, j3, j4)
         y0, y1, y2 = j2.x2, j3.x2, j4.x2
@@ -152,29 +172,30 @@ def _equiform_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
             errors = (re0, re1, 0.0 + (ar0 * te0 + re0 * at0), re2,
                       0.0 + (ar0 * te1 + re0 * at1) + (ar1 * te0 + re1 * at0))
 
-        return EquiformData(s, eps, r0, r1, torsion, r2, torsion_rate,
-                            *_equiform_frame(j1, j2, eps, r0), errors)
+        return ((r0, r1, torsion, r2, torsion_rate, errors),
+                _equiform_frame(j1, j2, eps, r0))
     except (ValueError, ArithmeticError) as exc:
         raise _overflow(s, j2, exc)
 
 
 def _equiform_frame(j1: PGVector, j2: PGVector, eps: int, rho: float
-                    ) -> tuple[PGVector, PGVector, PGVector]:
-    """(tangent, normal, binormal) from the jets of orders 1-2."""
+                    ) -> Frame:
+    """The tangent, normal and binormal from the jets of orders 1-2,
+    checked in that order (``algebra._finite``)."""
     rho2 = rho * rho
-    return (PGVector(rho, rho * j1.x2, rho * j1.x3),
-            PGVector(0.0, rho2 * j2.x2, rho2 * j2.x3),
-            PGVector(0.0, eps * rho2 * j2.x3, eps * rho2 * j2.x2))
+    return _finite(rho, rho * j1.x2, rho * j1.x3,
+                   0.0, rho2 * j2.x2, rho2 * j2.x3,
+                   0.0, eps * rho2 * j2.x3, eps * rho2 * j2.x2)
 
 
-def _frames_at(s: float, j1: PGVector, j2: PGVector) -> tuple[Frame, Frame]:
-    """The Frenet and the equiform frame at a residual neighbour s, from
-    the jets of orders 1-2 there (``frenet._neighbour``).  rho = 1/kappa
-    is bit for bit entry 0 of the series pass's rho."""
-    fr, kappa = _neighbour(s, j1, j2)
+def _frames_at(s: float, j1: PGVector, j2: PGVector
+               ) -> tuple[int, Frame, Frame]:
+    """eps, the Frenet and the equiform frame at a residual neighbour s,
+    from the jets of orders 1-2 there (``frenet._neighbour``).
+    rho = 1/kappa is bit for bit entry 0 of the series pass's rho."""
+    eps, kappa, fr = _neighbour(s, j1, j2)
     try:
-        return fr, Frame(s, fr.epsilon,
-                         *_equiform_frame(j1, j2, fr.epsilon, 1.0 / kappa))
+        return eps, fr, _equiform_frame(j1, j2, eps, 1.0 / kappa)
     except (ValueError, ArithmeticError) as exc:
         raise _overflow(s, j2, exc)
 
@@ -206,7 +227,7 @@ def _sweep(c: CurveJet, grid: Sequence[float], first: int
     for i, s in enumerate(grid):
         jets = read(i)
         heads.append(jets[0])
-        datas.append(_equiform_of(s, *jets[-4:]))
+        datas.append(_equiform_record(s, *jets[-4:]))
     _one_character(datas)
     return heads, datas
 
@@ -215,29 +236,34 @@ def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     """Sup-norm defect of the scale-invariant frame equations at s.
 
     Frame sigma-derivatives are formed as rho(s) times a central s
-    difference at step h (by default ``c.residual_step``) and compared
-    with the right-hand sides; the worst component is returned,
+    difference at step h (by default ``c.residual_step``; else finite
+    and nonzero, checked before any jet is read) and compared with the
+    right-hand sides; the worst component is returned,
     normalized by rho * max(1, |K|, |T|).  At s - h and s + h only the
     frames are built, from the jets of orders 1-2 (:func:`_frames_at`),
     as ``eval`` does off its grid; the data at s need order 4.  Frames
     at s - h and s + h must share the normal character eps, and the
     points are read in the order of :func:`frenet_residual`.
     """
-    h = c.residual_step if h is None else h
-    d0 = equiform_data(c, s)
-    dm = _frames_at(s - h, *c.jets(s - h, 1, 2))[1]
-    dp = _frames_at(s + h, *c.jets(s + h, 1, 2))[1]
-    return _equiform_residual_of(dm, d0, dp, h)
+    h = _residual_step(c, h)
+    _needs_order_4(c)
+    j1, j2, j3, j4 = c.jets(s, 1, 4)
+    eps = normal_character(s, j1, j2)
+    (rho, K, T, _, _, _), d0 = _equiform_of(s, eps, j1, j2, j3, j4)
+    em, _, dm = _frames_at(s - h, *c.jets(s - h, 1, 2))
+    ep, _, dp = _frames_at(s + h, *c.jets(s + h, 1, 2))
+    _stencil_character(s, em, eps, ep)
+    return _equiform_residual_of(dm, d0, dp, rho, K, T, h)
 
 
-def _equiform_residual_of(dm: Frame | EquiformData, d0: EquiformData,
-                          dp: Frame | EquiformData, h: float) -> float:
-    """:func:`equiform_residual` from the data at s - h, s and s + h."""
-    _one_character((dm, d0, dp), d0.s)
-    K, T, n, b = d0.curvature, d0.torsion, d0.normal, d0.binormal
-    rhs = (K, d0.tangent, 1.0, n), (K, n, T, b), (T, n, K, b)    # 1.0*n is n
-    return (_frame_defect(dm, dp, d0.rho * 0.5 / h, rhs)
-            / (d0.rho * max(1.0, abs(K), abs(T))))
+def _equiform_residual_of(dm: Frame, d0: Frame, dp: Frame, rho: float,
+                          K: float, T: float, h: float) -> float:
+    """:func:`equiform_residual` from the equiform frames at s - h, s and
+    s + h and rho, K and T at s, once ``frenet._stencil_character`` has
+    passed."""
+    rhs = (K, 0, 1.0, 3), (K, 3, T, 6), (T, 3, K, 6)    # 1.0*n is n
+    return (_frame_defect(dm, d0, dp, rho * 0.5 / h, rhs)
+            / (rho * max(1.0, abs(K), abs(T))))
 
 
 # ---------------------------------------------------------------------------

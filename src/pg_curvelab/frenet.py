@@ -11,6 +11,14 @@ tau = (y'' z''' - y''' z'') / kappa^2.  The frame is
 with eps = sign(y''^2 - z''^2), chosen so the frame determinant is +1.
 The normal is spacelike for eps = +1 and timelike for eps = -1; the
 binormal has the opposite character.
+
+The kernels pass a frame as nine floats (:data:`Frame`: tangent, normal
+and binormal), each finite, checked in the order of its components
+(``algebra._finite``), so a frame raises the error its three vectors
+would.  ``_frenet_of`` and ``_neighbour`` build the frame at a point,
+and ``_frame_defect`` compares central differences of frames with the
+frame equations; :func:`frenet_data` wraps the same pass into a
+:class:`FrenetData` record.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ from .errors import (EmptyGridError, InadmissibleCurveError,
                      NumericalInflectionError)
 
 LIGHTLIKE_TOL = 1e-10
+
+
+# A frame as nine floats: tangent, normal and binormal, x, y, z each
+Frame = tuple[float, ...]
 
 
 class FrenetData(NamedTuple):
@@ -121,110 +133,123 @@ def check_admissibility(c: CurveJet, grid: Sequence[float]
 def frenet_data(c: CurveJet, s: float) -> FrenetData:
     """Evaluate the classical apparatus at s; raises where
     :func:`normal_character` does."""
-    return _frenet_of(s, *c.jets(s, 1, 3))
+    eps, kappa, tau, frame = _frenet_of(s, *c.jets(s, 1, 3))
+    return FrenetData(s, kappa, tau, eps, *_frame_vectors(frame))
 
 
-def _frenet_of(s: float, j1: PGVector, j2: PGVector,
-               j3: PGVector) -> FrenetData:
-    """:func:`frenet_data` from the jets of orders 1-3 at s."""
+def _frenet_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector
+               ) -> tuple[int, float, float, Frame]:
+    """eps, kappa, tau and the frame at s, from the jets of orders 1-3
+    there."""
+    eps, kappa, frame = _neighbour(s, j1, j2)
+    tau = (j2.x2 * j3.x3 - j3.x2 * j2.x3) / abs(j2.x2 * j2.x2 - j2.x3 * j2.x3)
+    return eps, kappa, tau, frame
+
+
+def _neighbour(s: float, j1: PGVector, j2: PGVector
+               ) -> tuple[int, float, Frame]:
+    """eps, kappa and the frame at s, from the jets of orders 1-2 there:
+    all that a frame-equation residual reads at s - h and s + h; raises
+    where :func:`normal_character` does."""
     eps = normal_character(s, j1, j2)
-    w = j2.x2 * j2.x2 - j2.x3 * j2.x3
-    kappa = sqrt(abs(w))
-    tau = (j2.x2 * j3.x3 - j3.x2 * j2.x3) / abs(w)
-    return FrenetData(s, kappa, tau, eps, *_frenet_frame(j1, j2, eps, kappa))
+    kappa = sqrt(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3))
+    return eps, kappa, _frenet_frame(j1, j2, eps, kappa)
 
 
 def _frenet_frame(j1: PGVector, j2: PGVector, eps: int, kappa: float
-                  ) -> tuple[PGVector, PGVector, PGVector]:
-    """(tangent, normal, binormal) from the jets of orders 1-2."""
-    return (PGVector(1.0, j1.x2, j1.x3),
-            PGVector(0.0, j2.x2 / kappa, j2.x3 / kappa),
-            PGVector(0.0, eps * j2.x3 / kappa, eps * j2.x2 / kappa))
+                  ) -> Frame:
+    """The tangent, normal and binormal from the jets of orders 1-2,
+    checked in that order (``algebra._finite``)."""
+    return _finite(1.0, j1.x2, j1.x3,
+                   0.0, j2.x2 / kappa, j2.x3 / kappa,
+                   0.0, eps * j2.x3 / kappa, eps * j2.x2 / kappa)
 
 
-class Frame(NamedTuple):
-    """A frame and its normal character at s: all that a frame-equation
-    residual reads at s - h and s + h."""
-
-    s: float
-    epsilon: int
-    tangent: PGVector
-    normal: PGVector
-    binormal: PGVector
+def _frame_vectors(f: Frame) -> tuple[PGVector, PGVector, PGVector]:
+    """The tangent, normal and binormal of a frame as vectors."""
+    t1, t2, t3, n1, n2, n3, b1, b2, b3 = f
+    return PGVector(t1, t2, t3), PGVector(n1, n2, n3), PGVector(b1, b2, b3)
 
 
-def _neighbour(s: float, j1: PGVector, j2: PGVector) -> tuple[Frame, float]:
-    """The Frenet frame at a residual neighbour s, with kappa, from the
-    jets of orders 1-2 there; raises where :func:`normal_character`
-    does."""
-    eps = normal_character(s, j1, j2)
-    kappa = sqrt(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3))
-    return Frame(s, eps, *_frenet_frame(j1, j2, eps, kappa)), kappa
-
-
-def _one_character(datas: Sequence, stencil_at: float | None = None) -> None:
+def _one_character(datas: Sequence) -> None:
     """Raise :class:`InadmissibleCurveError` when the normal character
-    flips within ``datas`` (Frenet or equiform data of a grid sweep, or of
-    the difference stencil centred at ``stencil_at``)."""
+    flips within ``datas``, the Frenet or equiform data of a grid sweep."""
     for d in datas:
-        if d.epsilon == datas[0].epsilon:
-            continue
-        if stencil_at is None:
+        if d.epsilon != datas[0].epsilon:
             raise InadmissibleCurveError(
                 f"normal character flips between s={datas[0].s:.6g} and "
                 f"s={d.s:.6g}; the curve crosses the light cone", param=d.s)
+
+
+def _stencil_character(s: float, em: int, e0: int, ep: int) -> None:
+    """Raise :class:`InadmissibleCurveError` unless the normal characters
+    at s - h, s and s + h agree."""
+    if not em == e0 == ep:
         raise InadmissibleCurveError(
-            f"normal character flips near s={stencil_at:.6g}; the curve "
-            "crosses the light cone inside the difference stencil",
-            param=stencil_at)
+            f"normal character flips near s={s:.6g}; the curve crosses the "
+            "light cone inside the difference stencil", param=s)
+
+
+def _residual_step(c: CurveJet, h: float | None) -> float:
+    """The step of a frame-equation residual: ``c.residual_step`` when h
+    is None; ``ValueError`` unless it is finite and nonzero."""
+    if h is None:
+        return c.residual_step
+    if not (isfinite(h) and h):
+        raise ValueError(
+            f"residual step h must be finite and nonzero, got {h!r}")
+    return h
 
 
 def frenet_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     """Sup-norm defect of the frame derivative equations at s.
 
     Central differences of the frame columns at step h (by default
-    ``c.residual_step``) are compared with kappa * normal,
-    tau * binormal and tau * normal; the worst component is returned,
-    normalized by max(1, kappa, |tau|).  Frames at s - h and s + h must
-    share the normal character eps, otherwise the curve is inadmissible
-    on [s - h, s + h].  At s - h and s + h only the frame is built, from
-    the jets of orders 1-2 (:class:`Frame`), as ``eval`` does off its
+    ``c.residual_step``; else finite and nonzero, checked before any jet
+    is read) are compared with kappa * normal, tau * binormal and
+    tau * normal; the worst component is returned, normalized by
+    max(1, kappa, |tau|).  Frames at s - h and s + h must share the
+    normal character eps, otherwise the curve is inadmissible on
+    [s - h, s + h].  At s - h and s + h only the frame is built, from
+    the jets of orders 1-2 (:func:`_neighbour`), as ``eval`` does off its
     grid; the data at s need order 3 (tau).  Like ``eval``, it reads s,
     then s - h, then s + h, so both name the same failing point.
     """
-    h = c.residual_step if h is None else h
-    f0 = frenet_data(c, s)
-    fm = _neighbour(s - h, *c.jets(s - h, 1, 2))[0]
-    fp = _neighbour(s + h, *c.jets(s + h, 1, 2))[0]
-    return _frenet_residual_of(fm, f0, fp, h)
+    h = _residual_step(c, h)
+    eps, kappa, tau, f0 = _frenet_of(s, *c.jets(s, 1, 3))
+    em, _, fm = _neighbour(s - h, *c.jets(s - h, 1, 2))
+    ep, _, fp = _neighbour(s + h, *c.jets(s + h, 1, 2))
+    _stencil_character(s, em, eps, ep)
+    return _frenet_residual_of(fm, f0, fp, kappa, tau, h)
 
 
-def _frenet_residual_of(fm: Frame | FrenetData, f0: FrenetData,
-                        fp: Frame | FrenetData, h: float) -> float:
-    """:func:`frenet_residual` from the data at s - h, s and s + h."""
-    _one_character((fm, f0, fp), f0.s)
-    k, t, n = f0.kappa, f0.tau, f0.normal
-    rhs = (k, n, None, None), (t, f0.binormal, None, None), (t, n, None, None)
-    return _frame_defect(fm, fp, 0.5 / h, rhs) / max(1.0, k, abs(t))
+def _frenet_residual_of(fm: Frame, f0: Frame, fp: Frame, kappa: float,
+                        tau: float, h: float) -> float:
+    """:func:`frenet_residual` from the frames at s - h, s and s + h and
+    kappa and tau at s, once :func:`_stencil_character` has passed."""
+    rhs = (kappa, 3, None, 0), (tau, 6, None, 0), (tau, 3, None, 0)
+    return _frame_defect(fm, f0, fp, 0.5 / h, rhs) / max(1.0, kappa, abs(tau))
 
 
-def _frame_defect(fm: Frame, fp: Frame, scale: float, rhs: tuple) -> float:
+def _frame_defect(fm: Frame, f0: Frame, fp: Frame, scale: float,
+                  rhs: tuple) -> float:
     """max |(fp - fm) * scale - rhs| over the tangent, normal and binormal
-    equations, where ``rhs`` gives each as (c, v, c2, v2): c*v + c2*v2, or
-    c*v when c2 is None; checked in the order the vector forms build."""
+    equations, where ``rhs`` gives each as (c, i, c2, i2): c times the
+    vector at ``f0[i:i + 3]``, plus c2 times that at ``f0[i2:i2 + 3]``
+    unless c2 is None; checked in the order the vector forms build
+    (``algebra._finite``)."""
     diffs, rest, defects = [], [], []
-    for p, m, (c, v, c2, v2) in zip((fp.tangent, fp.normal, fp.binormal),
-                                    (fm.tangent, fm.normal, fm.binormal), rhs):
-        d1, d2, d3 = p.x1 - m.x1, p.x2 - m.x2, p.x3 - m.x3
+    for k, (c, i, c2, i2) in zip((0, 3, 6), rhs):
+        d1, d2, d3 = fp[k] - fm[k], fp[k + 1] - fm[k + 1], fp[k + 2] - fm[k + 2]
         e1, e2, e3 = d1 * scale, d2 * scale, d3 * scale
         diffs += d1, d2, d3, e1, e2, e3
-        r = (c * v.x1, c * v.x2, c * v.x3)
+        r1, r2, r3 = c * f0[i], c * f0[i + 1], c * f0[i + 2]
         if c2 is not None:
-            w = (c2 * v2.x1, c2 * v2.x2, c2 * v2.x3)
-            rest += r + w
-            r = (r[0] + w[0], r[1] + w[1], r[2] + w[2])
-        g = (e1 - r[0], e2 - r[1], e3 - r[2])
-        rest += r + g
-        defects += g
+            w1, w2, w3 = c2 * f0[i2], c2 * f0[i2 + 1], c2 * f0[i2 + 2]
+            rest += r1, r2, r3, w1, w2, w3
+            r1, r2, r3 = r1 + w1, r2 + w2, r3 + w3
+        g1, g2, g3 = e1 - r1, e2 - r2, e3 - r3
+        rest += r1, r2, r3, g1, g2, g3
+        defects += g1, g2, g3
     _finite(*diffs, *rest)
     return max(map(abs, defects))

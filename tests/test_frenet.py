@@ -8,6 +8,7 @@ import pytest
 
 from pg_curvelab.algebra import PGVector, det3
 from pg_curvelab.curves import CurveJet, JetKind, make_analytic_curve
+from pg_curvelab.equiform import equiform_residual
 from pg_curvelab.errors import InadmissibleCurveError
 from pg_curvelab.frenet import (frenet_data, frenet_residual,
                                 normal_character)
@@ -121,3 +122,16 @@ class TestFrenetResidual:
         # ... and the stencil refuses to straddle it
         with pytest.raises(InadmissibleCurveError, match="flips"):
             frenet_residual(c, 1.00005, h=1e-4)
+
+    @pytest.mark.parametrize("residual", [frenet_residual, equiform_residual])
+    @pytest.mark.parametrize("h", [0.0, -0.0, 0, math.nan, math.inf,
+                                   -math.inf])
+    def test_step_must_be_finite_and_nonzero(self, general_helix, counting,
+                                             residual, h):
+        # refused before any jet is read, naming h
+        curve, calls = counting(general_helix.curve)
+        with pytest.raises(ValueError) as exc:
+            residual(curve, 1.0, h)
+        assert str(exc.value) == \
+            f"residual step h must be finite and nonzero, got {h!r}"
+        assert calls.orders == [] and calls.bundles == []

@@ -3,22 +3,25 @@
 The AW span cross-check (``aw._plane``, ``aw._residuals``,
 ``aw._units``), the two frame-equation residuals
 (``frenet._frenet_residual_of``, ``equiform._equiform_residual_of``),
-the equiform series pass (``equiform._equiform_of``) and the mate's
-normal series (``bertrand._normal_series``) work on plain floats.  The
-functions below are the ``PGVector`` and ``DSeries`` forms they
+the equiform series pass (``equiform._equiform_of``), the mate's normal
+series (``bertrand._normal_series``) and the ``eval`` pass
+(``cli._eval_rows``, frames as nine floats) work on plain floats.  The
+functions below are the ``PGVector``, ``DSeries`` and record forms they
 replaced, frozen as they were: every kernel must give their floats bit
 for bit, NaN in the same places, and the same error class, message and
 cause.  ``ref_equiform_of`` also keeps the public ``DSeries`` error
-bounds covered.  Counters pin how few vectors and series a CLI grid
-point now builds.
+bounds covered.  Counters pin how few vectors, series and records a CLI
+grid point now builds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import struct
 from functools import lru_cache
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -30,16 +33,19 @@ from pg_curvelab.aw import (DerivativeVectors, UnitDirections,
                             derivative_vectors, sigma_rates, unit_directions,
                             vector_identity_residuals)
 from pg_curvelab.bertrand import _normal_series, _offset_jets, bertrand_mate
-from pg_curvelab.curves import (CurveJet, FDVector, JetKind, jet_errors,
+from pg_curvelab.curves import (CurveJet, FDVector, JetKind, bundle_reader,
+                                jet_errors, make_lattice_curve,
                                 make_sampled_curve)
-from pg_curvelab.equiform import (EquiformData, _equiform_frame,
-                                  _equiform_of, _equiform_residual_of,
-                                  _frames_at, equiform_data)
-from pg_curvelab.errors import (CurveLabError, LightlikeNormalError,
-                               NumericalInflectionError)
-from pg_curvelab.frenet import (Frame, FrenetData, _frenet_residual_of,
-                                _neighbour, _one_character, _overflow,
-                                frenet_data, normal_character)
+from pg_curvelab.equiform import (EquiformData, _equiform_record,
+                                  _equiform_residual_of, _frames_at,
+                                  equiform_data)
+from pg_curvelab.errors import (CurveLabError, InadmissibleCurveError,
+                                LightlikeNormalError,
+                                NumericalInflectionError)
+from pg_curvelab.frenet import (FrenetData, _frame_vectors,
+                                _frenet_residual_of, _overflow,
+                                _stencil_character, frenet_data,
+                                normal_character)
 from pg_curvelab.series import DSeries
 from pg_curvelab.zoo import get_example, zoo_names
 
@@ -194,6 +200,118 @@ def ref_normal_series(jets, s: float) -> tuple[DSeries, DSeries]:
     return rho2 * y2, rho2 * z2
 
 
+# --- the frozen record path of eval ----------------------------------------
+# Frames as vectors in records, the flip check over records, and the
+# helpers the forms above call by their former names.
+
+
+class Frame(NamedTuple):
+    s: float
+    epsilon: int
+    tangent: PGVector
+    normal: PGVector
+    binormal: PGVector
+
+
+def _one_character(datas, stencil_at=None) -> None:
+    for d in datas:
+        if d.epsilon == datas[0].epsilon:
+            continue
+        if stencil_at is None:
+            raise InadmissibleCurveError(
+                f"normal character flips between s={datas[0].s:.6g} and "
+                f"s={d.s:.6g}; the curve crosses the light cone", param=d.s)
+        raise InadmissibleCurveError(
+            f"normal character flips near s={stencil_at:.6g}; the curve "
+            "crosses the light cone inside the difference stencil",
+            param=stencil_at)
+
+
+def _frenet_frame(j1, j2, eps, kappa):
+    return (PGVector(1.0, j1.x2, j1.x3),
+            PGVector(0.0, j2.x2 / kappa, j2.x3 / kappa),
+            PGVector(0.0, eps * j2.x3 / kappa, eps * j2.x2 / kappa))
+
+
+def _equiform_frame(j1, j2, eps, rho):
+    rho2 = rho * rho
+    return (PGVector(rho, rho * j1.x2, rho * j1.x3),
+            PGVector(0.0, rho2 * j2.x2, rho2 * j2.x3),
+            PGVector(0.0, eps * rho2 * j2.x3, eps * rho2 * j2.x2))
+
+
+def ref_frenet_of(s, j1, j2, j3) -> FrenetData:
+    eps = normal_character(s, j1, j2)
+    w = j2.x2 * j2.x2 - j2.x3 * j2.x3
+    kappa = math.sqrt(abs(w))
+    tau = (j2.x2 * j3.x3 - j3.x2 * j2.x3) / abs(w)
+    return FrenetData(s, kappa, tau, eps, *_frenet_frame(j1, j2, eps, kappa))
+
+
+def ref_neighbour(s, j1, j2):
+    eps = normal_character(s, j1, j2)
+    kappa = math.sqrt(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3))
+    return Frame(s, eps, *_frenet_frame(j1, j2, eps, kappa)), kappa
+
+
+def ref_frames_at(s, j1, j2):
+    fr, kappa = ref_neighbour(s, j1, j2)
+    try:
+        return fr, Frame(s, fr.epsilon,
+                         *_equiform_frame(j1, j2, fr.epsilon, 1.0 / kappa))
+    except (ValueError, ArithmeticError) as exc:
+        raise _overflow(s, j2, exc)
+
+
+def ref_eval_rows(res) -> list[list[float]]:
+    curve, grid, snap = res.curve, res.grid, res.curve.snap
+    h = curve.residual_step
+    lo, hi = curve.domain
+    pairs = [(snap(s - h), snap(s + h)) if lo <= s - h and s + h <= hi
+             else None for s in grid]
+    on_grid = {s: i for i, s in enumerate(grid)}
+    off_grid = {}
+    for pair in filter(None, pairs):
+        for t in pair:
+            if t not in on_grid:
+                off_grid.setdefault(t, len(off_grid))
+    at, near = (bundle_reader(curve, grid, 0, 4),
+                bundle_reader(curve, list(off_grid), 1, 2))
+    records = {}
+
+    def apparatus(s):
+        rec = records.get(s)
+        if rec is None:
+            if s in on_grid:
+                p, *jets = at(on_grid[s])
+                rec = ref_frenet_of(s, *jets[:3]), ref_equiform_of(s, *jets), p
+            else:
+                rec = ref_frames_at(s, *near(off_grid[s]))
+            records[s] = rec
+        return rec
+
+    rows = []
+    for s, pair in zip(grid, pairs):
+        below = snap(s - h)
+        for t in [t for t in records if t < below]:
+            del records[t]
+        fr, eq, p = apparatus(s)
+        if pair:
+            (frm, eqm), (frp, eqp) = (apparatus(pair[0])[:2],
+                                      apparatus(pair[1])[:2])
+            r1 = ref_frenet_residual_of(frm, fr, frp, h)
+            r2 = ref_equiform_residual_of(eqm, eq, eqp, h)
+        else:
+            r1 = r2 = math.nan
+        rows.append([
+            s, p.x1, p.x2, p.x3, fr.kappa, fr.tau, float(fr.epsilon),
+            eq.curvature, eq.torsion,
+            *fr.tangent.as_tuple(), *fr.normal.as_tuple(),
+            *fr.binormal.as_tuple(), r1, r2,
+        ])
+    return rows
+
+
 # --- comparison helpers ----------------------------------------------------
 
 
@@ -247,6 +365,34 @@ def kind(out) -> str:
     return "value"
 
 
+def nine(r) -> tuple[float, ...]:
+    """The frame of a record as the float kernels take it."""
+    return (*r.tangent.as_tuple(), *r.normal.as_tuple(),
+            *r.binormal.as_tuple())
+
+
+def frenet_residual_of(fm, f0, fp, h: float) -> float:
+    """The float kernel on the records the frozen form reads, after the
+    stencil's flip check, as ``eval`` calls them."""
+    _stencil_character(f0.s, fm.epsilon, f0.epsilon, fp.epsilon)
+    return _frenet_residual_of(nine(fm), nine(f0), nine(fp), f0.kappa,
+                               f0.tau, h)
+
+
+def equiform_residual_of(dm, d0, dp, h: float) -> float:
+    """As :func:`frenet_residual_of`, for the equiform kernel."""
+    _stencil_character(d0.s, dm.epsilon, d0.epsilon, dp.epsilon)
+    return _equiform_residual_of(nine(dm), nine(d0), nine(dp), d0.rho,
+                                 d0.curvature, d0.torsion, h)
+
+
+def neighbour_frames(s: float, j1: PGVector, j2: PGVector) -> tuple:
+    """The Frenet and equiform frames ``eval`` reads at a residual
+    neighbour s (``_frames_at``), as records."""
+    eps, fr, eq = _frames_at(s, j1, j2)
+    return tuple(Frame(s, eps, *_frame_vectors(f)) for f in (fr, eq))
+
+
 def assert_span_kernels(dv: DerivativeVectors) -> None:
     """The public wrappers equal the frozen forms on ``dv``."""
     got = outcome(vector_identity_residuals, dv)
@@ -267,9 +413,8 @@ def assert_point(c, s: float, h: float, full_neighbours: bool) -> None:
             fm, fp = frenet_data(c, s - h), frenet_data(c, s + h)
             dm, dp = equiform_data(c, s - h), equiform_data(c, s + h)
         else:
-            below, above = c.jets(s - h, 1, 2), c.jets(s + h, 1, 2)
-            fm, fp = _neighbour(s - h, *below)[0], _neighbour(s + h, *above)[0]
-            dm, dp = _frames_at(s - h, *below)[1], _frames_at(s + h, *above)[1]
+            fm, dm = neighbour_frames(s - h, *c.jets(s - h, 1, 2))
+            fp, dp = neighbour_frames(s + h, *c.jets(s + h, 1, 2))
     except (CurveLabError, ValueError):
         reject()
     ref = ref_vectors(d)
@@ -279,9 +424,9 @@ def assert_point(c, s: float, h: float, full_neighbours: bool) -> None:
         lambda: aw._residuals(s, *aw._plane(d, res.u, res.v)[1]))
     assert classify_path == outcome(ref_vector_identity_residuals, ref)
     assert_span_kernels(ref)
-    assert outcome(_frenet_residual_of, fm, f0, fp, h) == \
+    assert outcome(frenet_residual_of, fm, f0, fp, h) == \
         outcome(ref_frenet_residual_of, fm, f0, fp, h)
-    assert outcome(_equiform_residual_of, dm, d, dp, h) == \
+    assert outcome(equiform_residual_of, dm, d, dp, h) == \
         outcome(ref_equiform_residual_of, dm, d, dp, h)
 
 
@@ -364,9 +509,9 @@ class TestOverflowPaths:
     def test_frame_residuals(self, fm, fp, n, b, k, t, rho, h):
         f0 = FrenetData(0.0, k, t, 1, fp.tangent, n, b)
         d0 = EquiformData(0.0, 1, rho, k, t, 0.0, 0.0, fp.tangent, n, b)
-        for new, ref, data in ((_frenet_residual_of, ref_frenet_residual_of,
+        for new, ref, data in ((frenet_residual_of, ref_frenet_residual_of,
                                 f0),
-                               (_equiform_residual_of,
+                               (equiform_residual_of,
                                 ref_equiform_residual_of, d0)):
             got = outcome(new, fm, data, fp, h)
             event(f"{new.__name__}: {kind(got)}")
@@ -390,13 +535,46 @@ class TestOverflowPaths:
         for new, ref, args, named in (
                 (vector_identity_residuals, ref_vector_identity_residuals,
                  (dv,), "nan"),
-                (_frenet_residual_of, ref_frenet_residual_of,
+                (frenet_residual_of, ref_frenet_residual_of,
                  (g, f0, f, 0.5), "inf"),
-                (_equiform_residual_of, ref_equiform_residual_of,
+                (equiform_residual_of, ref_equiform_residual_of,
                  (e, d0, e, 0.5), "inf")):
             assert outcome(new, *args) == outcome(ref, *args) == (
                 ValueError, f"PGVector components must be finite, got {named}",
                 type(None))
+
+    def test_differences_are_checked_first(self):
+        # kappa = inf makes kappa * N = (inf * 0, ...) = NaN, but the
+        # difference of the tangents, inf, is built before it
+        big = PGVector(0.0, 1e200, 0.0)
+        f = Frame(0.0, 1, PGVector(1.0, 1e308, 0.0), big, big)
+        g = Frame(0.0, 1, PGVector(1.0, -1e308, 0.0), big, big)
+        f0 = FrenetData(0.0, math.inf, 0.0, 1, f.tangent, big, big)
+        assert outcome(frenet_residual_of, g, f0, f, 0.5) == \
+            outcome(ref_frenet_residual_of, g, f0, f, 0.5) == (
+                ValueError, "PGVector components must be finite, got inf",
+                type(None))
+
+    @pytest.mark.parametrize("em, e0, ep", [
+        (em, e0, ep) for em in (1, -1) for e0 in (1, -1) for ep in (1, -1)])
+    def test_stencil_characters(self, em, e0, ep):
+        # a flip anywhere in the stencil, s itself included, ends both
+        # residuals with the flip, naming s
+        frame = equiform_data(get_example("bertrand_helix").curve, 0.0)
+        f0 = frenet_data(get_example("bertrand_helix").curve, 0.0)
+        fm, fp = (Frame(0.0, e, f0.tangent, f0.normal, f0.binormal)
+                  for e in (em, ep))
+        dm, dp = (Frame(0.0, e, frame.tangent, frame.normal, frame.binormal)
+                  for e in (em, ep))
+        f0, d0 = f0._replace(epsilon=e0), frame._replace(epsilon=e0)
+        for new, ref, args in (
+                (frenet_residual_of, ref_frenet_residual_of,
+                 (fm, f0, fp, 0.5)),
+                (equiform_residual_of, ref_equiform_residual_of,
+                 (dm, d0, dp, 0.5))):
+            got = outcome(new, *args)
+            assert got == outcome(ref, *args)
+            assert (got[0] is InadmissibleCurveError) is not (em == e0 == ep)
 
 
 # --- the equiform series pass --------------------------------------------
@@ -405,7 +583,7 @@ class TestOverflowPaths:
 def assert_equiform(s: float, *jets: PGVector) -> None:
     """The float pass equals the frozen ``DSeries`` pass on the jets of
     orders 1-4 at s: all 11 fields, or the error."""
-    got = outcome(_equiform_of, s, *jets)
+    got = outcome(_equiform_record, s, *jets)
     event(f"equiform: {kind(got)}")
     assert got == outcome(ref_equiform_of, s, *jets)
 
@@ -496,7 +674,7 @@ class TestEquiformPassBitForBit:
     def test_named_errors(self, y, named):
         jets = [PGVector(1.0, 0.0, 0.0)] + [FDVector(0.0, v, 0.0, 1e-8)
                                             for v in y]
-        assert outcome(_equiform_of, 0.5, *jets) == \
+        assert outcome(_equiform_record, 0.5, *jets) == \
             outcome(ref_equiform_of, 0.5, *jets) == named
 
     def test_subnormal_term(self):
@@ -506,7 +684,7 @@ class TestEquiformPassBitForBit:
         jets = (PGVector(1.0, 0.0, 0.0), PGVector(0.0, 1e-3, 0.0),
                 PGVector(0.0, 3.141681643827022e-159, 0.0),
                 PGVector(0.0, 0.0, 0.0))
-        got = outcome(_equiform_of, 0.5, *jets)
+        got = outcome(_equiform_record, 0.5, *jets)
         assert kind(got) == "value"
         assert got == outcome(ref_equiform_of, 0.5, *jets)
 
@@ -652,13 +830,156 @@ class TestNormalSeriesBitForBit:
                                                               ("nan",))
 
 
+# --- the eval pass ---------------------------------------------------------
+
+
+def eval_outcome(rows_fn, res):
+    """``rows_fn(res)`` as ``float.hex`` strings, or the class and message
+    of what it raised and of its cause."""
+    try:
+        rows = rows_fn(res)
+    except (CurveLabError, ValueError, ArithmeticError) as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), type(cause), str(cause)
+    return [[float.hex(v) for v in row] for row in rows]
+
+
+def assert_eval_rows(curve: CurveJet, grid: list[float]) -> None:
+    """``cli._eval_rows`` equals the frozen record path on ``grid``: every
+    row, or the error."""
+    res = cli._Resolved(curve=curve, label="", params={}, grid=grid)
+    got = eval_outcome(cli._eval_rows, res)
+    event(f"eval: {'rows' if isinstance(got, list) else got[0].__name__}")
+    assert got == eval_outcome(ref_eval_rows, res)
+
+
+def stepped_grid(start: float, step: float, count: int) -> list[float]:
+    """``count`` points from start, each the last plus ``step``: with the
+    residual step, s + h is the next grid point exactly."""
+    grid = [start]
+    for _ in range(count - 1):
+        grid.append(grid[-1] + step)
+    return grid
+
+
+@lru_cache(maxsize=None)
+def lattice(kind: str) -> CurveJet:
+    """A dyadic, a non-dyadic, an x-shifted and a far-from-0 lattice, and
+    one that crosses the light cone at s = 1."""
+    if kind == "far":
+        s0, d = 17412.45260415335, 0.9196491627865294
+        return make_lattice_curve(
+            (s, s, (s - s0) ** 2 / 2e3, (s - s0) ** 3 / 6e7)
+            for s in (s0 + i * d for i in range(942)))
+    if kind == "cone":
+        return make_lattice_curve(
+            (s, s, s ** 3 / 6.0, 0.5 * s * s)
+            for s in (0.25 + i * 2.0 ** -7 for i in range(225)))
+    helix = get_example("bertrand_helix", 1.0, 1.0).curve
+    spacing, count = (2.0 ** -7, 257) if kind == "dyadic" else (0.01, 201)
+    dx = 0.25 if kind == "shifted" else 0.0
+    return make_lattice_curve(
+        (s, p.x1 + dx, p.x2, p.x3)
+        for s, p in ((s, helix.jet(s, 0))
+                     for s in (-1.0 + i * spacing for i in range(count))))
+
+
+def overflow_boundary(c: CurveJet) -> float:
+    """Where ``equiform_data`` of c starts to raise on its domain, to
+    1e-9: a grid point just below it has a neighbour beyond it."""
+    lo, hi = c.domain
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        try:
+            equiform_data(c, mid)
+            lo = mid
+        except (CurveLabError, ValueError, ArithmeticError):
+            hi = mid
+    return hi
+
+
+class TestEvalRowsBitForBit:
+    """``cli._eval_rows`` reads frames as nine floats; the frozen
+    ``ref_eval_rows`` built them as vectors in records.  Rows are compared
+    by ``float.hex``, errors by class, message and cause.  Hypothesis
+    draws the seven families at their reference and at extreme
+    parameters, lattices, grids whose spacing is the residual step h and
+    grids whose spacing is not, overflows at a neighbour and light-cone
+    crossings inside a stencil."""
+
+    @given(name=st.sampled_from(zoo_names()),
+           a=st.one_of(st.none(), positive), b=st.one_of(st.none(), positive),
+           count=st.integers(2, 21), f=fractions, stepped=st.booleans())
+    @settings(max_examples=120)
+    def test_families(self, name, a, b, count, f, stepped):
+        try:
+            c = get_example(name, a, b).curve
+            lo, hi = c.domain
+            grid = (stepped_grid(inside(c, f, count * 1e-4), 1e-4, count)
+                    if stepped else c.grid(lo, hi, count))
+        except (CurveLabError, ValueError, ArithmeticError):
+            reject()
+        assert_eval_rows(c, grid)
+
+    @given(a=st.floats(200.0, 1000.0), k=st.integers(-3, 2),
+           stepped=st.booleans())
+    @settings(max_examples=30)
+    def test_neighbour_overflow(self, a, k, stepped):
+        # kappa = e^(-a s): rho^2 overflows beyond a boundary inside the
+        # domain, so the point k h/2 from it, or the step-h grid around
+        # it, reads a neighbour frame or a grid point that overflows
+        c = get_example("timelike_general_helix", a, 1.0).curve
+        s = overflow_boundary(c) + 0.5 * k * 1e-4
+        assert_eval_rows(c, stepped_grid(s - 2e-4, 1e-4, 5) if stepped
+                         else [s])
+
+    @given(kind=st.sampled_from(["dyadic", "nondyadic", "shifted", "far",
+                                 "cone"]),
+           f=fractions, count=st.integers(1, 12), m=st.integers(1, 3))
+    @settings(max_examples=40)
+    def test_lattices(self, kind, f, count, m):
+        # grid spacing m lattice spacings: the residual step h is 2
+        # spacings, so m = 2 puts every neighbour on the grid, m = 1 puts
+        # them two points away and m = 3 off the grid
+        c = lattice(kind)
+        lo, hi = c.domain
+        spacing = c.nodes[1]
+        span = (count - 1) * m * spacing
+        start = c.snap(lo + f * (hi - lo - span))
+        grid = c.grid(start, start + span, count) if count > 1 else [start]
+        assert_eval_rows(c, grid)
+
+    @given(offset=st.floats(-4e-4, 4e-4), count=st.integers(1, 6),
+           stepped=st.booleans())
+    @settings(max_examples=40)
+    def test_light_cone_in_the_stencil(self, light_cone_crossing_curve,
+                                       offset, count, stepped):
+        # eps flips at s = 1; h = 1e-4
+        s = 1.0 + offset
+        grid = (stepped_grid(s, 1e-4, count) if stepped
+                else [s + 7e-5 * i for i in range(count)])
+        assert_eval_rows(light_cone_crossing_curve, grid)
+
+    @given(i=st.integers(-5, 3), count=st.integers(1, 4), m=st.integers(1, 3))
+    @settings(max_examples=25)
+    def test_light_cone_on_a_lattice(self, i, count, m):
+        # the lattice of the same curve, spacing 2^-7 and h = 2^-6
+        c = lattice("cone")
+        spacing = c.nodes[1]
+        start = c.snap(1.0 + i * spacing)
+        stop = start + (count - 1) * m * spacing
+        assert_eval_rows(c, c.grid(start, stop, count) if count > 1
+                         else [start])
+
+
 # --- vectors and series built per grid point -----------------------------
 
 
 def counted_method(method, calls: list[int]):
-    """``method`` (a function or a classmethod) bumping ``calls[0]``."""
-    if isinstance(method, classmethod):
-        return classmethod(counted_method(method.__func__, calls))
+    """``method`` (a function, a classmethod or a staticmethod) bumping
+    ``calls[0]``."""
+    if isinstance(method, (classmethod, staticmethod)):
+        return type(method)(counted_method(method.__func__, calls))
 
     def counted(*args, **kwargs):
         calls[0] += 1
@@ -669,10 +990,11 @@ def counted_method(method, calls: list[int]):
 
 def built_per_point(cls, *argv: str, points: int = 101) -> float:
     """Instances of ``cls`` built per grid point of ``cli.main(argv)``,
-    curve set-up included: its ``__init__`` calls, and for ``DSeries``
-    the unchecked ``_of`` too."""
+    curve set-up included: its ``__init__`` calls (``__new__`` for a
+    record), and for ``DSeries`` the unchecked ``_of`` too."""
     calls = [0]
-    names = ["__init__", "_of"] if cls is DSeries else ["__init__"]
+    names = (["__init__", "_of"] if cls is DSeries
+             else ["__new__"] if issubclass(cls, tuple) else ["__init__"])
     with contextlib.ExitStack() as stack:
         for name in names:
             stack.enter_context(mock.patch.object(
@@ -689,18 +1011,31 @@ def default_grid(name: str) -> tuple[str, str]:
 
 class TestVectorsPerPoint:
     """``PGVector`` constructions per grid point of the CLI, curve set-up
-    included, on a 101-point grid.  The vector forms built 29.4 per
-    ``classify`` point and 58.4 per ``eval`` point."""
+    included, on a 101-point grid.  A ``classify`` point builds 7: its 4
+    jets and the 3 vectors of its ``EquiformData`` frame.  An ``eval``
+    point builds 9: its 5 jets and the 2 jets of each residual neighbour
+    off the grid; its frames are floats.  With frames as vectors an
+    ``eval`` point built 27, and with vector arithmetic in the kernels
+    as well 29.4 per ``classify`` point and 58.4 per ``eval`` point."""
 
     @pytest.mark.parametrize("name", ["timelike_general_helix",
                                       "timelike_log_spiral",
                                       "bertrand_helix"])
     @pytest.mark.parametrize("command, most", [("classify", 10),
-                                               ("eval", 30)])
+                                               ("eval", 9)])
     def test_vectors_per_point(self, name, command, most):
         n = built_per_point(PGVector, command, "--curve", name,
                             *default_grid(name))
         assert n <= most
+
+    @pytest.mark.parametrize("name", ["timelike_general_helix",
+                                      "bertrand_helix"])
+    @pytest.mark.parametrize("cls", [FrenetData, EquiformData])
+    def test_no_records_per_eval_point(self, name, cls):
+        # the frames are tuples of nine floats: the library has no frame
+        # record left to count
+        assert built_per_point(cls, "eval", "--curve", name,
+                               *default_grid(name)) == 0
 
 
 @pytest.fixture(scope="module")

@@ -233,15 +233,14 @@ def assert_same_frames(c: CurveJet, s: float) -> None:
     """The frames a residual neighbour reads at s (jets of orders 1-2)
     are those of ``frenet_data`` and ``equiform_data`` bit for bit, and
     the equiform tangent's first component is their rho."""
-    fr, eq = _frames_at(s, *c.jets(s, 1, 2))
+    eps, fr, eq = _frames_at(s, *c.jets(s, 1, 2))
     full = frenet_data(c, s), equiform_data(c, s)
     for frame, data in zip((fr, eq), full):
-        assert (frame.s, frame.epsilon) == (data.s, data.epsilon)
-        for v, w in ((frame.tangent, data.tangent),
-                     (frame.normal, data.normal),
-                     (frame.binormal, data.binormal)):
-            assert bits(v.as_tuple()) == bits(w.as_tuple())
-    assert bits([eq.tangent.x1]) == bits([full[1].rho])
+        assert eps == data.epsilon
+        assert bits(frame) == bits((*data.tangent.as_tuple(),
+                                    *data.normal.as_tuple(),
+                                    *data.binormal.as_tuple()))
+    assert bits([eq[0]]) == bits([full[1].rho])
 
 
 class TestNeighbourFrames:
