@@ -29,6 +29,11 @@ vector forms of the same conditions are computed independently, in the
 plane (d2, d3 and d4 have x = 0, so the product is y1*y2 - z1*z2), and
 used as a cross-check.
 
+The grid sweep reads each point as floats (the series values and the
+nine-float frame of ``equiform._sweep``); :func:`classify`,
+:func:`derivative_vectors` and the other public functions wrap records
+and vectors at the boundary.
+
 For exact jets the floor is 1e-30.  For finite-difference jets it is
 the resolution of the magnitude, taken from the jets' own error bounds:
 where K, T, K' and T' each sit within their own error bound the point is
@@ -43,8 +48,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import PGVector, _finite
 from .curves import CurveJet, JetKind
-from .equiform import EquiformData, equiform_data, equiform_grid
+from .equiform import EquiformData, SweepPoint, _sweep, equiform_data
 from .errors import LightlikeNormalError
+from .frenet import Frame
 
 _OMEGA_FLOOR = 1e-30
 _CONDITIONS = ("AW1", "AW2", "AW3", "WeakAW2", "WeakAW3")
@@ -135,41 +141,50 @@ def omega_resolution(d: EquiformData
     Built from ``d.errors`` (first order; the sigma-rates carry the
     error of rho as well); None for exact jets.
     """
-    if d.errors is None:
+    return _resolution(d.rho, d.curvature_rate, d.torsion_rate, d.errors)
+
+
+def _resolution(rho: float, K1: float, T1: float,
+                errors: tuple[float, ...] | None
+                ) -> tuple[float, float, float, float] | None:
+    """:func:`omega_resolution` of rho, dK/ds and dT/ds and their
+    ``errors``."""
+    if errors is None:
         return None
-    e_rho, e_k, e_t, e_kr, e_tr = d.errors
-    return (e_k, e_t,
-            d.rho * e_kr + abs(d.curvature_rate) * e_rho,
-            d.rho * e_tr + abs(d.torsion_rate) * e_rho)
+    e_rho, e_k, e_t, e_kr, e_tr = errors
+    return (e_k, e_t, rho * e_kr + abs(K1) * e_rho,
+            rho * e_tr + abs(T1) * e_rho)
 
 
 def derivative_vectors(c: CurveJet, s: float) -> DerivativeVectors:
     d = equiform_data(c, s)
+    frame = (*d.tangent.as_tuple(), *d.normal.as_tuple(),
+             *d.binormal.as_tuple())
     try:
         res = aw_residuals(d.curvature, d.torsion, *sigma_rates(d))
-        a, yz = _plane(d, res.u, res.v)
+        a, yz = _plane(d.rho, d.curvature, d.torsion, frame, res.u, res.v)
     except (ValueError, ArithmeticError) as exc:
         raise type(exc)(f"{exc} at s={d.s:.6g}") from exc
     d2, d3, d4 = (PGVector(0.0, *yz[i:i + 2]) for i in (0, 2, 4))
     return DerivativeVectors(d.s, d, d2, d3, d4, *a)
 
 
-def _plane(d: EquiformData, u: float, v: float
-           ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _plane(rho: float, K: float, T: float, frame: Frame, u: float,
+           v: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The coefficients (a11, a12, a21, a22) and the (y, z) components of
-    d2, d3 and d4 (whose x-components are 0), given u and v at d."""
-    rho = d.rho
+    d2, d3 and d4 (whose x-components are 0), given rho, K, T, the
+    equiform frame and u and v at a point."""
     r2 = rho * rho
     r3 = r2 * rho
     r4 = r3 * rho
     if r4 == 0.0:                       # kappa^4 overflows, kappa^2 need not
         raise ValueError(f"the span coefficients divide by rho^4, which "
                          f"underflows to 0 (rho = {rho:.6g})")
-    a = (-d.curvature / r3, d.torsion / r3, u / r4, v / r4)
-    n, b, c = d.normal, d.binormal, 1.0 / r2
-    return a, (_finite(c * 0.0, c * n.x2, c * n.x3)[1:]
-               + _lin(a[0], n.x2, n.x3, a[1], b.x2, b.x3)
-               + _lin(a[2], n.x2, n.x3, a[3], b.x2, b.x3))
+    a = (-K / r3, T / r3, u / r4, v / r4)
+    ny, nz, by, bz, c = frame[4], frame[5], frame[7], frame[8], 1.0 / r2
+    return a, (_finite(c * 0.0, c * ny, c * nz)[1:]
+               + _lin(a[0], ny, nz, a[1], by, bz)
+               + _lin(a[2], ny, nz, a[3], by, bz))
 
 
 def _lin(a: float, uy: float, uz: float, b: float, vy: float, vz: float,
@@ -299,12 +314,14 @@ def classify(c: CurveJet, grid: Sequence[float],
     forms are ratios of unresolved quantities and are not cross-checked
     or tested for degeneracy.
     """
-    return _classify_of(equiform_grid(c, grid), c.kind, tol, notes)
+    return _classify_of(grid, _sweep(c, grid, 1)[1], c.kind, tol, notes)
 
 
-def _classify_of(datas: Sequence[EquiformData], kind: JetKind,
-                 tol: float | None, notes: Sequence[str]) -> AWReport:
-    """:func:`classify` of an already evaluated sweep (jets of ``kind``)."""
+def _classify_of(grid: Sequence[float], points: Sequence[SweepPoint],
+                 kind: JetKind, tol: float | None, notes: Sequence[str]
+                 ) -> AWReport:
+    """:func:`classify` of an already evaluated sweep of the ``grid``
+    (jets of ``kind``)."""
     if tol is None:
         tol = kind.tolerance
     sup: dict[str, float] = {name: 0.0 for name in _CONDITIONS}
@@ -312,14 +329,13 @@ def _classify_of(datas: Sequence[EquiformData], kind: JetKind,
     limited: list[float] = []
     diagnostics = list(notes)
     mismatches = 0
-    for d in datas:
-        s = d.s
+    for s, (_, (rho, K, T, K1, T1, errors), frame) in zip(grid, points):
         try:
-            Kp, Tqp = sigma_rates(d)
-            res = aw_residuals(d.curvature, d.torsion, Kp, Tqp,
-                               omega_resolution(d))
-            vectors = (None if res.resolution_limited
-                       else _residuals(s, *_plane(d, res.u, res.v)[1]))
+            res = aw_residuals(K, T, rho * K1, rho * T1,
+                               _resolution(rho, K1, T1, errors))
+            vectors = (None if res.resolution_limited else
+                       _residuals(s, *_plane(rho, K, T, frame, res.u,
+                                             res.v)[1]))
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"{exc} at s={s:.6g}") from exc
         scalars = res.as_dict()
@@ -344,7 +360,7 @@ def _classify_of(datas: Sequence[EquiformData], kind: JetKind,
 
     verdicts = {name: AWVerdict(holds=sup[name] <= tol,
                                 sup_residual=sup[name],
-                                grid_size=len(datas))
+                                grid_size=len(points))
                 for name in _CONDITIONS}
     return AWReport(verdicts=verdicts, tolerance=tol,
                     degenerate_points=tuple(degenerate),

@@ -20,13 +20,14 @@ truncated Taylor arithmetic written out as float code
 k only, that is base orders 2..k+2 in series of length k+1; entry k of a
 series product or reciprocal depends on entries <= k alone, so this
 gives the bits a longer series would.  A mate carries orders up to 6.
-Mate jets are served in bundles (:meth:`CurveJet.jets`, which is how the
-Frenet and equiform kernels read a point): orders first..last take one
-fetch of the base orders min(first, 2)..last+2 and one series of length
-last+1, e.g. 6 base jets for the orders 1-4 of :func:`equiform_data`,
-and base orders 0-6 once for a point of :func:`verify_bertrand_pair`.
-The mate keeps the base's domain, kind, warnings and ``nodes``, and
-reads the base at its own parameters only.
+Mate jets are served as rows (:meth:`CurveJet.rows`, which is how the
+Frenet and equiform kernels read them): the rows of orders first..last
+at a list of points take one base row call of the orders
+min(first, 2)..last+2 for all the points, e.g. base orders 0-6 for the
+sweep of :func:`verify_bertrand_pair`, and one float series of length
+last+1 and the offset at each point.  Mate rows carry err 0.0.  The mate
+keeps the base's domain, kind, warnings and ``nodes``, and reads the
+base at its own parameters only.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from enum import Enum
 from math import fsum
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import PGVector, pg_dot
-from .curves import CurveJet
+from .algebra import _finite
+from .curves import CurveJet, Row
 from .equiform import (
     MIN_GRID_POINTS,
     NaturalClassTag,
@@ -54,17 +55,18 @@ from .errors import (
     MateInadmissibleError,
     NumericalInflectionError,
 )
-from .frenet import _overflow, frenet_data, normal_character
+from .frenet import _character, _frenet_of, _overflow
 
 OffsetFn = Callable[[float], float]
 
 
-def _normal_series(jets: Sequence[PGVector], s: float
+def _normal_series(y: Sequence[float], z: Sequence[float], s: float
                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Derivative series of the two isotropic components of the
-    scale-invariant normal rho^2 * gamma'' from the base jets of orders
-    2, 3, ...: n <= 7 jets give series of length n.  Raises where
-    :func:`normal_character` rejects the base's acceleration.
+    scale-invariant normal rho^2 * gamma'' from the y and z components
+    of the base jets of orders 2, 3, ...: n <= 7 of each give series of
+    length n.  Raises where :func:`normal_character` rejects the base's
+    acceleration.
 
     Truncated Taylor arithmetic (Griewank & Walther, *Evaluating
     Derivatives*, ch. 13) on floats, in the stages and order of the
@@ -75,9 +77,7 @@ def _normal_series(jets: Sequence[PGVector], s: float
     another failing ``fsum`` first.  w_0 needs no zero test:
     :func:`normal_character` has made |y''^2 - z''^2| > 0.
     """
-    eps = normal_character(s, None, jets[0])
-    y = [j.x2 for j in jets]
-    z = [j.x3 for j in jets]
+    eps = _character(s, None, y[0], z[0])
     rho2 = _reciprocal(_product(y, y), _product(z, z), eps)
     return _product(rho2, y), _product(rho2, z)
 
@@ -157,36 +157,46 @@ def _reciprocal(p: Sequence[float], q: Sequence[float], eps: int
     return r0, r1, r2, r3, r4, r5, r6
 
 
-def _offset_jets(base: CurveJet, lam: float, s: float, first: int,
-                 last: int) -> tuple[PGVector, ...]:
-    """Exact mate jets of orders first..last: one fetch of the base
-    orders min(first, 2)..last+2 and one normal series of length last+1."""
+def _offset_rows(base: CurveJet, lam: float, points: Sequence[float],
+                 first: int, last: int) -> list[Row]:
+    """Exact mate rows of orders first..last at ``points``: one base row
+    call of the orders low = min(first, 2)..last+2 for all the points,
+    then at each point one normal series of length last+1 from the base
+    orders 2..last+2 and each order offset by lam times it, err 0.0,
+    checked by ``algebra._finite`` in order."""
     low = min(first, 2)
-    jets = base.jets(s, low, last + 2)
-    try:
-        ny, nz = _normal_series(jets[2 - low:], s)
-        out = tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
-                    for k, j in enumerate(jets[first - low:last - low + 1],
-                                          first))
-    except (ValueError, ArithmeticError) as exc:
-        raise _overflow(s, jets[2 - low], exc)
-    if first <= 2 <= last:      # gamma'' + lam * N'' cancels to round-off
-        j, m = jets[2 - low], out[2 - first]
-        if (abs(m.x2) <= 8 * math.ulp(abs(j.x2) + abs(lam * ny[2]))
-                and abs(m.x3) <= 8 * math.ulp(abs(j.x3) + abs(lam * nz[2]))):
-            normal_character(s, None, m)    # an exact zero or lightlike
-            raise NumericalInflectionError(
-                f"numerically an inflection: the acceleration cancels to "
-                f"round-off at s={s:.6g}", param=s)
+    out = []
+    for s, row in zip(points, base.rows(points, low, last + 2)):
+        y, z = row[9 - 4 * low::4], row[10 - 4 * low::4]   # orders 2..
+        try:
+            ny, nz = _normal_series(y, z, s)
+            mate: list[float] = []
+            for k in range(first, last + 1):
+                i = 4 * (k - low)
+                mate += (row[i], row[i + 1] + lam * ny[k],
+                         row[i + 2] + lam * nz[k], 0.0)
+            _finite(*mate)
+        except (ValueError, ArithmeticError) as exc:
+            raise _overflow(s, y[0], z[0], exc)
+        if first <= 2 <= last:  # gamma'' + lam * N'' cancels to round-off
+            my, mz = mate[9 - 4 * first], mate[10 - 4 * first]
+            if (abs(my) <= 8 * math.ulp(abs(y[0]) + abs(lam * ny[2]))
+                    and abs(mz) <= 8 * math.ulp(abs(z[0]) + abs(lam * nz[2]))):
+                _character(s, None, my, mz)     # an exact zero or lightlike
+                raise NumericalInflectionError(
+                    f"numerically an inflection: the acceleration cancels "
+                    f"to round-off at s={s:.6g}", param=s)
+        out.append(mate)
     return out
 
 
 def _probe_mate(mate: CurveJet, offset: float) -> None:
+    """The Frenet pass at five interior points, one point at a time."""
     lo, hi = mate.domain
     for f in (0.1, 0.3, 0.5, 0.7, 0.9):
         s = mate.snap(lo + f * (hi - lo))
         try:
-            frenet_data(mate, s)
+            _frenet_of(s, mate.rows((s,), 1, 3)[0])
         except InadmissibleCurveError as exc:
             raise MateInadmissibleError(
                 f"offset {offset:g} produces an inadmissible mate: {exc}",
@@ -197,8 +207,8 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
     """Construct the normal-offset mate of ``base`` at constant ``offset``.
 
     The returned curve carries the jets of orders up to base.max_order -
-    2, at most 6, each from one fetch of the base's jets
-    (:func:`_offset_jets`), and keeps the base's domain, kind, warnings
+    2, at most 6, its rows from one base row call
+    (:func:`_offset_rows`), and keeps the base's domain, kind, warnings
     and ``nodes``.  A non-finite offset raises ``ValueError`` and a base
     below order 6 :class:`JetOrderError`, both before any jet is read.
     The mate is probed at five interior points and
@@ -212,12 +222,13 @@ def bertrand_mate(base: CurveJet, offset: float) -> CurveJet:
         raise JetOrderError(f"a mate needs base jets of order 6, the base "
                             f"carries {base.max_order}")
 
-    def jets_fn(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-        return _offset_jets(base, lam, s, first, last)
+    def rows_fn(points: Sequence[float], first: int, last: int
+                ) -> list[Row]:
+        return _offset_rows(base, lam, points, first, last)
 
     mate = CurveJet(None, base.domain, base.kind,
                     max_order=min(base.max_order, 8) - 2,
-                    warnings=base.warnings, jets_fn=jets_fn, nodes=base.nodes)
+                    warnings=base.warnings, nodes=base.nodes, rows_fn=rows_fn)
     _probe_mate(mate, lam)
     return mate
 
@@ -278,9 +289,10 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     parameter; a non-constant claim fails verification even if the two
     curves are geometrically a pair at some constant offset.  Each curve
     is swept once, the base first, by the equiform sweep of
-    :func:`equiform_grid` with one bundle of the jets of orders 0-4 per
-    grid point: the position and the equiform data; ``nature`` is
-    :func:`bertrand_nature` of the base, read from the same sweep.
+    :func:`equiform_grid` with one row of the jets of orders 0-4 per
+    grid point: the position and the equiform data, read as floats;
+    ``nature`` is :func:`bertrand_nature` of the base, read from the same
+    sweep.  An overflow in a grid mean names its quantity.
     """
     if len(grid) < MIN_GRID_POINTS:
         raise ValueError("verification needs a grid of at least "
@@ -295,25 +307,27 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     xb, db = _sweep(base, grid, 0)
     xm, dm = _sweep(mate, grid, 0)
 
-    flat_sup = max(max(abs(d.curvature) for d in db),
-                   max(abs(d.curvature) for d in dm))
+    flat_sup = max(max(abs(v[1]) for _, v, _ in db),
+                   max(abs(v[1]) for _, v, _ in dm))
 
     par_sup = 0.0
     recovered: list[float] = []
     products: list[float] = []
-    for b, m, pb, pm in zip(db, dm, xb, xm):
-        nb, nm = b.normal, m.normal
-        det2 = nb.x2 * nm.x3 - nb.x3 * nm.x2
-        norms = math.hypot(nb.x2, nb.x3) * math.hypot(nm.x2, nm.x3)
+    for (_, _, fb), (_, _, fm), pb, pm in zip(db, dm, xb, xm):
+        nb2, nb3, nm2, nm3 = fb[4], fb[5], fm[4], fm[5]
+        det2 = nb2 * nm3 - nb3 * nm2
+        norms = math.hypot(nb2, nb3) * math.hypot(nm2, nm3)
         par_sup = max(par_sup, abs(det2) / norms if norms else math.inf)
 
-        o = pm - pb
-        nn = nb.x2 * nb.x2 + nb.x3 * nb.x3
-        recovered.append((o.x2 * nb.x2 + o.x3 * nb.x3) / nn)
+        _, o2, o3 = _finite(pm[0] - pb[0], pm[1] - pb[1], pm[2] - pb[2])
+        nn = nb2 * nb2 + nb3 * nb3
+        recovered.append((o2 * nb2 + o3 * nb3) / nn)
 
-        products.append(pg_dot(m.tangent, b.tangent))
+        # the scalar product of the tangents (algebra.pg_dot)
+        products.append(fm[0] * fb[0] if fm[0] != 0.0 or fb[0] != 0.0
+                        else fm[1] * fb[1] - fm[2] * fb[2])
 
-    lam_mean = _mean(recovered)
+    lam_mean = _mean(recovered, "recovered offset")
     lam_scale = max(1.0, abs(lam_mean))
     prod_spread = _spread(products)
 
@@ -325,15 +339,15 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     if par_sup > tol:
         failures.append(
             f"scale-invariant normals deviate from parallel by {par_sup:.3e}")
-    if not _is_const(recovered, tol):
+    if not _is_const(recovered, tol, "recovered offset"):
         failures.append(
             f"recovered offset varies by {_spread(recovered):.3e} over the grid")
-    if not _is_const(claimed, tol):
+    if not _is_const(claimed, tol, "claimed offset"):
         failures.append("claimed offset is not constant over the grid")
     if max(abs(r - c) for r, c in zip(recovered, claimed)) > tol * lam_scale:
         failures.append(
             f"claimed offset differs from the recovered {lam_mean:.6g}")
-    if not _is_const(products, tol):
+    if not _is_const(products, tol, "tangent scalar product"):
         failures.append(
             f"tangent scalar product varies by {prod_spread:.3e} over the grid")
 

@@ -47,7 +47,7 @@ from .bertrand import bertrand_mate, verify_bertrand_pair
 from .curves import CurveJet, bundle_reader, make_lattice_curve
 from .equiform import (MIN_GRID_POINTS, TOL_CONST, TOL_ZERO, NaturalClass,
                        _equiform_of, _equiform_residual_of, _frames_at,
-                       _natural_class_of, equiform_grid)
+                       _natural_class_of, _sweep)
 from .errors import CurveLabError, InadmissibleCurveError
 from .frenet import _frenet_of, _frenet_residual_of, _stencil_character
 from .zoo import (
@@ -207,14 +207,14 @@ _EVAL_HEADER = (
 
 
 def _eval_rows(res: _Resolved) -> list[list[float]]:
-    """One row per grid point, from two grid calls
+    """One row per grid point, from two row calls
     (``curves.bundle_reader``).  A grid point's position, Frenet and
-    equiform data come from its bundle of orders 0-4.  A residual
-    neighbour s +- h (h the FD step on a lattice, looked up through
-    ``curve.snap`` so that a lattice neighbour is the grid point it lands
-    on) that is not a grid point is read for its frames alone, from its
-    bundle of orders 1-2 (``equiform._frames_at``): 3 bundles and 9 jet
-    orders per point off the grid.  Each point's record, eps and the
+    equiform data come from its row of orders 0-4.  A residual neighbour
+    s +- h (h the FD step on a lattice, looked up through ``curve.snap``
+    so that a lattice neighbour is the grid point it lands on) that is
+    not a grid point is read for its frames alone, from its row of
+    orders 1-2 (``equiform._frames_at``): 3 rows and 9 jet orders per
+    point off the grid.  Each point's record, eps and the
     Frenet and equiform frames as floats, with kappa, tau, rho, K, T and
     the position at a grid point, is built when the ascending sweep
     first needs it and kept while the sweep can still read it: kept
@@ -239,13 +239,13 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
         rec = records.get(s)
         if rec is None:
             if s in on_grid:
-                p, j1, j2, j3, j4 = at(on_grid[s])
-                eps, kappa, tau, fr = _frenet_of(s, j1, j2, j3)
-                (rho, K, T, _, _, _), eq = _equiform_of(s, eps, j1, j2, j3,
-                                                        j4)
-                rec = eps, fr, eq, kappa, tau, rho, K, T, p
+                r = at(on_grid[s])
+                jets = r[4:]
+                eps, kappa, tau, fr = _frenet_of(s, jets)
+                (rho, K, T, _, _, _), eq = _equiform_of(s, eps, jets)
+                rec = eps, fr, eq, kappa, tau, rho, K, T, r
             else:
-                rec = _frames_at(s, *near(off_grid[s]))
+                rec = _frames_at(s, near(off_grid[s]))
             records[s] = rec
         return rec
 
@@ -263,7 +263,7 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
             r2 = _equiform_residual_of(eqm, eq, eqp, rho, K, T, h)
         else:
             r1 = r2 = math.nan
-        rows.append([s, p.x1, p.x2, p.x3, kappa, tau, float(eps), K, T,
+        rows.append([s, p[0], p[1], p[2], kappa, tau, float(eps), K, T,
                      *fr, r1, r2])
     return rows
 
@@ -280,10 +280,10 @@ def _cmd_eval(args: argparse.Namespace) -> _Report:
 def _classify(res: _Resolved, args: argparse.Namespace
               ) -> tuple[aw.AWReport, NaturalClass]:
     """The span verdicts and the natural class from one grid sweep."""
-    datas = equiform_grid(res.curve, res.grid)
-    report = aw._classify_of(datas, res.curve.kind, args.tol_class,
-                             res.notes)
-    return report, _natural_class_of(datas, args.tol_const, args.tol_zero)
+    points = _sweep(res.curve, res.grid, 1)[1]
+    report = aw._classify_of(res.grid, points, res.curve.kind,
+                             args.tol_class, res.notes)
+    return report, _natural_class_of(points, args.tol_const, args.tol_zero)
 
 
 def _cmd_classify(args: argparse.Namespace) -> _Report:

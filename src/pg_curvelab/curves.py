@@ -15,13 +15,16 @@ back exact up to round-off.  Each jet carries an error bound, and orders
 3-6 pick their own step by it when the given step is round-off-bound (see
 :func:`make_sampled_curve`).
 
-A curve evaluates a list of points in one grid call,
-:meth:`CurveJet.bundles`.  The finite-difference tier runs it order by
-order for all the points at once: the points that share a stencil (step
-and node range) form one group, whose stencil sums are C-level ``fsum``
-passes over the group's nodes, read point by point, and its per-point
-``jets`` is the grid call of one point.  Closed-form curves loop over
-the points.
+Every tier serves one read protocol, :meth:`CurveJet.rows`: for each of
+a list of points, one flat float row holding (x, y, z, err) for each
+order, err = 0.0 where the jet is exact.  Closed forms loop over the
+points; the finite-difference tier runs the call order by order for all
+the points at once: the points that share a stencil (step and node
+range) form one group, whose stencil sums are C-level ``fsum`` passes
+over the group's nodes, read point by point.  The kernels read rows;
+vectors appear only at the public boundary (``jet``, ``jets``,
+``bundles``), which wraps each order of a row into a :class:`PGVector`,
+or an :class:`FDVector` where its err is nonzero.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import fsum, isfinite
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
-from .algebra import PGVector, SimilarityMotion
+from .algebra import PGVector, SimilarityMotion, _finite
 from .errors import (
     CurveLabError,
     EmptyDomainError,
@@ -47,8 +50,11 @@ _EPS = 2.220446049250313e-16
 
 PositionFn = Callable[[float], PGVector]
 JetsFn = Callable[[float, int, int], tuple[PGVector, ...]]
-BundlesFn = Callable[[Sequence[float], int, int],
-                     list[tuple[PGVector, ...]]]
+# a row: (x, y, z, err) of each order first..last at one point, flat
+Row = Sequence[float]
+RowsFn = Callable[[Sequence[float], int, int], list[Row]]
+# fill(row, s, first, last): a closed form appending its row at s to ``row``
+Fill = Callable[[list, float, int, int], None]
 
 
 class JetKind(Enum):
@@ -62,16 +68,41 @@ class JetKind(Enum):
         return 1e-8 if self is JetKind.ANALYTIC else 1e-5
 
 
-def _naming_s(jets_fn: JetsFn) -> JetsFn:
-    """``jets_fn`` with an ``ArithmeticError`` or ``ValueError`` it raises
-    leaving with " at s=..." appended to its message: the view of closed
-    forms, whose errors do not name their point."""
-    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-        try:
-            return jets_fn(s, first, last)
-        except (ArithmeticError, ValueError) as exc:
-            raise type(exc)(f"{exc} at s={s:.6g}") from exc
-    return jets
+def _naming_s(fill: Fill) -> RowsFn:
+    """The rows of a closed form: ``fill(row, s, first, last)`` appends
+    (x, y, z, 0.0) for each order first..last at s to ``row``, which is
+    checked by ``algebra._finite`` in that order (the orders filled
+    before an error first), as their vectors were built.  An
+    ``ArithmeticError`` or ``ValueError`` leaves naming s."""
+    def rows(points: Sequence[float], first: int, last: int) -> list[Row]:
+        out = []
+        for s in points:
+            row: list[float] = []
+            try:
+                try:
+                    fill(row, s, first, last)
+                finally:
+                    _finite(*row)
+            except (ArithmeticError, ValueError) as exc:
+                raise type(exc)(f"{exc} at s={s:.6g}") from exc
+            out.append(row)
+        return out
+    return rows
+
+
+def _flat(jets: Iterable[PGVector]) -> list[float]:
+    """The row of vectors: (x, y, z, err) each, err 0.0 on a PGVector."""
+    row: list[float] = []
+    for j in jets:
+        row += j.x1, j.x2, j.x3, getattr(j, "err", 0.0)
+    return row
+
+
+def _vectors(row: Row) -> tuple[PGVector, ...]:
+    """A row as vectors: an :class:`FDVector` where an order's err is
+    nonzero, else a :class:`PGVector` (its components are checked)."""
+    return tuple(FDVector(x, y, z, e) if e else PGVector(x, y, z)
+                 for x, y, z, e in zip(*[iter(row)] * 4))
 
 
 class CurveJet:
@@ -81,44 +112,44 @@ class CurveJet:
     non-fatal construction diagnostics (e.g. inconsistent supplied
     derivatives), never errors.
 
-    ``jets_fn(s, first, last)`` returns the derivative vectors of orders
-    first..last at once; it is the one view the curve stores, so every
-    read, ``jet(s, k)`` included, is one checked bundle.  A curve whose
-    orders share no work may pass ``jet_fn(s, order)`` instead, read
-    once per order of a bundle; an ``ArithmeticError`` or ``ValueError``
-    it raises leaves with " at s=..." appended to its message.  A curve
-    that evaluates many points faster together passes
-    ``bundles_fn(points, first, last)``, the bundles of all the points
-    (see :meth:`bundles`); its one-point call is then ``jets_fn``.
+    The curve stores one callable, ``rows_fn(points, first, last)``, the
+    rows of orders first..last at every point (see :meth:`rows`); the
+    library's tiers pass it.  A curve may instead pass
+    ``jets_fn(s, first, last)``, the vectors of orders first..last at s,
+    or ``jet_fn(s, order)``, one order at a time; an ``ArithmeticError``
+    or ``ValueError`` that ``jet_fn`` raises leaves with " at s=..."
+    appended to its message.  Either is adapted to rows once, here.
     """
 
     __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
-                 "_jets_fn", "_bundles_fn")
+                 "_rows_fn")
 
     def __init__(self, jet_fn: Callable[[float, int], PGVector] | None,
                  domain: tuple[float, float], kind: JetKind,
                  max_order: int = 4, warnings: tuple[str, ...] = (),
                  jets_fn: JetsFn | None = None,
                  nodes: tuple[float, float] | None = None,
-                 bundles_fn: BundlesFn | None = None):
+                 rows_fn: RowsFn | None = None):
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
-        if jets_fn is None and bundles_fn is not None:
-            def jets_fn(s: float, first: int, last: int
-                        ) -> tuple[PGVector, ...]:
-                return bundles_fn((s,), first, last)[0]
-        elif jets_fn is None:
-            def orders(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-                return tuple(jet_fn(s, k) for k in range(first, last + 1))
-            jets_fn = _naming_s(orders)
+        if rows_fn is None:
+            if jets_fn is None:
+                def jets_fn(s: float, first: int, last: int) -> list:
+                    try:
+                        return [jet_fn(s, k) for k in range(first, last + 1)]
+                    except (ArithmeticError, ValueError) as exc:
+                        raise type(exc)(f"{exc} at s={s:.6g}") from exc
+
+            def rows_fn(points: Sequence[float], first: int, last: int
+                        ) -> list[Row]:
+                return [_flat(jets_fn(s, first, last)) for s in points]
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))
         object.__setattr__(self, "warnings", tuple(warnings))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_jets_fn", jets_fn)
-        object.__setattr__(self, "_bundles_fn", bundles_fn)
+        object.__setattr__(self, "_rows_fn", rows_fn)
 
     def __setattr__(self, *_):
         raise AttributeError("CurveJet is immutable")
@@ -136,31 +167,30 @@ class CurveJet:
             if not lo - slack <= s <= hi + slack:
                 raise ValueError(f"parameter {s} outside domain [{lo}, {hi}]")
 
+    def rows(self, points: Sequence[float], first: int, last: int
+             ) -> list[Row]:
+        """For each point, one flat float row of (x, y, z, err) for each
+        order first..last, err 0.0 where exact; orders and points checked
+        first.  Where reading the points one at a time raises, so does
+        the call, not always with that error (see :func:`bundle_reader`)."""
+        if not points:
+            return []
+        self._check(points, first, last)
+        return self._rows_fn(points, first, last)
+
     def jet(self, s: float, order: int = 0) -> PGVector:
         return self.jets(s, order, order)[0]
 
     def jets(self, s: float, first: int, last: int) -> tuple[PGVector, ...]:
-        """The derivative vectors of orders first..last at s, checked
-        once."""
-        self._check((s,), first, last)
-        return self._jets_fn(s, first, last)
-
-    @property
-    def batched(self) -> bool:
-        """Whether the curve has a grid call of its own (``bundles_fn``)."""
-        return self._bundles_fn is not None
+        """The derivative vectors of orders first..last at s: the
+        one-point row, wrapped."""
+        return _vectors(self.rows((s,), first, last)[0])
 
     def bundles(self, points: Sequence[float], first: int, last: int
                 ) -> list[tuple[PGVector, ...]]:
-        """``[self.jets(s, first, last) for s in points]``, bit for bit:
-        that loop, or one grid call on a curve with a ``bundles_fn`` (the
-        finite-difference tier's).  A grid call is all or nothing: where
-        the loop raises, it raises too, though not always the loop's
-        error (see :func:`bundle_reader`)."""
-        if self._bundles_fn is None or not points:
-            return [self.jets(s, first, last) for s in points]
-        self._check(points, first, last)
-        return self._bundles_fn(points, first, last)
+        """``[self.jets(s, first, last) for s in points]``, bit for bit,
+        from one :meth:`rows` call."""
+        return [_vectors(row) for row in self.rows(points, first, last)]
 
     def position(self, s: float) -> PGVector:
         return self.jet(s, 0)
@@ -217,22 +247,19 @@ class CurveJet:
 
 
 def bundle_reader(c: CurveJet, points: Sequence[float], first: int,
-                  last: int) -> Callable[[int], tuple[PGVector, ...]]:
-    """``read(i)``, the bundle of orders first..last at ``points[i]``,
-    for a consumer that tests each point before it reads the next: from
-    one grid call (:meth:`CurveJet.bundles`) where the curve has one and
-    it returns; otherwise from ``c.jets`` at each point as the consumer
-    first reads it, so the first failure the consumer meets is the one a
-    point-by-point sweep meets.  That holds for the failures of the FD
-    tier and its row reads, an ``ArithmeticError``, ``ValueError`` or
-    :class:`~.errors.CurveLabError`; anything else a position function
-    raises leaves the grid call as it is."""
-    if c.batched:
-        try:
-            return c.bundles(points, first, last).__getitem__
-        except (ArithmeticError, ValueError, CurveLabError):
-            pass
-    return lambda i: c.jets(points[i], first, last)
+                  last: int) -> Callable[[int], Row]:
+    """``read(i)``, the row of orders first..last at ``points[i]``, for a
+    consumer that tests each point before it reads the next: from one
+    :meth:`CurveJet.rows` call where it returns; otherwise from the
+    one-point call at each point as the consumer first reads it, so the
+    first failure the consumer meets is the one a point-by-point sweep
+    meets.  That holds for an ``ArithmeticError``, ``ValueError`` or
+    :class:`~.errors.CurveLabError`; anything else a jet raises leaves
+    the call as it is."""
+    try:
+        return c.rows(points, first, last).__getitem__
+    except (ArithmeticError, ValueError, CurveLabError):
+        return lambda i: c.rows((points[i],), first, last)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +368,6 @@ class FDVector(PGVector):
 _set_err = FDVector.err.__set__
 
 
-def jet_errors(*jets: PGVector) -> tuple[float, ...] | None:
-    """Error bounds of the given jets; None when every jet is exact."""
-    errs = tuple(getattr(j, "err", 0.0) for j in jets)
-    return errs if any(errs) else None
-
-
 @lru_cache(maxsize=None)
 def _weights(order: int, first: int, count: int
              ) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
@@ -409,8 +430,8 @@ class _RowReads:
         self.row_at, self.points = row_at, points
         self.seen: list[dict[float, _Row]] = [{} for _ in points]
 
-    def positions(self) -> list[PGVector]:
-        return [PGVector(*self.row_at(s)[:3]) for s in self.points]
+    def positions(self) -> list[Row]:
+        return [_finite(*self.row_at(s)[:3]) + (0.0,) for s in self.points]
 
     def nodes(self, sel: Sequence[int]) -> Nodes:
         """The nodes of the points numbered ``sel``."""
@@ -442,9 +463,9 @@ class _LatticeReads:
     def __init__(self, rows: tuple[list[float], ...], index: list[int]):
         self.rows, self.index = rows, index
 
-    def positions(self) -> list[PGVector]:
+    def positions(self) -> list[Row]:
         x, y, z, _ = self.rows
-        return [PGVector(x[i], y[i], z[i]) for i in self.index]
+        return [_finite(x[i], y[i], z[i]) + (0.0,) for i in self.index]
 
     def nodes(self, sel: Sequence[int]) -> Nodes:
         """The nodes of the points numbered ``sel``."""
@@ -506,7 +527,7 @@ def _extrapolate(nodes: Nodes, order: int, m: int, h: float, first: int,
         y = (16.0 * fy - cy) / 15.0
         z = (16.0 * fz - cz) / 15.0
         if not isfinite(x + y + z):
-            PGVector(x, y, z)       # a non-finite component raises here
+            _finite(x, y, z)        # a non-finite component raises here
         return x, y, z, trunc, roundoff
 
     return list(map(combine, *sums))
@@ -616,14 +637,14 @@ def _adaptive(reads: _Reads, points: Sequence[float], order: int, h: float,
     return best
 
 
-def _fd_bundles(reads: _Reads, points: Sequence[float], first: int,
-                last: int, h: float, tops: tuple[int, ...],
-                window: tuple[float, float]) -> list[tuple[PGVector, ...]]:
-    """The jets of orders first..last at every point, order by order for
-    all the points at once: the positions, then each order's
-    :class:`FDVector` jets, centred at steps h and h/2 when its ``tops``
-    entry is 1 (one group of all the points), otherwise at the step
-    :func:`_adaptive` picks."""
+def _fd_rows(reads: _Reads, points: Sequence[float], first: int, last: int,
+             h: float, tops: tuple[int, ...], window: tuple[float, float]
+             ) -> list[Row]:
+    """The rows of orders first..last at every point, order by order for
+    all the points at once: the positions (err 0.0), then each order's
+    jets (x, y, z, trunc + roundoff), centred at steps h and h/2 when its
+    ``tops`` entry is 1 (one group of all the points), otherwise at the
+    step :func:`_adaptive` picks."""
     orders = []
     every = reads.nodes(range(len(points)))
     for k in range(first, last + 1):
@@ -634,9 +655,9 @@ def _fd_bundles(reads: _Reads, points: Sequence[float], first: int,
             jets = _extrapolate(every, k, 1, h, *_CENTRED[k])
         else:
             jets = _adaptive(reads, points, k, h, tops[k], window)
-        orders.append([FDVector(x, y, z, trunc + roundoff)
+        orders.append([(x, y, z, trunc + roundoff)
                        for x, y, z, trunc, roundoff in jets])
-    return list(zip(*orders))
+    return [sum(parts, ()) for parts in zip(*orders)]
 
 
 def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
@@ -645,8 +666,9 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     differences.
 
     Every jet is one Richardson level over the steps H and H/2 of a
-    fourth-order stencil, (16 * fine - coarse) / 15, and is returned as
-    an :class:`FDVector` whose ``err`` bounds its error: the Richardson
+    fourth-order stencil, (16 * fine - coarse) / 15, and carries an
+    ``err`` (in its row, and on the :class:`FDVector` the public calls
+    return) that bounds its error: the Richardson
     difference |fine - coarse| / 15 plus a round-off bound of
     4 ulps * sum|w| * max|position| / (denominator * H^order) per stencil.
 
@@ -669,15 +691,15 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     ``_weights``) is used instead.  Every node is s + j * h/2 for an
     integer j.
 
-    Bundles.  ``bundles(points, first, last)`` evaluates every point in
-    one pass, order by order: orders 1-2 as one group of all the points,
-    and each step trial of orders 3-6 with the points grouped by step
-    and node range (``_adaptive``).  Every point reads ``position`` once
-    per node for all its orders and step trials (``_RowReads``), and its
-    jets are those it gets alone, ``jets(s, first, last)`` being the
-    one-point grid call; ``jet(s, k)`` is the bundle of order k alone,
-    so all give the same bits.  Nothing is kept between calls:
-    evaluation is pure.
+    Rows.  ``rows(points, first, last)`` evaluates every point in one
+    pass, order by order: orders 1-2 as one group of all the points, and
+    each step trial of orders 3-6 with the points grouped by step and
+    node range (``_adaptive``).  Every point reads ``position`` once per
+    node for all its orders and step trials (``_RowReads``), and its
+    rows are those it gets alone, ``jets(s, first, last)`` being the
+    one-point call; ``jet(s, k)`` is the row of order k alone, so all
+    give the same bits.  Nothing is kept between calls: evaluation is
+    pure.
     """
     return _fd_curve(_row_fn(position), domain, h)
 
@@ -733,7 +755,7 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
         if i < 0 or i >= n or abs(t - (first + i * spacing)) > 1e-6 * spacing:
             raise ValueError(f"off-lattice evaluation at s={t!r}")
         if overflows and not isfinite(x[i]):
-            PGVector(x[i], y[i], z[i])
+            _finite(x[i], y[i], z[i])
         return x[i], y[i], z[i], mag[i]
 
     # Index reads need every node s + j * step of a point s on node i to
@@ -775,7 +797,7 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
         def row_at(t: float) -> _Row:
             x, y, z, _ = unshifted(t)
             if not math.isfinite(x - dx):
-                PGVector(x - dx, y, z)      # an overflowing shift raises
+                _finite(x - dx, y, z)       # an overflowing shift raises
             return x - dx, y, z, max(abs(x - dx), abs(y), abs(z))
 
     # the balanced multiple of h that each order's step search starts from
@@ -785,19 +807,19 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
     window = (lo - 4.0 * h, hi + 4.0 * h)
     origin, spacing = nodes or (0.0, 0.0)
 
-    def bundles_fn(points: Sequence[float], first: int, last: int
-                   ) -> list[tuple[PGVector, ...]]:
+    def rows_fn(points: Sequence[float], first: int, last: int
+                ) -> list[Row]:
         reads: _Reads | None = None
         if rows is not None:
             index = [round((s - origin) / spacing) for s in points]
             if all(8 <= i < len(rows[0]) - 8 and s == origin + i * spacing
                    for s, i in zip(points, index)):
                 reads = _LatticeReads(rows, index)
-        return _fd_bundles(reads or _RowReads(row_at, points), points, first,
-                           last, h, tops, window)
+        return _fd_rows(reads or _RowReads(row_at, points), points, first,
+                        last, h, tops, window)
 
     return CurveJet(None, (lo, hi), JetKind.FINITE_DIFFERENCE, max_order=6,
-                    nodes=nodes, bundles_fn=bundles_fn)
+                    nodes=nodes, rows_fn=rows_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -811,10 +833,11 @@ def apply_similarity(c: CurveJet, m: SimilarityMotion) -> CurveJet:
     The image's x-coordinate is t = a + b*s, so its arc-length parameter
     is t and its order-k jet at t is m's linear part applied to c's
     order-k jet at s = (t - a)/b, divided by b**k; the translations move
-    the position (order 0) alone.  The domain is the image of c's, sorted
-    (b < 0 reverses it).  A finite-difference jet's error bound is
-    multiplied by max(|b|, max(|d|, |f|) + |r|*e^|theta|) / |b|**k, which
-    bounds the linear part's row sums over |b|**k.  The curve keeps its
+    the position (order 0) alone; the image maps c's rows.  The domain is
+    the image of c's, sorted (b < 0 reverses it).  A nonzero error bound
+    (a finite-difference jet's) is multiplied by max(|b|, max(|d|, |f|)
+    + |r|*e^|theta|) / |b|**k, which bounds the linear part's row sums
+    over |b|**k.  The curve keeps its
     kind, jet orders and warnings.  Raises ValueError when b == 0, which
     maps the curve into the plane x = a, or when r == 0.
     """
@@ -829,24 +852,28 @@ def apply_similarity(c: CurveJet, m: SimilarityMotion) -> CurveJet:
     row_sum = max(abs(b), max(abs(m.d), abs(m.f))
                   + abs(m.r) * math.exp(abs(m.theta)))
 
-    def image(k: int, j: PGVector) -> PGVector:
-        q = b ** k
-        x = b * j.x1 / q
-        y = (m.d * j.x1 + rch * j.x2 + rsh * j.x3) / q
-        z = (m.f * j.x1 + rsh * j.x2 + rch * j.x3) / q
-        if k == 0:
-            return PGVector(a + x, m.c + y, m.e + z)
-        if isinstance(j, FDVector):
-            return FDVector(x, y, z, j.err * row_sum / abs(q))
-        return PGVector(x, y, z)
-
-    def jets_fn(t: float, first: int, last: int) -> tuple[PGVector, ...]:
-        return tuple(image(k, j) for k, j in
-                     enumerate(c.jets((t - a) / b, first, last), first))
+    def rows_fn(points: Sequence[float], first: int, last: int
+                ) -> list[Row]:
+        out = []
+        for row in c.rows([(t - a) / b for t in points], first, last):
+            image: list[float] = []
+            for k, i in enumerate(range(0, len(row), 4), first):
+                x1, x2, x3, err = row[i:i + 4]
+                q = b ** k
+                x = b * x1 / q
+                y = (m.d * x1 + rch * x2 + rsh * x3) / q
+                z = (m.f * x1 + rsh * x2 + rch * x3) / q
+                if k == 0:
+                    image += _finite(a + x, m.c + y, m.e + z) + (0.0,)
+                else:
+                    err = err and err * row_sum / abs(q)
+                    image += _finite(x, y, z) + (err,)
+            out.append(image)
+        return out
 
     lo, hi = sorted((a + b * c.domain[0], a + b * c.domain[1]))
     return CurveJet(None, (lo, hi), c.kind, max_order=c.max_order,
-                    warnings=c.warnings, jets_fn=jets_fn)
+                    warnings=c.warnings, rows_fn=rows_fn)
 
 
 def apply_homothety(c: CurveJet, mu: float) -> CurveJet:

@@ -19,13 +19,16 @@ needs (the arithmetic of :class:`~.series.DSeries`, bit for bit), so a
 curve carrying exact order-4 jets yields K, T and their rates exact to
 round-off.
 
-The kernels pass the frame as nine floats (``frenet.Frame``), each
-finite, checked in the order of its components (``algebra._finite``):
-``_equiform_of`` gives the series values and the frame at a point,
-``_frames_at`` the Frenet and equiform frames at a residual neighbour
-and ``_equiform_residual_of`` reads the frames at s - h, s and s + h.
-:func:`equiform_data` and the grid sweep wrap the same pass into
-:class:`EquiformData` records.
+The kernels read the jets as rows of floats (``CurveJet.rows``) and
+pass the frame as nine floats (``frenet.Frame``), each finite, checked
+in the order of its components (``algebra._finite``): ``_equiform_of``
+gives the series values and the frame at a point, ``_frames_at`` the
+Frenet and equiform frames at a residual neighbour and
+``_equiform_residual_of`` reads the frames at s - h, s and s + h.  The
+grid sweep ``_sweep`` keeps each point as (eps, values, frame) floats,
+which ``classify``, ``natural_class`` and the pair verifier read;
+:func:`equiform_data` and :func:`equiform_grid` wrap the same pass into
+:class:`EquiformData` records at the public boundary.
 """
 
 from __future__ import annotations
@@ -35,11 +38,16 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .algebra import PGVector, _finite
-from .curves import CurveJet, bundle_reader, jet_errors
+from .curves import CurveJet, Row, bundle_reader
 from .errors import EmptyGridError, JetOrderError
-from .frenet import (Frame, _frame_defect, _frame_vectors, _neighbour,
-                     _one_character, _overflow, _residual_step,
-                     _stencil_character, normal_character)
+from .frenet import (Frame, _character, _frame_defect, _frame_vectors,
+                     _neighbour, _one_character, _overflow, _residual_step,
+                     _stencil_character)
+
+# the series values (rho, K, T, dK/ds, dT/ds, errors) at a point
+Values = tuple
+# a point of the grid sweep: eps, the series values and the frame
+SweepPoint = tuple[int, Values, Frame]
 
 
 class EquiformData(NamedTuple):
@@ -75,7 +83,7 @@ def equiform_data(c: CurveJet, s: float) -> EquiformData:
     pass, to first order, into ``errors``.
     """
     _needs_order_4(c)
-    return _equiform_record(s, *c.jets(s, 1, 4))
+    return _equiform_record(s, c.rows((s,), 1, 4)[0])
 
 
 def _needs_order_4(c: CurveJet) -> None:
@@ -84,19 +92,22 @@ def _needs_order_4(c: CurveJet) -> None:
             f"equiform apparatus needs order-4 jets, curve carries {c.max_order}")
 
 
-def _equiform_record(s: float, j1: PGVector, j2: PGVector, j3: PGVector,
-                     j4: PGVector) -> EquiformData:
-    """:func:`equiform_data` from the jets of orders 1-4 at s."""
-    eps = normal_character(s, j1, j2)
-    (rho, K, T, K1, T1, errors), frame = _equiform_of(s, eps, j1, j2, j3, j4)
-    return EquiformData(s, eps, rho, K, T, K1, T1, *_frame_vectors(frame),
-                        errors)
+def _equiform_record(s: float, r: Row) -> EquiformData:
+    """:func:`equiform_data` from the row ``r`` of orders 1-4 at s."""
+    eps = _character(s, r[0], r[5], r[6])
+    return _record(s, eps, *_equiform_of(s, eps, r))
 
 
-def _equiform_of(s: float, eps: int, j1: PGVector, j2: PGVector,
-                 j3: PGVector, j4: PGVector) -> tuple[tuple, Frame]:
+def _record(s: float, eps: int, values: Values, frame: Frame
+            ) -> EquiformData:
+    """A point of the equiform pass as a record."""
+    return EquiformData(s, eps, *values[:5], *_frame_vectors(frame),
+                        values[5])
+
+
+def _equiform_of(s: float, eps: int, r: Row) -> tuple[Values, Frame]:
     """The series values (rho, K, T, dK/ds, dT/ds, errors) and the frame
-    at s, from the jets of orders 1-4 there, once
+    at s, from the row ``r`` of orders 1-4 there, once
     :func:`normal_character` has given eps.
 
     Truncated Taylor arithmetic (Griewank & Walther, *Evaluating
@@ -110,12 +121,11 @@ def _equiform_of(s: float, eps: int, j1: PGVector, j2: PGVector,
     term in the order of ``series._product_bounds`` and
     ``series._recursion_bounds``, so every value, bound and error is
     bit for bit that of the same pass in :class:`~.series.DSeries`.
-    The frame is built last, from rho.
+    The frame is built last, from rho.  ``errors`` is None where the
+    jets of orders 2-4 are exact (err 0.0).
     """
+    _, ty, tz, _, _, y0, z0, e2, _, y1, z1, e3, _, y2, z2, e4 = r
     try:
-        errs = jet_errors(j2, j3, j4)
-        y0, y1, y2 = j2.x2, j3.x2, j4.x2
-        z0, z1, z2 = j2.x3, j3.x3, j4.x3
         p0 = fsum((y0 * y0,))                          # y''^2
         p1 = fsum((y0 * y1, y1 * y0))
         p2 = fsum((y0 * y2, 2.0 * y1 * y1, y2 * y0))
@@ -136,10 +146,9 @@ def _equiform_of(s: float, eps: int, j1: PGVector, j2: PGVector,
         torsion_rate = fsum((r0 * t1, r1 * t0))
 
         errors = None
-        if errs is not None:
+        if e2 or e3 or e4:
             # bounds of w (those of y''^2 plus those of z''^2), kappa,
             # (rho, K, dK/ds), tau and (T, dT/ds), in that order
-            e2, e3, e4 = errs
             ay0, ay1, ay2, az0, az1, az2 = map(abs, (y0, y1, y2, z0, z1, z2))
             we0 = ((0.0 + (ay0 * e2 + e2 * ay0))
                    + (0.0 + (az0 * e2 + e2 * az0)))
@@ -173,31 +182,31 @@ def _equiform_of(s: float, eps: int, j1: PGVector, j2: PGVector,
                       0.0 + (ar0 * te1 + re0 * at1) + (ar1 * te0 + re1 * at0))
 
         return ((r0, r1, torsion, r2, torsion_rate, errors),
-                _equiform_frame(j1, j2, eps, r0))
+                _equiform_frame(ty, tz, y0, z0, eps, r0))
     except (ValueError, ArithmeticError) as exc:
-        raise _overflow(s, j2, exc)
+        raise _overflow(s, y0, z0, exc)
 
 
-def _equiform_frame(j1: PGVector, j2: PGVector, eps: int, rho: float
-                    ) -> Frame:
-    """The tangent, normal and binormal from the jets of orders 1-2,
-    checked in that order (``algebra._finite``)."""
+def _equiform_frame(y1: float, z1: float, y2: float, z2: float, eps: int,
+                    rho: float) -> Frame:
+    """The tangent, normal and binormal from y', z', y'' and z'', checked
+    in that order (``algebra._finite``)."""
     rho2 = rho * rho
-    return _finite(rho, rho * j1.x2, rho * j1.x3,
-                   0.0, rho2 * j2.x2, rho2 * j2.x3,
-                   0.0, eps * rho2 * j2.x3, eps * rho2 * j2.x2)
+    return _finite(rho, rho * y1, rho * z1,
+                   0.0, rho2 * y2, rho2 * z2,
+                   0.0, eps * rho2 * z2, eps * rho2 * y2)
 
 
-def _frames_at(s: float, j1: PGVector, j2: PGVector
-               ) -> tuple[int, Frame, Frame]:
+def _frames_at(s: float, r: Row) -> tuple[int, Frame, Frame]:
     """eps, the Frenet and the equiform frame at a residual neighbour s,
-    from the jets of orders 1-2 there (``frenet._neighbour``).
+    from the row ``r`` of orders 1-2 there (``frenet._neighbour``).
     rho = 1/kappa is bit for bit entry 0 of the series pass's rho."""
-    eps, kappa, fr = _neighbour(s, j1, j2)
+    eps, kappa, fr = _neighbour(s, r)
+    y1, z1, _, _, y2, z2 = r[1:7]
     try:
-        return eps, fr, _equiform_frame(j1, j2, eps, 1.0 / kappa)
+        return eps, fr, _equiform_frame(y1, z1, y2, z2, eps, 1.0 / kappa)
     except (ValueError, ArithmeticError) as exc:
-        raise _overflow(s, j2, exc)
+        raise _overflow(s, y2, z2, exc)
 
 
 def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
@@ -207,29 +216,32 @@ def equiform_grid(c: CurveJet, grid: Sequence[float]) -> list[EquiformData]:
     cone, where none of the invariants are continuous; such curves are
     inadmissible as a whole.
     """
-    return _sweep(c, grid, 1)[1]
+    return [_record(s, *p) for s, p in zip(grid, _sweep(c, grid, 1)[1])]
 
 
 def _sweep(c: CurveJet, grid: Sequence[float], first: int
-           ) -> tuple[list[PGVector], list[EquiformData]]:
-    """The one equiform sweep: one grid call for the jets of orders
+           ) -> tuple[list[Row], list[SweepPoint]]:
+    """The one equiform sweep: one row call for the jets of orders
     first..4 at every grid point (``first`` is 1, or 0 to read the
-    positions too) and the equiform data of each point's orders 1-4, in
-    grid order, then the flip check; when the grid call fails, each point
+    positions too) and the equiform pass of each point's orders 1-4, in
+    grid order, then the flip check; when the row call fails, each point
     is read and tested before the next (``curves.bundle_reader``).
-    Returns the order-``first`` jets (the positions when ``first`` is 0)
-    and the data."""
+    Returns each point's (x, y, z) of order ``first`` (the position when
+    ``first`` is 0) and its (eps, values, frame)."""
     if len(grid) == 0:
         raise EmptyGridError("equiform sweep needs a non-empty grid")
     _needs_order_4(c)
-    heads, datas = [], []
+    heads, points = [], []
     read = bundle_reader(c, grid, first, 4)
+    skip = 4 * (1 - first)
     for i, s in enumerate(grid):
-        jets = read(i)
-        heads.append(jets[0])
-        datas.append(_equiform_record(s, *jets[-4:]))
-    _one_character(datas)
-    return heads, datas
+        r = read(i)
+        o = r[skip:] if skip else r
+        eps = _character(s, o[0], o[5], o[6])
+        heads.append(r[:3])
+        points.append((eps, *_equiform_of(s, eps, o)))
+    _one_character(grid, [p[0] for p in points])
+    return heads, points
 
 
 def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:
@@ -247,11 +259,11 @@ def equiform_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     """
     h = _residual_step(c, h)
     _needs_order_4(c)
-    j1, j2, j3, j4 = c.jets(s, 1, 4)
-    eps = normal_character(s, j1, j2)
-    (rho, K, T, _, _, _), d0 = _equiform_of(s, eps, j1, j2, j3, j4)
-    em, _, dm = _frames_at(s - h, *c.jets(s - h, 1, 2))
-    ep, _, dp = _frames_at(s + h, *c.jets(s + h, 1, 2))
+    r = c.rows((s,), 1, 4)[0]
+    eps = _character(s, r[0], r[5], r[6])
+    (rho, K, T, _, _, _), d0 = _equiform_of(s, eps, r)
+    em, _, dm = _frames_at(s - h, c.rows((s - h,), 1, 2)[0])
+    ep, _, dp = _frames_at(s + h, c.rows((s + h,), 1, 2)[0])
     _stencil_character(s, em, eps, ep)
     return _equiform_residual_of(dm, d0, dp, rho, K, T, h)
 
@@ -297,8 +309,14 @@ def _spread(vals: Sequence[float]) -> float:
     return max(vals) - min(vals)
 
 
-def _mean(vals: Sequence[float]) -> float:
-    return fsum(vals) / len(vals)
+def _mean(vals: Sequence[float], name: str) -> float:
+    """The mean of ``vals``, the ``name`` at each grid point; an
+    ``OverflowError`` of the sum says which quantity overflowed."""
+    try:
+        return fsum(vals) / len(vals)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"the grid mean of the {name} overflows ({exc})") from exc
 
 
 def _is_zero(vals: Sequence[float], bounds: Sequence[float],
@@ -306,8 +324,8 @@ def _is_zero(vals: Sequence[float], bounds: Sequence[float],
     return all(abs(v) <= max(tol, e) for v, e in zip(vals, bounds))
 
 
-def _is_const(vals: Sequence[float], tol: float) -> bool:
-    return _spread(vals) <= tol * max(1.0, abs(_mean(vals)))
+def _is_const(vals: Sequence[float], tol: float, name: str) -> bool:
+    return _spread(vals) <= tol * max(1.0, abs(_mean(vals, name)))
 
 
 def natural_class(c: CurveJet, grid: Sequence[float],
@@ -330,22 +348,23 @@ def natural_class(c: CurveJet, grid: Sequence[float],
     Needs at least ``MIN_GRID_POINTS`` grid points, checked after the
     sweep.
     """
-    return _natural_class_of(equiform_grid(c, grid), tol_const, tol_zero)
+    return _natural_class_of(_sweep(c, grid, 1)[1], tol_const, tol_zero)
 
 
-def _natural_class_of(datas: Sequence[EquiformData],
+def _natural_class_of(points: Sequence[SweepPoint],
                       tol_const: float = TOL_CONST,
                       tol_zero: float = TOL_ZERO) -> NaturalClass:
     """:func:`natural_class` of an already evaluated grid sweep."""
-    if len(datas) < MIN_GRID_POINTS:
+    if len(points) < MIN_GRID_POINTS:
         raise ValueError("classification needs a grid of at least "
                          f"{MIN_GRID_POINTS} points")
-    Ks = [d.curvature for d in datas]
-    Ts = [d.torsion for d in datas]
+    Ks = [v[1] for _, v, _ in points]
+    Ts = [v[2] for _, v, _ in points]
+    k_name, t_name = "equiform curvature", "equiform torsion"
 
     result = NaturalClassTag.OTHER
-    if _is_const(Ks, tol_const) and _is_const(Ts, tol_const):
-        errs = [d.errors or (0.0,) * 5 for d in datas]
+    if _is_const(Ks, tol_const, k_name) and _is_const(Ts, tol_const, t_name):
+        errs = [v[5] or (0.0,) * 5 for _, v, _ in points]
         k_zero = _is_zero(Ks, [e[1] for e in errs], tol_zero)
         t_zero = _is_zero(Ts, [e[2] for e in errs], tol_zero)
         if k_zero and t_zero:
@@ -355,7 +374,7 @@ def _natural_class_of(datas: Sequence[EquiformData],
         elif t_zero:
             result = NaturalClassTag.ISOTROPIC_LOG_SPIRAL
     return NaturalClass(tag=result,
-                        curvature_mean=_mean(Ks),
+                        curvature_mean=_mean(Ks, k_name),
                         curvature_spread=_spread(Ks),
-                        torsion_mean=_mean(Ts),
+                        torsion_mean=_mean(Ts, t_name),
                         torsion_spread=_spread(Ts))

@@ -12,13 +12,14 @@ with eps = sign(y''^2 - z''^2), chosen so the frame determinant is +1.
 The normal is spacelike for eps = +1 and timelike for eps = -1; the
 binormal has the opposite character.
 
-The kernels pass a frame as nine floats (:data:`Frame`: tangent, normal
-and binormal), each finite, checked in the order of its components
-(``algebra._finite``), so a frame raises the error its three vectors
-would.  ``_frenet_of`` and ``_neighbour`` build the frame at a point,
-and ``_frame_defect`` compares central differences of frames with the
-frame equations; :func:`frenet_data` wraps the same pass into a
-:class:`FrenetData` record.
+The kernels read the jets as a row of floats (``CurveJet.rows``: x, y,
+z and err of each order, from order 1) and pass a frame as nine floats
+(:data:`Frame`: tangent, normal and binormal), each finite, checked in
+the order of its components (``algebra._finite``), so a frame raises the
+error its three vectors would.  ``_frenet_of`` and ``_neighbour`` build
+the frame at a point, and ``_frame_defect`` compares central differences
+of frames with the frame equations; :func:`frenet_data` wraps the same
+pass into a :class:`FrenetData` record.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import inf, isfinite, sqrt
 from typing import NamedTuple, Sequence
 
 from .algebra import PGVector, _finite
-from .curves import CurveJet, bundle_reader
+from .curves import CurveJet, Row, bundle_reader
 from .errors import (EmptyGridError, InadmissibleCurveError,
                      NumericalInflectionError)
 
@@ -59,12 +60,17 @@ def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
     and ``OverflowError`` where y''^2 + z''^2 overflows, which says
     nothing about the light cone.
     """
-    if j1 is not None and abs(j1.x1 - 1.0) > 1e-6:
+    return _character(s, None if j1 is None else j1.x1, j2.x2, j2.x3)
+
+
+def _character(s: float, x1: float | None, y2: float, z2: float) -> int:
+    """:func:`normal_character` of x', y'' and z'' at s."""
+    if x1 is not None and abs(x1 - 1.0) > 1e-6:
         raise InadmissibleCurveError(
-            f"curve is not in arc-length form at s={s:.6g} (x'={j1.x1:.6g})",
+            f"curve is not in arc-length form at s={s:.6g} (x'={x1:.6g})",
             param=s)
-    w = j2.x2 * j2.x2 - j2.x3 * j2.x3
-    mag = j2.x2 * j2.x2 + j2.x3 * j2.x3
+    w = y2 * y2 - z2 * z2
+    mag = y2 * y2 + z2 * z2
     if not 0.0 < mag < inf:
         if mag:
             raise OverflowError(f"y''^2 + z''^2 overflows at s={s:.6g}")
@@ -76,16 +82,16 @@ def normal_character(s: float, j1: PGVector | None, j2: PGVector) -> int:
     return 1 if w > 0.0 else -1
 
 
-def _overflow(s: float, j2: PGVector, exc: Exception) -> Exception:
+def _overflow(s: float, y2: float, z2: float, exc: Exception) -> Exception:
     """What a per-point kernel at s raises for ``exc``, an overflow in
-    its arithmetic: ``exc`` itself when y''^2 + z''^2 overflows
-    (:func:`normal_character` has named s), else
+    its arithmetic, given y'' and z'' there: ``exc`` itself when y''^2 +
+    z''^2 overflows (:func:`normal_character` has named s), else
     :class:`NumericalInflectionError` when rho = 1/kappa > 1 can drive
     it (|y''^2 - z''^2| < 1), else ``exc`` with s named (parameters
     beyond a family's range)."""
-    if not isfinite(j2.x2 * j2.x2 + j2.x3 * j2.x3):
+    if not isfinite(y2 * y2 + z2 * z2):
         return exc
-    if abs(j2.x2 * j2.x2 - j2.x3 * j2.x3) < 1.0:
+    if abs(y2 * y2 - z2 * z2) < 1.0:
         err: Exception = NumericalInflectionError(
             f"numerically an inflection: rho = 1/kappa overflows at "
             f"s={s:.6g} ({exc})", param=s)
@@ -118,12 +124,12 @@ def check_admissibility(c: CurveJet, grid: Sequence[float]
     failing: list[float] = []
     read = bundle_reader(c, grid, 1, 2)
     for i, s in enumerate(grid):
-        j1, j2 = read(i)
-        mag = j2.x2 * j2.x2 + j2.x3 * j2.x3
-        infl.append(max(abs(j2.x2), abs(j2.x3)))
-        light.append(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3) / mag if mag else 0.0)
+        x1, _, _, _, _, y2, z2, _ = read(i)
+        mag = y2 * y2 + z2 * z2
+        infl.append(max(abs(y2), abs(z2)))
+        light.append(abs(y2 * y2 - z2 * z2) / mag if mag else 0.0)
         try:
-            normal_character(s, j1, j2)
+            _character(s, x1, y2, z2)
         except InadmissibleCurveError:
             failing.append(s)
     return AdmissibilityReport(not failing, min(infl), min(light),
@@ -133,36 +139,29 @@ def check_admissibility(c: CurveJet, grid: Sequence[float]
 def frenet_data(c: CurveJet, s: float) -> FrenetData:
     """Evaluate the classical apparatus at s; raises where
     :func:`normal_character` does."""
-    eps, kappa, tau, frame = _frenet_of(s, *c.jets(s, 1, 3))
+    eps, kappa, tau, frame = _frenet_of(s, c.rows((s,), 1, 3)[0])
     return FrenetData(s, kappa, tau, eps, *_frame_vectors(frame))
 
 
-def _frenet_of(s: float, j1: PGVector, j2: PGVector, j3: PGVector
-               ) -> tuple[int, float, float, Frame]:
-    """eps, kappa, tau and the frame at s, from the jets of orders 1-3
-    there."""
-    eps, kappa, frame = _neighbour(s, j1, j2)
-    tau = (j2.x2 * j3.x3 - j3.x2 * j2.x3) / abs(j2.x2 * j2.x2 - j2.x3 * j2.x3)
+def _frenet_of(s: float, r: Row) -> tuple[int, float, float, Frame]:
+    """eps, kappa, tau and the frame at s, from the row ``r`` of orders
+    1-3 there."""
+    eps, kappa, frame = _neighbour(s, r)
+    y2, z2 = r[5], r[6]
+    tau = (y2 * r[10] - r[9] * z2) / abs(y2 * y2 - z2 * z2)
     return eps, kappa, tau, frame
 
 
-def _neighbour(s: float, j1: PGVector, j2: PGVector
-               ) -> tuple[int, float, Frame]:
-    """eps, kappa and the frame at s, from the jets of orders 1-2 there:
-    all that a frame-equation residual reads at s - h and s + h; raises
-    where :func:`normal_character` does."""
-    eps = normal_character(s, j1, j2)
-    kappa = sqrt(abs(j2.x2 * j2.x2 - j2.x3 * j2.x3))
-    return eps, kappa, _frenet_frame(j1, j2, eps, kappa)
-
-
-def _frenet_frame(j1: PGVector, j2: PGVector, eps: int, kappa: float
-                  ) -> Frame:
-    """The tangent, normal and binormal from the jets of orders 1-2,
-    checked in that order (``algebra._finite``)."""
-    return _finite(1.0, j1.x2, j1.x3,
-                   0.0, j2.x2 / kappa, j2.x3 / kappa,
-                   0.0, eps * j2.x3 / kappa, eps * j2.x2 / kappa)
+def _neighbour(s: float, r: Row) -> tuple[int, float, Frame]:
+    """eps, kappa and the frame at s, from the row ``r`` of orders 1-2
+    there (or more): all that a frame-equation residual reads at s - h
+    and s + h; raises where :func:`normal_character` does."""
+    x1, y1, z1, _, _, y2, z2 = r[:7]
+    eps = _character(s, x1, y2, z2)
+    kappa = sqrt(abs(y2 * y2 - z2 * z2))
+    return eps, kappa, _finite(1.0, y1, z1,
+                               0.0, y2 / kappa, z2 / kappa,
+                               0.0, eps * z2 / kappa, eps * y2 / kappa)
 
 
 def _frame_vectors(f: Frame) -> tuple[PGVector, PGVector, PGVector]:
@@ -171,14 +170,14 @@ def _frame_vectors(f: Frame) -> tuple[PGVector, PGVector, PGVector]:
     return PGVector(t1, t2, t3), PGVector(n1, n2, n3), PGVector(b1, b2, b3)
 
 
-def _one_character(datas: Sequence) -> None:
+def _one_character(grid: Sequence[float], epsilons: Sequence[int]) -> None:
     """Raise :class:`InadmissibleCurveError` when the normal character
-    flips within ``datas``, the Frenet or equiform data of a grid sweep."""
-    for d in datas:
-        if d.epsilon != datas[0].epsilon:
+    ``epsilons`` of a grid sweep flips over the ``grid``."""
+    for s, eps in zip(grid, epsilons):
+        if eps != epsilons[0]:
             raise InadmissibleCurveError(
-                f"normal character flips between s={datas[0].s:.6g} and "
-                f"s={d.s:.6g}; the curve crosses the light cone", param=d.s)
+                f"normal character flips between s={grid[0]:.6g} and "
+                f"s={s:.6g}; the curve crosses the light cone", param=s)
 
 
 def _stencil_character(s: float, em: int, e0: int, ep: int) -> None:
@@ -216,9 +215,9 @@ def frenet_residual(c: CurveJet, s: float, h: float | None = None) -> float:
     then s - h, then s + h, so both name the same failing point.
     """
     h = _residual_step(c, h)
-    eps, kappa, tau, f0 = _frenet_of(s, *c.jets(s, 1, 3))
-    em, _, fm = _neighbour(s - h, *c.jets(s - h, 1, 2))
-    ep, _, fp = _neighbour(s + h, *c.jets(s + h, 1, 2))
+    eps, kappa, tau, f0 = _frenet_of(s, c.rows((s,), 1, 3)[0])
+    em, _, fm = _neighbour(s - h, c.rows((s - h,), 1, 2)[0])
+    ep, _, fp = _neighbour(s + h, c.rows((s + h,), 1, 2)[0])
     _stencil_character(s, em, eps, ep)
     return _frenet_residual_of(fm, f0, fp, kappa, tau, h)
 

@@ -23,8 +23,8 @@ zero equiform curvature and are the curves that admit normal-offset
 mates.
 
 Each family is one row of ``_FAMILIES``: a builder, which maps (a, b,
-domain) to the nominal domain, the validity region, the jets and the
-oracle, and the family's constraints, default domain, reference (a, b),
+domain) to the nominal domain, the validity region, the row fill and
+the oracle, and the family's constraints, default domain, reference (a, b),
 notes and the parameters it uses.  :func:`get_example` is the one place
 that reads a row.
 
@@ -36,12 +36,13 @@ self-consistent value and the entry's ``notes`` record the discrepancy.
 Curves are built on a domain slightly wider (2% per side, clipped to the
 validity region) than the entry's nominal domain, so that difference
 stencils centered at the nominal endpoints stay evaluable.  A family's
-``jets(s, first, last)``, with x = s exactly, is the curve's bundle view
-(``CurveJet``'s ``jets_fn``), and nothing probes it.  A helix evaluates
-its transcendentals once per bundle (exp, cosh and sinh; or one log,
-then cosh and sinh), and every order comes from its own closed form, so
-a bundle equals its orders read one at a time.  An ``ArithmeticError``
-or ``ValueError`` of a closed form names s.
+``fill(row, s, first, last)``, with x = s exactly, appends the floats of
+its row at s, and ``curves._naming_s`` loops it over the points of the
+curve's rows; nothing probes it.  A helix evaluates its transcendentals
+once per row (exp, cosh and sinh; or one log, then cosh and sinh), and
+every order comes from its own closed form, so a row equals its orders
+read one at a time.  An ``ArithmeticError`` or ``ValueError`` of a
+closed form names s.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .algebra import PGVector
-from .curves import CurveJet, JetKind, JetsFn, _naming_s
+from .curves import CurveJet, Fill, JetKind, _naming_s
 from .errors import ParameterConstraintError, UnknownCurveError
 
 MAX_JET_ORDER = 8
@@ -94,9 +95,18 @@ class ZooEntry(NamedTuple):
     notes: tuple[str, ...]
 
 
-# (nominal domain, validity region, jets, oracle) of one family member
-Shape = tuple[tuple[float, float], tuple[float, float], JetsFn, OracleForms]
+# (nominal domain, validity region, row fill, oracle) of one family member
+Shape = tuple[tuple[float, float], tuple[float, float], Fill, OracleForms]
 _ANYWHERE = (-math.inf, math.inf)
+
+
+def _order(fill: Fill, k: int) -> Callable[[float], PGVector]:
+    """The order-k jet of a family's rows as a vector function of s."""
+    def jet(s: float) -> PGVector:
+        row: list[float] = []
+        fill(row, s, k, k)
+        return PGVector(*row[:3])
+    return jet
 
 
 def _require(cond: bool, message: str) -> None:
@@ -144,18 +154,15 @@ def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
     if mirrored:
         ycoef, zcoef = zcoef, ycoef
 
-    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+    def fill(row: list, s: float, first: int, last: int) -> None:
         e = math.exp(-a * s)
         ch = math.cosh(b * s)
         sh = math.sinh(b * s)
-        out = []
         for k in range(first, last + 1):
             py, qy = ycoef[k]
             pz, qz = zcoef[k]
-            out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
-                                e * (py * ch + qy * sh),
-                                e * (pz * ch + qz * sh)))
-        return tuple(out)
+            row += (s if k == 0 else (1.0 if k == 1 else 0.0),
+                    e * (py * ch + qy * sh), e * (pz * ch + qz * sh), 0.0)
 
     def e2(s: float) -> PGVector:
         ch, sh = math.cosh(b * s), math.sinh(b * s)
@@ -170,11 +177,11 @@ def _general_helix(a: float, b: float, domain: tuple[float, float] | None,
         kappa=lambda s: math.exp(-a * s),
         tau=lambda s: tau_val,
         epsilon=-1 if mirrored else 1,
-        tangent=lambda s: jets(s, 1, 1)[0], normal=e2, binormal=e3,
+        tangent=_order(fill, 1), normal=e2, binormal=e3,
         equiform_curvature=lambda s: a * math.exp(a * s),
         equiform_torsion=lambda s: tau_val * math.exp(a * s),
     )
-    return (lo, hi), _ANYWHERE, jets, oracle
+    return (lo, hi), _ANYWHERE, fill, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +224,15 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
     def uu(s: float) -> float:
         return (b / a) * math.log(a * s)
 
-    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+    def fill(row: list, s: float, first: int, last: int) -> None:
         u = uu(s)
         ch, sh = math.cosh(u), math.sinh(u)
-        out = []
         for k in range(first, last + 1):
             m, py, qy = ycoef[k]
             _, pz, qz = zcoef[k]
             sc = s ** (-m)
-            out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
-                                sc * (py * ch + qy * sh),
-                                sc * (pz * ch + qz * sh)))
-        return tuple(out)
+            row += (s if k == 0 else (1.0 if k == 1 else 0.0),
+                    sc * (py * ch + qy * sh), sc * (pz * ch + qz * sh), 0.0)
 
     def e2(s: float) -> PGVector:
         ch, sh = math.cosh(uu(s)), math.sinh(uu(s))
@@ -243,12 +247,12 @@ def _circular_helix(a: float, b: float, domain: tuple[float, float] | None,
         kappa=lambda s: a / s,
         tau=lambda s: tau_sign * b / (a * s),
         epsilon=1 if mirrored else -1,
-        tangent=lambda s: jets(s, 1, 1)[0], normal=e2, binormal=e3,
+        tangent=_order(fill, 1), normal=e2, binormal=e3,
         equiform_curvature=lambda s: 1.0 / a,
         equiform_torsion=lambda s: tau_sign * b / (a * a),
     )
     valid = (_MARGIN / a, math.inf) if a > 0 else (-math.inf, _MARGIN / a)
-    return (lo, hi), valid, jets, oracle
+    return (lo, hi), valid, fill, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +266,16 @@ def _log_spiral(a: float, b: float,
     _require(min(a * lo + b, a * hi + b) >= _MARGIN,
              f"domain must keep a*s + b >= {_MARGIN} (logarithm argument)")
 
-    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+    def fill(row: list, s: float, first: int, last: int) -> None:
         g = a * s + b
-        out = []
         for k in range(first, last + 1):
             if k == 0:
-                out.append(PGVector(s, g / (a * a) * (math.log(g) - 1.0), 0.0))
+                row += s, g / (a * a) * (math.log(g) - 1.0), 0.0, 0.0
             elif k == 1:
-                out.append(PGVector(1.0, math.log(g) / a, 0.0))
+                row += 1.0, math.log(g) / a, 0.0, 0.0
             else:
-                out.append(PGVector(0.0, (-1.0) ** k * math.factorial(k - 2)
-                                    * a ** (k - 2) / g ** (k - 1), 0.0))
-        return tuple(out)
+                row += (0.0, (-1.0) ** k * math.factorial(k - 2)
+                        * a ** (k - 2) / g ** (k - 1), 0.0, 0.0)
 
     oracle = OracleForms(
         kappa=lambda s: 1.0 / (a * s + b),
@@ -287,7 +289,7 @@ def _log_spiral(a: float, b: float,
     )
     edge = (_MARGIN - b) / a
     valid = (edge, math.inf) if a > 0 else (-math.inf, edge)
-    return (lo, hi), valid, jets, oracle
+    return (lo, hi), valid, fill, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +307,14 @@ def _bertrand_helix(a: float, b: float,
     _require(b != 0.0, "parameter b must be nonzero")
     lo, hi = _check_domain(domain, (-1.0, 1.0))
 
-    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
+    def fill(row: list, s: float, first: int, last: int) -> None:
         ch, sh = math.cosh(b * s), math.sinh(b * s)
-        out = []
         for k in range(first, last + 1):
             amp = a * b ** (k - 2)
             even = k % 2 == 0
-            out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
-                                amp * (ch if even else sh),
-                                amp * (sh if even else ch)))
-        return tuple(out)
+            row += (s if k == 0 else (1.0 if k == 1 else 0.0),
+                    amp * (ch if even else sh), amp * (sh if even else ch),
+                    0.0)
 
     oracle = OracleForms(
         kappa=lambda s: a,
@@ -327,7 +327,7 @@ def _bertrand_helix(a: float, b: float,
         equiform_curvature=lambda s: 0.0,
         equiform_torsion=lambda s: b / a,
     )
-    return (lo, hi), _ANYWHERE, jets, oracle
+    return (lo, hi), _ANYWHERE, fill, oracle
 
 
 def _isotropic_circle(a: float, b: float,
@@ -338,11 +338,11 @@ def _isotropic_circle(a: float, b: float,
     _require(a > 0.0, "parameter a must be positive (a is the curvature)")
     lo, hi = _check_domain(domain, (-1.0, 1.0))
 
-    def jets(s: float, first: int, last: int) -> tuple[PGVector, ...]:
-        return tuple(PGVector(s, 0.5 * a * s * s, 0.0) if k == 0 else
-                     PGVector(1.0, a * s, 0.0) if k == 1 else
-                     PGVector(0.0, a if k == 2 else 0.0, 0.0)
-                     for k in range(first, last + 1))
+    def fill(row: list, s: float, first: int, last: int) -> None:
+        for k in range(first, last + 1):
+            row += ((s, 0.5 * a * s * s, 0.0, 0.0) if k == 0 else
+                    (1.0, a * s, 0.0, 0.0) if k == 1 else
+                    (0.0, a if k == 2 else 0.0, 0.0, 0.0))
 
     oracle = OracleForms(
         kappa=lambda s: a,
@@ -354,7 +354,7 @@ def _isotropic_circle(a: float, b: float,
         equiform_curvature=lambda s: 0.0,
         equiform_torsion=lambda s: 0.0,
     )
-    return (lo, hi), _ANYWHERE, jets, oracle
+    return (lo, hi), _ANYWHERE, fill, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def get_example(name: str, a: float | None = None, b: float | None = None,
             "parameters must be finite, got "
             + ", ".join(f"{k}={v}" for k, v in params.items()))
     try:
-        (lo, hi), (valid_lo, valid_hi), jets, oracle = fam.build(a, b, domain)
+        (lo, hi), (valid_lo, valid_hi), fill, oracle = fam.build(a, b, domain)
     except ArithmeticError as exc:
         raise ParameterConstraintError(
             f"{name} cannot be built at "
@@ -461,7 +461,7 @@ def get_example(name: str, a: float | None = None, b: float | None = None,
     pad = 0.02 * (hi - lo)
     curve = CurveJet(None, (max(lo - pad, valid_lo), min(hi + pad, valid_hi)),
                      JetKind.ANALYTIC, max_order=MAX_JET_ORDER,
-                     jets_fn=_naming_s(jets))
+                     rows_fn=_naming_s(fill))
     return ZooEntry(name=name, params=params, domain=(lo, hi), curve=curve,
                     oracle=oracle, notes=fam.notes)
 

@@ -19,9 +19,9 @@ from pg_curvelab.zoo import (
 
 class JetLog:
     """The reads of a curve wrapped by the ``counting`` fixture: each
-    ``jets`` call, and each point of a grid call (``bundles``), as
-    (s, first, last) in ``bundles``, each order it served as (s, k) in
-    ``orders``."""
+    point of a row call (``rows``; a ``jets`` call is the row call of
+    one point) as (s, first, last) in ``bundles``, each order it served
+    as (s, k) in ``orders``."""
 
     def __init__(self):
         self.bundles: list[tuple[float, int, int]] = []
@@ -36,28 +36,22 @@ class JetLog:
 def counting():
     """Wrapper ``counting(curve, max_order=None) -> (curve, log)``: the
     same curve through the public constructor, optionally cut to
-    ``max_order``, logging its reads in a :class:`JetLog`.  A curve with
-    a grid call keeps it, so a counted FD curve still batches."""
+    ``max_order``, logging its reads in a :class:`JetLog`.  Its row
+    calls stay whole, so a counted FD curve still batches."""
 
     def _counting(curve: CurveJet, max_order: int | None = None):
         log = JetLog()
 
-        def jets_fn(s: float, first: int, last: int):
-            log.bundles.append((s, first, last))
-            log.orders.extend((s, k) for k in range(first, last + 1))
-            return curve.jets(s, first, last)
-
-        def bundles_fn(points, first: int, last: int):
+        def rows_fn(points, first: int, last: int):
             for s in points:
                 log.bundles.append((s, first, last))
                 log.orders.extend((s, k) for k in range(first, last + 1))
-            return curve.bundles(points, first, last)
+            return curve.rows(points, first, last)
 
         return CurveJet(None, curve.domain, curve.kind,
                         max_order=curve.max_order if max_order is None
                         else max_order, warnings=curve.warnings,
-                        jets_fn=jets_fn, nodes=curve.nodes,
-                        bundles_fn=bundles_fn if curve.batched else None), log
+                        nodes=curve.nodes, rows_fn=rows_fn), log
 
     return _counting
 

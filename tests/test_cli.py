@@ -1035,15 +1035,14 @@ class TestWorkCounts:
         # orders 1-2 at each neighbour s -+ h in a second, in the order
         # the sweep first needs them; classify reads orders 1-4 once
         curve, calls = counting(_lattice_curve(helix_csv))
-        assert curve.batched
         grid_calls = []
-        bundles = CurveJet.bundles
+        rows = CurveJet.rows
 
         def logged(c, points, first, last):
             grid_calls.append((len(points), first, last))
-            return bundles(c, points, first, last)
+            return rows(c, points, first, last)
 
-        monkeypatch.setattr(CurveJet, "bundles", logged)
+        monkeypatch.setattr(CurveJet, "rows", logged)
         grid = curve.grid(-0.8, 0.8, 21)
         res = _Resolved(curve=curve, label="", params={}, grid=grid)
         if command == "classify":
@@ -1716,6 +1715,17 @@ class TestErrorExits:
         rc, _, err = invoke(capsys, "eval", "--curve", "timelike_log_spiral",
                             "--a", "1e90", "--b", "1", "--grid", "0:4:11")
         assert (rc, err) == (0, "")
+
+    def test_overflowing_offset_mean_names_its_quantity(self, capsys):
+        # every recovered offset is about 1e308, so their sum overflows
+        rc, out, err = invoke(capsys, "bertrand", "--curve",
+                              "isotropic_circle", "--lambda", "1e308",
+                              "--grid", "-1:1:11")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "schema": SCHEMA, "error": "OverflowError",
+            "message": "the grid mean of the recovered offset overflows "
+                       "(intermediate overflow in fsum)"}
 
     @pytest.mark.parametrize("a, s", [("180", "2"), ("200", "1.8")])
     @pytest.mark.parametrize("command", [

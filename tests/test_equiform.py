@@ -194,3 +194,12 @@ class TestNaturalClass:
     def test_short_grid_rejected(self, general_helix):
         with pytest.raises(ValueError, match="at least 5"):
             natural_class(general_helix.curve, [0.1, 0.5, 0.9, 1.3])
+
+    def test_overflowing_mean_names_its_quantity(self):
+        # T = b/a = 5e307 at every point: the sum of five overflows
+        c = get_example("bertrand_helix", 2e-154, 1e154).curve
+        with pytest.raises(OverflowError) as exc:
+            natural_class(c, [-1e-156, -5e-157, 0.0, 5e-157, 1e-156])
+        assert str(exc.value) == ("the grid mean of the equiform torsion "
+                                  "overflows (intermediate overflow in fsum)")
+        assert type(exc.value.__cause__) is OverflowError

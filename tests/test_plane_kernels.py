@@ -4,14 +4,15 @@ The AW span cross-check (``aw._plane``, ``aw._residuals``,
 ``aw._units``), the two frame-equation residuals
 (``frenet._frenet_residual_of``, ``equiform._equiform_residual_of``),
 the equiform series pass (``equiform._equiform_of``), the mate's normal
-series (``bertrand._normal_series``) and the ``eval`` pass
-(``cli._eval_rows``, frames as nine floats) work on plain floats.  The
-functions below are the ``PGVector``, ``DSeries`` and record forms they
-replaced, frozen as they were: every kernel must give their floats bit
-for bit, NaN in the same places, and the same error class, message and
-cause.  ``ref_equiform_of`` also keeps the public ``DSeries`` error
-bounds covered.  Counters pin how few vectors, series and records a CLI
-grid point now builds.
+series (``bertrand._normal_series``), the ``eval`` pass
+(``cli._eval_rows``, frames as nine floats), and the jets of every tier
+with the sweeps that read them (rows of floats, see "the row path"
+below) work on plain floats.  The functions below are the ``PGVector``,
+``DSeries`` and record forms they replaced, frozen as they were: every
+kernel must give their floats bit for bit, NaN in the same places, and
+the same error class, message and cause.  ``ref_equiform_of`` also
+keeps the public ``DSeries`` error bounds covered.  Counters pin how
+few vectors, series and records a CLI grid point now builds.
 """
 
 from __future__ import annotations
@@ -21,31 +22,37 @@ import io
 import math
 import struct
 from functools import lru_cache
+from math import fsum
 from typing import NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import event, given, reject, settings, strategies as st
 
-from pg_curvelab import aw, bertrand, cli
-from pg_curvelab.algebra import PGVector, pg_dot
-from pg_curvelab.aw import (DerivativeVectors, UnitDirections,
+from pg_curvelab import aw, cli, zoo
+from pg_curvelab.algebra import PGVector, SimilarityMotion, pg_dot
+from pg_curvelab.aw import (AWReport, AWVerdict, DerivativeVectors,
+                            UnitDirections, aw_residuals, classify,
                             derivative_vectors, sigma_rates, unit_directions,
                             vector_identity_residuals)
-from pg_curvelab.bertrand import _normal_series, _offset_jets, bertrand_mate
-from pg_curvelab.curves import (CurveJet, FDVector, JetKind, bundle_reader,
-                                jet_errors, make_lattice_curve,
+from pg_curvelab.bertrand import (BertrandNature, BertrandPair,
+                                  _normal_series, _offset_rows,
+                                  bertrand_mate, verify_bertrand_pair)
+from pg_curvelab.curves import (CurveJet, FDVector, JetKind, _flat,
+                                apply_similarity, make_lattice_curve,
                                 make_sampled_curve)
-from pg_curvelab.equiform import (EquiformData, _equiform_record,
-                                  _equiform_residual_of, _frames_at,
-                                  equiform_data)
-from pg_curvelab.errors import (CurveLabError, InadmissibleCurveError,
-                                LightlikeNormalError,
+from pg_curvelab.equiform import (MIN_GRID_POINTS, EquiformData,
+                                  NaturalClass, NaturalClassTag,
+                                  _equiform_record, _equiform_residual_of,
+                                  _frames_at, equiform_data, equiform_grid,
+                                  natural_class)
+from pg_curvelab.errors import (CurveLabError, EmptyGridError,
+                                InadmissibleCurveError, JetOrderError,
+                                LightlikeNormalError, MateInadmissibleError,
                                 NumericalInflectionError)
 from pg_curvelab.frenet import (FrenetData, _frame_vectors,
-                                _frenet_residual_of, _overflow,
-                                _stencil_character, frenet_data,
-                                normal_character)
+                                _frenet_residual_of, _stencil_character,
+                                frenet_data, normal_character)
 from pg_curvelab.series import DSeries
 from pg_curvelab.zoo import get_example, zoo_names
 
@@ -200,9 +207,59 @@ def ref_normal_series(jets, s: float) -> tuple[DSeries, DSeries]:
     return rho2 * y2, rho2 * z2
 
 
+def ref_offset_jets(base, lam: float, s: float, first: int, last: int):
+    """The mate's jets of orders first..last at s as vectors, one base
+    bundle and one ``DSeries`` normal series per point."""
+    low = min(first, 2)
+    jets = base.jets(s, low, last + 2)
+    try:
+        ny, nz = ref_normal_series(jets[2 - low:], s)
+        out = tuple(PGVector(j.x1, j.x2 + lam * ny[k], j.x3 + lam * nz[k])
+                    for k, j in enumerate(jets[first - low:last - low + 1],
+                                          first))
+    except (ValueError, ArithmeticError) as exc:
+        raise _overflow(s, jets[2 - low], exc)
+    if first <= 2 <= last:      # gamma'' + lam * N'' cancels to round-off
+        j, m = jets[2 - low], out[2 - first]
+        if (abs(m.x2) <= 8 * math.ulp(abs(j.x2) + abs(lam * ny[2]))
+                and abs(m.x3) <= 8 * math.ulp(abs(j.x3) + abs(lam * nz[2]))):
+            normal_character(s, None, m)    # an exact zero or lightlike
+            raise NumericalInflectionError(
+                f"numerically an inflection: the acceleration cancels to "
+                f"round-off at s={s:.6g}", param=s)
+    return out
+
+
 # --- the frozen record path of eval ----------------------------------------
 # Frames as vectors in records, the flip check over records, and the
-# helpers the forms above call by their former names.
+# helpers the forms above call by their former names, the vector read
+# path (jet error bounds, the overflow rule and the bundle reader) with
+# them.
+
+
+def jet_errors(*jets):
+    errs = tuple(getattr(j, "err", 0.0) for j in jets)
+    return errs if any(errs) else None
+
+
+def _overflow(s, j2, exc):
+    if not math.isfinite(j2.x2 * j2.x2 + j2.x3 * j2.x3):
+        return exc
+    if abs(j2.x2 * j2.x2 - j2.x3 * j2.x3) < 1.0:
+        err = NumericalInflectionError(
+            f"numerically an inflection: rho = 1/kappa overflows at "
+            f"s={s:.6g} ({exc})", param=s)
+    else:
+        err = type(exc)(f"{exc} at s={s:.6g}")
+    err.__cause__ = exc
+    return err
+
+
+def bundle_reader(c, points, first, last):
+    try:
+        return c.bundles(points, first, last).__getitem__
+    except (ArithmeticError, ValueError, CurveLabError):
+        return lambda i: c.jets(points[i], first, last)
 
 
 class Frame(NamedTuple):
@@ -389,7 +446,7 @@ def equiform_residual_of(dm, d0, dp, h: float) -> float:
 def neighbour_frames(s: float, j1: PGVector, j2: PGVector) -> tuple:
     """The Frenet and equiform frames ``eval`` reads at a residual
     neighbour s (``_frames_at``), as records."""
-    eps, fr, eq = _frames_at(s, j1, j2)
+    eps, fr, eq = _frames_at(s, _flat((j1, j2)))
     return tuple(Frame(s, eps, *_frame_vectors(f)) for f in (fr, eq))
 
 
@@ -421,7 +478,8 @@ def assert_point(c, s: float, h: float, full_neighbours: bool) -> None:
     assert outcome(lambda: derivative_vectors(c, s)) == outcome(lambda: ref)
     res = aw.aw_residuals(d.curvature, d.torsion, *sigma_rates(d))
     classify_path = outcome(
-        lambda: aw._residuals(s, *aw._plane(d, res.u, res.v)[1]))
+        lambda: aw._residuals(s, *aw._plane(d.rho, d.curvature, d.torsion,
+                                            nine(d), res.u, res.v)[1]))
     assert classify_path == outcome(ref_vector_identity_residuals, ref)
     assert_span_kernels(ref)
     assert outcome(frenet_residual_of, fm, f0, fp, h) == \
@@ -580,10 +638,15 @@ class TestOverflowPaths:
 # --- the equiform series pass --------------------------------------------
 
 
+def equiform_record(s: float, *jets: PGVector) -> EquiformData:
+    """``_equiform_record`` of the row of the jets of orders 1-4 at s."""
+    return _equiform_record(s, _flat(jets))
+
+
 def assert_equiform(s: float, *jets: PGVector) -> None:
     """The float pass equals the frozen ``DSeries`` pass on the jets of
     orders 1-4 at s: all 11 fields, or the error."""
-    got = outcome(_equiform_record, s, *jets)
+    got = outcome(equiform_record, s, *jets)
     event(f"equiform: {kind(got)}")
     assert got == outcome(ref_equiform_of, s, *jets)
 
@@ -674,8 +737,18 @@ class TestEquiformPassBitForBit:
     def test_named_errors(self, y, named):
         jets = [PGVector(1.0, 0.0, 0.0)] + [FDVector(0.0, v, 0.0, 1e-8)
                                             for v in y]
-        assert outcome(_equiform_record, 0.5, *jets) == \
+        assert outcome(equiform_record, 0.5, *jets) == \
             outcome(ref_equiform_of, 0.5, *jets) == named
+
+    @given(s=st.floats(-2.0, 2.0), y1=component, z1=component,
+           j2=raw_jets(leading))
+    @settings(max_examples=100)
+    def test_neighbour_frames(self, s, y1, z1, j2):
+        # the frames at a residual neighbour, where rho * y' or rho^2 y''
+        # overflows among the draws
+        j1 = PGVector(1.0, y1, z1)
+        assert row_outcome(neighbour_frames, s, j1, j2) == \
+            row_outcome(ref_frames_at, s, j1, j2)
 
     def test_subnormal_term(self):
         # 2 y'''^2 is subnormal: 2.0 * y''' * y''' rounds it once, where
@@ -684,7 +757,7 @@ class TestEquiformPassBitForBit:
         jets = (PGVector(1.0, 0.0, 0.0), PGVector(0.0, 1e-3, 0.0),
                 PGVector(0.0, 3.141681643827022e-159, 0.0),
                 PGVector(0.0, 0.0, 0.0))
-        got = outcome(_equiform_record, 0.5, *jets)
+        got = outcome(equiform_record, 0.5, *jets)
         assert kind(got) == "value"
         assert got == outcome(ref_equiform_of, 0.5, *jets)
 
@@ -710,24 +783,34 @@ def hex_kind(out) -> str:
     return out[0].__name__ if isinstance(out[0], type) else "value"
 
 
+def normal_series(jets, s: float):
+    """``_normal_series`` of the y and z components of ``jets``."""
+    return _normal_series([j.x2 for j in jets], [j.x3 for j in jets], s)
+
+
 def assert_normal_series(jets, s: float) -> None:
     """The float kernel equals the frozen ``DSeries`` form on the base
     jets of orders 2..len(jets)+1: both series, or the error."""
-    got = hexes(_normal_series, jets, s)
+    got = hexes(normal_series, jets, s)
     event(f"normal series: {hex_kind(got)}")
     assert got == hexes(ref_normal_series, jets, s)
 
 
+def offset_jets(base: CurveJet, lam: float, s: float, first: int,
+                last: int) -> tuple[PGVector, ...]:
+    """The mate row of ``_offset_rows`` at s, as vectors."""
+    row = _offset_rows(base, lam, [s], first, last)[0]
+    return tuple(PGVector(*row[i:i + 3]) for i in range(0, len(row), 4))
+
+
 def assert_offset_jets(base: CurveJet, lam: float, s: float, first: int,
                        last: int) -> None:
-    """``_offset_jets`` gives the same mate jets or error with the float
-    kernel as with the frozen form, its ``_overflow`` and cancellation
-    paths included."""
-    got = hexes(_offset_jets, base, lam, s, first, last)
-    with mock.patch.object(bertrand, "_normal_series", ref_normal_series):
-        ref = hexes(_offset_jets, base, lam, s, first, last)
+    """The mate rows of ``_offset_rows`` give the same mate jets or error
+    as the frozen vector form with its ``DSeries`` series, the
+    ``_overflow`` and cancellation paths included."""
+    got = hexes(offset_jets, base, lam, s, first, last)
     event(f"offset jets: {hex_kind(got)}")
-    assert got == ref
+    assert got == hexes(ref_offset_jets, base, lam, s, first, last)
 
 
 def raw_base(jets) -> CurveJet:
@@ -749,7 +832,7 @@ class TestNormalSeriesBitForBit:
     """Hypothesis draws the base jets of series lengths 1-7 on the seven
     families and of lengths 1-5 on the FD tier, raw jets with signed
     zeros, subnormals and magnitudes whose squares underflow or overflow,
-    and the mate jets of ``_offset_jets`` on raw bases and at flattening
+    and the mate rows of ``_offset_rows`` on raw bases and at flattening
     offsets.  Outputs are compared by ``float.hex``, errors by class,
     message and cause."""
 
@@ -818,14 +901,14 @@ class TestNormalSeriesBitForBit:
     ])
     def test_named_errors(self, ys, zs, named):
         jets = [PGVector(0.0, y, z) for y, z in zip(ys, zs)]
-        assert hexes(_normal_series, jets, 0.5) == \
+        assert hexes(normal_series, jets, 0.5) == \
             hexes(ref_normal_series, jets, 0.5) == named
 
     def test_subnormal_square(self):
         # y''^2 is subnormal and admissible: rho^2 = 1/w overflows to
         # inf without an error, in both forms
         jets = [PGVector(0.0, 1.5e-155, 0.0)]
-        got = hexes(_normal_series, jets, 0.5)
+        got = hexes(normal_series, jets, 0.5)
         assert got == hexes(ref_normal_series, jets, 0.5) == (("inf",),
                                                               ("nan",))
 
@@ -989,16 +1072,19 @@ def counted_method(method, calls: list[int]):
 
 
 def built_per_point(cls, *argv: str, points: int = 101) -> float:
-    """Instances of ``cls`` built per grid point of ``cli.main(argv)``,
-    curve set-up included: its ``__init__`` calls (``__new__`` for a
-    record), and for ``DSeries`` the unchecked ``_of`` too."""
+    """Instances of ``cls`` (a class or a tuple of classes) built per grid
+    point of ``cli.main(argv)``, curve set-up included: its ``__init__``
+    calls (``__new__`` for a record), and for ``DSeries`` the unchecked
+    ``_of`` too."""
     calls = [0]
-    names = (["__init__", "_of"] if cls is DSeries
-             else ["__new__"] if issubclass(cls, tuple) else ["__init__"])
     with contextlib.ExitStack() as stack:
-        for name in names:
-            stack.enter_context(mock.patch.object(
-                cls, name, counted_method(cls.__dict__[name], calls)))
+        for c in cls if isinstance(cls, tuple) else (cls,):
+            names = (["__init__", "_of"] if c is DSeries
+                     else ["__new__"] if issubclass(c, tuple)
+                     else ["__init__"])
+            for name in names:
+                stack.enter_context(mock.patch.object(
+                    c, name, counted_method(c.__dict__[name], calls)))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         assert cli.main(list(argv)) == 0
     return calls[0] / points
@@ -1010,13 +1096,19 @@ def default_grid(name: str) -> tuple[str, str]:
 
 
 class TestVectorsPerPoint:
-    """``PGVector`` constructions per grid point of the CLI, curve set-up
-    included, on a 101-point grid.  A ``classify`` point builds 7: its 4
-    jets and the 3 vectors of its ``EquiformData`` frame.  An ``eval``
-    point builds 9: its 5 jets and the 2 jets of each residual neighbour
-    off the grid; its frames are floats.  With frames as vectors an
+    """``PGVector`` constructions (``FDVector`` ones included) per grid
+    point of the CLI, curve set-up included, on a 101-point grid.  Every
+    tier serves rows of floats and the sweeps read them, so no
+    ``classify``, ``eval`` or ``bertrand`` point builds a vector or a
+    ``FrenetData`` or ``EquiformData`` record, on closed forms, on a
+    lattice, and for a mate, whose five-point probe reads rows too.
+    With jets as vectors a ``classify`` point built 7 (its 4 jets and 3
+    frame vectors), an ``eval`` point 9 and a ``bertrand`` point 24.5
+    vectors and 2 ``EquiformData`` records; with frames as vectors an
     ``eval`` point built 27, and with vector arithmetic in the kernels
-    as well 29.4 per ``classify`` point and 58.4 per ``eval`` point."""
+    as well 29.4 per ``classify`` point and 58.4 per ``eval`` point.
+    ``test_vectors_per_point`` keeps the ceilings of the vector path, so
+    that its ids stay."""
 
     @pytest.mark.parametrize("name", ["timelike_general_helix",
                                       "timelike_log_spiral",
@@ -1036,6 +1128,24 @@ class TestVectorsPerPoint:
         # record left to count
         assert built_per_point(cls, "eval", "--curve", name,
                                *default_grid(name)) == 0
+
+    @pytest.mark.parametrize("argv", [
+        *[(command, "--curve", name)
+          for command in ("classify", "eval")
+          for name in ("timelike_general_helix", "timelike_log_spiral",
+                       "bertrand_helix")],
+        ("bertrand", "--curve", "bertrand_helix", "--lambda", "0.3"),
+        ("bertrand", "--curve", "isotropic_circle", "--lambda", "0.5"),
+        ("bertrand", "--curve", "timelike_general_helix", "--lambda", "0.3"),
+        ("classify", "--input"), ("eval", "--input")],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+    def test_no_vectors_or_records(self, argv, helix_lattice):
+        if argv[1] == "--input":
+            argv += (helix_lattice, "--grid", "-0.8:0.8:101")
+        else:
+            argv += default_grid(argv[2])
+        assert built_per_point((PGVector, FrenetData, EquiformData),
+                               *argv) == 0
 
 
 @pytest.fixture(scope="module")
@@ -1082,3 +1192,551 @@ class TestSeriesPerPoint:
     def test_bertrand(self, name, lam):
         assert built_per_point(DSeries, "bertrand", "--curve", name,
                                "--lambda", lam, *default_grid(name)) == 0
+
+
+# --- the row path -----------------------------------------------------------
+# Every tier serves rows (``CurveJet.rows``: x, y, z and err of each
+# order, flat floats) and the sweeps read floats: ``equiform._sweep``,
+# ``aw._classify_of``, ``equiform._natural_class_of``,
+# ``verify_bertrand_pair`` and the mate's ``bertrand._offset_rows``.
+# Below is the path they replaced, frozen: the seven closed forms as
+# vector bundles, the mate's vector offset (``ref_offset_jets``), the
+# similarity image of vectors, and the sweep over ``EquiformData``
+# records (``ref_equiform_of``) with the classification, the natural
+# class and the pair verification read from records.  An FD curve's
+# twin reads its vector ``jets``, which ``tests/test_fd_batch.py``
+# fuzzes against the frozen per-point FD tier.  The one intended
+# difference: an overflowing grid mean names its quantity
+# (``ref_mean``).
+
+
+class RefCurve:
+    """A curve of the frozen path: ``jets(s, first, last)`` checks the
+    orders and the domain as ``CurveJet`` does, then reads the vector
+    bundle ``fn(s, first, last)``; ``snap`` is its twin's."""
+
+    def __init__(self, fn, twin, max_order=None):
+        self.fn, self.domain, self.kind = fn, twin.domain, twin.kind
+        self.snap = twin.snap
+        self.max_order = twin.max_order if max_order is None else max_order
+
+    def jets(self, s, first, last):
+        if first > last:
+            raise JetOrderError(f"empty order range {first}..{last}")
+        if first < 0 or last > self.max_order:
+            order = first if first < 0 else last
+            raise JetOrderError(
+                f"order {order} not available (curve carries orders "
+                f"0..{self.max_order})")
+        lo, hi = self.domain
+        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        if not lo - slack <= s <= hi + slack:
+            raise ValueError(f"parameter {s} outside domain [{lo}, {hi}]")
+        return self.fn(s, first, last)
+
+
+def ref_naming_s(jets_fn):
+    def jets(s, first, last):
+        try:
+            return jets_fn(s, first, last)
+        except (ArithmeticError, ValueError) as exc:
+            raise type(exc)(f"{exc} at s={s:.6g}") from exc
+    return jets
+
+
+def ref_family_jets(name, a, b):
+    """The closed form of a family as a vector bundle; the coefficient
+    tables are the catalogue's own."""
+    mirrored = name.startswith("spacelike")
+    if "general_helix" in name:
+        d = (a * a - b * b) ** 2
+        ycoef = zoo._exp_helix_tables(a, b, (a * a + b * b) / d,
+                                      2.0 * a * b / d)
+        zcoef = zoo._exp_helix_tables(a, b, 2.0 * a * b / d,
+                                      (a * a + b * b) / d)
+        if mirrored:
+            ycoef, zcoef = zcoef, ycoef
+
+        def jets(s, first, last):
+            e = math.exp(-a * s)
+            ch = math.cosh(b * s)
+            sh = math.sinh(b * s)
+            out = []
+            for k in range(first, last + 1):
+                py, qy = ycoef[k]
+                pz, qz = zcoef[k]
+                out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
+                                    e * (py * ch + qy * sh),
+                                    e * (pz * ch + qz * sh)))
+            return tuple(out)
+    elif "circular_helix" in name:
+        c = a ** 3 / (b * (b * b - a * a))
+        ycoef = zoo._log_helix_tables(a, b, -a * c, b * c)
+        zcoef = zoo._log_helix_tables(a, b, b * c, -a * c)
+        if mirrored:
+            ycoef, zcoef = zcoef, ycoef
+
+        def jets(s, first, last):
+            u = (b / a) * math.log(a * s)
+            ch, sh = math.cosh(u), math.sinh(u)
+            out = []
+            for k in range(first, last + 1):
+                m, py, qy = ycoef[k]
+                _, pz, qz = zcoef[k]
+                sc = s ** (-m)
+                out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
+                                    sc * (py * ch + qy * sh),
+                                    sc * (pz * ch + qz * sh)))
+            return tuple(out)
+    elif name == "timelike_log_spiral":
+        def jets(s, first, last):
+            g = a * s + b
+            out = []
+            for k in range(first, last + 1):
+                if k == 0:
+                    out.append(PGVector(s, g / (a * a) * (math.log(g) - 1.0),
+                                        0.0))
+                elif k == 1:
+                    out.append(PGVector(1.0, math.log(g) / a, 0.0))
+                else:
+                    out.append(PGVector(0.0, (-1.0) ** k
+                                        * math.factorial(k - 2)
+                                        * a ** (k - 2) / g ** (k - 1), 0.0))
+            return tuple(out)
+    elif name == "bertrand_helix":
+        def jets(s, first, last):
+            ch, sh = math.cosh(b * s), math.sinh(b * s)
+            out = []
+            for k in range(first, last + 1):
+                amp = a * b ** (k - 2)
+                even = k % 2 == 0
+                out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
+                                    amp * (ch if even else sh),
+                                    amp * (sh if even else ch)))
+            return tuple(out)
+    else:
+        def jets(s, first, last):
+            return tuple(PGVector(s, 0.5 * a * s * s, 0.0) if k == 0 else
+                         PGVector(1.0, a * s, 0.0) if k == 1 else
+                         PGVector(0.0, a if k == 2 else 0.0, 0.0)
+                         for k in range(first, last + 1))
+    return jets
+
+
+def catalogue(name, a=None, b=None):
+    """A family's curve and its frozen twin, or a rejected draw."""
+    try:
+        entry = get_example(name, a, b)
+    except CurveLabError:
+        reject()
+    a, b = (entry.params.get("a"), entry.params.get("b", 1.0))
+    return entry.curve, RefCurve(ref_naming_s(ref_family_jets(name, a, b)),
+                                 entry.curve)
+
+
+def ref_mate_of(base, lam):
+    """The mate of a frozen curve, vector jets from ``ref_offset_jets``,
+    probed at five points as ``bertrand_mate`` probes it."""
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"offset must be finite, got {lam}")
+    if base.max_order < 6:
+        raise JetOrderError(f"a mate needs base jets of order 6, the base "
+                            f"carries {base.max_order}")
+    mate = RefCurve(lambda s, first, last: ref_offset_jets(base, lam, s,
+                                                           first, last),
+                    base, min(base.max_order, 8) - 2)
+    lo, hi = mate.domain
+    for f in (0.1, 0.3, 0.5, 0.7, 0.9):
+        s = mate.snap(lo + f * (hi - lo))
+        try:
+            ref_frenet_of(s, *mate.jets(s, 1, 3))
+        except InadmissibleCurveError as exc:
+            raise MateInadmissibleError(
+                f"offset {lam:g} produces an inadmissible mate: {exc}",
+                param=getattr(exc, "param", None)) from exc
+    return mate
+
+
+def ref_similarity(c, m, twin):
+    """The similarity image of a frozen curve, vector by vector; ``twin``
+    is the image under test."""
+    a, b = m.a, m.b
+    rch = m.r * math.cosh(m.theta)
+    rsh = m.r * math.sinh(m.theta)
+    row_sum = max(abs(b), max(abs(m.d), abs(m.f))
+                  + abs(m.r) * math.exp(abs(m.theta)))
+
+    def image(k, j):
+        q = b ** k
+        x = b * j.x1 / q
+        y = (m.d * j.x1 + rch * j.x2 + rsh * j.x3) / q
+        z = (m.f * j.x1 + rsh * j.x2 + rch * j.x3) / q
+        if k == 0:
+            return PGVector(a + x, m.c + y, m.e + z)
+        if isinstance(j, FDVector):
+            return FDVector(x, y, z, j.err * row_sum / abs(q))
+        return PGVector(x, y, z)
+
+    def jets(t, first, last):
+        return tuple(image(k, j) for k, j in
+                     enumerate(c.jets((t - a) / b, first, last), first))
+
+    return RefCurve(jets, twin)
+
+
+# --- the frozen consumers: records ------------------------------------------
+
+
+def ref_sweep(c, grid, first):
+    """The equiform sweep point by point: the order-``first`` jets and
+    the ``EquiformData`` records, then the flip check."""
+    if len(grid) == 0:
+        raise EmptyGridError("equiform sweep needs a non-empty grid")
+    if c.max_order < 4:
+        raise JetOrderError(
+            f"equiform apparatus needs order-4 jets, curve carries "
+            f"{c.max_order}")
+    heads, datas = [], []
+    for s in grid:
+        jets = c.jets(s, first, 4)
+        heads.append(jets[0])
+        datas.append(ref_equiform_of(s, *jets[-4:]))
+    _one_character(datas)
+    return heads, datas
+
+
+def ref_plane(d, u, v):
+    rho = d.rho
+    r2 = rho * rho
+    r3 = r2 * rho
+    r4 = r3 * rho
+    if r4 == 0.0:
+        raise ValueError(f"the span coefficients divide by rho^4, which "
+                         f"underflows to 0 (rho = {rho:.6g})")
+    a = (-d.curvature / r3, d.torsion / r3, u / r4, v / r4)
+    n, b, c = d.normal, d.binormal, 1.0 / r2
+    return a, ((c * n).as_tuple()[1:]
+               + aw._lin(a[0], n.x2, n.x3, a[1], b.x2, b.x3)
+               + aw._lin(a[2], n.x2, n.x3, a[3], b.x2, b.x3))
+
+
+def ref_classify_of(datas, kind, tol=None, notes=()):
+    if tol is None:
+        tol = kind.tolerance
+    names = ("AW1", "AW2", "AW3", "WeakAW2", "WeakAW3")
+    sup = {name: 0.0 for name in names}
+    degenerate, limited, diagnostics = [], [], list(notes)
+    mismatches = 0
+    for d in datas:
+        s = d.s
+        try:
+            Kp, Tqp = aw.sigma_rates(d)
+            res = aw_residuals(d.curvature, d.torsion, Kp, Tqp,
+                               aw.omega_resolution(d))
+            vectors = (None if res.resolution_limited
+                       else aw._residuals(s, *ref_plane(d, res.u, res.v)[1]))
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"{exc} at s={s:.6g}") from exc
+        scalars = res.as_dict()
+        for name in names:
+            sup[name] = max(sup[name], scalars[name])
+        if vectors is None:
+            limited.append(s)
+            continue
+        for name in names:
+            rv = vectors[name]
+            if rv != rv:
+                continue
+            if (scalars[name] <= tol) != (rv <= tol) and mismatches < 5:
+                diagnostics.append(
+                    f"{name} at s={s:.6g}: scalar residual "
+                    f"{scalars[name]:.3e} and vector residual {rv:.3e} "
+                    f"fall on opposite sides of tol={tol:.1e}")
+                mismatches += 1
+        if vectors["WeakAW2"] != vectors["WeakAW2"]:
+            degenerate.append(s)
+    verdicts = {name: AWVerdict(sup[name] <= tol, sup[name], len(datas))
+                for name in names}
+    return AWReport(verdicts, tol, tuple(degenerate), tuple(diagnostics),
+                    tuple(limited))
+
+
+def ref_mean(vals, name):
+    try:
+        return fsum(vals) / len(vals)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"the grid mean of the {name} overflows ({exc})") from exc
+
+
+def ref_is_const(vals, tol, name):
+    return max(vals) - min(vals) <= tol * max(1.0, abs(ref_mean(vals, name)))
+
+
+def ref_natural_class_of(datas, tol_const=1e-6, tol_zero=1e-9):
+    if len(datas) < MIN_GRID_POINTS:
+        raise ValueError("classification needs a grid of at least "
+                         f"{MIN_GRID_POINTS} points")
+    Ks = [d.curvature for d in datas]
+    Ts = [d.torsion for d in datas]
+    k_name, t_name = "equiform curvature", "equiform torsion"
+    result = NaturalClassTag.OTHER
+    if ref_is_const(Ks, tol_const, k_name) and ref_is_const(Ts, tol_const,
+                                                            t_name):
+        errs = [d.errors or (0.0,) * 5 for d in datas]
+        k_zero = all(abs(v) <= max(tol_zero, e[1]) for v, e in zip(Ks, errs))
+        t_zero = all(abs(v) <= max(tol_zero, e[2]) for v, e in zip(Ts, errs))
+        if k_zero and t_zero:
+            result = NaturalClassTag.ISOTROPIC_CIRCLE
+        elif k_zero:
+            result = NaturalClassTag.CIRCULAR_HELIX
+        elif t_zero:
+            result = NaturalClassTag.ISOTROPIC_LOG_SPIRAL
+    return NaturalClass(result, ref_mean(Ks, k_name), max(Ks) - min(Ks),
+                        ref_mean(Ts, t_name), max(Ts) - min(Ts))
+
+
+def ref_verify(base, mate, lam, grid, tol=None):
+    if len(grid) < MIN_GRID_POINTS:
+        raise ValueError("verification needs a grid of at least "
+                         f"{MIN_GRID_POINTS} points")
+    if tol is None:
+        tol = max(base.kind.tolerance, mate.kind.tolerance)
+    claimed = [float(lam)] * len(grid)
+    xb, db = ref_sweep(base, grid, 0)
+    xm, dm = ref_sweep(mate, grid, 0)
+    flat_sup = max(max(abs(d.curvature) for d in db),
+                   max(abs(d.curvature) for d in dm))
+    par_sup = 0.0
+    recovered, products = [], []
+    for b, m, pb, pm in zip(db, dm, xb, xm):
+        nb, nm = b.normal, m.normal
+        det2 = nb.x2 * nm.x3 - nb.x3 * nm.x2
+        norms = math.hypot(nb.x2, nb.x3) * math.hypot(nm.x2, nm.x3)
+        par_sup = max(par_sup, abs(det2) / norms if norms else math.inf)
+        o = pm - pb
+        nn = nb.x2 * nb.x2 + nb.x3 * nb.x3
+        recovered.append((o.x2 * nb.x2 + o.x3 * nb.x3) / nn)
+        products.append(pg_dot(m.tangent, b.tangent))
+    lam_mean = ref_mean(recovered, "recovered offset")
+    lam_scale = max(1.0, abs(lam_mean))
+    prod_spread = max(products) - min(products)
+    failures = []
+    if flat_sup > tol:
+        failures.append(
+            f"equiform curvature reaches {flat_sup:.3e}; offset mates "
+            "exist only over curves of constant classical curvature")
+    if par_sup > tol:
+        failures.append(
+            f"scale-invariant normals deviate from parallel by {par_sup:.3e}")
+    if not ref_is_const(recovered, tol, "recovered offset"):
+        failures.append(
+            f"recovered offset varies by "
+            f"{max(recovered) - min(recovered):.3e} over the grid")
+    if not ref_is_const(claimed, tol, "claimed offset"):
+        failures.append("claimed offset is not constant over the grid")
+    if max(abs(r - c) for r, c in zip(recovered, claimed)) > tol * lam_scale:
+        failures.append(
+            f"claimed offset differs from the recovered {lam_mean:.6g}")
+    if not ref_is_const(products, tol, "tangent scalar product"):
+        failures.append(
+            f"tangent scalar product varies by {prod_spread:.3e} over the "
+            "grid")
+    tag = ref_natural_class_of(db).tag
+    nature = (BertrandNature.CIRCULAR_HELIX
+              if tag is NaturalClassTag.CIRCULAR_HELIX else
+              BertrandNature.ISOTROPIC_CIRCLE
+              if tag is NaturalClassTag.ISOTROPIC_CIRCLE else
+              BertrandNature.NOT_BERTRAND)
+    return BertrandPair(base, mate, lam_mean, not failures, nature, par_sup,
+                        prod_spread, flat_sup,
+                        max(recovered) - min(recovered), tuple(failures))
+
+
+# --- comparison --------------------------------------------------------------
+
+
+def hexed(v):
+    """``v`` with every float as ``float.hex`` (NaNs alike), vectors as
+    their class, components and ``err``; curves dropped."""
+    if isinstance(v, float):
+        return "nan" if v != v else v.hex()
+    if isinstance(v, PGVector):
+        return (type(v).__name__, *map(hexed, v.as_tuple()),
+                hexed(getattr(v, "err", 0.0)))
+    if isinstance(v, (CurveJet, RefCurve)):
+        return "curve"
+    if isinstance(v, dict):
+        return {k: hexed(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return tuple(map(hexed, v))
+    return v
+
+
+def row_outcome(fn, *args):
+    """``fn(*args)`` hexed, or the class and message of what it raised
+    and of its cause."""
+    try:
+        return hexed(fn(*args))
+    except (CurveLabError, ValueError, ArithmeticError) as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), type(cause), str(cause)
+
+
+def row_kind(out) -> str:
+    """"value", or the class of what an outcome raised."""
+    return out[0].__name__ if isinstance(out[0], type) else "value"
+
+
+def assert_jets(c, ref, grid, last):
+    """Every point's bundle of orders 0..last, through the row call and
+    one point at a time."""
+    want = [row_outcome(ref.jets, s, 0, last) for s in grid]
+    assert [row_outcome(c.jets, s, 0, last) for s in grid] == want
+    got = row_outcome(c.bundles, grid, 0, last)
+    if all(row_kind(w) == "value" for w in want):
+        assert got == tuple(want)
+    else:
+        assert row_kind(got) != "value", "a failing point fails the call"
+
+
+def assert_sweeps(c, ref, grid):
+    """The public records and both classifications of one grid."""
+    assert row_outcome(equiform_grid, c, grid) == \
+        row_outcome(lambda: ref_sweep(ref, grid, 1)[1])
+    assert row_outcome(classify, c, grid) == row_outcome(
+        lambda: ref_classify_of(ref_sweep(ref, grid, 1)[1], ref.kind))
+    assert row_outcome(natural_class, c, grid) == row_outcome(
+        lambda: ref_natural_class_of(ref_sweep(ref, grid, 1)[1]))
+
+
+def assert_pair(base, ref_base, lam, grid):
+    """The mate's construction, its jets, and the pair verification."""
+    got = row_outcome(bertrand_mate, base, lam)
+    assert got == row_outcome(ref_mate_of, ref_base, lam)
+    if row_kind(got) != "value":
+        return
+    mate, ref_mate = bertrand_mate(base, lam), ref_mate_of(ref_base, lam)
+    assert_jets(mate, ref_mate, grid[::4], mate.max_order)
+    assert row_outcome(verify_bertrand_pair, base, mate, lam, grid) == \
+        row_outcome(ref_verify, ref_base, ref_mate, lam, grid)
+
+
+def family_grid(c, count, f=0.0, g=1.0):
+    """``count`` points over the fraction [f, g] of the domain of c, the
+    stop 1e-12 of the domain inside it: start + (count - 1) * step may
+    round past the stop."""
+    lo, hi = c.domain
+    return c.grid(lo + f * (hi - lo), lo + (g - 1e-12) * (hi - lo), count)
+
+
+# magnitudes from 1e-200 to 1e200, of either sign
+extreme = st.one_of(st.none(), positive, positive.map(lambda x: -x))
+
+
+class TestRowPathCatalogue:
+    """The seven families at their reference parameters and at (a, b)
+    from 1e-200 to 1e200: jets, sweeps, classifications and mates."""
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_reference_parameters(self, name):
+        c, ref = catalogue(name)
+        grid = family_grid(c, 21)
+        assert_jets(c, ref, grid, 8)
+        assert_sweeps(c, ref, grid)
+        assert_pair(c, ref, 0.3, family_grid(c, 9, 0.1, 0.9))
+
+    @given(name=st.sampled_from(zoo_names()), a=extreme, b=extreme,
+           count=st.integers(5, 13), lam=st.floats(-2.0, 2.0))
+    @settings(max_examples=100)
+    def test_extreme_parameters(self, name, a, b, count, lam):
+        c, ref = catalogue(name, a, b)
+        grid = family_grid(c, count)
+        assert_jets(c, ref, grid[::3], 8)
+        assert_sweeps(c, ref, grid)
+        assert_pair(c, ref, lam, grid)
+
+    def test_orders_filled_before_an_error_are_checked_first(self):
+        # a = b = 1e200 at s = 0: order 3 is (0, inf * 0, inf), a NaN,
+        # before b ** 2 of order 4 overflows
+        c, ref = catalogue("bertrand_helix", 1e200, 1e200)
+        got = row_outcome(c.jets, 0.0, 0, 8)
+        assert got == row_outcome(ref.jets, 0.0, 0, 8)
+        assert got[:2] == (ValueError, "PGVector components must be "
+                                       "finite, got nan at s=0")
+
+
+class TestRowPathMates:
+    """Offsets near the flattening one, 1 + lam T^2 = 0, and at +-1e300;
+    mates of a 257-row lattice and of a non-dyadic 2001-row one."""
+
+    @given(a=st.floats(0.1, 3.0), b=st.floats(0.1, 3.0),
+           k=st.integers(-12, -1), sign=st.sampled_from((-1.0, 0.0, 1.0)))
+    @settings(max_examples=40)
+    def test_near_flattening(self, a, b, k, sign):
+        c, ref = catalogue("bertrand_helix", a, b)
+        lam = -(a * a) / (b * b) * (1.0 + sign * 10.0 ** k)
+        assert_pair(c, ref, lam, family_grid(c, 9))
+
+    @pytest.mark.parametrize("name", ["bertrand_helix", "isotropic_circle",
+                                      "timelike_general_helix"])
+    @pytest.mark.parametrize("lam", [1e300, -1e300, 1e308])
+    def test_huge_offsets(self, name, lam):
+        c, ref = catalogue(name)
+        assert_pair(c, ref, lam, family_grid(c, 11))
+
+    @pytest.mark.parametrize("rows, spacing", [(257, 2.0 ** -7),
+                                               (2001, 0.001)])
+    @pytest.mark.parametrize("lam", [0.3, -0.7])
+    def test_lattice_mates(self, rows, spacing, lam):
+        c, ref = sampled_lattice(rows, spacing)
+        lo, hi = c.domain
+        assert_pair(c, ref, lam, c.grid(lo, hi, 21))
+
+
+@lru_cache(maxsize=None)
+def sampled_lattice(rows, spacing):
+    """The a = b = 1 Bertrand helix sampled at ``rows`` rows from -1, and
+    its twin."""
+    helix = get_example("bertrand_helix").curve
+    samples = [(s, *helix.position(s).as_tuple())
+               for s in (-1.0 + i * spacing for i in range(rows))]
+    c = make_lattice_curve(samples)
+    return c, RefCurve(c.jets, c)
+
+
+MOTIONS = st.builds(SimilarityMotion, a=st.floats(-2.0, 2.0),
+                    b=st.sampled_from([0.5, -1.5, 2.0, 1e-3]),
+                    c=st.floats(-1.0, 1.0), d=st.floats(-1.0, 1.0),
+                    e=st.floats(-1.0, 1.0), f=st.floats(-1.0, 1.0),
+                    r=st.sampled_from([1.0, -0.5, 3.0, 1e150]),
+                    theta=st.floats(-2.0, 2.0))
+
+
+class TestRowPathImages:
+    """Similarity images of FD curves, a lattice and a position
+    function: rows map with their error bounds."""
+
+    @given(m=MOTIONS, on_lattice=st.booleans(), count=st.integers(5, 9))
+    @settings(max_examples=25)
+    def test_images(self, m, on_lattice, count):
+        if on_lattice:
+            c, ref = sampled_lattice(257, 2.0 ** -7)
+        else:
+            c, ref = sampled_helix()
+        image = apply_similarity(c, m)
+        ref_image = ref_similarity(ref, m, image)
+        grid = family_grid(image, count, 0.05, 0.95)
+        assert_jets(image, ref_image, grid[::2], 6)
+        assert_sweeps(image, ref_image, grid)
+
+
+@lru_cache(maxsize=None)
+def sampled_helix():
+    """The general helix rebuilt by finite differences from its position
+    function at h = 1e-3, and its twin."""
+    position = get_example("timelike_general_helix").curve.position
+    domain = (0.1, 1.9)
+    c = make_sampled_curve(position, domain, h=1e-3)
+    return c, RefCurve(c.jets, c)

@@ -233,7 +233,7 @@ def assert_same_frames(c: CurveJet, s: float) -> None:
     """The frames a residual neighbour reads at s (jets of orders 1-2)
     are those of ``frenet_data`` and ``equiform_data`` bit for bit, and
     the equiform tangent's first component is their rho."""
-    eps, fr, eq = _frames_at(s, *c.jets(s, 1, 2))
+    eps, fr, eq = _frames_at(s, c.rows((s,), 1, 2)[0])
     full = frenet_data(c, s), equiform_data(c, s)
     for frame, data in zip((fr, eq), full):
         assert eps == data.epsilon
@@ -290,9 +290,12 @@ def pair_outcome(base: CurveJet, mate: CurveJet, lam: float,
 def separate_position_reads(c: CurveJet, grid: list[float],
                             first: int) -> tuple:
     """The reference sweep: ``equiform_grid``, then one position read
-    per point."""
-    datas = equiform_grid(c, grid)
-    return [c.position(s) for s in grid], datas
+    per point, in the float form the sweep returns."""
+    return ([c.position(s).as_tuple() for s in grid],
+            [(d.epsilon, (*d[2:7], d.errors),
+              (*d.tangent.as_tuple(), *d.normal.as_tuple(),
+               *d.binormal.as_tuple()))
+             for d in equiform_grid(c, grid)])
 
 
 def assert_pair_from_bundles(base: CurveJet, lam: float, f: float) -> None:

@@ -280,9 +280,9 @@ class TestCurveConstruction:
         def build(a, b, domain):
             nominal, valid, jets, oracle = family.build(a, b, domain)
 
-            def counted(s, first, last):
+            def counted(row, s, first, last):
                 bundles.append((first, last))
-                return jets(s, first, last)
+                return jets(row, s, first, last)
             return nominal, valid, counted, oracle
 
         monkeypatch.setitem(zoo._FAMILIES, name, family._replace(build=build))
