@@ -39,14 +39,13 @@ from .errors import (CurveLabError, EmptyDomainError, EmptyGridError,
                      UnknownCurveError)
 from .frenet import (AdmissibilityReport, FrenetData, check_admissibility,
                      frenet_data, frenet_residual)
-from .series import DSeries
 from .zoo import ZooEntry, get_example, zoo_names
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AWReport", "AWResiduals", "AWVerdict", "AdmissibilityReport",
-    "BertrandNature", "BertrandPair", "CurveJet", "CurveLabError", "DSeries",
+    "BertrandNature", "BertrandPair", "CurveJet", "CurveLabError",
     "DerivativeVectors", "EmptyDomainError", "EmptyGridError",
     "EquiformData", "FrenetData", "InadmissibleCurveError", "JetKind",
     "JetOrderError", "LightlikeNormalError", "MateInadmissibleError",

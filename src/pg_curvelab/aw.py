@@ -44,12 +44,13 @@ Such points are counted in the report, never dropped silently.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import PGVector, _finite
 from .curves import CurveJet, JetKind
 from .equiform import EquiformData, SweepPoint, _sweep, equiform_data
-from .errors import LightlikeNormalError
+from .errors import LightlikeNormalError, NumericalInflectionError
 from .frenet import Frame
 
 _OMEGA_FLOOR = 1e-30
@@ -164,7 +165,8 @@ def derivative_vectors(c: CurveJet, s: float) -> DerivativeVectors:
         res = aw_residuals(d.curvature, d.torsion, *sigma_rates(d))
         a, yz = _plane(d.rho, d.curvature, d.torsion, frame, res.u, res.v)
     except (ValueError, ArithmeticError) as exc:
-        raise type(exc)(f"{exc} at s={d.s:.6g}") from exc
+        raise _span_error(d.s, d.rho, d.curvature, d.torsion,
+                          *sigma_rates(d), exc) from exc
     d2, d3, d4 = (PGVector(0.0, *yz[i:i + 2]) for i in (0, 2, 4))
     return DerivativeVectors(d.s, d, d2, d3, d4, *a)
 
@@ -185,6 +187,27 @@ def _plane(rho: float, K: float, T: float, frame: Frame, u: float,
     return a, (_finite(c * 0.0, c * ny, c * nz)[1:]
                + _lin(a[0], ny, nz, a[1], by, bz)
                + _lin(a[2], ny, nz, a[3], by, bz))
+
+
+def _span_error(s: float, rho: float, K: float, T: float, Kp: float,
+                Tp: float, exc: Exception) -> Exception:
+    """``exc`` with s named, or where a span coefficient of :func:`_plane`
+    is not finite, the rule of ``frenet._overflow``: a
+    :class:`NumericalInflectionError` where rho > 1, else an
+    ``OverflowError``, naming s, the coefficients and rho."""
+    r3 = rho * rho * rho
+    r4 = r3 * rho
+    a = (-K / r3, T / r3, (2.0 * K * K + T * T - Kp) / r4,
+         (Tp - 3.0 * K * T) / r4) if r4 else (0.0,)
+    if isfinite(sum(a)):
+        return type(exc)(f"{exc} at s={s:.6g}")
+    message = (f"the span coefficients (-K/rho^3, T/rho^3, u/rho^4, "
+               f"v/rho^4) = ({', '.join(f'{x:.6g}' for x in a)}) overflow "
+               f"at s={s:.6g} (rho = {rho:.6g})")
+    if rho > 1.0:
+        return NumericalInflectionError(
+            f"numerically an inflection: {message}", param=s)
+    return OverflowError(message)
 
 
 def _lin(a: float, uy: float, uz: float, b: float, vy: float, vz: float,
@@ -337,7 +360,7 @@ def _classify_of(grid: Sequence[float], points: Sequence[SweepPoint],
                        _residuals(s, *_plane(rho, K, T, frame, res.u,
                                              res.v)[1]))
         except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"{exc} at s={s:.6g}") from exc
+            raise _span_error(s, rho, K, T, rho * K1, rho * T1, exc) from exc
         scalars = res.as_dict()
         for name in _CONDITIONS:
             sup[name] = max(sup[name], scalars[name])

@@ -33,6 +33,7 @@ import math
 import random
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from math import fsum, isfinite
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
@@ -49,7 +50,6 @@ from .errors import (
 _EPS = 2.220446049250313e-16
 
 PositionFn = Callable[[float], PGVector]
-JetsFn = Callable[[float, int, int], tuple[PGVector, ...]]
 # a row: (x, y, z, err) of each order first..last at one point, flat
 Row = Sequence[float]
 RowsFn = Callable[[Sequence[float], int, int], list[Row]]
@@ -114,11 +114,11 @@ class CurveJet:
 
     The curve stores one callable, ``rows_fn(points, first, last)``, the
     rows of orders first..last at every point (see :meth:`rows`); the
-    library's tiers pass it.  A curve may instead pass
-    ``jets_fn(s, first, last)``, the vectors of orders first..last at s,
-    or ``jet_fn(s, order)``, one order at a time; an ``ArithmeticError``
-    or ``ValueError`` that ``jet_fn`` raises leaves with " at s=..."
-    appended to its message.  Either is adapted to rows once, here.
+    library's tiers pass it.  A curve may instead pass ``jet_fn(s,
+    order)``, the vector of one order at s, adapted to rows once, here:
+    an :class:`FDVector`'s ``err`` goes into the row as it is, and an
+    ``ArithmeticError`` or ``ValueError`` that ``jet_fn`` raises leaves
+    with " at s=..." appended to its message.
     """
 
     __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
@@ -127,23 +127,22 @@ class CurveJet:
     def __init__(self, jet_fn: Callable[[float, int], PGVector] | None,
                  domain: tuple[float, float], kind: JetKind,
                  max_order: int = 4, warnings: tuple[str, ...] = (),
-                 jets_fn: JetsFn | None = None,
                  nodes: tuple[float, float] | None = None,
                  rows_fn: RowsFn | None = None):
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
         if rows_fn is None:
-            if jets_fn is None:
-                def jets_fn(s: float, first: int, last: int) -> list:
-                    try:
-                        return [jet_fn(s, k) for k in range(first, last + 1)]
-                    except (ArithmeticError, ValueError) as exc:
-                        raise type(exc)(f"{exc} at s={s:.6g}") from exc
-
             def rows_fn(points: Sequence[float], first: int, last: int
                         ) -> list[Row]:
-                return [_flat(jets_fn(s, first, last)) for s in points]
+                out = []
+                for s in points:
+                    try:
+                        out.append(_flat(jet_fn(s, k)
+                                         for k in range(first, last + 1)))
+                    except (ArithmeticError, ValueError) as exc:
+                        raise type(exc)(f"{exc} at s={s:.6g}") from exc
+                return out
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))
@@ -210,7 +209,8 @@ class CurveJet:
 
     def grid(self, start: float, stop: float, count: int) -> list[float]:
         """The request grid: ``count`` uniform points from start to stop
-        (start alone when count is 1), each replaced by its ``snap``,
+        (start alone when count is 1; the last point is stop itself, not
+        start + (count - 1) * step), each replaced by its ``snap``,
         ascending with repeats dropped.  Before any point is built,
         ``ValueError`` unless count >= 1, start, stop and stop - start are
         finite, and start == stop for one point, start < stop otherwise.
@@ -233,7 +233,8 @@ class CurveJet:
             if not start < stop:
                 raise ValueError("grid start must be below stop")
             step = (stop - start) / (count - 1)
-            points = (start + i * step for i in range(count))
+            points = chain((start + i * step for i in range(count - 1)),
+                           (stop,))
         snap, (lo, hi) = self.snap, self.domain
         out: list[float] = []
         for p in points:
@@ -715,13 +716,20 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
     h = 2 * spacing on the lattice less 8 spacings at each end: stencils
     stay on the ``nodes`` (first, spacing); a read between them raises.
     It needs ``LATTICE_MIN_ROWS`` samples (else ``NarrowDomainError``) of
-    distinct s, each within 1e-9 * max(1, |s|) of its node and within
-    1e-6 * spacing, the tolerance of a read (else ``ValueError``).  The
+    finite values and distinct s, each within 1e-9 * max(1, |s|) of its
+    node and within 1e-6 * spacing, the tolerance of a read (else
+    ``ValueError``, naming the first non-finite sample given).  The
     rows are kept as x, y, z and max |component| columns, x shifted once
     if x != s at the first domain node; a grid call reads the stencil
     nodes of points on domain nodes by index (``_LatticeReads``), and
     other points read rows one by one through the read check."""
-    samples = sorted(samples, key=itemgetter(0))
+    samples = list(samples)
+    if not all(isfinite(sum(col)) for col in zip(*samples)):
+        for i, sample in enumerate(samples):
+            if not all(map(isfinite, sample)):
+                raise ValueError(f"samples must be finite, got "
+                                 f"{tuple(sample)!r} (sample {i})")
+    samples.sort(key=itemgetter(0))
     n = len(samples)
     if n < LATTICE_MIN_ROWS:
         raise NarrowDomainError(f"need at least {LATTICE_MIN_ROWS} samples "

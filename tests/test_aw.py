@@ -17,9 +17,10 @@ from pg_curvelab.aw import (
     unit_directions,
     vector_identity_residuals,
 )
-from pg_curvelab.curves import apply_homothety, make_sampled_curve
+from pg_curvelab.curves import (CurveJet, JetKind, apply_homothety,
+                                make_sampled_curve)
 from pg_curvelab.equiform import EquiformData, equiform_data
-from pg_curvelab.errors import LightlikeNormalError
+from pg_curvelab.errors import LightlikeNormalError, NumericalInflectionError
 from pg_curvelab.frenet import FrenetData
 from pg_curvelab.zoo import get_example
 
@@ -265,3 +266,36 @@ def test_underflowing_rho4_names_its_point(name, a, b):
         derivative_vectors(curve, 0.25)
     with pytest.raises(ValueError, match=r"underflows to 0 \(rho = 1e-90\) at s=-0\.5$"):
         classify(curve, [-0.5, -0.25, 0.0, 0.25, 0.5])
+
+
+SPAN = "the span coefficients (-K/rho^3, T/rho^3, u/rho^4, v/rho^4) = "
+
+
+def test_overflowing_span_coefficients_with_rho_above_one_are_an_inflection():
+    # T = b/a = 5e307, so u and rho^4 = 6.25e614 overflow and u/rho^4
+    # reads inf/inf; rho = 5e153 > 1, as in frenet's overflow rule
+    curve = get_example("bertrand_helix", 2e-154, 1e154).curve
+    message = (f"numerically an inflection: {SPAN}(-0, 0, nan, nan) "
+               "overflow at s=-1e-156 (rho = 5e+153)")
+    for call in (lambda: derivative_vectors(curve, -1e-156),
+                 lambda: classify(curve, [-1e-156, 0.0, 1e-156])):
+        with pytest.raises(NumericalInflectionError) as exc:
+            call()
+        assert str(exc.value) == message
+        assert exc.value.param == -1e-156
+        assert type(exc.value.__cause__) is ValueError
+
+
+def test_overflowing_span_coefficients_with_rho_one_are_an_overflow():
+    # raw jets with kappa = 1 and a third derivative of 1e154: K^2 and K'
+    # overflow, so u = inf - inf; rho = 1 is no inflection
+    jets = (PGVector(0.0, 0.0, 0.0), PGVector(1.0, 0.0, 0.0),
+            PGVector(0.0, 1.0, 0.0), PGVector(0.0, 1e154, 0.0),
+            PGVector(0.0, 0.0, 0.0))
+    curve = CurveJet(lambda s, k: jets[k], (-1.0, 1.0), JetKind.ANALYTIC)
+    message = f"{SPAN}(1e+154, 0, nan, 0) overflow at s=0 (rho = 1)"
+    for call in (lambda: derivative_vectors(curve, 0.0),
+                 lambda: classify(curve, [0.0, 0.5])):
+        with pytest.raises(OverflowError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -37,12 +37,8 @@ class TestExactMate:
         base = helix_fixture.curve
         zero = PGVector(0.0, 0.0, 0.0)
 
-        def jets_fn(s, first, last):
-            return tuple(base.jet(s, k) if k <= 8 else zero
-                         for k in range(first, last + 1))
-
-        deep = CurveJet(None, base.domain, base.kind, max_order=10,
-                        jets_fn=jets_fn)
+        deep = CurveJet(lambda s, k: base.jet(s, k) if k <= 8 else zero,
+                        base.domain, base.kind, max_order=10)
         mate = bertrand_mate(deep, 1.0)
         assert mate.max_order == 6
         assert list(map(bits, mate.jets(0.3, 0, 6))) == \

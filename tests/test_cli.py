@@ -877,13 +877,15 @@ class TestFrozenEvalClassifyBits:
     grids, every catalogue family and the parabola lattice.  The lattice
     path in the JSON ``curve`` label is replaced by ``LATTICE`` first.
     ``spacelike_general_helix`` and ``timelike_circular_helix`` have a
-    timelike normal (epsilon = -1), which no other pin reaches."""
+    timelike normal (epsilon = -1), which no other pin reaches.  The last
+    point of a grid is its stop, so ``eval`` on -0.9:0.9:21 prints s =
+    0.9 in its last row, not -0.9 + 20 * 0.09 = 0.8999999999999998."""
 
     @pytest.mark.parametrize("command, source, fmt, digest", [
         ("eval", "bertrand_helix", "json",
-         "82cb16d3ac069bd1b924e49ee680933904fb516eb14c1bfe29573233ea80c276"),
+         "5406aa43691ad7048d1c6faada0929a8dd4dc46d046d78c9e83c4b81adc85972"),
         ("eval", "bertrand_helix", "csv",
-         "5722ca7d85405cc67c2d76e20dd0e9d30d260e333e08e9863d5a9b2bdaa7a493"),
+         "9909a16cc21a529d494a9753984e6f4a93fc1e85dc50e94fbcc035fdc9b006fb"),
         ("eval", "timelike_general_helix", "json",
          "5e4bed09a4db2661e99b0821ca2978cece84fb4eaf2141fa80e4b7b527baee93"),
         ("eval", "timelike_general_helix", "csv",
@@ -919,7 +921,7 @@ class TestFrozenEvalClassifyBits:
         ("eval", "spacelike_circular_helix", "csv",
          "ebb020187fab8e13158c24c94a394d1574e14e089bbeed82ea7abc4a4ad3c799"),
         ("eval", "isotropic_circle", "csv",
-         "fd38571b75e19895b20162131550918ca3b48675cc527fa99104f9ee4965f726"),
+         "e3738b1ca61a14d1cac823163337d3df69df1130147acb6b10c67f90daf99ed2"),
         ("classify", "spacelike_general_helix", "csv",
          "9e9cca4c22544624cbebaf3f6b8b890cd4a2d3b3e439c314d205eba34bc25f23"),
         ("classify", "timelike_circular_helix", "csv",
@@ -1615,6 +1617,20 @@ class TestErrorExits:
             "schema": SCHEMA, "error": "OverflowError",
             "message": "(34, 'Numerical result out of range') at s=-0.5"}
         assert invoke(capsys, "eval", *argv)[0] == 0
+
+    def test_overflowing_span_coefficients_follow_the_overflow_rule(
+            self, capsys):
+        # T = b/a = 5e307: u and rho^4 overflow, so u/rho^4 reads inf/inf;
+        # rho = 5e153 > 1 makes it an inflection, exit 3
+        rc, out, err = invoke(capsys, "classify", "--curve", "bertrand_helix",
+                              "--a", "2e-154", "--b", "1e154",
+                              "--grid", "-1e-156:1e-156:5")
+        assert (rc, out) == (3, "")
+        assert json.loads(err) == {
+            "schema": SCHEMA, "error": "NumericalInflectionError",
+            "message": "numerically an inflection: the span coefficients "
+                       "(-K/rho^3, T/rho^3, u/rho^4, v/rho^4) = (-0, 0, nan, "
+                       "nan) overflow at s=-1e-156 (rho = 5e+153)"}
 
     @pytest.mark.parametrize("command, curve, a, s", [
         (("eval",), "isotropic_circle", "1e155", "-0.5"),

@@ -1,8 +1,9 @@
 """``tools/cli_digest.py``: its request sets and its path-free digest.
 
-The full digest runs every request (≈ 20 s), so it is run by hand, not
-here; these tests keep the tool working against ``bench/workload`` and
-the CLI, and pin the verdicts of some ``bertrand-input`` requests.
+The ``cycle`` and ``bertrand-input`` digests run 260 requests, so they
+are run by hand, not here; these tests keep the tool working against
+``bench/workload`` and the CLI, pin the ``figure-zoo`` digest (12
+requests) and the verdicts of some ``bertrand-input`` requests.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ def test_request_sets(cli_digest, tmp_path):
     for argv in sets["bertrand-input"]:
         assert argv[:2] == ["bertrand", "--input"]
         assert argv[2].startswith(str(tmp_path))
+
+
+def test_figure_zoo_digest(cli_digest, tmp_path):
+    # figures 1-5 and zoo-list, csv and json: no lattice is read
+    argvs = cli_digest.request_sets(str(tmp_path))["figure-zoo"]
+    assert cli_digest.digest(argvs, str(tmp_path)) == (
+        "53e5ec9e28ed7bd00080fe6654888e51f39ceeef09f3c8222aa03661ecd2b092")
 
 
 def test_run_captures_argparse_exits(cli_digest):

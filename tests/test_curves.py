@@ -33,6 +33,7 @@ from pg_curvelab.errors import (
     StepTooSmallError,
 )
 from pg_curvelab.frenet import check_admissibility
+from pg_curvelab.zoo import get_example
 
 
 def cubic_jets():
@@ -106,11 +107,11 @@ class TestCurveJet:
     def test_bundle_uses_the_curve_bundle_function(self):
         fns = cubic_jets()
 
-        def jets_fn(s, first, last):
-            return tuple(fns[k](s) for k in range(first, last + 1))
+        def rows_fn(points, first, last):
+            return [[v for k in range(first, last + 1)
+                     for v in (*fns[k](s).as_tuple(), 0.0)] for s in points]
 
-        c = CurveJet(lambda s, k: jets_fn(s, k, k)[0], (0.0, 2.0),
-                     JetKind.ANALYTIC, jets_fn=jets_fn)
+        c = CurveJet(None, (0.0, 2.0), JetKind.ANALYTIC, rows_fn=rows_fn)
         assert c.jets(1.0, 2, 3) == (fns[2](1.0), fns[3](1.0))
         assert c.jet(1.0, 2) == fns[2](1.0)
 
@@ -126,7 +127,7 @@ class TestCurveJet:
             c = CurveJet(sampled.jet, sampled.domain, sampled.kind)
         else:
             c = CurveJet(None, sampled.domain, sampled.kind,
-                         jets_fn=sampled.jets)
+                         rows_fn=sampled.rows)
         for s in (0.0, 0.7, 2.0):
             for k in range(5):
                 assert c.jet(s, k) == c.jets(s, k, k)[0] == sampled.jet(s, k)
@@ -363,6 +364,17 @@ class TestSampledConstructor:
         with pytest.raises(EmptyDomainError):
             make_sampled_curve(lambda s: PGVector(s, 0.0, 0.0), (1.0, 0.0))
 
+    def test_overflowing_x_shift_raises(self):
+        # the x-shift, measured at the left domain end, is 1.5e308; the
+        # nodes left of 0 read x = -1.5e308, whose shift overflows
+        c = make_sampled_curve(
+            lambda t: PGVector(1.5e308 if t >= 0 else -1.5e308, 0.0, t * t),
+            (0.0, 1.0))
+        with pytest.raises(ValueError) as exc:
+            c.jets(0.0, 1, 2)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "PGVector components must be finite, got -inf"
+
     def test_short_window_shrinks_the_step(self, general_helix):
         # the balanced order-3/4 step is 27h, whose 7-node stencil spans
         # 0.162, wider than the window [0.496, 0.604]: every order-3/4 jet
@@ -496,6 +508,22 @@ class TestLatticeConstructor:
         assert str(exc.value) == (
             "samples must lie on a uniform lattice "
             f"(s={node + 0.4e-3!r} is off by more than 1e-6 spacings)")
+
+    def test_non_finite_sample_is_named(self):
+        # every value is checked before the sort, so a nan s is caught as
+        # well; the first non-finite sample given is named
+        good = [lattice_sample(-1.0 + i / 128) for i in range(257)]
+        for column in range(4):
+            samples = list(good)
+            for i, value in ((200, math.nan), (128, -math.inf)):
+                row = list(samples[i])
+                row[column] = value
+                samples[i] = tuple(row)
+            for given, first in ((samples, 128), (samples[::-1], 56)):
+                with pytest.raises(ValueError) as exc:
+                    make_lattice_curve(iter(given))
+                assert str(exc.value) == (f"samples must be finite, got "
+                                          f"{given[first]!r} (sample {first})")
 
     def test_coincident_samples_rejected(self):
         with pytest.raises(ValueError,
@@ -647,6 +675,19 @@ class TestRequestGrid:
         step = (1.9 - 0.1) / 6
         assert c.grid(0.1, 1.9, 7) == [0.1 + i * step for i in range(7)]
         assert c.grid(0.0, 2.0, 5) == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_last_point_is_stop(self):
+        # start + (count - 1) * step rounds past stop here, out of the
+        # domain, and below it on -0.9:0.9:21
+        curve = get_example("timelike_circular_helix",
+                            863065193.4369956).curve
+        lo, hi = curve.domain
+        assert lo + 9 * ((hi - lo) / 9) > hi
+        grid = curve.grid(lo, hi, 10)
+        assert len(grid) == 10 and grid[-1] == hi
+        c = make_analytic_curve(*cubic_jets(), domain=(-1.0, 1.0))
+        assert -0.9 + 20 * (1.8 / 20) < 0.9
+        assert c.grid(-0.9, 0.9, 21)[-1] == 0.9
 
     def test_one_point_grid(self):
         c = make_analytic_curve(*cubic_jets(), domain=(-1.0, 1.0))

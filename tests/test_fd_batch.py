@@ -294,16 +294,6 @@ class TestLatticeBatch:
             assert_batch(curve, ref, points)
 
 
-    def test_non_finite_sample_fails_like_the_reference(self):
-        # the samples are taken as they are: a point on the node of an
-        # infinite y raises where the reference does, its position first
-        samples = lattice(family(random.Random(17)), -1.0, 2.0 ** -7, 257)
-        samples[128] = (samples[128][0], samples[128][1], -math.inf, 0.0)
-        curve, ref = make_lattice_curve(samples), ref_lattice_jets(samples)
-        for points in grids(curve, (1, 2, 21, 101)):
-            assert_batch(curve, ref, points)
-
-
 class TestSampledBatch:
     @pytest.mark.parametrize("h", [None, 1e-3, 2e-4])
     def test_grids_equal_the_reference(self, h):

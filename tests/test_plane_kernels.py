@@ -814,10 +814,9 @@ def assert_offset_jets(base: CurveJet, lam: float, s: float, first: int,
 
 
 def raw_base(jets) -> CurveJet:
-    """A curve on [-2, 2] whose every bundle is a slice of ``jets``, the
-    jets of orders 0..8."""
-    return CurveJet(None, (-2.0, 2.0), JetKind.ANALYTIC, max_order=8,
-                    jets_fn=lambda s, first, last: tuple(jets[first:last + 1]))
+    """A curve on [-2, 2] whose jet of order k is ``jets[k]``, k = 0..8."""
+    return CurveJet(lambda s, k: jets[k], (-2.0, 2.0), JetKind.ANALYTIC,
+                    max_order=8)
 
 
 lengths = st.integers(1, 7)

@@ -6,7 +6,8 @@ There is no linter in the toolchain, so ``src/pg_curvelab/*.py`` and
 the unused-import check, because its imports are the package's
 re-exports, which ``__all__`` must list instead; ``from __future__
 import ...`` is exempt everywhere.  A fresh interpreter pins the
-standard-library modules that importing the CLI may not pull in.
+standard-library modules, and the package's series module, that
+importing the CLI may not pull in.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def test_init_imports_exactly_the_public_names():
 def test_cli_import_leaves_out_costly_stdlib_modules():
     # every CLI process pays for its imports: dataclasses builds classes
     # with exec and imports inspect; statistics imports fractions and
-    # decimal
+    # decimal; no command builds a DSeries, the tests' reference form
     code = ("import sys; before = set(sys.modules); import pg_curvelab.cli; "
             "print(*sorted(set(sys.modules) - before))")
     path = os.pathsep.join(filter(None, (str(SRC.parent),
@@ -88,4 +89,5 @@ def test_cli_import_leaves_out_costly_stdlib_modules():
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split()
     assert "pg_curvelab.cli" in added
-    assert {"dataclasses", "inspect", "statistics"}.isdisjoint(added)
+    assert {"dataclasses", "inspect", "statistics",
+            "pg_curvelab.series"}.isdisjoint(added)

@@ -272,8 +272,8 @@ class TestCurveConstruction:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_building_an_entry_evaluates_no_jet(self, monkeypatch, name):
-        # the family's bundle is the curve's jets_fn; nothing probes it,
-        # and a read of orders 0-8 is one bundle
+        # the family's row fill serves the curve's rows; nothing probes
+        # it, and a read of orders 0-8 is one fill
         bundles = []
         family = zoo._FAMILIES[name]
 
