@@ -91,6 +91,7 @@ def aw_residuals(K: float, Tq: float, Kp: float, Tqp: float,
     error bound of omega's entries, and when |K| <= e_K, |T| <= e_T,
     |K'| <= e_K' and |T'| <= e_T' the point is resolution-limited: all
     residuals read 0.0, as they do for exactly vanishing invariants.
+    Where omega^1.5 overflows, ``OverflowError`` names omega.
     """
     u = 2.0 * K * K + Tq * Tq - Kp
     v = Tqp - 3.0 * K * Tq
@@ -107,9 +108,14 @@ def aw_residuals(K: float, Tq: float, Kp: float, Tqp: float,
                                omega=floor, resolution_limited=True)
         omega = max(omega, floor)
     lin = 1.0 / omega
+    try:
+        aw2 = abs(det) / omega ** 1.5
+    except OverflowError:
+        raise OverflowError(f"omega^1.5 overflows for omega = "
+                            f"{omega:.6g}") from None
     return AWResiduals(
         aw1=max(abs(u), abs(v)) * lin,
-        aw2=abs(det) / omega ** 1.5,
+        aw2=aw2,
         aw3=abs(v) * lin,
         weak_aw2=abs(u) * lin,
         weak_aw3=abs(v) * lin,
@@ -192,18 +198,22 @@ def _plane(rho: float, K: float, T: float, frame: Frame, u: float,
 def _span_error(s: float, rho: float, K: float, T: float, Kp: float,
                 Tp: float, exc: Exception) -> Exception:
     """``exc`` with s named, or where a span coefficient of :func:`_plane`
-    is not finite, the rule of ``frenet._overflow``: a
+    is not finite, or else omega^1.5 in :func:`aw_residuals` overflows,
+    the rule of ``frenet._overflow``: a
     :class:`NumericalInflectionError` where rho > 1, else an
-    ``OverflowError``, naming s, the coefficients and rho."""
+    ``OverflowError``, naming s, the coefficients or omega, and rho."""
     r3 = rho * rho * rho
     r4 = r3 * rho
     a = (-K / r3, T / r3, (2.0 * K * K + T * T - Kp) / r4,
          (Tp - 3.0 * K * T) / r4) if r4 else (0.0,)
-    if isfinite(sum(a)):
+    if not isfinite(sum(a)):
+        message = (f"the span coefficients (-K/rho^3, T/rho^3, u/rho^4, "
+                   f"v/rho^4) = ({', '.join(f'{x:.6g}' for x in a)}) "
+                   f"overflow at s={s:.6g} (rho = {rho:.6g})")
+    elif isinstance(exc, OverflowError):        # omega ** 1.5
+        message = f"{exc} at s={s:.6g} (rho = {rho:.6g})"
+    else:
         return type(exc)(f"{exc} at s={s:.6g}")
-    message = (f"the span coefficients (-K/rho^3, T/rho^3, u/rho^4, "
-               f"v/rho^4) = ({', '.join(f'{x:.6g}' for x in a)}) overflow "
-               f"at s={s:.6g} (rho = {rho:.6g})")
     if rho > 1.0:
         return NumericalInflectionError(
             f"numerically an inflection: {message}", param=s)

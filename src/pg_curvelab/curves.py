@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import fsum, isfinite
 from operator import itemgetter, mul
@@ -402,21 +402,12 @@ def _weights(order: int, first: int, count: int
 
 
 _Row = tuple[float, float, float, float]      # x, y, z, max |component|
-RowFn = Callable[[float], _Row]
 # nodes(offsets, step, k): the nodes s + j * step, j of ``offsets``, at
 # each of a group's points s, d = j * k half-steps (h/2) from s, point by
 # point: (every x, then every y, then every z, in one sequence; every
 # max |component|)
 Nodes = Callable[[Sequence[int], float, int],
                  tuple[Sequence[float], Sequence[float]]]
-
-
-def _row_fn(position: PositionFn) -> RowFn:
-    """The row (x, y, z, max |component|) of the position at t."""
-    def row_at(t: float) -> _Row:
-        p = position(t)
-        return p.x1, p.x2, p.x3, p.max_abs()
-    return row_at
 
 
 class _RowReads:
@@ -427,7 +418,8 @@ class _RowReads:
 
     __slots__ = ("row_at", "points", "seen")
 
-    def __init__(self, row_at: RowFn, points: Sequence[float]):
+    def __init__(self, row_at: Callable[[float], _Row],
+                 points: Sequence[float]):
         self.row_at, self.points = row_at, points
         self.seen: list[dict[float, _Row]] = [{} for _ in points]
 
@@ -455,22 +447,33 @@ class _RowReads:
 
 
 class _LatticeReads:
-    """The nodes of a batch's points on a lattice of spacing h/2, read
-    by index from its row columns: node s + j*step of the point at row
-    i is row i + j*k."""
+    """The nodes of a batch's points on the lattice ``nodes`` (first,
+    spacing), spacing h/2, read by index from its finite ``columns`` (x,
+    y, z, max |component|): node s + j*step of the point on row i is row
+    i + j*k.  Before any read, every point must lie within 1e-6 spacings
+    of a domain node, rows 8 to n - 9, else ``ValueError`` naming it."""
 
-    __slots__ = ("rows", "index")
+    __slots__ = ("columns", "index")
 
-    def __init__(self, rows: tuple[list[float], ...], index: list[int]):
-        self.rows, self.index = rows, index
+    def __init__(self, columns: tuple[Sequence[float], ...],
+                 nodes: tuple[float, float], points: Sequence[float]):
+        first, spacing = nodes
+        top = len(columns[0]) - 9
+        self.columns, self.index = columns, []
+        for s in points:
+            i = round((s - first) / spacing)
+            off = abs(s - (first + i * spacing))
+            if not (8 <= i <= top and off <= 1e-6 * spacing):
+                raise ValueError(f"off-lattice evaluation at s={s!r}")
+            self.index.append(i)
 
     def positions(self) -> list[Row]:
-        x, y, z, _ = self.rows
-        return [_finite(x[i], y[i], z[i]) + (0.0,) for i in self.index]
+        x, y, z, _ = self.columns
+        return [(x[i], y[i], z[i], 0.0) for i in self.index]
 
     def nodes(self, sel: Sequence[int]) -> Nodes:
         """The nodes of the points numbered ``sel``."""
-        x, y, z, mag = self.rows
+        x, y, z, mag = self.columns
         rows = [self.index[p] for p in sel]
 
         def nodes(offsets: Sequence[int], step: float, k: int) -> tuple:
@@ -696,13 +699,13 @@ def make_sampled_curve(position: PositionFn, domain: tuple[float, float],
     pass, order by order: orders 1-2 as one group of all the points, and
     each step trial of orders 3-6 with the points grouped by step and
     node range (``_adaptive``).  Every point reads ``position`` once per
-    node for all its orders and step trials (``_RowReads``), and its
-    rows are those it gets alone, ``jets(s, first, last)`` being the
-    one-point call; ``jet(s, k)`` is the row of order k alone, so all
-    give the same bits.  Nothing is kept between calls: evaluation is
-    pure.
+    node for all its orders and step trials (``_RowReads``, x shifted
+    by its value at the left domain end), and its rows are those it
+    gets alone, ``jets(s, first, last)`` being the one-point call;
+    ``jet(s, k)`` is the row of order k alone, so all give the same
+    bits.  Nothing is kept between calls: evaluation is pure.
     """
-    return _fd_curve(_row_fn(position), domain, h)
+    return _fd_curve(domain, h, position)
 
 
 # the fewest lattice rows that build: the domain of 8h = 16 spacings plus
@@ -714,15 +717,14 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
     """:func:`make_sampled_curve` of the (s, x, y, z) ``samples``, in any
     order, of positions on a uniform lattice first, ..., last, at
     h = 2 * spacing on the lattice less 8 spacings at each end: stencils
-    stay on the ``nodes`` (first, spacing); a read between them raises.
-    It needs ``LATTICE_MIN_ROWS`` samples (else ``NarrowDomainError``) of
-    finite values and distinct s, each within 1e-9 * max(1, |s|) of its
-    node and within 1e-6 * spacing, the tolerance of a read (else
-    ``ValueError``, naming the first non-finite sample given).  The
-    rows are kept as x, y, z and max |component| columns, x shifted once
-    if x != s at the first domain node; a grid call reads the stencil
-    nodes of points on domain nodes by index (``_LatticeReads``), and
-    other points read rows one by one through the read check."""
+    stay on the ``nodes`` (first, spacing).  It needs ``LATTICE_MIN_ROWS``
+    samples (else ``NarrowDomainError``) of finite values and distinct s,
+    each within 1e-9 * max(1, |s|) of its node and within 1e-6 * spacing,
+    whose x, shifted once to x = s at the first domain node, stays finite
+    (else ``ValueError``, naming the first non-finite sample given, or
+    the first by s whose shifted x is not).  Every call reads the x, y, z
+    and max |component| columns by index (``_LatticeReads``): a point off
+    the domain nodes raises "off-lattice evaluation at s=..." naming it."""
     samples = list(samples)
     if not all(isfinite(sum(col)) for col in zip(*samples)):
         for i, sample in enumerate(samples):
@@ -738,8 +740,7 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
     spacing = (last - first) / (n - 1)
     if not spacing > 0.0:
         raise ValueError("sample parameters must be distinct")
-    x, y, z = [], [], []
-    for i, (s, xi, yi, zi) in enumerate(samples):
+    for i, (s, _, _, _) in enumerate(samples):
         off = abs(s - (first + i * spacing))
         if off > 1e-9 * max(1.0, abs(s)):
             raise ValueError(f"samples must lie on a uniform lattice "
@@ -747,42 +748,28 @@ def make_lattice_curve(samples: Iterable[Sequence[float]]) -> CurveJet:
         if off > 1e-6 * spacing:
             raise ValueError(f"samples must lie on a uniform lattice "
                              f"(s={s!r} is off by more than 1e-6 spacings)")
-        x.append(xi)
-        y.append(yi)
-        z.append(zi)
+    _, x, y, z = zip(*samples)
     lo = first + 8 * spacing
     dx = x[8] - lo
-    if dx != 0.0:
-        x = [v - dx for v in x]
+    x = [v - dx for v in x]
+    if not all(map(isfinite, x)):
+        i = list(map(isfinite, x)).index(False)
+        raise ValueError(f"samples must stay finite when x is shifted to "
+                         f"x = s by dx = {dx!r}, got {tuple(samples[i])!r}")
     mag = list(map(max, map(abs, x), map(abs, y), map(abs, z)))
-    # a row whose shift overflows raises where a read meets it
-    overflows = dx != 0.0 and not all(map(isfinite, x))
-
-    def row_at(t: float) -> _Row:
-        i = round((t - first) / spacing)
-        if i < 0 or i >= n or abs(t - (first + i * spacing)) > 1e-6 * spacing:
-            raise ValueError(f"off-lattice evaluation at s={t!r}")
-        if overflows and not isfinite(x[i]):
-            _finite(x[i], y[i], z[i])
-        return x[i], y[i], z[i], mag[i]
-
-    # Index reads need every node s + j * step of a point s on node i to
-    # pass the read check at row i + j * k: its rounding, a few ulps of
-    # the largest node, must stay far inside 1e-6 spacings
-    exact = (64.0 * _EPS * max(abs(first), abs(first + n * spacing))
-             <= 1e-6 * spacing)
-    return _fd_curve(row_at, (lo, last - 8 * spacing), 2 * spacing,
-                     (first, spacing),
-                     (x, y, z, mag) if exact and not overflows else None)
+    return _fd_curve((lo, last - 8 * spacing), 2 * spacing,
+                     columns=(x, y, z, mag), nodes=(first, spacing))
 
 
-def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
-              nodes: tuple[float, float] | None = None,
-              rows: tuple[list[float], ...] | None = None) -> CurveJet:
-    """:func:`make_sampled_curve` of the rows ``row_at(t)``; on a lattice
-    ``nodes`` (first, spacing), whose rows come shifted to x = s, and
-    its row columns ``rows`` (x, y, z, max |component|), from which a
-    grid call reads every point on a domain node by index."""
+def _fd_curve(domain: tuple[float, float], h: float | None,
+              position: PositionFn | None = None,
+              columns: tuple[Sequence[float], ...] = (),
+              nodes: tuple[float, float] | None = None) -> CurveJet:
+    """:func:`make_sampled_curve` of ``position``, read through one row
+    closure that shifts x by its value at the left domain end
+    (``_RowReads``); or, on a lattice ``nodes`` (first, spacing), of its
+    ``columns`` (x, y, z, max |component|), shifted to x = s and read
+    by index (``_LatticeReads``)."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (lo < hi):
         raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
@@ -797,34 +784,30 @@ def _fd_curve(row_at: RowFn, domain: tuple[float, float], h: float | None,
     if hi - lo < 8.0 * h - 8.0 * _EPS * scale:
         raise NarrowDomainError(f"domain [{lo}, {hi}] is shorter than 8h = {8 * h}")
 
-    # probe the left endpoint of a position function
-    dx = 0.0 if nodes else row_at(lo)[0] - lo
-    if dx != 0.0:
-        unshifted = row_at
+    if nodes:
+        reads_of = partial(_LatticeReads, columns, nodes)
+    else:
+        dx = position(lo).x1 - lo
 
         def row_at(t: float) -> _Row:
-            x, y, z, _ = unshifted(t)
-            if not math.isfinite(x - dx):
-                _finite(x - dx, y, z)       # an overflowing shift raises
-            return x - dx, y, z, max(abs(x - dx), abs(y), abs(z))
+            p = position(t)
+            x, y, z = p.x1 - dx, p.x2, p.x3
+            if not isfinite(x):
+                _finite(x, y, z)            # an overflowing shift raises
+            return x, y, z, max(abs(x), abs(y), abs(z))
+
+        reads_of = partial(_RowReads, row_at)
 
     # the balanced multiple of h that each order's step search starts from
     top4 = max(1, math.floor(_BALANCED * scale / h))
     top6 = max(1, math.floor(_BALANCED_6 * (1.0 if nodes else scale) / h))
     tops = (1, 1, 1, top4, top4, top6, top6)
     window = (lo - 4.0 * h, hi + 4.0 * h)
-    origin, spacing = nodes or (0.0, 0.0)
 
     def rows_fn(points: Sequence[float], first: int, last: int
                 ) -> list[Row]:
-        reads: _Reads | None = None
-        if rows is not None:
-            index = [round((s - origin) / spacing) for s in points]
-            if all(8 <= i < len(rows[0]) - 8 and s == origin + i * spacing
-                   for s, i in zip(points, index)):
-                reads = _LatticeReads(rows, index)
-        return _fd_rows(reads or _RowReads(row_at, points), points, first,
-                        last, h, tops, window)
+        return _fd_rows(reads_of(points), points, first, last, h, tops,
+                        window)
 
     return CurveJet(None, (lo, hi), JetKind.FINITE_DIFFERENCE, max_order=6,
                     nodes=nodes, rows_fn=rows_fn)

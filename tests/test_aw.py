@@ -299,3 +299,21 @@ def test_overflowing_span_coefficients_with_rho_one_are_an_overflow():
         with pytest.raises(OverflowError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def test_overflowing_omega_with_rho_one_is_an_overflow():
+    # raw jets with kappa = 1 and a third derivative of 1e150: every span
+    # coefficient is finite, but omega = max(K^2, ..., |K'|) = 2e300 and
+    # omega^1.5 overflows; rho = 1 is no inflection
+    jets = (PGVector(0.0, 0.0, 0.0), PGVector(1.0, 0.0, 0.0),
+            PGVector(0.0, 1.0, 0.0), PGVector(0.0, 1e150, 0.0),
+            PGVector(0.0, 0.0, 0.0))
+    curve = CurveJet(lambda s, k: jets[k], (-1.0, 1.0), JetKind.ANALYTIC)
+    message = "omega^1.5 overflows for omega = 2e+300 at s=0 (rho = 1)"
+    for call in (lambda: derivative_vectors(curve, 0.0),
+                 lambda: classify(curve, [0.0, 0.5])):
+        with pytest.raises(OverflowError) as exc:
+            call()
+        assert type(exc.value) is OverflowError
+        assert str(exc.value) == message
+        assert type(exc.value.__cause__) is OverflowError

@@ -604,6 +604,20 @@ class TestLatticeInput:
             "message": f"{path}: step {2.0 ** -29!r} is below the round-off "
                        "guard"}
 
+    def test_overflowing_x_shift_names_the_sample(self, tmp_path, capsys):
+        # x = -1e308 at the first domain node and +1e308 elsewhere: the
+        # shift to x = s, about -1e308, takes every other x past the
+        # double range, so the lattice is rejected before any grid point
+        d = 2.0 ** -6
+        path = tmp_path / "shift.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            f"{i * d!r},{-1e308 if i == 8 else 1e308!r},0,0\n"
+            for i in range(65)))
+        assert rejected(capsys, "eval", "--input", str(path),
+                        "--grid", "0.25:0.75:5") == (
+            f"{path}: samples must stay finite when x is shifted to x = s "
+            f"by dx = {-1e308 - 8 * d!r}, got (0.0, 1e+308, 0.0, 0.0)")
+
     def test_coincident_samples_rejected(self, tmp_path, capsys):
         path = tmp_path / "same.csv"
         path.write_text("s,x,y,z\n" + "0.5,0.5,0.125,0\n" * 33)
@@ -1607,15 +1621,16 @@ class TestErrorExits:
             "PGVector components must be finite, got inf at s=0")
 
     def test_overflowing_span_residual_names_its_point(self, capsys):
-        # T = b/a = 1e150, so omega^1.5 overflows in the scalar residuals;
-        # eval never forms them
+        # T = b/a = 1e150, so omega^1.5 overflows in the scalar residuals
+        # (eval never forms them); rho = 1e150 > 1 makes it an inflection
         argv = ("--curve", "bertrand_helix", "--a", "1e-150", "--b", "1",
                 "--grid", "-0.5:0.5:5")
         rc, out, err = invoke(capsys, "classify", *argv)
-        assert (rc, out) == (2, "")
+        assert (rc, out) == (3, "")
         assert json.loads(err) == {
-            "schema": SCHEMA, "error": "OverflowError",
-            "message": "(34, 'Numerical result out of range') at s=-0.5"}
+            "schema": SCHEMA, "error": "NumericalInflectionError",
+            "message": "numerically an inflection: omega^1.5 overflows for "
+                       "omega = 1e+300 at s=-0.5 (rho = 1e+150)"}
         assert invoke(capsys, "eval", *argv)[0] == 0
 
     def test_overflowing_span_coefficients_follow_the_overflow_rule(

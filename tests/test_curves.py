@@ -455,6 +455,21 @@ class TestLatticeConstructor:
         with pytest.raises(ValueError, match="off-lattice evaluation at s="):
             c.jets(s, 1, 4)
 
+    def test_nodes_past_the_domain_are_off_lattice(self):
+        # at s near 1e6 the domain check's slack, 1e-9 * |s|, reaches one
+        # spacing past each end: nodes 7 and n - 8 pass it, but are no
+        # domain nodes, so no row of theirs is read
+        first, d, n = 1e6 - 0.21, 1e-3, 401
+        c = make_lattice_curve((first + i * d, first + i * d,
+                                math.cosh(i * d), 0.0) for i in range(n))
+        origin, spacing = c.nodes
+        for i in (7, n - 8):
+            s = origin + i * spacing
+            for first_order, last in ((0, 0), (1, 2), (3, 6)):
+                with pytest.raises(ValueError) as exc:
+                    c.rows([s], first_order, last)
+                assert str(exc.value) == f"off-lattice evaluation at s={s!r}"
+
     @pytest.mark.parametrize("n", [0, 1, 32])
     def test_too_few_rows(self, n):
         samples = [lattice_sample(i / 64) for i in range(n)]
@@ -463,16 +478,33 @@ class TestLatticeConstructor:
         assert str(exc.value) == \
             f"need at least 33 samples to rebuild derivatives, got {n}"
 
-    def test_overflowing_shift_raises(self):
+    def test_overflowing_shift_is_rejected(self):
         # x = -1e308 at the left domain end and +1e308 elsewhere: the
-        # x-shift, 1e308 below, overflows every other row
+        # x-shift, about -1e308, overflows every other row; the first of
+        # them by s is named, whatever order the samples come in
         first, d, n = 0.0, 2.0 ** -6, 65
-        c = make_lattice_curve((first + i * d, -1e308 if i == 8 else 1e308,
-                                0.0, 0.0) for i in range(n))
-        with pytest.raises(ValueError, match="must be finite"):
-            c.jet(c.snap(0.5), 0)
-        with pytest.raises(ValueError, match="must be finite"):
-            c.jet(c.snap(0.5), 2)
+        samples = [(first + i * d, -1e308 if i == 8 else 1e308, 0.0, 0.0)
+                   for i in range(n)]
+        dx = -1e308 - (first + 8 * d)
+        for given in (samples, samples[::-1]):
+            with pytest.raises(ValueError) as exc:
+                make_lattice_curve(given)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == (
+                "samples must stay finite when x is shifted to x = s by "
+                f"dx = {dx!r}, got (0.0, 1e+308, 0.0, 0.0)")
+
+    def test_off_lattice_point_is_named_at_every_order(self):
+        # the point asked for is named, before any read, in a one-point
+        # call and as the first off-lattice point of a grid call
+        c = lattice_curve(0.0, 2.0 ** -6, 129)
+        on = c.snap(1.0)
+        s = on + 0.3 * 2.0 ** -6
+        for first, last in ((0, 0), (1, 2), (3, 4), (5, 6), (1, 6)):
+            for points in ([s], [on, s, s + 2.0 ** -6]):
+                with pytest.raises(ValueError) as exc:
+                    c.rows(points, first, last)
+                assert str(exc.value) == f"off-lattice evaluation at s={s!r}"
 
     def test_sample_order_does_not_matter(self):
         samples = [lattice_sample(-1.0 + i * 0.01, 0.25) for i in range(201)]
