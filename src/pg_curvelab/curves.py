@@ -34,7 +34,7 @@ import random
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain
-from math import fsum, isfinite
+from math import fsum, inf, isfinite
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
@@ -69,11 +69,13 @@ class JetKind(Enum):
 
 
 def _naming_s(fill: Fill) -> RowsFn:
-    """The rows of a closed form: ``fill(row, s, first, last)`` appends
-    (x, y, z, 0.0) for each order first..last at s to ``row``, which is
-    checked by ``algebra._finite`` in that order (the orders filled
-    before an error first), as their vectors were built.  An
-    ``ArithmeticError`` or ``ValueError`` leaves naming s."""
+    """The rows of a closed form, the one loop over points for the
+    catalogue's fills and a user's ``jet_fn``: ``fill(row, s, first,
+    last)`` appends (x, y, z, err) for each order first..last at s to
+    ``row``, which is checked by ``algebra._finite``, err included, in
+    that order (the orders filled before an error first), as their
+    vectors were built.  An ``ArithmeticError`` or ``ValueError`` leaves
+    naming s."""
     def rows(points: Sequence[float], first: int, last: int) -> list[Row]:
         out = []
         for s in points:
@@ -90,12 +92,12 @@ def _naming_s(fill: Fill) -> RowsFn:
     return rows
 
 
-def _flat(jets: Iterable[PGVector]) -> list[float]:
-    """The row of vectors: (x, y, z, err) each, err 0.0 on a PGVector."""
-    row: list[float] = []
-    for j in jets:
+def _jet_fill(jet_fn: Callable[[float, int], PGVector], row: list, s: float,
+              first: int, last: int) -> None:
+    """The fill of ``jet_fn(s, order)``: (x, y, z, err) of each order's
+    vector, err 0.0 on a PGVector, appended once all orders are built."""
+    for j in [jet_fn(s, k) for k in range(first, last + 1)]:
         row += j.x1, j.x2, j.x3, getattr(j, "err", 0.0)
-    return row
 
 
 def _vectors(row: Row) -> tuple[PGVector, ...]:
@@ -115,10 +117,9 @@ class CurveJet:
     The curve stores one callable, ``rows_fn(points, first, last)``, the
     rows of orders first..last at every point (see :meth:`rows`); the
     library's tiers pass it.  A curve may instead pass ``jet_fn(s,
-    order)``, the vector of one order at s, adapted to rows once, here:
-    an :class:`FDVector`'s ``err`` goes into the row as it is, and an
-    ``ArithmeticError`` or ``ValueError`` that ``jet_fn`` raises leaves
-    with " at s=..." appended to its message.
+    order)``, the vector of one order at s, whose rows ``_naming_s``
+    reads as it reads a catalogue fill: an :class:`FDVector`'s ``err``
+    goes into the row and must be finite, and errors name s.
     """
 
     __slots__ = ("domain", "kind", "max_order", "warnings", "nodes",
@@ -133,16 +134,7 @@ class CurveJet:
         if not (lo < hi):
             raise EmptyDomainError(f"empty domain [{lo}, {hi}]")
         if rows_fn is None:
-            def rows_fn(points: Sequence[float], first: int, last: int
-                        ) -> list[Row]:
-                out = []
-                for s in points:
-                    try:
-                        out.append(_flat(jet_fn(s, k)
-                                         for k in range(first, last + 1)))
-                    except (ArithmeticError, ValueError) as exc:
-                        raise type(exc)(f"{exc} at s={s:.6g}") from exc
-                return out
+            rows_fn = _naming_s(partial(_jet_fill, jet_fn))
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", int(max_order))
@@ -606,9 +598,10 @@ def _adaptive(reads: _Reads, points: Sequence[float], order: int, h: float,
     it whose stencil fits the window.  The estimate t + r (truncation
     estimate plus round-off bound) is modelled at other steps H as
     t*(H/H0)^4 + r*(H0/H)^order; its minimum, moved to the nearest
-    multiple of h that fits the window, is tried next.  At most three
-    steps are tried, and a prediction within 20% of the current step
-    ends the search.  Multiples of h keep every node on s + (h/2) * Z.
+    multiple of h that fits the window, is tried next (2*top*h where
+    t = 0 or r/t is not finite).  At most three steps are tried, and a
+    prediction within 20% of the current step ends the search.
+    Multiples of h keep every node on s + (h/2) * Z.
     Each try runs for all the points still searching at once.
     """
     fits = [_fit(order, s, top, h, window) for s in points]
@@ -620,8 +613,8 @@ def _adaptive(reads: _Reads, points: Sequence[float], order: int, h: float,
         searching, fits = [], []
         for p, (_, _, _, trunc, roundoff) in zip(sel, latest):
             m = steps[p]
-            if trunc > 0.0:
-                ratio = order * roundoff / (4.0 * trunc)
+            ratio = order * roundoff / (4.0 * trunc) if trunc > 0.0 else inf
+            if isfinite(ratio):
                 nxt = round(m * ratio ** (1.0 / (order + 4)))
             else:
                 nxt = 2 * top
@@ -830,7 +823,8 @@ def apply_similarity(c: CurveJet, m: SimilarityMotion) -> CurveJet:
     + |r|*e^|theta|) / |b|**k, which bounds the linear part's row sums
     over |b|**k.  The curve keeps its
     kind, jet orders and warnings.  Raises ValueError when b == 0, which
-    maps the curve into the plane x = a, or when r == 0.
+    maps the curve into the plane x = a, or when r == 0.  An error of
+    the image's own arithmetic names t; c's errors name c's s.
     """
     a, b = m.a, m.b
     if b == 0.0:
@@ -846,19 +840,23 @@ def apply_similarity(c: CurveJet, m: SimilarityMotion) -> CurveJet:
     def rows_fn(points: Sequence[float], first: int, last: int
                 ) -> list[Row]:
         out = []
-        for row in c.rows([(t - a) / b for t in points], first, last):
+        rows = c.rows([(t - a) / b for t in points], first, last)
+        for t, row in zip(points, rows):
             image: list[float] = []
-            for k, i in enumerate(range(0, len(row), 4), first):
-                x1, x2, x3, err = row[i:i + 4]
-                q = b ** k
-                x = b * x1 / q
-                y = (m.d * x1 + rch * x2 + rsh * x3) / q
-                z = (m.f * x1 + rsh * x2 + rch * x3) / q
-                if k == 0:
-                    image += _finite(a + x, m.c + y, m.e + z) + (0.0,)
-                else:
-                    err = err and err * row_sum / abs(q)
-                    image += _finite(x, y, z) + (err,)
+            try:
+                for k, i in enumerate(range(0, len(row), 4), first):
+                    x1, x2, x3, err = row[i:i + 4]
+                    q = b ** k
+                    x = b * x1 / q
+                    y = (m.d * x1 + rch * x2 + rsh * x3) / q
+                    z = (m.f * x1 + rsh * x2 + rch * x3) / q
+                    if k == 0:
+                        image += _finite(a + x, m.c + y, m.e + z) + (0.0,)
+                    else:
+                        err = err and err * row_sum / abs(q)
+                        image += _finite(x, y, z) + (err,)
+            except (ArithmeticError, ValueError) as exc:
+                raise type(exc)(f"{exc} at t={t:.6g}") from exc
             out.append(image)
         return out
 

@@ -37,12 +37,12 @@ Curves are built on a domain slightly wider (2% per side, clipped to the
 validity region) than the entry's nominal domain, so that difference
 stencils centered at the nominal endpoints stay evaluable.  A family's
 ``fill(row, s, first, last)``, with x = s exactly, appends the floats of
-its row at s, and ``curves._naming_s`` loops it over the points of the
-curve's rows; nothing probes it.  A helix evaluates its transcendentals
-once per row (exp, cosh and sinh; or one log, then cosh and sinh), and
-every order comes from its own closed form, so a row equals its orders
-read one at a time.  An ``ArithmeticError`` or ``ValueError`` of a
-closed form names s.
+its row at s; ``curves._naming_s`` reads it for the curve's rows and
+the helices' oracle tangents, and nothing probes it.  A helix evaluates
+its transcendentals once per row (exp, cosh and sinh; or one log, then
+cosh and sinh), and every order comes from its own closed form, so a
+row, an order read alone and an oracle tangent agree bit for bit.  An
+``ArithmeticError`` or ``ValueError`` of a closed form names s.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .algebra import PGVector
-from .curves import CurveJet, Fill, JetKind, _naming_s
+from .curves import CurveJet, Fill, JetKind, _naming_s, _vectors
 from .errors import ParameterConstraintError, UnknownCurveError
 
 MAX_JET_ORDER = 8
@@ -102,11 +102,8 @@ _ANYWHERE = (-math.inf, math.inf)
 
 def _order(fill: Fill, k: int) -> Callable[[float], PGVector]:
     """The order-k jet of a family's rows as a vector function of s."""
-    def jet(s: float) -> PGVector:
-        row: list[float] = []
-        fill(row, s, k, k)
-        return PGVector(*row[:3])
-    return jet
+    rows = _naming_s(fill)
+    return lambda s: _vectors(rows((s,), k, k)[0])[0]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -310,7 +307,11 @@ def _bertrand_helix(a: float, b: float,
     def fill(row: list, s: float, first: int, last: int) -> None:
         ch, sh = math.cosh(b * s), math.sinh(b * s)
         for k in range(first, last + 1):
-            amp = a * b ** (k - 2)
+            try:
+                amp = a * b ** (k - 2)
+            except OverflowError:
+                raise OverflowError(f"the order-{k} amplitude a*b^(k-2) = "
+                                    f"{a:g}*{b:g}^{k - 2} overflows") from None
             even = k % 2 == 0
             row += (s if k == 0 else (1.0 if k == 1 else 0.0),
                     amp * (ch if even else sh), amp * (sh if even else ch),

@@ -618,6 +618,22 @@ class TestLatticeInput:
             f"{path}: samples must stay finite when x is shifted to x = s "
             f"by dx = {-1e308 - 8 * d!r}, got (0.0, 1e+308, 0.0, 0.0)")
 
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_overflowing_round_off_bound_takes_the_long_step(
+            self, tmp_path, capsys, command):
+        # rows near 1e302: the order-3 round-off bound overflows, so the
+        # step search takes its longest step, and the overflow that
+        # follows names its quantity and point
+        d = 2.0 ** -8
+        path = tmp_path / "large.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            f"{s!r},{s!r},{1e302 * math.cosh(s)!r},"
+            f"{1e302 * math.sinh(s)!r}\n"
+            for s in (-0.4 + i * d for i in range(257))))
+        assert rejected(capsys, command, "--input", str(path),
+                        "--grid", "-0.3:0.3:5") == (
+            "y''^2 + z''^2 overflows at s=-0.298438")
+
     def test_coincident_samples_rejected(self, tmp_path, capsys):
         path = tmp_path / "same.csv"
         path.write_text("s,x,y,z\n" + "0.5,0.5,0.125,0\n" * 33)
@@ -1596,6 +1612,20 @@ class TestErrorExits:
         assert rc == 2
         assert json.loads(err)["error"] == "OverflowError"
         assert json.loads(err)["message"] == "math range error at s=-1"
+
+    def test_overflowing_amplitude_names_its_order(self, capsys):
+        # b^(k - 2) = 1e400 at order 0; classify reads orders 1-4 only
+        argv = ("--curve", "bertrand_helix", "--a", "1", "--b", "1e-200",
+                "--grid", "-0.5:0.5:5")
+        assert rejected(capsys, "eval", *argv) == (
+            "the order-0 amplitude a*b^(k-2) = 1*1e-200^-2 overflows at "
+            "s=-0.5")
+        assert invoke(capsys, "classify", *argv) == (0, (
+            "condition,holds,sup_residual\n"
+            "AW1,true,0\nAW2,true,0\nAW3,true,0\nWeakAW2,true,0\n"
+            "WeakAW3,true,0\nnatural_class,isotropic-circle,\n"
+            "diagnostic,5 grid points had a degenerate second span "
+            "direction; the weak span-2 check used scalars only,\n"), "")
 
     @pytest.mark.parametrize("a", ["0.1", repr(1 / 6)])
     def test_circular_helix_without_a_default_domain(self, capsys, a):

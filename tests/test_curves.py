@@ -176,6 +176,30 @@ class TestCurveJet:
         assert type(exc.value) is ValueError
         assert str(exc.value) == "math domain error at s=-0.5"
         assert c.jet(0.5, 1).x2 == math.log(0.5)
+        # a grid call names the point that fails, its second, once
+        for call in (c.rows, c.bundles):
+            with pytest.raises(OverflowError) as exc:
+                call([0.5, 0.75, 1.0], 0, 1)
+            assert str(exc.value) == "math range error at s=0.75"
+
+    def test_jet_function_error_bounds_enter_the_row(self):
+        # a finite err goes into the row bit for bit; a non-finite one is
+        # rejected as a non-finite component is, naming s
+        err = float.fromhex("0x1.23456789abcdfp-40")
+
+        def jet_fn(s, k):
+            return FDVector(s if k == 0 else float(k == 1), 0.5 * s, -0.0,
+                            math.inf if s == 0.2 else err)
+
+        c = CurveJet(jet_fn, (0.0, 1.0), JetKind.FINITE_DIFFERENCE)
+        assert c.rows([0.5], 0, 1) == [[0.5, 0.25, -0.0, err,
+                                        1.0, 0.25, -0.0, err]]
+        assert c.jet(0.5, 1).err.hex() == err.hex()
+        for call in (c.jet, lambda s: c.rows([0.5, s], 0, 2)):
+            with pytest.raises(ValueError) as exc:
+                call(0.2)
+            assert str(exc.value) == ("PGVector components must be finite, "
+                                      "got inf at s=0.2")
 
 
 class TestAnalyticConstructor:
@@ -1002,6 +1026,27 @@ class TestSimilarity:
             q, *moved_jets = moved.jets(1.0 + s, 0, 4)
             assert q.as_tuple() == (p.x1 + 1.0, p.x2 + 2.0, p.x3 + 3.0)
             assert moved_jets == jets
+
+    def test_image_errors_name_their_point(self):
+        # the image's own arithmetic names t: b^2 = 1e400 overflows, and
+        # r * y'' = 1.7e308 * cosh(s) leaves the double range at a grid
+        # call's second point; an error of the curve it maps names that
+        # curve's s, once
+        helix = get_example("bertrand_helix").curve
+        with pytest.raises(OverflowError) as exc:
+            apply_similarity(helix, SimilarityMotion(b=1e200)).jet(0.0, 2)
+        assert str(exc.value) == ("(34, 'Numerical result out of range') "
+                                  "at t=0")
+        wide = apply_similarity(helix, SimilarityMotion(r=1.7e308))
+        with pytest.raises(ValueError) as exc:
+            wide.rows([0.0, 0.5, 0.75], 2, 2)
+        assert str(exc.value) == ("PGVector components must be finite, got "
+                                  "inf at t=0.5")
+        steep = get_example("bertrand_helix", 0.01, 1000.0).curve
+        moved = apply_similarity(steep, SimilarityMotion(a=1.0, b=2.0))
+        with pytest.raises(OverflowError) as exc:
+            moved.jet(-0.6, 0)
+        assert str(exc.value) == "math range error at s=-0.8"
 
     def test_fd_error_bounds_stay_honest(self, zoo_entries):
         # the image of a sampled curve against the image of its analytic

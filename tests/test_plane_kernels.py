@@ -38,7 +38,7 @@ from pg_curvelab.aw import (AWReport, AWVerdict, DerivativeVectors,
 from pg_curvelab.bertrand import (BertrandNature, BertrandPair,
                                   _normal_series, _offset_rows,
                                   bertrand_mate, verify_bertrand_pair)
-from pg_curvelab.curves import (CurveJet, FDVector, JetKind, _flat,
+from pg_curvelab.curves import (CurveJet, FDVector, JetKind,
                                 apply_similarity, make_lattice_curve,
                                 make_sampled_curve)
 from pg_curvelab.equiform import (MIN_GRID_POINTS, EquiformData,
@@ -233,13 +233,19 @@ def ref_offset_jets(base, lam: float, s: float, first: int, last: int):
 # --- the frozen record path of eval ----------------------------------------
 # Frames as vectors in records, the flip check over records, and the
 # helpers the forms above call by their former names, the vector read
-# path (jet error bounds, the overflow rule and the bundle reader) with
-# them.
+# path (jet error bounds, the overflow rule, the bundle reader and the
+# row of vectors) with them.
 
 
 def jet_errors(*jets):
     errs = tuple(getattr(j, "err", 0.0) for j in jets)
     return errs if any(errs) else None
+
+
+def _flat(jets):
+    """The row of vectors: (x, y, z, err) each, err 0.0 on a PGVector."""
+    return [v for j in jets
+            for v in (j.x1, j.x2, j.x3, getattr(j, "err", 0.0))]
 
 
 def _overflow(s, j2, exc):
@@ -1307,7 +1313,12 @@ def ref_family_jets(name, a, b):
             ch, sh = math.cosh(b * s), math.sinh(b * s)
             out = []
             for k in range(first, last + 1):
-                amp = a * b ** (k - 2)
+                try:
+                    amp = a * b ** (k - 2)
+                except OverflowError:       # the amplitude names its order
+                    raise OverflowError(
+                        f"the order-{k} amplitude a*b^(k-2) = {a:g}*{b:g}^"
+                        f"{k - 2} overflows") from None
                 even = k % 2 == 0
                 out.append(PGVector(s if k == 0 else (1.0 if k == 1 else 0.0),
                                     amp * (ch if even else sh),
@@ -1429,14 +1440,16 @@ def ref_classify_of(datas, kind, tol=None, notes=()):
     mismatches = 0
     for d in datas:
         s = d.s
+        Kp, Tqp = aw.sigma_rates(d)
         try:
-            Kp, Tqp = aw.sigma_rates(d)
             res = aw_residuals(d.curvature, d.torsion, Kp, Tqp,
                                aw.omega_resolution(d))
             vectors = (None if res.resolution_limited
                        else aw._residuals(s, *ref_plane(d, res.u, res.v)[1]))
         except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"{exc} at s={s:.6g}") from exc
+            # the overflow rule names s, and omega or the coefficients
+            raise aw._span_error(s, d.rho, d.curvature, d.torsion, Kp, Tqp,
+                                 exc) from exc
         scalars = res.as_dict()
         for name in names:
             sup[name] = max(sup[name], scalars[name])

@@ -1,13 +1,13 @@
-"""Every name a package or test module imports is used in that module,
-and the package's one public list names exactly what it imports.
+"""Every name a package, test or tool module imports is used in that
+module, and the package's one public list names exactly what it imports.
 
-There is no linter in the toolchain, so ``src/pg_curvelab/*.py`` and
-``tests/*.py`` are parsed with ``ast``.  ``__init__.py`` is exempt from
-the unused-import check, because its imports are the package's
-re-exports, which ``__all__`` must list instead; ``from __future__
-import ...`` is exempt everywhere.  A fresh interpreter pins the
-standard-library modules, and the package's series module, that
-importing the CLI may not pull in.
+There is no linter in the toolchain, so ``src/pg_curvelab/*.py``,
+``tests/*.py`` and ``tools/*.py`` are parsed with ``ast``.
+``__init__.py`` is exempt from the unused-import check, because its
+imports are the package's re-exports, which ``__all__`` must list
+instead; ``from __future__ import ...`` is exempt everywhere.  A fresh
+interpreter pins the standard-library modules, and the package's series
+module, that importing the CLI may not pull in.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pg_curvelab"
+TOOLS = TESTS.parent / "tools"
 INIT = SRC / "__init__.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p != INIT) + sorted(
-    TESTS.glob("*.py"))
+    TESTS.glob("*.py")) + sorted(TOOLS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,11 +56,12 @@ def test_the_checker_flags_an_unused_name():
 def test_every_module_is_checked():
     names = {p.name for p in MODULES}
     assert {"cli.py", "curves.py", "zoo.py", "conftest.py",
-            "test_src_imports.py"} <= names
+            "test_src_imports.py", "cli_digest.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[
-    p.name if p.parent == SRC else f"tests/{p.name}" for p in MODULES])
+    p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"
+    for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from pg_curvelab import zoo
+from pg_curvelab.algebra import PGVector
 from pg_curvelab.curves import make_analytic_curve
 from pg_curvelab.equiform import equiform_data
 from pg_curvelab.errors import (
@@ -321,6 +322,30 @@ class TestCurveConstruction:
             curve.jets(s, 0, MAX_JET_ORDER)
         assert str(exc.value) == message
         assert exc.value.__cause__ is not None
+
+    @pytest.mark.parametrize("name", NAMES[:4])
+    def test_oracle_tangent_is_the_order_one_jet(self, zoo_entries, name):
+        # the helices' oracle tangents read the family's row as the curve
+        # does, so they give its order-1 jet bit for bit
+        entry = next(e for e in zoo_entries if e.name == name)
+        lo, hi = entry.domain
+        for f in (0.0, 0.3, 0.7, 1.0):
+            s = lo + f * (hi - lo)
+            got, want = entry.oracle.tangent(s), entry.curve.jet(s, 1)
+            assert type(got) is type(want) is PGVector
+            assert list(map(float.hex, got.as_tuple())) == \
+                list(map(float.hex, want.as_tuple()))
+
+    @pytest.mark.parametrize("name, s, message", [
+        ("timelike_general_helix", -800.0, "math range error at s=-800"),
+        ("timelike_circular_helix", 1e300, "math range error at s=1e+300"),
+    ])
+    def test_oracle_tangent_errors_name_s(self, name, s, message):
+        entry = get_example(name, 1.0, 2.0, (min(s, 1.0), max(s, 2.0)))
+        with pytest.raises(OverflowError) as exc:
+            entry.oracle.tangent(s)
+        assert type(exc.value) is OverflowError
+        assert str(exc.value) == message
 
     def test_padding_clips_to_the_validity_region(self):
         entry = get_example("timelike_circular_helix", 1.0, 2.0, (0.001, 3.0))
