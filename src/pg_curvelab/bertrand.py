@@ -9,7 +9,7 @@ of curves is accepted as a mate pair when, over a verification grid,
     only over curves of constant classical curvature),
   * their scale-invariant normals are parallel at matching parameters,
   * the offset recovered from the geometry is constant and matches the
-    claimed offset function (which must itself be constant), and
+    claimed offset, the one constant the mate is built at, and
   * the scalar product of the two scale-invariant tangents is constant.
 
 Mate jets are computed from the base jets up to order 6, exact or
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from math import fsum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import _finite
 from .curves import CurveJet, Row
@@ -56,8 +56,6 @@ from .errors import (
     NumericalInflectionError,
 )
 from .frenet import _character, _frenet_of, _overflow
-
-OffsetFn = Callable[[float], float]
 
 
 def _normal_series(y: Sequence[float], z: Sequence[float], s: float
@@ -278,31 +276,27 @@ class BertrandPair(NamedTuple):
     failures: tuple[str, ...]
 
 
-def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
-                         offset_fn: OffsetFn | float,
+def verify_bertrand_pair(base: CurveJet, mate: CurveJet, offset: float,
                          grid: Sequence[float],
                          tol: float | None = None) -> BertrandPair:
     """Check the mate-pair conditions over a grid at tolerance ``tol``,
     by default the looser ``kind.tolerance`` of the two curves.
 
-    ``offset_fn`` is the claimed offset, a constant or a function of the
-    parameter; a non-constant claim fails verification even if the two
-    curves are geometrically a pair at some constant offset.  Each curve
-    is swept once, the base first, by the equiform sweep of
-    :func:`equiform_grid` with one row of the jets of orders 0-4 per
-    grid point: the position and the equiform data, read as floats;
-    ``nature`` is :func:`bertrand_nature` of the base, read from the same
-    sweep.  An overflow in a grid mean names its quantity.
+    ``offset`` is the claimed offset, the one constant a mate is built
+    at (:func:`bertrand_mate`); the offset recovered at every grid point
+    must match it, and a NaN claim matches none.  Each curve is swept
+    once, the base first, by the equiform sweep of :func:`equiform_grid`
+    with one row of the jets of orders 0-4 per grid point: the position
+    and the equiform data, read as floats; ``nature`` is
+    :func:`bertrand_nature` of the base, read from the same sweep.  An
+    overflow in a grid mean names its quantity.
     """
     if len(grid) < MIN_GRID_POINTS:
         raise ValueError("verification needs a grid of at least "
                          f"{MIN_GRID_POINTS} points")
     if tol is None:
         tol = max(base.kind.tolerance, mate.kind.tolerance)
-    if callable(offset_fn):
-        claimed = [float(offset_fn(s)) for s in grid]
-    else:
-        claimed = [float(offset_fn)] * len(grid)
+    lam = float(offset)
 
     xb, db = _sweep(base, grid, 0)
     xm, dm = _sweep(mate, grid, 0)
@@ -342,9 +336,7 @@ def verify_bertrand_pair(base: CurveJet, mate: CurveJet,
     if not _is_const(recovered, tol, "recovered offset"):
         failures.append(
             f"recovered offset varies by {_spread(recovered):.3e} over the grid")
-    if not _is_const(claimed, tol, "claimed offset"):
-        failures.append("claimed offset is not constant over the grid")
-    if max(abs(r - c) for r, c in zip(recovered, claimed)) > tol * lam_scale:
+    if not (max(abs(r - lam) for r in recovered) <= tol * lam_scale):
         failures.append(
             f"claimed offset differs from the recovered {lam_mean:.6g}")
     if not _is_const(products, tol, "tangent scalar product"):

@@ -45,9 +45,9 @@ from typing import Callable, NamedTuple, Sequence
 from . import aw
 from .bertrand import bertrand_mate, verify_bertrand_pair
 from .curves import CurveJet, bundle_reader, make_lattice_curve
-from .equiform import (MIN_GRID_POINTS, TOL_CONST, TOL_ZERO, NaturalClass,
-                       _equiform_of, _equiform_residual_of, _frames_at,
-                       _natural_class_of, _sweep)
+from .equiform import (TOL_CONST, TOL_ZERO, NaturalClass, _equiform_of,
+                       _equiform_residual_of, _frames_at, _natural_class_of,
+                       _sweep)
 from .errors import CurveLabError, InadmissibleCurveError
 from .frenet import _frenet_of, _frenet_residual_of, _stencil_character
 from .zoo import (
@@ -180,13 +180,12 @@ def _write(args: argparse.Namespace, report: _Report) -> None:
             fh.write(text)
 
 
-def _head(args: argparse.Namespace, res: _Resolved,
-          grid: list[float]) -> dict:
+def _head(args: argparse.Namespace, res: _Resolved) -> dict:
     """The head every eval, classify and bertrand JSON report shares."""
     start, stop, count = args.grid
     return {"schema": SCHEMA, "curve": res.label, "params": res.params,
             "grid": {"start": start, "stop": stop, "count": count,
-                     "points": len(grid)}}
+                     "points": len(res.grid)}}
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -271,7 +270,7 @@ def _eval_rows(res: _Resolved) -> list[list[float]]:
 def _cmd_eval(args: argparse.Namespace) -> _Report:
     res = _resolve(args)
     rows = _eval_rows(res)
-    return _Report({**_head(args, res, res.grid),
+    return _Report({**_head(args, res),
                     "columns": list(_EVAL_HEADER),
                     "rows": rows,
                     "diagnostics": list(res.notes)}, _EVAL_HEADER, rows)
@@ -301,7 +300,7 @@ def _cmd_classify(args: argparse.Namespace) -> _Report:
             "all sat within the finite-difference error bound, so the span "
             "conditions read as for exactly vanishing invariants there")
     doc = {
-        **_head(args, res, res.grid),
+        **_head(args, res),
         "natural_class": {**nat._asdict(), "tag": nat.tag.value},
         "aw": {name: {"holds": v.holds, "sup_residual": v.sup_residual}
                for name, v in report.verdicts.items()},
@@ -318,12 +317,7 @@ def _cmd_classify(args: argparse.Namespace) -> _Report:
 def _cmd_bertrand(args: argparse.Namespace) -> _Report:
     res = _resolve(args)
     mate = bertrand_mate(res.curve, args.offset)
-    grid = [s for s in res.grid
-            if mate.domain[0] <= s <= mate.domain[1]]
-    if len(grid) < MIN_GRID_POINTS:
-        raise ConfigError(f"need at least {MIN_GRID_POINTS} grid points "
-                          "inside the mate domain")
-    pair = verify_bertrand_pair(res.curve, mate, args.offset, grid,
+    pair = verify_bertrand_pair(res.curve, mate, args.offset, res.grid,
                                 tol=args.tol_class)
     items = {
         "is_pair": pair.is_pair,
@@ -334,7 +328,7 @@ def _cmd_bertrand(args: argparse.Namespace) -> _Report:
         "offset_spread": pair.offset_spread,
         "failures": list(pair.failures),
     }
-    doc = {**_head(args, res, grid), "offset": args.offset,
+    doc = {**_head(args, res), "offset": args.offset,
            "bertrand": items,
            "diagnostics": list(res.notes) + list(mate.warnings)}
     return _Report(doc, ("key", "value"),

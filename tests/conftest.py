@@ -1,12 +1,14 @@
 """Shared fixtures: catalogue curves at their reference parameters.
 
 Entries are session-scoped; the curves are immutable, so sharing is
-safe.
+safe.  One hypothesis profile serves every property test: no deadline,
+and a failing example prints its ``@reproduce_failure`` blob.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from pg_curvelab.algebra import PGVector
 from pg_curvelab.curves import CurveJet, make_analytic_curve
@@ -15,6 +17,9 @@ from pg_curvelab.zoo import (
     all_entries,
     get_example,
 )
+
+settings.register_profile("no_deadline", deadline=None, print_blob=True)
+settings.load_profile("no_deadline")
 
 
 class JetLog:

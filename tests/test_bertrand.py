@@ -142,14 +142,16 @@ class TestVerification:
         assert pair.offset == 0.7
         assert pair.offset_spread == 0.0
 
-    def test_non_constant_claim_fails(self, helix_fixture, uniform):
+    def test_nan_claim_fails(self, helix_fixture, uniform):
+        # every comparison with NaN is false: the claim must be shown to
+        # match the recovered offset, not merely not shown to differ
         base = helix_fixture.curve
-        mate = bertrand_mate(base, 1.0)
-        pair = verify_bertrand_pair(base, mate, lambda s: s,
+        mate = bertrand_mate(base, 0.5)
+        pair = verify_bertrand_pair(base, mate, math.nan,
                                     uniform(-0.9, 0.9, 11))
         assert not pair.is_pair
-        assert any("not constant" in f for f in pair.failures)
-        assert any("differs from the recovered" in f for f in pair.failures)
+        assert len(pair.failures) == 1
+        assert pair.failures[0].startswith("claimed offset ")
 
     def test_wrong_constant_claim_fails(self, helix_fixture, uniform):
         base = helix_fixture.curve

@@ -786,10 +786,7 @@ class TestBertrandCommand:
         assert mate.nodes == base.nodes
         probed = len(calls.orders)
         assert probed > 0
-        lo, hi = mate.domain
-        grid = [s for s in base.grid(-0.8, 0.8, 21)
-                if lo <= s <= hi]
-        pair = verify_bertrand_pair(base, mate, 0.3, grid)
+        pair = verify_bertrand_pair(base, mate, 0.3, base.grid(-0.8, 0.8, 21))
         assert pair.is_pair, pair.failures
         assert len(calls.orders) > probed
         assert all(base.snap(s) == s for s, _ in calls.orders)
@@ -848,10 +845,35 @@ class TestBertrandCommand:
         assert doc["curvature_flatness_sup"] < flatness
 
     def test_sparse_grid_rejected(self, capsys):
+        # the verifier owns the count rule
         rc, _, err = invoke(capsys, "bertrand", "--curve", "bertrand_helix",
                             "--lambda", "1", "--grid", "-0.9:0.9:4")
         assert rc == 2
-        assert "at least 5 grid points" in json.loads(err)["message"]
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"] == \
+            "verification needs a grid of at least 5 points"
+
+    def test_lattice_top_node_is_kept(self, tmp_path, capsys):
+        # 2017 rows (s, cosh s, sinh s) over [-1.04, 1.04]: the grid's
+        # stop, the domain end last - 8 * spacing, snaps to a node an ulp
+        # above it, which CurveJet.grid accepts; every command reads
+        # that grid as it is
+        spacing = 2.08 / 2016
+        path = tmp_path / "cosh.csv"
+        path.write_text("s,x,y,z\n" + "".join(
+            f"{s!r},{s!r},{math.cosh(s)!r},{math.sinh(s)!r}\n"
+            for s in (-1.04 + i * spacing for i in range(2017))))
+        grid = ("--input", str(path), "--grid", "-1:1.0317460317460319:101",
+                "--format", "json")
+        points = []
+        for argv in (("eval",), ("classify",), ("bertrand", "--lambda", "0.3")):
+            rc, out, err = invoke(capsys, *argv, *grid)
+            assert (rc, err) == (0, ""), argv
+            doc = json.loads(out)
+            points.append(doc["grid"]["points"])
+        assert points == [101] * 3
+        assert doc["bertrand"]["is_pair"] is True, doc["bertrand"]["failures"]
 
     # sha256 of the full stdout: every float prints with 17 digits, so
     # a change in any bit of any field changes the hash

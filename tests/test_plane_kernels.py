@@ -56,9 +56,6 @@ from pg_curvelab.frenet import (FrenetData, _frame_vectors,
 from pg_curvelab.series import DSeries
 from pg_curvelab.zoo import get_example, zoo_names
 
-settings.register_profile("no_deadline", deadline=None)
-settings.load_profile("no_deadline")
-
 _OMEGA_FLOOR = 1e-30
 
 

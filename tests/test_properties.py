@@ -24,9 +24,6 @@ from pg_curvelab.frenet import frenet_data, normal_character
 from pg_curvelab.series import DSeries
 from pg_curvelab.zoo import get_example, zoo_names
 
-settings.register_profile("no_deadline", deadline=None)
-settings.load_profile("no_deadline")
-
 component = st.floats(min_value=-1e6, max_value=1e6,
                       allow_nan=False, allow_infinity=False)
 vectors = st.builds(PGVector, component, component, component)

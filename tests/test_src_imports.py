@@ -2,7 +2,8 @@
 module, and the package's one public list names exactly what it imports.
 
 There is no linter in the toolchain, so ``src/pg_curvelab/*.py``,
-``tests/*.py`` and ``tools/*.py`` are parsed with ``ast``.
+``tests/*.py``, ``tools/*.py`` and ``bench/*.py`` are parsed with
+``ast``; the bench files are only read.
 ``__init__.py`` is exempt from the unused-import check, because its
 imports are the package's re-exports, which ``__all__`` must list
 instead; ``from __future__ import ...`` is exempt everywhere.  A fresh
@@ -23,9 +24,10 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pg_curvelab"
 TOOLS = TESTS.parent / "tools"
+BENCH = TESTS.parent / "bench"
 INIT = SRC / "__init__.py"
-MODULES = sorted(p for p in SRC.glob("*.py") if p != INIT) + sorted(
-    TESTS.glob("*.py")) + sorted(TOOLS.glob("*.py"))
+MODULES = sorted(p for p in SRC.glob("*.py") if p != INIT) + [
+    p for d in (TESTS, TOOLS, BENCH) for p in sorted(d.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,7 +58,8 @@ def test_the_checker_flags_an_unused_name():
 def test_every_module_is_checked():
     names = {p.name for p in MODULES}
     assert {"cli.py", "curves.py", "zoo.py", "conftest.py",
-            "test_src_imports.py", "cli_digest.py"} <= names
+            "test_src_imports.py", "cli_digest.py", "run.py",
+            "tracing.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[
