@@ -145,10 +145,13 @@ def _resolve(args: argparse.Namespace) -> _Resolved:
 
 class _Report(NamedTuple):
     """One command's report: the JSON document (None where the command
-    emits csv only), and the CSV header and raw rows."""
+    emits csv only), and the CSV header and raw rows.  ``floats`` marks a
+    table whose every cell is a float, one per header column; its JSON
+    document holds the rows under ``"rows"``."""
     doc: dict | None
     header: Sequence[str]
     rows: Sequence[Sequence[object]]
+    floats: bool = False
 
 
 def _cell(v: object) -> str:
@@ -164,9 +167,25 @@ def _cell(v: object) -> str:
 
 
 def _write(args: argparse.Namespace, report: _Report) -> None:
-    """Render ``report`` in the requested format to stdout or ``--out``."""
-    if args.fmt == "json":
+    """Render ``report`` in the requested format to stdout or ``--out``.
+    A float table is formatted a row at a time; other rows go cell by
+    cell through ``_cell`` and ``csv.writer``, which quotes."""
+    if args.fmt == "json" and report.floats and report.rows:
+        # json takes its Python encoder whenever indent is set, so the
+        # rows go through the C encoder alone and are laid out as indent=2
+        # lays them out; no float's text holds ", " or "], ["
+        rows = json.dumps(report.rows)[2:-2].replace(
+            "], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+        head, _, tail = json.dumps({**report.doc, "rows": []},
+                                   indent=2).partition('"rows": []')
+        text = "".join([head, '"rows": [\n    [\n      ', rows,
+                        "\n    ]\n  ]", tail, "\n"])
+    elif args.fmt == "json":
         text = json.dumps(report.doc, indent=2) + "\n"
+    elif report.floats:
+        line = ",".join(["%.17g"] * len(report.header)) + "\n"
+        text = "".join([",".join(report.header) + "\n",
+                        *[line % tuple(row) for row in report.rows]])
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -273,7 +292,8 @@ def _cmd_eval(args: argparse.Namespace) -> _Report:
     return _Report({**_head(args, res),
                     "columns": list(_EVAL_HEADER),
                     "rows": rows,
-                    "diagnostics": list(res.notes)}, _EVAL_HEADER, rows)
+                    "diagnostics": list(res.notes)}, _EVAL_HEADER, rows,
+                   floats=True)
 
 
 def _classify(res: _Resolved, args: argparse.Namespace
@@ -347,7 +367,8 @@ def _cmd_figure(args: argparse.Namespace) -> _Report:
     entry = get_example(_FIGURES[args.figure_number])
     return _Report(None, ("s", "x", "y", "z"),
                    [(s, *entry.curve.position(s).as_tuple())
-                    for s in entry.curve.grid(*entry.domain, _FIGURE_SAMPLES)])
+                    for s in entry.curve.grid(*entry.domain, _FIGURE_SAMPLES)],
+                   floats=True)
 
 
 # ---------------------------------------------------------------------------

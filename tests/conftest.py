@@ -2,7 +2,9 @@
 
 Entries are session-scoped; the curves are immutable, so sharing is
 safe.  One hypothesis profile serves every property test: no deadline,
-and a failing example prints its ``@reproduce_failure`` blob.
+derandomized (every run draws the same examples, so a frozen reference
+that lags a rule change fails at once), and a failing example prints
+its ``@reproduce_failure`` blob.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from pg_curvelab.zoo import (
     get_example,
 )
 
-settings.register_profile("no_deadline", deadline=None, print_blob=True)
+settings.register_profile("no_deadline", deadline=None, derandomize=True,
+                          print_blob=True)
 settings.load_profile("no_deadline")
 
 

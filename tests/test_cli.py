@@ -21,14 +21,18 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from pg_curvelab.algebra import PGVector
 from pg_curvelab.bertrand import bertrand_mate, verify_bertrand_pair
 from pg_curvelab.cli import (
+    _EVAL_HEADER,
     SCHEMA,
     _build_parser,
+    _cell,
     _classify,
     _eval_rows,
     _grid,
     _lattice_curve,
     _merge_option_values,
+    _Report,
     _Resolved,
+    _write,
     main,
 )
 from pg_curvelab.curves import (CurveJet, JetKind, make_lattice_curve,
@@ -982,6 +986,14 @@ class TestFrozenEvalClassifyBits:
          "2a8919a79f07a5c7c19bd6750417e85b4c4143834742433e6103a113d4699667"),
         ("classify", "isotropic_circle", "csv",
          "9f8afc6922f56315569606b2f65f7438b57ba43431a866db889132167f1d953a"),
+        ("eval", "spacelike_general_helix", "json",
+         "5370f27b08c7c7b44dd7350c910c774ad058d1de4b814488a57f5f8846583192"),
+        ("eval", "timelike_circular_helix", "json",
+         "8ee6b5eefaf18d467fd9afa1e147d2b3ce6276f7c09c2cdafbb2f399e8ebb4e5"),
+        ("eval", "spacelike_circular_helix", "json",
+         "b8506670798daafc518454c7b018abea3acb4627690f62f92c4dcad824723aa4"),
+        ("eval", "isotropic_circle", "json",
+         "f0280b5df66336973ca9b5fa570ae18166dde9971f710f81b5559456abadb138"),
     ])
     def test_frozen_output_bits(self, capsys, parabola_csv, command, source,
                                 fmt, digest):
@@ -990,6 +1002,23 @@ class TestFrozenEvalClassifyBits:
         rc, out, _ = invoke(capsys, command, *argv, "--format", fmt)
         assert rc == 0
         out = out.replace(parabola_csv, "LATTICE")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # grid ends 0.04 inside the domain: the first and last two points
+    # have no residual neighbour and print NaN residuals, which no other
+    # pin reaches
+    @pytest.mark.parametrize("fmt, nan, digest", [
+        ("json", "NaN",
+         "43725cc2ef4a6c0eeed4083f49b583a1f5c704d059c39673417ec4cfae5c832d"),
+        ("csv", "nan",
+         "ef7f9010cc86fea9b250013cb8995afcc8319369812ead95323c8c58035b56e7"),
+    ])
+    def test_frozen_nan_residual_bits(self, capsys, fmt, nan, digest):
+        rc, out, _ = invoke(capsys, "eval", "--curve",
+                            "timelike_general_helix", "--grid",
+                            "-0.04:2.04:101", "--format", fmt)
+        assert rc == 0
+        assert out.count(nan) == 4
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # a tolerance between the scalar and the vector residual of a
@@ -1412,9 +1441,15 @@ class TestFigure:
         assert invoke(capsys, "figure", "1", "--format", "json")[0] == 2
 
 
+# the floats whose text is likeliest to differ between two formatting forms
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300,
+                1e-7, 1.0, -1.0]
+
+
 class TestReportWriter:
     """Every command's report goes through one writer: the bytes of the
-    commands no other pin reaches, and ``--out`` against stdout."""
+    commands no other pin reaches, ``--out`` against stdout, and a float
+    table's bytes against the standard library's writers."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("zoo-list",),
@@ -1453,6 +1488,36 @@ class TestReportWriter:
         assert invoke(capsys, *argv, "--format", fmt,
                       "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode()
+
+    # a float table (``_Report.floats``) prints exactly the bytes of the
+    # standard library's own writers: ``json.dumps(doc, indent=2)`` and
+    # ``csv.writer`` over ``_cell``
+    @staticmethod
+    def float_report(nrows: int) -> _Report:
+        rows = [_EDGE_FLOATS + _EDGE_FLOATS[::-1],
+                _EDGE_FLOATS[::-1] + _EDGE_FLOATS][:nrows]
+        # a label holding the writer's separators and splice anchor
+        doc = {"schema": SCHEMA, "curve": 'sampled:"rows": [], [0.1, 1.0]',
+               "params": {"a": 1.0}, "columns": list(_EVAL_HEADER),
+               "rows": rows, "diagnostics": ["a note, with a comma"]}
+        return _Report(doc, _EVAL_HEADER, rows, floats=True)
+
+    @pytest.mark.parametrize("nrows", [0, 1, 2])
+    def test_float_table_json_is_the_indented_dump(self, capsys, nrows):
+        report = self.float_report(nrows)
+        _write(argparse.Namespace(fmt="json", out_path=None), report)
+        assert capsys.readouterr().out == json.dumps(report.doc,
+                                                     indent=2) + "\n"
+
+    @pytest.mark.parametrize("nrows", [0, 1, 2])
+    def test_float_table_csv_is_the_cell_writer(self, capsys, nrows):
+        report = self.float_report(nrows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows([_cell(v) for v in row] for row in report.rows)
+        _write(argparse.Namespace(fmt="csv", out_path=None), report)
+        assert capsys.readouterr().out == buf.getvalue()
 
 
 class TestReferenceDefaults:
